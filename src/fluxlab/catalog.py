@@ -6,8 +6,8 @@ are exact to round-off rather than limited by spectral differentiation of
 barely resolved fields.  Flow builders attach the exact generating vector
 field to the isotopies they produce.
 
-Specs are addressable from experiment configs by name + parameters via
-`build_map` / `build_flow` / `build_region`.
+Maps are addressable from experiment configs by name + parameters via
+`build_map`; the suites read one such spec, `generators.base_map`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .isotopy import Isotopy, TimeField, integrate_flow
-from .maps import Region, TorusMap
+from .maps import TorusMap
 from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
@@ -371,41 +371,3 @@ def build_map(mesh: GridMesh, spec: dict) -> TorusMap:
     if kind not in builders:
         raise KeyError(f"unknown map type {kind!r}; have {sorted(builders)}")
     return builders[kind]()
-
-
-def build_flow(mesh: GridMesh, spec: dict, K: int = 64) -> Isotopy:
-    """Build a named isotopy from a config spec {"type": name, ...params}."""
-    spec = dict(spec)
-    kind = spec.pop("type")
-    K = int(spec.pop("K", K))
-    if kind == "translation_flow":
-        return translation_flow(mesh, spec.get("c", 0.0), spec.get("d", 0.0), K)
-    if kind == "shear_flow":
-        return shear_flow(mesh, spec.get("eps", 0.1), spec.get("axis", 0),
-                          spec.get("mode", 1), K)
-    if kind == "translation_shear_flow":
-        return translation_shear_flow(mesh, spec.get("c", 0.0), spec.get("d", 0.0),
-                                      spec.get("eps", 0.1), spec.get("mode", 1), K)
-    if kind == "rotation_flow":
-        return rotation_flow(mesh, spec.get("center", (0.5, 0.5)),
-                             spec.get("radius", 0.2), spec.get("angle", 1.0), K)
-    if kind == "hamiltonian":
-        return hamiltonian_flow(mesh, spec.get("potential", "cos_x_cos_y"),
-                                spec.get("amp", 0.05), K)
-    if kind == "commutator":
-        from .isotopy import commutator_generator
-        sub = spec.get("of")
-        theta, _ = commutator_generator(build_flow(mesh, sub[0], K),
-                                        build_flow(mesh, sub[1], K))
-        return theta
-    raise KeyError(f"unknown flow type {kind!r}")
-
-
-def build_region(mesh: GridMesh, spec: dict) -> Region:
-    spec = dict(spec)
-    kind = spec.pop("type")
-    if kind == "rect":
-        return Region.rectangle(spec["lo"], spec["hi"])
-    if kind == "ball":
-        return Region.ball(spec["center"], spec["radius"])
-    raise KeyError(f"unknown region type {kind!r}")

@@ -49,10 +49,7 @@ class NotIsotopicError(ValueError):
 def _displacement_potential(psi: TorusMap, alpha: OneForm) -> ScalarField:
     """Mean-zero potential of psi^* alpha - alpha (exact by path
     independence once the periods vanish); cached per (map, form) pair."""
-    cache = getattr(psi, "_potential_cache", None)
-    if cache is None:
-        cache = {}
-        psi._potential_cache = cache
+    cache = psi._potential_cache
     hit = cache.get(id(alpha))
     if hit is not None and hit[0] is alpha:
         return hit[1]
@@ -115,7 +112,6 @@ def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy,
     The value does not depend on the choice of the isotopy.
     """
     mesh = psi.mesh
-    omega = omega or TwoForm.standard(mesh)
     gap = mesh.torus_distance(phi_path.end_map.position, psi.position).max()
     if gap > 1e-6:
         raise ValueError(
@@ -123,7 +119,8 @@ def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy,
     alpha.require_closed(what="delta_via_flux")
     if alpha.is_zero():
         return 0.0
-    flux = volume_flux(phi_path, omega)
+    flux = volume_flux(phi_path, omega)  # None keeps the cached default form
+    omega = omega or TwoForm.standard(mesh)
     sigma = harmonic_representative(mesh, flux)
     pairing = wedge_integral(alpha, sigma)
     orbit = orbit_integral(phi_path, x, alpha)
@@ -265,13 +262,7 @@ def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler):
     pr = max(float(np.abs(flat[:, 0].mean(axis=(1, 2))).max()) * mesh.L[0],
              float(np.abs(flat[:, 1].mean(axis=(1, 2))).max()) * mesh.L[1])
 
-    spec = np.fft.rfft2(flat, axes=(-2, -1))
-    K0, K1 = mesh._rfft_wavenumbers
-    k2_safe = K0 * K0 + K1 * K1
-    k2_safe[0, 0] = 1.0
-    Fh = (K0 * spec[:, 0] + K1 * spec[:, 1]) / (1j * k2_safe)
-    Fh[:, 0, 0] = 0.0
-    P[2:] = np.fft.irfft2(Fh, s=mesh.shape, axes=(-2, -1)).reshape(len(flat), -1)
+    P[2:] = mesh.potential(flat[:, 0], flat[:, 1]).reshape(len(flat), -1)
     return P, pr
 
 
@@ -334,10 +325,7 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     """
     if sampler.count <= 0 and not sampler.refine:
         raise ValueError("sampler budget is zero: nothing to estimate")
-    cache = getattr(psi, "_norm_cache", None)
-    if cache is None:
-        cache = {}
-        psi._norm_cache = cache
+    cache = psi._norm_cache
     key = (sampler.max_mode, sampler.count, sampler.refine, sampler.seed)
     hit = cache.get(key)
     if hit is not None:

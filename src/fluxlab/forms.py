@@ -239,8 +239,7 @@ def exterior_derivative(obj):
     """
     mesh = obj.mesh
     if isinstance(obj, ScalarField):
-        return OneForm(mesh, mesh.derivative(obj.values, 0),
-                       mesh.derivative(obj.values, 1))
+        return OneForm(mesh, *mesh.gradient(obj.values))
     if isinstance(obj, OneForm):
         return TwoForm(mesh, mesh.derivative(obj.ay, 0) - mesh.derivative(obj.ax, 1))
     raise TypeError(f"cannot apply d to {type(obj).__name__}")
@@ -284,16 +283,6 @@ def wedge_integral(a: OneForm, b: OneForm) -> float:
     return a.mesh.integrate(a.ax * b.ay - a.ay * b.ax)
 
 
-def _exact_potential_fft(ax: np.ndarray, ay: np.ndarray, mesh: GridMesh) -> np.ndarray:
-    """Mean-zero potential of the exact part: F with dF = P_exact(alpha)."""
-    K0, K1 = mesh.wavenumbers
-    ah = np.fft.fft2(ax)
-    bh = np.fft.fft2(ay)
-    Fh = (K0 * ah + K1 * bh) / (1j * mesh._k2_safe)
-    Fh[0, 0] = 0.0
-    return np.fft.ifft2(Fh).real
-
-
 def hodge_decompose(alpha: OneForm) -> HodgeSplit:
     """Split alpha = dF + coexact + harmonic (L2-orthogonal).
 
@@ -303,8 +292,8 @@ def hodge_decompose(alpha: OneForm) -> HodgeSplit:
     round-off.
     """
     mesh = alpha.mesh
-    F = _exact_potential_fft(alpha.ax, alpha.ay, mesh)
-    exact = OneForm(mesh, mesh.derivative(F, 0), mesh.derivative(F, 1))
+    F = mesh.potential(alpha.ax, alpha.ay)
+    exact = OneForm(mesh, *mesh.gradient(F))
     harmonic = OneForm.constant(mesh, float(alpha.ax.mean()), float(alpha.ay.mean()))
     coexact = OneForm(mesh,
                       alpha.ax - exact.ax - harmonic.ax,
@@ -318,7 +307,7 @@ def exact_potential(alpha: OneForm, check: bool = True) -> ScalarField:
     closed (so that dF would miss a coexact remainder)."""
     if check:
         alpha.require_closed(what="potential extraction")
-    return ScalarField(alpha.mesh, _exact_potential_fft(alpha.ax, alpha.ay, alpha.mesh))
+    return ScalarField(alpha.mesh, alpha.mesh.potential(alpha.ax, alpha.ay))
 
 
 def periods(alpha: OneForm, tol: float | None = None) -> CohomologyClass1:

@@ -17,23 +17,6 @@ from scipy import ndimage
 from .mesh import GridMesh
 
 
-def fourier_upsample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Sample the trigonometric interpolant of `values` on a grid refined
-    by `factor` along both axes.  Exact at the original nodes."""
-    if factor == 1:
-        return np.asarray(values, dtype=float)
-    out = np.asarray(values, dtype=float)
-    for axis in range(2):
-        n = out.shape[axis]
-        spec = np.fft.rfft(out, axis=axis)
-        if n % 2 == 0:
-            sl = [slice(None), slice(None)]
-            sl[axis] = n // 2
-            spec[tuple(sl)] *= 0.5  # split the Nyquist bin onto +-n/2
-        out = np.fft.irfft(spec, n=factor * n, axis=axis) * factor
-    return out
-
-
 def _spline_coeffs(values: np.ndarray, factor: int) -> np.ndarray:
     """Cubic-spline coefficient array of the `factor`-refined trigonometric
     interpolant: zero-pad in Fourier space and divide by the periodic
@@ -66,12 +49,8 @@ def _spline_coeffs(values: np.ndarray, factor: int) -> np.ndarray:
 class PeriodicInterpolator:
     """Evaluate a periodic grid field at arbitrary physical coordinates."""
 
-    def __init__(self, values: np.ndarray, mesh: GridMesh,
-                 scheme: str | None = None, upsample: int | None = None):
-        scheme = scheme or mesh.scheme
-        upsample = upsample or mesh.upsample
-        if scheme == "cubic":
-            upsample = 1
+    def __init__(self, values: np.ndarray, mesh: GridMesh):
+        upsample = 1 if mesh.scheme == "cubic" else mesh.upsample
         self.mesh = mesh
         values = np.asarray(values, dtype=float)
         lo, hi = values.min(), values.max()
@@ -106,10 +85,8 @@ class PeriodicInterpolator:
 class VectorInterpolator:
     """Componentwise interpolation of a (2, N, N) vector field."""
 
-    def __init__(self, components: np.ndarray, mesh: GridMesh,
-                 scheme: str | None = None, upsample: int | None = None):
-        self._parts = [PeriodicInterpolator(components[k], mesh, scheme, upsample)
-                       for k in range(2)]
+    def __init__(self, components: np.ndarray, mesh: GridMesh):
+        self._parts = [PeriodicInterpolator(components[k], mesh) for k in range(2)]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.stack([p(points) for p in self._parts])

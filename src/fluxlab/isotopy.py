@@ -21,8 +21,9 @@ from .forms import (CohomologyClass1, OneForm, ScalarField, TwoForm,
                     exterior_derivative, hodge_decompose, oscillation,
                     periods, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
-from .maps import (TorusMap, _newton_inverse, c0_distance, compose,
-                   interior_product, pushforward_vector)
+from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
+                   c0_distance, compose, interior_product, pullback_oneform,
+                   pullback_vector, pushforward_vector)
 from .mesh import GridMesh
 
 
@@ -46,6 +47,17 @@ def simpson_weights(K: int, dt: float) -> np.ndarray:
 def _cumulative(samples: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative time integral along axis 0, one entry per sample."""
     return cumulative_simpson(samples, dx=dt, axis=0, initial=0.0)
+
+
+def _time_derivative(samples: np.ndarray, K: int) -> np.ndarray:
+    """d/dt along axis 0 of samples at t_j = j/K: centred differences inside,
+    one-sided second-order differences at the endpoints."""
+    h = 1.0 / K
+    out = np.empty_like(samples)
+    out[1:-1] = (samples[2:] - samples[:-2]) / (2 * h)
+    out[0] = (-3 * samples[0] + 4 * samples[1] - samples[2]) / (2 * h)
+    out[-1] = (3 * samples[-1] - 4 * samples[-2] + samples[-3]) / (2 * h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +160,6 @@ class VectorFieldPath:
             return self.samples[j]
         return self._spline(float(t))
 
-    def symplectic_residual(self, omega: TwoForm | None = None) -> float:
-        """Worst closedness residual of i_{X_t} omega over the samples."""
-        omega = omega or TwoForm.standard(self.mesh)
-        worst = 0.0
-        for j in range(self.K + 1):
-            beta = interior_product(self.samples[j], omega)
-            worst = max(worst, sup_norm(exterior_derivative(beta)))
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # isotopies
@@ -183,6 +186,8 @@ class Isotopy:
         self.generator = generator
         self._map_fn = map_fn  # optional exact time-t map constructor
         self.provenance = dict(provenance or {})
+        # (kind, id(omega) or "std", tol) -> (omega, periods); see _cached_flux
+        self._flux_cache: dict = {}
 
     @property
     def K(self) -> int:
@@ -265,17 +270,9 @@ class Isotopy:
         if self.has_exact_generator():
             X = self.generator_samples()
             samples = np.empty_like(X)
-            for j, (m, inv) in enumerate(zip(self.maps, invs)):
-                if m.is_identity():
-                    samples[j] = -X[j]
-                    continue
-                Xi = VectorInterpolator(X[j], self.mesh)(m.flat_position)
-                Xi = Xi.reshape(2, *self.mesh.shape)
-                J = m.jac
-                det = m.det
-                samples[j] = -np.stack([
-                    (J[1, 1] * Xi[0] - J[0, 1] * Xi[1]) / det,
-                    (-J[1, 0] * Xi[0] + J[0, 0] * Xi[1]) / det])
+            for j, m in enumerate(self.maps):
+                samples[j] = -(X[j] if m.is_identity() else
+                               pullback_vector(m, VectorInterpolator(X[j], self.mesh)))
             gen = VectorFieldPath(self.mesh, samples)
         return Isotopy(self.mesh, invs, generator=gen,
                        provenance={"kind": "inverse-path"})
@@ -305,7 +302,6 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     h = 1.0 / K
     y = mesh.flat_points.copy()
     maps = [TorusMap.identity(mesh)]
-    from .maps import DiffeomorphismError
     for j in range(K):
         t = j * h
         k1 = tf(t, y)
@@ -332,12 +328,8 @@ def velocity_field(phi_path: Isotopy) -> VectorFieldPath:
     """
     mesh = phi_path.mesh
     K = phi_path.K
-    h = 1.0 / K
     disp = phi_path._disp_stack
-    dudt = np.empty_like(disp)
-    dudt[1:-1] = (disp[2:] - disp[:-2]) / (2 * h)
-    dudt[0] = (-3 * disp[0] + 4 * disp[1] - disp[2]) / (2 * h)
-    dudt[-1] = (3 * disp[-1] - 4 * disp[-2] + disp[-3]) / (2 * h)
+    dudt = _time_derivative(disp, K)
     invs = phi_path._inverses()
     samples = np.empty_like(disp)
     for j in range(K + 1):
@@ -387,6 +379,42 @@ def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     return vel
 
 
+def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
+                 tol: float | None, compute) -> CohomologyClass1:
+    """Look up or compute a flux class.  The entry keeps its 2-form alive and
+    a hit must be that very object, so a recycled id() never matches."""
+    key = (kind, "std" if omega is None else id(omega), tol)
+    hit = phi_path._flux_cache.get(key)
+    if hit is not None and hit[0] is omega:
+        return hit[1]
+    p = compute(omega or TwoForm.standard(phi_path.mesh))
+    phi_path._flux_cache[key] = (omega, p)
+    return p
+
+
+def _flux_periods(phi_path: Isotopy, omega: TwoForm, tol: float | None,
+                  what: str, pull: bool) -> CohomologyClass1:
+    """Periods of the Simpson time integral of i_{X_t} omega, each sample
+    pulled back by phi_t when `pull` is set."""
+    mesh = phi_path.mesh
+    vel = _certified_generator(phi_path, omega, tol, what)
+    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
+    acc_x = np.zeros(mesh.shape)
+    acc_y = np.zeros(mesh.shape)
+    steady = interior_product(vel[0], omega) if _is_autonomous(phi_path) else None
+    for j in range(phi_path.K + 1):
+        # a steady generator reuses one form object (and its interpolators)
+        beta = steady if steady is not None else interior_product(vel[j], omega)
+        m = phi_path.maps[j]
+        if pull and not m.is_identity():
+            beta = pullback_oneform(m, beta)
+        acc_x += w[j] * beta.ax
+        acc_y += w[j] * beta.ay
+    sigma = OneForm(mesh, acc_x, acc_y)
+    return periods(sigma, tol=10 * (1e-8 * (1.0 + sup_norm(sigma)) +
+                                    sigma.closedness_residual))
+
+
 def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
                     tol: float | None = None) -> CohomologyClass1:
     """Period vector of the flux integral of the path.
@@ -395,76 +423,32 @@ def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
     then periods of the result.  Errors if some sample generator is not
     symplectic to tolerance.
     """
-    mesh = phi_path.mesh
-    okey = "std" if omega is None else id(omega)
-    omega = omega or TwoForm.standard(mesh)
-    cache = getattr(phi_path, "_flux_cache", None)
-    if cache is None:
-        cache = phi_path._flux_cache = {}
-    key = ("sym", okey, tol)
-    if key in cache:
-        return cache[key]
-    vel = _certified_generator(phi_path, omega, tol, "symplectic_flux")
-    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
-    acc_x = np.zeros(mesh.shape)
-    acc_y = np.zeros(mesh.shape)
-    steady = interior_product(vel[0], omega) if _is_autonomous(phi_path) else None
-    from .maps import pullback_oneform
-    for j in range(phi_path.K + 1):
-        # a steady generator reuses one form object (and its interpolators)
-        beta = steady if steady is not None else interior_product(vel[j], omega)
-        m = phi_path.maps[j]
-        pb = beta if m.is_identity() else pullback_oneform(m, beta)
-        acc_x += w[j] * pb.ax
-        acc_y += w[j] * pb.ay
-    sigma = OneForm(mesh, acc_x, acc_y)
-    p = periods(sigma, tol=10 * (1e-8 * (1.0 + sup_norm(sigma)) +
-                                 sigma.closedness_residual))
-    cache[key] = p
-    return p
+    return _cached_flux(phi_path, "sym", omega, tol, lambda form: _flux_periods(
+        phi_path, form, tol, "symplectic_flux", pull=True))
 
 
 def volume_flux(phi_path: Isotopy, omega: TwoForm | None = None,
-                tol: float | None = None, check_agreement: bool = True,
-                agreement_tol: float = 1e-8) -> CohomologyClass1:
+                tol: float | None = None) -> CohomologyClass1:
     """Period vector of the volume flux, via the unpulled integral of
     i_{X_t} Omega.
 
     On the 2-torus this class coincides with the symplectic flux; the
     agreement of the two independently computed period vectors is asserted
-    (the gap is interpolation-level, well below 1e-10 for fully resolved
-    generators).
+    to 1e-8 (the gap is interpolation-level, well below 1e-10 for fully
+    resolved generators).
     """
-    mesh = phi_path.mesh
-    okey = "std" if omega is None else id(omega)
-    omega = omega or TwoForm.standard(mesh)
-    cache = getattr(phi_path, "_flux_cache", None)
-    if cache is None:
-        cache = phi_path._flux_cache = {}
-    key = ("vol", okey, tol, check_agreement)
-    if key in cache:
-        return cache[key]
-    vel = _certified_generator(phi_path, omega, tol, "volume_flux")
-    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
-    acc_x = np.zeros(mesh.shape)
-    acc_y = np.zeros(mesh.shape)
-    for j in range(phi_path.K + 1):
-        beta = interior_product(vel[j], omega)
-        acc_x += w[j] * beta.ax
-        acc_y += w[j] * beta.ay
-    sigma = OneForm(mesh, acc_x, acc_y)
-    p = periods(sigma, tol=10 * (1e-8 * (1.0 + sup_norm(sigma)) +
-                                 sigma.closedness_residual))
-    if check_agreement:
+    def compute(form: TwoForm) -> CohomologyClass1:
+        p = _flux_periods(phi_path, form, tol, "volume_flux", pull=False)
         q = symplectic_flux(phi_path, omega, tol)
         gap = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-        allowed = agreement_tol * (1.0 + p.max_abs())
+        allowed = 1e-8 * (1.0 + p.max_abs())
         if gap > allowed:
             raise AssertionError(
                 f"volume flux {p.periods} disagrees with symplectic flux "
                 f"{q.periods} by {gap:.3e} (allowed {allowed:.3e})")
-    cache[key] = p
-    return p
+        return p
+
+    return _cached_flux(phi_path, "vol", omega, tol, compute)
 
 
 @dataclass(frozen=True)
@@ -501,15 +485,6 @@ def fathi_mass_flow(phi_path: Isotopy, omega: TwoForm | None = None,
     u1 = phi_path.end_map.disp
     return HomologyClass1((mesh.integrate(u1[0] * rho) / mesh.L[0],
                            mesh.integrate(u1[1] * rho) / mesh.L[1]))
-
-
-def mass_flow_flux_duality_gap(phi_path: Isotopy,
-                               omega: TwoForm | None = None) -> float:
-    """Residual of (m1, m2) = (p2, -p1) between the mass flow and the
-    volume-flux periods, with the (dx, dy)-positive duality convention."""
-    m = fathi_mass_flow(phi_path, omega)
-    p = volume_flux(phi_path, omega)
-    return float(max(abs(m[0] - p[1]), abs(m[1] + p[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +574,7 @@ def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
         tf = TimeField.wrap(phi_path.generator, phi_path.mesh)
         vel = np.stack([tf(t, orbit[j]) for j, t in enumerate(phi_path.times)])
     else:
-        h = 1.0 / K
-        vel = np.empty_like(orbit)
-        vel[1:-1] = (orbit[2:] - orbit[:-2]) / (2 * h)
-        vel[0] = (-3 * orbit[0] + 4 * orbit[1] - orbit[2]) / (2 * h)
-        vel[-1] = (3 * orbit[-1] - 4 * orbit[-2] + orbit[-3]) / (2 * h)
+        vel = _time_derivative(orbit, K)
     a = np.stack([alpha.at(orbit[j]) for j in range(K + 1)])  # (K+1, 2, 1)
     integrand = (a * vel).sum(axis=1)[:, 0]
     w = simpson_weights(K, 1.0 / K)
@@ -637,15 +608,14 @@ def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarFie
     return f_functional_path(phi_path, alpha)[j]
 
 
-def geodesic_functional(h_path: Isotopy, alpha: OneForm,
-                        s_samples: int = 256) -> ScalarField:
+def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:
     """Integral of a closed form along the minimizing chord homotopic to
     each orbit.
 
     On the flat torus the minimizing geodesic rel endpoints homotopic to
     the orbit of x is the straight segment from x to the continuously
     tracked lift of h_1(x); the integral is evaluated by Simpson quadrature
-    along the segment.
+    along the segment (256 intervals).
     """
     alpha.require_closed(what="geodesic_functional")
     mesh = h_path.mesh
@@ -656,9 +626,10 @@ def geodesic_functional(h_path: Isotopy, alpha: OneForm,
                         "K too small to track orbit homotopy classes")
     w = h_path.end_map.disp  # tracked lift of the endpoint
     x = mesh.points
-    ws = simpson_weights(s_samples, 1.0 / s_samples)
+    n = 256
+    ws = simpson_weights(n, 1.0 / n)
     out = np.zeros(mesh.shape)
-    for i, s in enumerate(np.linspace(0.0, 1.0, s_samples + 1)):
+    for i, s in enumerate(np.linspace(0.0, 1.0, n + 1)):
         pts = (x + s * w).reshape(2, -1)
         a = alpha.at(pts).reshape(2, *mesh.shape)
         out += ws[i] * (a[0] * w[0] + a[1] * w[1])
@@ -843,14 +814,6 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     u_ip0 = PeriodicInterpolator(split_x.potentials[0].values, mesh) if steady_x else None
     v_ip0 = PeriodicInterpolator(split_y.potentials[0].values, mesh) if steady_y else None
 
-    def push(g_inv: TorusMap, values_ip) -> np.ndarray:
-        """(g_* V)(y) = inv(J_{g^{-1}}(y)) V(g^{-1}(y))."""
-        Vi = values_ip(g_inv.flat_position).reshape(2, *mesh.shape)
-        J = g_inv.jac
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        return np.stack([(J[1, 1] * Vi[0] - J[0, 1] * Vi[1]) / det,
-                         (-J[1, 0] * Vi[0] + J[0, 0] * Vi[1]) / det])
-
     def cc(a: TorusMap, b: TorusMap) -> TorusMap:
         return compose(a, b, normalize=False, chain_jac=False, check=False)
 
@@ -872,11 +835,11 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
         u_ip = u_ip0 or PeriodicInterpolator(split_x.potentials[j].values, mesh)
         v_ip = v_ip0 or PeriodicInterpolator(split_y.potentials[j].values, mesh)
 
-        # exact velocity of the composed paths
-        push_y_phi = Y[j] if phi.is_identity() else push(phi_i, y_ip)
-        push_x_h = X[j] if h.is_identity() else push(h_inv, x_ip)
+        # exact velocity of the composed paths; g_* V is the pull-back by g^-1
+        push_y_phi = Y[j] if phi.is_identity() else pullback_vector(phi_i, y_ip)
+        push_x_h = X[j] if h.is_identity() else pullback_vector(h_inv, x_ip)
         vL = X[j] + push_y_phi - push_x_h
-        push_y_theta = Y[j] if theta.is_identity() else push(theta_inv, y_ip)
+        push_y_theta = Y[j] if theta.is_identity() else pullback_vector(theta_inv, y_ip)
         vT = vL - push_y_theta
         vel_theta[j] = vT
 
@@ -919,12 +882,7 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     }
 
     # independent finite-difference velocity of the composed maps
-    disp = np.stack([m.disp for m in theta_maps])
-    h_t = 1.0 / K
-    dudt = np.empty_like(disp)
-    dudt[1:-1] = (disp[2:] - disp[:-2]) / (2 * h_t)
-    dudt[0] = (-3 * disp[0] + 4 * disp[1] - disp[2]) / (2 * h_t)
-    dudt[-1] = (3 * disp[-1] - 4 * disp[-2] + disp[-3]) / (2 * h_t)
+    dudt = _time_derivative(np.stack([m.disp for m in theta_maps]), K)
     beta_fd = []
     for j in range(K + 1):
         pts = theta_invs[j].flat_position
@@ -936,8 +894,7 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
         worst = 0.0
         worst_t = 0.0
         for j in range(K + 1):
-            d_pi = OneForm(mesh, mesh.derivative(pi[j], 0),
-                           mesh.derivative(pi[j], 1))
+            d_pi = OneForm(mesh, *mesh.gradient(pi[j]))
             r = sup_norm(d_pi - beta_fd[j])
             if r > worst:
                 worst, worst_t = r, j / K

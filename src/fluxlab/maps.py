@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import OneForm, TwoForm, sup_norm
-from .interpolate import PeriodicInterpolator
+from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .mesh import GridMesh
 
 #: Volume-preserving flag threshold on sup |det J - 1|.
@@ -60,8 +60,8 @@ class TorusMap:
     """
 
     def __init__(self, mesh: GridMesh, disp: np.ndarray, jac: np.ndarray | None = None,
-                 quality: float = 0.0, provenance: dict | None = None,
-                 normalize: bool = False, check: bool = True):
+                 provenance: dict | None = None, normalize: bool = False,
+                 check: bool = True):
         disp = np.array(disp, dtype=float)
         if disp.shape != (2, mesh.N, mesh.N):
             raise ValueError(f"displacement shape {disp.shape} != (2, N, N)")
@@ -79,11 +79,14 @@ class TorusMap:
             jac.setflags(write=False)
         self._jac = jac
         self._det = None
-        self.quality = float(quality)  # accumulated resampling steps
         self.provenance = dict(provenance or {})
         self._interp: dict[str, object] = {}
         self._inverse: TorusMap | None = None
         self._analytic_inverse = None  # callable producing the inverse map
+        # displacement-layer results: id(form) -> (form, potential) and
+        # sampler key -> report; the form is kept so that ids stay unique
+        self._potential_cache: dict = {}
+        self._norm_cache: dict = {}
         if check:
             self._validate()
 
@@ -234,8 +237,15 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
         A = phi.interp_jac(pts).reshape(2, 2, *psi.mesh.shape)
         B = psi.jac
         jac = np.einsum("km...,ml...->kl...", A, B)
-    return TorusMap(phi.mesh, u, jac=jac, normalize=normalize,
-                    quality=phi.quality + psi.quality + 1.0, check=check)
+    return TorusMap(phi.mesh, u, jac=jac, normalize=normalize, check=check)
+
+
+def _solve_2x2(J: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pointwise J^{-1} v for a (2, 2, ...) matrix field and a (2, ...)
+    vector field."""
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    return np.stack([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det,
+                     (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
 
 
 def inverse(phi: TorusMap) -> TorusMap:
@@ -259,12 +269,8 @@ def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
         if rn.max() <= tol:
             # the spectral Jacobian of the (smooth) inverse displacement is
             # computed lazily; Newton convergence certifies invertibility
-            return TorusMap(mesh, (y - x).reshape(2, *mesh.shape),
-                            quality=phi.quality + 1.0, check=False)
-        J = phi.interp_jac_rough(y)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        dy = np.stack([(J[1, 1] * r[0] - J[0, 1] * r[1]) / det,
-                       (-J[1, 0] * r[0] + J[0, 0] * r[1]) / det])
+            return TorusMap(mesh, (y - x).reshape(2, *mesh.shape), check=False)
+        dy = _solve_2x2(phi.interp_jac_rough(y), r)
         step = np.ones_like(rn)
         for _ in range(8):
             y_try = y - step * dy
@@ -290,13 +296,6 @@ def pullback_oneform(phi: TorusMap, alpha: OneForm) -> OneForm:
                    a[0] * J[0, 1] + a[1] * J[1, 1])
 
 
-def pullback_scalar(phi: TorusMap, f) -> np.ndarray:
-    """phi^* f = f o phi for a ScalarField or raw grid array."""
-    values = f.values if hasattr(f, "values") else np.asarray(f, dtype=float)
-    ip = PeriodicInterpolator(values, phi.mesh)
-    return ip(phi.flat_position).reshape(phi.mesh.shape)
-
-
 def max_singular_value(phi: TorusMap) -> float:
     """sup over the grid of the largest singular value of d(phi)."""
     J = phi.jac
@@ -316,25 +315,21 @@ def pullback_bound_constant(phi: TorusMap) -> float:
     return max_singular_value(phi) / float(np.sqrt(phi.det.min()))
 
 
+def pullback_vector(g: TorusMap, X_at) -> np.ndarray:
+    """(g^* X)(x) = d(g)_x^{-1} X(g(x)) on the grid; `X_at` evaluates X at
+    points of shape (2, M)."""
+    Xg = X_at(g.flat_position).reshape(2, *g.mesh.shape)
+    return _solve_2x2(g.jac, Xg)
+
+
 def pushforward_vector(phi: TorusMap, X: np.ndarray) -> np.ndarray:
     """(phi_* X)_y = d(phi)_{phi^{-1}(y)} X_{phi^{-1}(y)} on the grid.
 
-    d(phi) at phi^{-1}(y) is the pointwise inverse of the inverse map's
-    Jacobian, so only X itself is interpolated.
+    This is the pull-back by phi^{-1}: d(phi) at phi^{-1}(y) is the
+    pointwise inverse of the inverse map's Jacobian, so only X itself is
+    interpolated.
     """
-    mesh = phi.mesh
-    X = np.asarray(X, dtype=float)
-    inv = phi.inverse()
-    pts = inv.flat_position
-    Xi = np.stack([PeriodicInterpolator(X[0], mesh)(pts),
-                   PeriodicInterpolator(X[1], mesh)(pts)]).reshape(2, *mesh.shape)
-    Ji = inv.jac
-    det = inv.det
-    # (J_inv)^{-1} = d(phi) at phi^{-1}(y)
-    out = np.empty_like(Xi)
-    out[0] = (Ji[1, 1] * Xi[0] - Ji[0, 1] * Xi[1]) / det
-    out[1] = (-Ji[1, 0] * Xi[0] + Ji[0, 0] * Xi[1]) / det
-    return out
+    return pullback_vector(phi.inverse(), VectorInterpolator(X, phi.mesh))
 
 
 def c0_distance(phi: TorusMap, psi: TorusMap) -> float:

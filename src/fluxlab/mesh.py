@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ class GridMesh:
     The metric is the flat diagonal one, the volume form is dx ^ dy, and
     the orientation is (dx, dy) positive.
 
-    `upsample` and `scheme` set the default off-grid interpolation used by
+    `upsample` and `scheme` set the off-grid interpolation used by
     everything built on this mesh: "fourier" refines the grid by the
     trigonometric interpolant before fitting a periodic cubic spline,
     "cubic" fits the spline on the raw grid.
@@ -31,7 +31,6 @@ class GridMesh:
     L: tuple[float, float] = (1.0, 1.0)
     upsample: int = 2
     scheme: str = "fourier"
-    orientation: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if not _is_power_of_two(self.N) or self.N < 16:
@@ -43,10 +42,6 @@ class GridMesh:
             raise ValueError(f"unknown interpolation scheme {self.scheme!r}")
 
     # -- geometry -----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return 2
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -90,24 +85,6 @@ class GridMesh:
     # -- spectral helpers ---------------------------------------------------
 
     @cached_property
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Angular wavenumber grids (K0, K1), each (N, N)."""
-        k0 = 2 * np.pi * np.fft.fftfreq(self.N, d=self.spacing[0])
-        k1 = 2 * np.pi * np.fft.fftfreq(self.N, d=self.spacing[1])
-        K0, K1 = np.meshgrid(k0, k1, indexing="ij")
-        K0.setflags(write=False)
-        K1.setflags(write=False)
-        return K0, K1
-
-    @cached_property
-    def _k2_safe(self) -> np.ndarray:
-        K0, K1 = self.wavenumbers
-        k2 = K0 * K0 + K1 * K1
-        k2[0, 0] = 1.0
-        k2.setflags(write=False)
-        return k2
-
-    @cached_property
     def _rfft_wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
         """Wavenumber grids matching the rfft2 half spectrum."""
         k0 = 2 * np.pi * np.fft.fftfreq(self.N, d=self.spacing[0])
@@ -128,6 +105,17 @@ class GridMesh:
         K0, K1 = self._rfft_wavenumbers
         return np.stack([np.fft.irfft2(1j * K0 * spec, s=self.shape),
                          np.fft.irfft2(1j * K1 * spec, s=self.shape)])
+
+    def potential(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+        """Mean-zero F whose gradient is the curl-free part of the 1-form
+        (ax, ay): the Poisson problem lap F = div a solved in Fourier
+        space.  Batched over leading axes."""
+        K0, K1 = self._rfft_wavenumbers
+        k2 = K0 * K0 + K1 * K1
+        k2[0, 0] = 1.0
+        Fh = (K0 * np.fft.rfft2(ax) + K1 * np.fft.rfft2(ay)) / (1j * k2)
+        Fh[..., 0, 0] = 0.0
+        return np.fft.irfft2(Fh, s=self.shape)
 
     # -- quadrature ---------------------------------------------------------
 

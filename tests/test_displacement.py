@@ -7,6 +7,7 @@ import pytest
 
 from fluxlab import catalog
 from fluxlab.displacement import (NotIsotopicError, UnitSphereSampler,
+                                  _basis_potentials,
                                   commutator_collapse_check, conjugation_check,
                                   delta, delta_tilde, delta_via_flux,
                                   displaces, displacement_energy_upper,
@@ -14,10 +15,11 @@ from fluxlab.displacement import (NotIsotopicError, UnitSphereSampler,
                                   norm_axiom_report, nu_function, psi_norm,
                                   rigidity_limit_check,
                                   supported_commutator_pair)
-from fluxlab.forms import (OneForm, ScalarField, exterior_derivative, l2_norm,
-                           sup_norm)
+from fluxlab.forms import (OneForm, ScalarField, exterior_derivative,
+                           hodge_decompose, l2_norm, sup_norm)
 from fluxlab.isotopy import orbit_integral
-from fluxlab.maps import Region, TorusMap, c0_distance, compose
+from fluxlab.maps import (Region, TorusMap, c0_distance, compose,
+                          pullback_oneform)
 from fluxlab.mesh import GridMesh
 
 TWO_PI = 2 * np.pi
@@ -157,6 +159,22 @@ def test_delta_translation_cancellation(mesh):
 
 
 # -- the norm -----------------------------------------------------------------
+
+def test_basis_potentials_match_per_form_route():
+    # The batched route evaluates each basis form exactly at psi(x); the
+    # per-form route interpolates it there, so rows agree to spline accuracy.
+    # Measured gap: 4.2e-7 at most (rows reach 0.18); bound 1e-6.
+    mesh = GridMesh(N=32)
+    sampler = UnitSphereSampler(mesh, max_mode=2)
+    tw = catalog.twist(mesh, 0.08, 0.06)
+    newton = compose(catalog.shear(mesh, 0.05), tw, chain_jac=False).inverse()
+    for psi in (tw, newton):
+        P, _ = _basis_potentials(psi, sampler)
+        for i in (0, 1, 4, 16, sampler.dimension - 1):
+            e = sampler.materialize(np.eye(sampler.dimension)[i])
+            ref = hodge_decompose(pullback_oneform(psi, e) - e).potential.values
+            assert np.abs(P[i].reshape(mesh.shape) - ref).max() < 1e-6
+
 
 def test_psi_norm_identity(mesh, sampler):
     assert psi_norm(TorusMap.identity(mesh), sampler).norm_lower_bound == 0.0

@@ -117,6 +117,17 @@ def test_volume_flux_matches_symplectic(mesh):
         assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-10
 
 
+def test_flux_cache_never_returns_a_recycled_form():
+    # each 2-form dies after its call, so the next one can reuse its id()
+    mesh = GridMesh(N=32)
+    flow = catalog.translation_flow(mesh, 0.3, 0.4, K=16)
+    for c in range(1, 7):
+        p = symplectic_flux(flow, TwoForm(mesh, np.full(mesh.shape, float(c))))
+        q = volume_flux(flow, TwoForm(mesh, np.full(mesh.shape, float(c))))
+        assert abs(p[1] - 0.3 * c) < 1e-12
+        assert abs(q[1] - 0.3 * c) < 1e-12
+
+
 def test_flux_reparametrization_invariance(mesh):
     base = catalog.translation_flow(mesh, 0.3, 0.4, K)
 
