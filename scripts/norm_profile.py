@@ -7,10 +7,7 @@ optionally dumps the per-sample table of the last report to CSV.
 """
 
 import argparse
-import csv
 import sys
-
-import numpy as np
 
 from fluxlab import catalog
 from fluxlab.displacement import UnitSphereSampler, psi_norm
@@ -37,13 +34,7 @@ def main() -> int:
         print(f"{eps:8.3f} {report.norm_lower_bound:18.6f} {eps:14.3f}")
 
     if args.table_out and report is not None:
-        with open(args.table_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "value", "point_x", "point_y"])
-            for row in report.table:
-                writer.writerow([row["sample"], row["value"],
-                                 row["point"][0], row["point"][1]])
-        print(f"sample table written to {args.table_out}")
+        print(f"sample table written to {report.write_table(args.table_out)}")
     return 0
 
 

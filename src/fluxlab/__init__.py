@@ -19,9 +19,9 @@ from .isotopy import (BumpProfile, GeneratorSplit, HomologyClass1, Isotopy,
                       orbit_length_bound, symplectic_flux, velocity_field,
                       volume_flux)
 from .displacement import (DisplacementCheck, DisplacementReport,
-                           NotIsotopicError, UnitSphereSampler,
-                           commutator_collapse_check, conjugation_check, delta,
-                           delta_tilde, delta_via_flux, displaces,
+                           UnitSphereSampler, commutator_collapse_check,
+                           conjugation_check, delta, delta_tilde,
+                           delta_via_flux, displaces,
                            displacement_energy_upper, energy_chain_check,
                            map_commutator, norm_axiom_report, nu_function,
                            psi_norm, rigidity_limit_check,

@@ -5,6 +5,11 @@ map isotopic to the identity, its volume average (the invariant Delta),
 the norm obtained by maximizing over the unit sphere of closed forms, and
 the displacement-energy machinery built from supported commutators.
 
+Every displacement potential comes from composition: for psi = x + u(x)
+with u periodic and closed alpha = dF + h, psi^* alpha - alpha is exact
+with potential F o psi - F + h.u.  This holds for every stored map and
+every closed form, so no isotopy gate is needed and no Jacobian is read.
+
 The sup over the unit sphere is truncated to the span of the harmonic
 forms and the exact forms with potentials in the Fourier band |k| <= m.
 On that subspace the objective is linear in the form, so the exact
@@ -32,35 +37,22 @@ from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
 
-#: Maps are accepted as isotopic to the identity for a given form when the
-#: periods of (psi^* alpha - alpha) fall below this.
-TOL_PERIODS = 1e-6
-
-
-class NotIsotopicError(ValueError):
-    """psi^* alpha - alpha has nonzero periods: the map is not accepted as
-    isotopic to the identity for this form."""
-
 
 # ---------------------------------------------------------------------------
 # the displacement potential and Delta
 # ---------------------------------------------------------------------------
 
 def _displacement_potential(psi: TorusMap, alpha: OneForm) -> ScalarField:
-    """Mean-zero potential of psi^* alpha - alpha (exact by path
-    independence once the periods vanish); cached per (map, form) pair."""
+    """Mean-zero potential of psi^* alpha - alpha, F o psi - F + h.u for
+    alpha = dF + h; cached per (map, form) pair."""
     cache = psi._potential_cache
     hit = cache.get(id(alpha))
     if hit is not None and hit[0] is alpha:
         return hit[1]
-    diff = pullback_oneform(psi, alpha) - alpha
-    pm = max(abs(float(diff.ax.mean()) * psi.mesh.L[0]),
-             abs(float(diff.ay.mean()) * psi.mesh.L[1]))
-    if pm > TOL_PERIODS * (1.0 + sup_norm(alpha)):
-        raise NotIsotopicError(
-            f"periods of psi^*alpha - alpha are {pm:.3e}; map rejected as "
-            "isotopic to the identity for this form")
-    P = hodge_decompose(diff).potential
+    split = hodge_decompose(alpha)
+    F, h, u = split.potential, split.harmonic, psi.disp
+    vals = F.at(psi.position) - F.values + h.ax * u[0] + h.ay * u[1]
+    P = ScalarField(psi.mesh, vals - vals.mean())
     if len(cache) < 64:
         cache[id(alpha)] = (alpha, P)  # keep the form alive so ids stay unique
     return P
@@ -71,11 +63,11 @@ def nu_function(psi: TorusMap, alpha: OneForm, p,
     """The displacement potential normalized to vanish at the base point:
     nu(z) = integral from p to z of (psi^* alpha - alpha).
 
-    Computed through the Hodge potential, which equals the geodesic line
-    integral by path independence and avoids cut-locus ties.  `closed_tol`
-    loosens the closedness gate for forms that already carry numerical
-    noise (e.g. pull-backs); the potential extraction projects that noise
-    out either way.
+    Computed by composition, F o psi - F + h.u for alpha = dF + h, which
+    equals the geodesic line integral by path independence and avoids
+    cut-locus ties.  `closed_tol` loosens the closedness gate for forms
+    that already carry numerical noise (e.g. pull-backs); the Hodge split
+    projects that noise out either way.
     """
     alpha.require_closed(tol=closed_tol, what="nu_function")
     P = _displacement_potential(psi, alpha)
@@ -88,9 +80,7 @@ def delta(psi: TorusMap, alpha: OneForm, p, omega: TwoForm | None = None,
     identically 0 for alpha = 0."""
     if alpha.is_zero():
         return 0.0
-    omega = omega or TwoForm.standard(psi.mesh)
-    nu = nu_function(psi, alpha, p, closed_tol)
-    return psi.mesh.integrate(nu.values * omega.density) / l2_norm(alpha)
+    return delta_tilde(psi, alpha, p, omega, closed_tol) / l2_norm(alpha)
 
 
 def delta_tilde(psi: TorusMap, alpha: OneForm, p,
@@ -182,38 +172,48 @@ class UnitSphereSampler:
         c = rng.standard_normal(self.dimension)
         return c / np.linalg.norm(c)
 
+    def modes(self, points: np.ndarray):
+        """Yield exp(i w.p) at `points` (shape (2, ...)) for each wavevector
+        in `wavevectors` order, from power ladders of exp(2 pi i p_k / L_k)."""
+        ladders = []
+        for k in range(2):
+            base = np.exp(2j * np.pi * points[k] / self.mesh.L[k])
+            rungs = [np.ones_like(base)]
+            for _ in range(self.max_mode):
+                rungs.append(rungs[-1] * base)
+            ladders.append(rungs)
+        lad1, lad2 = ladders
+        for k1, k2 in self.wavevectors:
+            yield lad1[k1] * (lad2[k2] if k2 >= 0 else np.conj(lad2[-k2]))
+
     def materialize(self, coeffs: np.ndarray) -> OneForm:
         """The closed unit form with the given basis coefficients."""
         mesh = self.mesh
-        X, Y = mesh.points
         root_vol = math.sqrt(mesh.volume)
         ax = np.full(mesh.shape, coeffs[0] / root_vol)
         ay = np.full(mesh.shape, coeffs[1] / root_vol)
-        for i, k in enumerate(self.wavevectors):
+        for i, (k, W) in enumerate(zip(self.wavevectors, self.modes(mesh.points))):
             w = self._omega(k)
             a = self._amp(k)
-            phase = w[0] * X + w[1] * Y
             c_cos, c_sin = coeffs[2 + 2 * i], coeffs[3 + 2 * i]
             # d(a cos) = -a sin(w.x) w ; d(a sin) = a cos(w.x) w
-            s, c = np.sin(phase), np.cos(phase)
-            val = -c_cos * a * s + c_sin * a * c
+            val = -c_cos * a * W.imag + c_sin * a * W.real
             ax += val * w[0]
             ay += val * w[1]
         return OneForm(mesh, ax, ay)
 
 
-def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler):
-    """Displacement potentials of every basis form under psi.
+def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler) -> np.ndarray:
+    """Displacement potentials of every basis form under psi, shape
+    (D, N*N).
 
-    Fourier basis forms are evaluated exactly at the image points through
-    power ladders of exp(2 pi i psi(x) / L), so the pull-backs carry no
-    interpolation error; potentials are extracted by a batched spectral
-    solve.  Returns (P, periods_residual) with P of shape (D, N*N).
+    Harmonic rows are (u - mean)/sqrt(vol); an exact basis form dG has the
+    potential G o psi - G minus its mean, read off the Fourier modes at the
+    image points and at the grid points, so no row carries interpolation
+    error.
     """
     mesh = psi.mesh
-    N = mesh.N
-    D = sampler.dimension
-    P = np.empty((D, N * N))
+    P = np.empty((sampler.dimension, mesh.N * mesh.N))
     root_vol = math.sqrt(mesh.volume)
 
     # harmonic directions: psi^* dx - dx = d(u_x), exactly
@@ -221,49 +221,15 @@ def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler):
         u = psi.disp[k]
         P[k] = ((u - u.mean()) / root_vol).ravel()
 
-    kvecs = sampler.wavevectors
-    if not kvecs:
-        return P, 0.0
-
-    pos = psi.position
-    m = sampler.max_mode
-    E1 = np.exp(2j * np.pi * pos[0] / mesh.L[0])
-    E2 = np.exp(2j * np.pi * pos[1] / mesh.L[1])
-    G1 = np.exp(2j * np.pi * mesh.points[0] / mesh.L[0])
-    G2 = np.exp(2j * np.pi * mesh.points[1] / mesh.L[1])
-
-    def ladder(base):
-        out = [np.ones_like(base)]
-        for _ in range(m):
-            out.append(out[-1] * base)
-        return out
-
-    lad_E1, lad_E2 = ladder(E1), ladder(E2)
-    lad_G1, lad_G2 = ladder(G1), ladder(G2)
-    J = psi.jac
-
-    comps = np.empty((len(kvecs), 2, 2, N, N))  # (k, {cos,sin}, component)
-    for i, (k1, k2) in enumerate(kvecs):
-        w0, w1 = sampler._omega((k1, k2))
-        a = sampler._amp((k1, k2))
-        W = lad_E1[k1] * (lad_E2[k2] if k2 >= 0 else np.conj(lad_E2[-k2]))
-        Wg = lad_G1[k1] * (lad_G2[k2] if k2 >= 0 else np.conj(lad_G2[-k2]))
-        # (psi^* dG)_l = val(psi(x)) (w . J_l), minus the same at the identity
-        c0 = w0 * J[0, 0] + w1 * J[1, 0]
-        c1 = w0 * J[0, 1] + w1 * J[1, 1]
-        s_p, c_p = W.imag, W.real
-        s_g, c_g = Wg.imag, Wg.real
-        comps[i, 0, 0] = -a * (s_p * c0 - s_g * w0)
-        comps[i, 0, 1] = -a * (s_p * c1 - s_g * w1)
-        comps[i, 1, 0] = a * (c_p * c0 - c_g * w0)
-        comps[i, 1, 1] = a * (c_p * c1 - c_g * w1)
-
-    flat = comps.reshape(-1, 2, N, N)
-    pr = max(float(np.abs(flat[:, 0].mean(axis=(1, 2))).max()) * mesh.L[0],
-             float(np.abs(flat[:, 1].mean(axis=(1, 2))).max()) * mesh.L[1])
-
-    P[2:] = mesh.potential(flat[:, 0], flat[:, 1]).reshape(len(flat), -1)
-    return P, pr
+    modes = zip(sampler.wavevectors, sampler.modes(psi.position),
+                sampler.modes(mesh.points))
+    for i, (k, W, Wg) in enumerate(modes):
+        # G = a cos(w.x) and a sin(w.x): the real and imaginary parts
+        d = sampler._amp(k) * (W - Wg)
+        P[2 + 2 * i] = d.real.ravel()
+        P[3 + 2 * i] = d.imag.ravel()
+    P[2:] -= P[2:].mean(axis=1, keepdims=True)
+    return P
 
 
 @dataclass
@@ -332,11 +298,7 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
         return hit
 
     mesh = psi.mesh
-    P, periods_resid = _basis_potentials(psi, sampler)
-    if periods_resid > TOL_PERIODS:
-        raise NotIsotopicError(
-            f"basis pull-backs have periods residual {periods_resid:.3e}; "
-            "map rejected as isotopic to the identity")
+    P = _basis_potentials(psi, sampler)
     vol = mesh.volume
     rng = np.random.default_rng(sampler.seed)
     rows = []
@@ -609,7 +571,7 @@ def map_commutator(a: TorusMap, b: TorusMap) -> TorusMap:
 
     The composite Jacobian is differentiated spectrally from the sampled
     displacement: for marginally resolved factors this keeps positions and
-    Jacobian mutually consistent, which the pull-back period checks need.
+    Jacobian mutually consistent.
     """
     c = compose(compose(compose(b.inverse(), a.inverse(), chain_jac=False),
                         b, chain_jac=False), a, chain_jac=False)

@@ -1,12 +1,12 @@
 """Periodic off-grid interpolation of grid-sampled fields.
 
-The default scheme evaluates the trigonometric interpolant on a refined
-grid (exact zero-padding in Fourier space, Nyquist split) and then fits an
-interpolating periodic cubic spline there.  On the refined grid the spline
-error is far below every tolerance in this package while evaluation stays
-O(1) per point; values at the original nodes are reproduced exactly.  The
-upsampling and the cubic B-spline prefilter are fused into a single pair
-of real FFTs.
+The trigonometric interpolant is evaluated on a grid refined by the
+mesh's `upsample` factor (exact zero-padding in Fourier space, Nyquist
+split) and an interpolating periodic cubic spline is fitted there.  On
+the refined grid the spline error is far below every tolerance in this
+package while evaluation stays O(1) per point; values at the original
+nodes are reproduced exactly.  The upsampling and the cubic B-spline
+prefilter are fused into a single pair of real FFTs.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class PeriodicInterpolator:
     """Evaluate a periodic grid field at arbitrary physical coordinates."""
 
     def __init__(self, values: np.ndarray, mesh: GridMesh):
-        upsample = 1 if mesh.scheme == "cubic" else mesh.upsample
         self.mesh = mesh
         values = np.asarray(values, dtype=float)
         lo, hi = values.min(), values.max()
@@ -60,10 +59,7 @@ class PeriodicInterpolator:
             self._coeffs = None
             return
         self._const = None
-        if upsample == 1:
-            self._coeffs = ndimage.spline_filter(values, order=3, mode="grid-wrap")
-        else:
-            self._coeffs = _spline_coeffs(values, upsample)
+        self._coeffs = _spline_coeffs(values, mesh.upsample)
         m0, m1 = self._coeffs.shape
         self._scale = (m0 / mesh.L[0], m1 / mesh.L[1])
 

@@ -230,10 +230,14 @@ class Isotopy:
 
     def generator_samples(self) -> np.ndarray:
         """(K+1, 2, N, N) velocity samples: the stored exact generator when
-        present, else finite-difference recovery."""
+        present, else finite-difference recovery.  A steady generator comes
+        back as one read-only field broadcast over the K+1 times."""
         if isinstance(self.generator, VectorFieldPath):
             return self.generator.samples
         if isinstance(self.generator, TimeField):
+            if self.generator.autonomous:
+                return np.broadcast_to(self.generator.field(0.0),
+                                       (self.K + 1, 2, *self.mesh.shape))
             return np.stack([self.generator.field(t) for t in self.times])
         return velocity_field(self).samples
 
@@ -350,7 +354,7 @@ def _certification_tol(phi_path: Isotopy, vel: np.ndarray) -> float:
     """Default closedness gate by generator provenance: closed-form fields
     leave round-off, assembled sample paths carry interpolation noise, and
     finite-difference recovery carries its O(K^-2) truncation error."""
-    scale = 1.0 + float(np.abs(vel).max())
+    scale = 1.0 + float(np.abs(vel[0] if _is_autonomous(phi_path) else vel).max())
     if isinstance(phi_path.generator, TimeField):
         return 1e-8 * scale
     if isinstance(phi_path.generator, VectorFieldPath):
@@ -776,12 +780,16 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
 
     Pi is assembled from the generator splits of the two paths, the
     compositions with the inverse conjugation paths, and running integrals
-    of the harmonic parts along those inverse paths; each Pi_t is
+    of the harmonic parts along those inverse paths:
+
+        Pi_t = U_t + V_t o phi_t^{-1} + F_K(phi) - U_t o h_t^{-1}
+               - F_H(L) - V_t o theta_t^{-1} - F_K(theta),
+
     normalized to mean zero.  The assembly is certified against the
     independent finite-difference velocity of the composed maps: the
-    certified residual is max_t sup |dPi_t - i_{Theta'_t} omega|.  Two sign
-    variants of the assembly are evaluated and the certified one is kept
-    (recorded in the returned path's provenance).
+    certified residual max_t sup |dPi_t - i_{Theta'_t} omega| is recorded
+    in the returned path's provenance, and a residual above `tol` raises
+    NonSymplecticError.
 
     Returns (theta_path, pi_fields).
     """
@@ -861,56 +869,31 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     kx = np.array([h.ax[0, 0] for h in split_y.harmonics])
     ky = np.array([h.ay[0, 0] for h in split_y.harmonics])
 
-    def assemble(sign_l: float, sign_t: float, use_k_for_t: bool) -> np.ndarray:
-        pi = np.empty((K + 1, *mesh.shape))
-        for j in range(K + 1):
-            FK_phi = kx[j] * GP[j, 0] + ky[j] * GP[j, 1]
-            FH_l = hx[j] * GL[j, 0] + hy[j] * GL[j, 1]
-            if use_k_for_t:
-                F_t = kx[j] * GT[j, 0] + ky[j] * GT[j, 1]
-            else:
-                F_t = hx[j] * GT[j, 0] + hy[j] * GT[j, 1]
-            pi[j] = (split_x.potentials[j].values + v_comp[j, 0] + FK_phi
-                     - v_comp[j, 1] + sign_l * FH_l
-                     - v_comp[j, 2] + sign_t * F_t)
-            pi[j] -= pi[j].mean()
-        return pi
-
-    variants = {
-        "derived": assemble(-1.0, -1.0, use_k_for_t=True),
-        "literal": assemble(+1.0, +1.0, use_k_for_t=False),
-    }
-
-    # independent finite-difference velocity of the composed maps
+    # certify each Pi_t against the independent finite-difference velocity
+    # of the composed maps
     dudt = _time_derivative(np.stack([m.disp for m in theta_maps]), K)
-    beta_fd = []
+    pi_fields = []
+    worst, worst_t = 0.0, 0.0
     for j in range(K + 1):
+        FK_phi = kx[j] * GP[j, 0] + ky[j] * GP[j, 1]
+        FH_l = hx[j] * GL[j, 0] + hy[j] * GL[j, 1]
+        FK_t = kx[j] * GT[j, 0] + ky[j] * GT[j, 1]
+        pi = (split_x.potentials[j].values + v_comp[j, 0] + FK_phi
+              - v_comp[j, 1] - FH_l - v_comp[j, 2] - FK_t)
+        pi_fields.append(ScalarField(mesh, pi - pi.mean()))
         pts = theta_invs[j].flat_position
         vfd = VectorInterpolator(dudt[j], mesh)(pts).reshape(2, *mesh.shape)
-        beta_fd.append(interior_product(vfd, omega))
-
-    residuals = {}
-    for name, pi in variants.items():
-        worst = 0.0
-        worst_t = 0.0
-        for j in range(K + 1):
-            d_pi = OneForm(mesh, *mesh.gradient(pi[j]))
-            r = sup_norm(d_pi - beta_fd[j])
-            if r > worst:
-                worst, worst_t = r, j / K
-        residuals[name] = (worst, worst_t)
-
-    best = min(residuals, key=lambda k: residuals[k][0])
-    worst, worst_t = residuals[best]
+        beta_fd = interior_product(vfd, omega)
+        r = sup_norm(exterior_derivative(pi_fields[j]) - beta_fd)
+        if r > worst:
+            worst, worst_t = r, j / K
     if worst > tol:
         raise NonSymplecticError(
             f"commutator generating function failed certification: residual "
-            f"{worst:.3e} > {tol:.3e} at t = {worst_t:.3f} (variant {best})")
+            f"{worst:.3e} > {tol:.3e} at t = {worst_t:.3f}")
 
     theta = Isotopy(mesh, theta_maps,
                     generator=VectorFieldPath(mesh, vel_theta),
-                    provenance={"kind": "commutator", "variant": best,
-                                "certified_residual": worst,
-                                "residuals": {k: v[0] for k, v in residuals.items()}})
-    pi_fields = [ScalarField(mesh, variants[best][j]) for j in range(K + 1)]
+                    provenance={"kind": "commutator",
+                                "certified_residual": worst})
     return theta, pi_fields

@@ -21,16 +21,16 @@ class GridMesh:
     The metric is the flat diagonal one, the volume form is dx ^ dy, and
     the orientation is (dx, dy) positive.
 
-    `upsample` and `scheme` set the off-grid interpolation used by
-    everything built on this mesh: "fourier" refines the grid by the
-    trigonometric interpolant before fitting a periodic cubic spline,
-    "cubic" fits the spline on the raw grid.
+    `upsample` sets the off-grid interpolation used by everything built
+    on this mesh: the grid is refined by that factor through the
+    trigonometric interpolant before a periodic cubic spline is fitted.
+    It must be at least 2: the fused spline prefilter splits the Nyquist
+    mode for a refined grid and is not the raw-grid spline at factor 1.
     """
 
     N: int = 128
     L: tuple[float, float] = (1.0, 1.0)
     upsample: int = 2
-    scheme: str = "fourier"
 
     def __post_init__(self):
         if not _is_power_of_two(self.N) or self.N < 16:
@@ -38,8 +38,8 @@ class GridMesh:
         object.__setattr__(self, "L", (float(self.L[0]), float(self.L[1])))
         if any(l <= 0 for l in self.L):
             raise ValueError(f"periods must be positive, got {self.L}")
-        if self.scheme not in ("fourier", "cubic"):
-            raise ValueError(f"unknown interpolation scheme {self.scheme!r}")
+        if self.upsample < 2:
+            raise ValueError(f"upsample must be at least 2, got {self.upsample}")
 
     # -- geometry -----------------------------------------------------------
 

@@ -649,8 +649,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
         theta, pi = commutator_generator(state["phi"], state["psi"],
                                          tol=ctx.tol("g1_cert", 1e-3))
         state["theta"] = theta
-        return (theta.provenance["certified_residual"],
-                f"variant {theta.provenance['variant']}")
+        return theta.provenance["certified_residual"]
 
     rows.add("03-certified-residual", ctx.tol("g1_cert", 1e-3), certify)
     rows.add("04-theta-flux", ctx.tol("g1_flux", 1e-6),

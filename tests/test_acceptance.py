@@ -272,7 +272,7 @@ def test_criterion_10_generator_split_and_commutator(mesh):
     report(10, worst_rec <= tol_rec and worst_mean <= 1e-12
            and cert <= 1e-3 and flux <= 1e-6,
            f"reconstruction {worst_rec:.1e}, mean {worst_mean:.1e}, "
-           f"certified residual {cert:.2e} ({theta.provenance['variant']}), "
+           f"certified residual {cert:.2e}, "
            f"commutator flux {flux:.1e}")
 
 

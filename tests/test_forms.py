@@ -243,3 +243,12 @@ def test_nonfinite_rejected(mesh):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         ScalarField(mesh, bad)
+
+
+def test_mesh_rejects_upsample_below_two():
+    # at factor 1 the Nyquist split of the fused spline prefilter would not
+    # give the raw-grid spline
+    for factor in (0, 1):
+        with pytest.raises(ValueError, match="upsample"):
+            GridMesh(N=32, upsample=factor)
+    assert GridMesh(N=32, upsample=2).upsample == 2
