@@ -27,10 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .forms import (OneForm, ScalarField, TwoForm,
-                    harmonic_representative, hodge_decompose, l2_norm,
-                    sup_norm, wedge_integral)
+                    harmonic_representative, l2_norm, sup_norm,
+                    wedge_integral)
 from .isotopy import Isotopy, orbit_integral, volume_flux
-from .maps import (Region, TorusMap, c0_distance, compose,
+from .maps import (Region, TorusMap, c0_distance, chord_integral, compose,
                    max_singular_value, pullback_bound_constant,
                    pullback_oneform)
 from .mesh import GridMesh
@@ -49,9 +49,7 @@ def _displacement_potential(psi: TorusMap, alpha: OneForm) -> ScalarField:
     hit = cache.get(id(alpha))
     if hit is not None and hit[0] is alpha:
         return hit[1]
-    split = hodge_decompose(alpha)
-    F, h, u = split.potential, split.harmonic, psi.disp
-    vals = F.at(psi.position) - F.values + h.ax * u[0] + h.ay * u[1]
+    vals = chord_integral(psi, alpha)
     P = ScalarField(psi.mesh, vals - vals.mean())
     if len(cache) < 64:
         cache[id(alpha)] = (alpha, P)  # keep the form alive so ids stay unique

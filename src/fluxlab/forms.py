@@ -302,14 +302,6 @@ def hodge_decompose(alpha: OneForm) -> HodgeSplit:
                       coexact=coexact, harmonic=harmonic)
 
 
-def exact_potential(alpha: OneForm, check: bool = True) -> ScalarField:
-    """Mean-zero F with dF = exact part of alpha; errors if alpha is not
-    closed (so that dF would miss a coexact remainder)."""
-    if check:
-        alpha.require_closed(what="potential extraction")
-    return ScalarField(alpha.mesh, alpha.mesh.potential(alpha.ax, alpha.ay))
-
-
 def periods(alpha: OneForm, tol: float | None = None) -> CohomologyClass1:
     """Periods over the two generator loops of a closed 1-form.
 

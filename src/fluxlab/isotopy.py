@@ -22,8 +22,8 @@ from .forms import (CohomologyClass1, OneForm, ScalarField, TwoForm,
                     periods, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
-                   c0_distance, compose, interior_product, pullback_oneform,
-                   pullback_vector, pushforward_vector)
+                   c0_distance, chord_integral, compose, interior_product,
+                   pullback_oneform, pullback_vector, pushforward_vector)
 from .mesh import GridMesh
 
 
@@ -475,15 +475,11 @@ def fathi_mass_flow(phi_path: Isotopy, omega: TwoForm | None = None,
     For each axis the coordinate circle map f = x_k / L_k is transported
     along the path; the continuous lift of f o phi_t - f starting at 0 is
     u_{t,k} / L_k, so the class is the volume average of the endpoint lift.
+    The constructor's jump check keeps consecutive samples within L/4, so
+    the stored end displacement is that continuous lift.
     """
     mesh = phi_path.mesh
     omega = omega or TwoForm.standard(mesh)
-    disp = phi_path._disp_stack
-    jump = np.abs(np.diff(disp, axis=0)).max()
-    if jump >= min(mesh.L) / 2.0:
-        raise LiftError(
-            f"lift ambiguity: consecutive samples jump by {jump:.3f} >= L/2; "
-            "use a finer K")
     _certified_generator(phi_path, omega, tol, "fathi_mass_flow")
     rho = omega.density
     u1 = phi_path.end_map.disp
@@ -592,14 +588,19 @@ def f_functional_path(phi_path: Isotopy, alpha: OneForm) -> list[ScalarField]:
     mesh = phi_path.mesh
     vel = phi_path.generator_samples()
     K = phi_path.K
+    steady = _is_autonomous(phi_path)  # one integrand, one interpolator
     fields = np.empty((K + 1, *mesh.shape))
     for j in range(K + 1):
-        g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
+        if j == 0 or not steady:
+            g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
+            ip = None
         m = phi_path.maps[j]
         if m.is_identity():
             fields[j] = g
         else:
-            fields[j] = PeriodicInterpolator(g, mesh)(m.flat_position).reshape(mesh.shape)
+            if ip is None:
+                ip = PeriodicInterpolator(g, mesh)
+            fields[j] = ip(m.flat_position).reshape(mesh.shape)
     running = _cumulative(fields, 1.0 / K)
     return [ScalarField(mesh, running[j]) for j in range(K + 1)]
 
@@ -618,26 +619,13 @@ def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:
 
     On the flat torus the minimizing geodesic rel endpoints homotopic to
     the orbit of x is the straight segment from x to the continuously
-    tracked lift of h_1(x); the integral is evaluated by Simpson quadrature
-    along the segment (256 intervals).
+    tracked lift x + u_1(x) of h_1(x); the constructor's jump check keeps
+    the stored end displacement on that lift.  For alpha = dF + h the
+    integral depends only on the endpoints, F o h_1 - F + h.u_1
+    (`maps.chord_integral`).
     """
     alpha.require_closed(what="geodesic_functional")
-    mesh = h_path.mesh
-    disp = h_path._disp_stack
-    inc = np.abs(np.diff(disp, axis=0)).max()
-    if inc >= min(mesh.L) / 4.0:
-        raise LiftError(f"lift increment {inc:.3f} >= L/4 between samples; "
-                        "K too small to track orbit homotopy classes")
-    w = h_path.end_map.disp  # tracked lift of the endpoint
-    x = mesh.points
-    n = 256
-    ws = simpson_weights(n, 1.0 / n)
-    out = np.zeros(mesh.shape)
-    for i, s in enumerate(np.linspace(0.0, 1.0, n + 1)):
-        pts = (x + s * w).reshape(2, -1)
-        a = alpha.at(pts).reshape(2, *mesh.shape)
-        out += ws[i] * (a[0] * w[0] + a[1] * w[1])
-    return ScalarField(mesh, out)
+    return ScalarField(h_path.mesh, chord_integral(h_path.end_map, alpha))
 
 
 def orbit_length_bound(phi_path: Isotopy) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import OneForm, TwoForm, sup_norm
+from .forms import OneForm, TwoForm, hodge_decompose, sup_norm
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .mesh import GridMesh
 
@@ -294,6 +294,20 @@ def pullback_oneform(phi: TorusMap, alpha: OneForm) -> OneForm:
     return OneForm(phi.mesh,
                    a[0] * J[0, 0] + a[1] * J[1, 0],
                    a[0] * J[0, 1] + a[1] * J[1, 1])
+
+
+def chord_integral(psi: TorusMap, alpha: OneForm) -> np.ndarray:
+    """Integral of a closed 1-form along the straight chord from each grid
+    point x to the lift x + u(x) of psi(x), on the grid.
+
+    For alpha = dF + h the integral depends only on the endpoints: it is
+    F o psi - F + h.u, from one Hodge split and one interpolator of F.
+    The same array is the potential of psi^* alpha - alpha up to a
+    constant.
+    """
+    split = hodge_decompose(alpha)
+    F, h, u = split.potential, split.harmonic, psi.disp
+    return F.at(psi.position) - F.values + h.ax * u[0] + h.ay * u[1]
 
 
 def max_singular_value(phi: TorusMap) -> float:

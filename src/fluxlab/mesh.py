@@ -109,7 +109,7 @@ class GridMesh:
     def potential(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         """Mean-zero F whose gradient is the curl-free part of the 1-form
         (ax, ay): the Poisson problem lap F = div a solved in Fourier
-        space.  Batched over leading axes."""
+        space."""
         K0, K1 = self._rfft_wavenumbers
         k2 = K0 * K0 + K1 * K1
         k2[0, 0] = 1.0
