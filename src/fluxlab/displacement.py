@@ -37,6 +37,21 @@ from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
 
+#: Relative slack of the sampled triangle and duality axioms and of the
+#: energy positivity chain (the norm estimates are sampled lower bounds).
+AXIOM_SLACK = 0.05
+CHAIN_SLACK = 0.05
+
+#: Separation axiom: a map farther than SEPARATION_DISTANCE from the
+#: identity in d0 must have a sampled norm above SEPARATION_NORM.
+SEPARATION_DISTANCE = 0.05
+SEPARATION_NORM = 1e-3
+
+#: Rigidity pattern: premises below RIGIDITY_PREMISE with a final d0
+#: distance above RIGIDITY_DISTANCE violate the uniform-limit statement.
+RIGIDITY_PREMISE = 1e-3
+RIGIDITY_DISTANCE = 5e-2
+
 
 # ---------------------------------------------------------------------------
 # the displacement potential and Delta
@@ -356,50 +371,51 @@ class AxiomViolation:
 @dataclass
 class NormAxiomReport:
     norms: list[float]
+    margins: dict[str, float]
     violations: list[AxiomViolation]
-    checked: dict
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def norm_axiom_report(maps: list[TorusMap], sampler: UnitSphereSampler,
-                      slack: float = 0.05, sep_dist: float = 0.05,
-                      sep_norm: float = 1e-3) -> NormAxiomReport:
+def norm_axiom_report(maps: list[TorusMap],
+                      sampler: UnitSphereSampler) -> NormAxiomReport:
     """Check positivity, the triangle inequality, duality, and separation
-    on sampled norm estimates; returns violations with witnesses."""
+    on sampled norm estimates.
+
+    Each instance has a margin that is positive when it violates its
+    axiom (separation also at margin 0: a norm must exceed SEPARATION_NORM);
+    the report keeps the worst margin of each axiom (-inf when no instance
+    was checked) and every violation with its witness.
+    """
     norms = [psi_norm(m, sampler).norm_lower_bound for m in maps]
+    margins = dict.fromkeys(("positivity", "triangle", "duality",
+                             "separation"), -math.inf)
     violations = []
-    checked = {"positivity": len(maps), "triangle": 0, "duality": 0,
-               "separation": 0}
+
+    def record(axiom, detail, margin):
+        margins[axiom] = max(margins[axiom], margin)
+        if margin > 0 or (axiom == "separation" and margin == 0):
+            violations.append(AxiomViolation(axiom, detail, margin))
+
     for i, n in enumerate(norms):
-        if n < 0:
-            violations.append(AxiomViolation("positivity", f"map {i}", -n))
+        record("positivity", f"map {i}", -n)
     for i, a in enumerate(maps):
         for j, b in enumerate(maps):
-            if i == j:
-                continue
-            checked["triangle"] += 1
-            n_ab = psi_norm(compose(a, b), sampler).norm_lower_bound
-            bound = norms[i] + norms[j]
-            if n_ab > bound + slack * max(bound, 1e-30):
-                violations.append(AxiomViolation(
-                    "triangle", f"maps ({i}, {j})", n_ab - bound))
+            if i != j:
+                n_ab = psi_norm(compose(a, b), sampler).norm_lower_bound
+                record("triangle", f"maps ({i}, {j})", n_ab - norms[i]
+                       - norms[j] - AXIOM_SLACK * (norms[i] + norms[j]))
     for i, a in enumerate(maps):
-        checked["duality"] += 1
         n_inv = psi_norm(a.inverse(), sampler).norm_lower_bound
-        gap = abs(n_inv - norms[i])
-        if gap > slack * max(norms[i], n_inv, 1e-30):
-            violations.append(AxiomViolation("duality", f"map {i}", gap))
+        record("duality", f"map {i}", abs(n_inv - norms[i])
+               - AXIOM_SLACK * max(norms[i], n_inv, 1e-30))
     ident = TorusMap.identity(maps[0].mesh) if maps else None
     for i, a in enumerate(maps):
-        if c0_distance(a, ident) > sep_dist:
-            checked["separation"] += 1
-            if norms[i] <= sep_norm:
-                violations.append(AxiomViolation(
-                    "separation", f"map {i}", sep_norm - norms[i]))
-    return NormAxiomReport(norms=norms, violations=violations, checked=checked)
+        if c0_distance(a, ident) > SEPARATION_DISTANCE:
+            record("separation", f"map {i}", SEPARATION_NORM - norms[i])
+    return NormAxiomReport(norms=norms, margins=margins, violations=violations)
 
 
 @dataclass
@@ -412,9 +428,6 @@ class ConjugationReport:
     norm_conj: float
     c_phi: float
     c_phi_inv: float
-
-    def passed(self, tol: float = 1e-4) -> bool:
-        return self.identity_residual <= tol and self.sandwich_ok
 
 
 def _require_vanishing_flux(phi: TorusMap):
@@ -474,8 +487,7 @@ class DisplacementCheck:
         return self.displaced
 
 
-def displaces(psi: TorusMap, region: Region,
-              margin: float | None = None) -> DisplacementCheck:
+def displaces(psi: TorusMap, region: Region) -> DisplacementCheck:
     """True iff the image of a dense grid sample of the region stays away
     from the region by more than the interpolation safety margin.
 
@@ -486,9 +498,7 @@ def displaces(psi: TorusMap, region: Region,
     pts = region.grid_points(mesh)
     if pts.shape[1] == 0:
         raise ValueError("region contains no grid points at this resolution")
-    if margin is None:
-        h_diag = math.hypot(*mesh.spacing)
-        margin = h_diag * (1.0 + max_singular_value(psi))
+    margin = math.hypot(*mesh.spacing) * (1.0 + max_singular_value(psi))
     images = pts + psi.interp_disp(pts)
     dmin = float(region.distance(images, mesh).min())
     return DisplacementCheck(displaced=dmin > margin,
@@ -616,14 +626,9 @@ class EnergyChainReport:
     c_psi_inv: float
     collapse_residual: float
 
-    @property
-    def passed(self) -> bool:
-        return self.chain_ok and self.lower_bound > 0.0
-
 
 def energy_chain_check(region: Region, f: TorusMap,
-                       sampler: UnitSphereSampler,
-                       slack: float = 0.05) -> EnergyChainReport:
+                       sampler: UnitSphereSampler) -> EnergyChainReport:
     """The positivity chain for the displacement energy of the region.
 
     Builds a supported commutator pair, verifies the collapse identity and
@@ -643,7 +648,7 @@ def energy_chain_check(region: Region, f: TorusMap,
     c_phi = pullback_bound_constant(phi)
     c_psi_inv = pullback_bound_constant(psi.inverse())
     const = (c_psi_inv + 1.0) * (c_phi + 1.0)
-    chain_ok = n_comm <= const * n_f * (1.0 + slack)
+    chain_ok = n_comm <= const * n_f * (1.0 + CHAIN_SLACK)
     return EnergyChainReport(lower_bound=n_comm / const, chain_ok=chain_ok,
                              norm_commutator=n_comm, norm_f=n_f,
                              c_phi=c_phi, c_psi_inv=c_psi_inv,
@@ -660,8 +665,6 @@ class RigidityReport:
     norm_premises: list[float]
     final_distance: float
     pattern_violated: bool
-    premise_threshold: float
-    distance_threshold: float
 
     @property
     def passed(self) -> bool:
@@ -669,9 +672,7 @@ class RigidityReport:
 
 
 def rigidity_limit_check(sequence: list[TorusMap], phi: TorusMap,
-                         sampler: UnitSphereSampler,
-                         premise_threshold: float = 1e-3,
-                         distance_threshold: float = 5e-2) -> RigidityReport:
+                         sampler: UnitSphereSampler) -> RigidityReport:
     """Track the two premises of the uniform-limit rigidity statement along
     a sequence: d0(phi_i, phi) and the sampled norm of phi_i o phi^{-1}.
 
@@ -686,10 +687,8 @@ def rigidity_limit_check(sequence: list[TorusMap], phi: TorusMap,
         g = TorusMap.identity(phi.mesh) if m is phi else compose(m, phi_inv)
         premises.append(psi_norm(g, sampler).norm_lower_bound)
     final_distance = distances[-1] if distances else 0.0
-    violated = (premises and premises[-1] < premise_threshold
-                and final_distance > distance_threshold)
+    violated = (premises and premises[-1] < RIGIDITY_PREMISE
+                and final_distance > RIGIDITY_DISTANCE)
     return RigidityReport(distances=distances, norm_premises=premises,
                           final_distance=final_distance,
-                          pattern_violated=bool(violated),
-                          premise_threshold=premise_threshold,
-                          distance_threshold=distance_threshold)
+                          pattern_violated=bool(violated))

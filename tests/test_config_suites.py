@@ -8,11 +8,12 @@ import pytest
 
 from fluxlab import catalog
 from fluxlab.config import ConfigError, load_config, parse_config
-from fluxlab.maps import DiffeomorphismError, c0_distance
+from fluxlab.displacement import psi_norm
+from fluxlab.maps import DiffeomorphismError, TorusMap, c0_distance, compose
 from fluxlab.mesh import GridMesh
 from fluxlab.suites import (SUITE_ANCHORS, SUITE_REGISTRY, CheckRow,
-                            build_perturbation_sequence, emit_report,
-                            run_suite)
+                            SuiteContext, build_perturbation_sequence,
+                            emit_report, run_suite, suite_norm_axioms)
 
 
 # -- config -------------------------------------------------------------------
@@ -119,6 +120,32 @@ def test_run_suite_report_structure():
     assert rep.rows == sorted(rep.rows, key=lambda r: r.check_id)
     assert all(r.paper_anchor for r in rep.rows)
     assert rep.environment["numpy"]
+
+
+def test_norm_axiom_rows_match_inline_formulas():
+    # the axiom margins written out inline are the oracle: the rows the
+    # suite reads from one norm_axiom_report must equal them bit for bit
+    ctx = SuiteContext(_tiny_config())
+    rows = {r.check_id: r.value for r in suite_norm_axioms(ctx)}
+    mesh, sampler, slack = ctx.mesh, ctx.sampler, 0.05
+    maps = [TorusMap.identity(mesh), catalog.translation(mesh, 1.0 / 3.0, 0.0),
+            catalog.shear(mesh, 0.1)]
+    n = [psi_norm(m, sampler).norm_lower_bound for m in maps]
+    triangle = -math.inf
+    for i, a in enumerate(maps):
+        for j, b in enumerate(maps):
+            if i == j:
+                continue
+            n_ab = psi_norm(compose(a, b), sampler).norm_lower_bound
+            triangle = max(triangle, n_ab - n[i] - n[j] - slack * (n[i] + n[j]))
+    duality = -math.inf
+    for i, a in enumerate(maps):
+        n_inv = psi_norm(a.inverse(), sampler).norm_lower_bound
+        duality = max(duality, abs(n_inv - n[i]) - slack * max(n[i], n_inv, 1e-30))
+    assert rows["01-positivity"].hex() == (-min(n)).hex()
+    assert rows["02-triangle"].hex() == triangle.hex()
+    assert rows["03-duality"].hex() == duality.hex()
+    assert rows["05-report"] == 0.0
 
 
 def test_suite_isolation_never_aborts():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxlab import catalog
+from fluxlab import catalog, displacement
 from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   _displacement_potential,
                                   commutator_collapse_check, conjugation_check,
@@ -256,6 +256,16 @@ def test_norm_axiom_report_passes(mesh, sampler):
             catalog.shear(mesh, 0.1)]
     rep = norm_axiom_report(maps, sampler)
     assert rep.passed, rep.violations
+
+
+def test_separation_violated_at_threshold(mesh, sampler, monkeypatch):
+    # a norm must exceed SEPARATION_NORM: equality is a violation
+    S = catalog.shear(mesh, 0.1)
+    n = psi_norm(S, sampler).norm_lower_bound
+    monkeypatch.setattr(displacement, "SEPARATION_NORM", n)
+    rep = norm_axiom_report([S], sampler)
+    assert rep.margins["separation"] == 0.0
+    assert [(v.axiom, v.excess) for v in rep.violations] == [("separation", 0.0)]
 
 
 # -- conjugation --------------------------------------------------------------
