@@ -4,13 +4,19 @@ Every builder here supplies analytic displacement, Jacobian, and (where a
 closed form exists) the inverse map, so determinants and pull-back data
 are exact to round-off rather than limited by spectral differentiation of
 barely resolved fields.  Flow builders attach the exact generating vector
-field to the isotopies they produce.
+field to the isotopies they produce; flows of the named potentials
+integrate their field in closed form (`HamiltonianField`).
 
 Maps are addressable from experiment configs by name + parameters via
 `build_map`; the suites read one such spec, `generators.base_map`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -265,55 +271,128 @@ def rotation_flow(mesh: GridMesh, center, radius: float, angle: float,
                     "radius": radius, "angle": angle})
 
 
-# named smooth potentials for generic Hamiltonian flows (unit amplitudes);
+# named smooth potentials for generic Hamiltonian flows (unit amplitudes),
+# each a Fourier table of terms (a, tx, m, ty, n) that stand for
+# a / (2 pi) * tx(2 pi m x) * ty(2 pi n y) with tx, ty in {"cos", "sin"};
 # X_H = (dH/dy, -dH/dx) so that i_{X_H} omega = dH for omega = dx ^ dy
 POTENTIALS = {
-    "cos_x_cos_y": (
-        lambda X, Y: np.cos(TWO_PI * X) * np.cos(TWO_PI * Y) / TWO_PI,
-        lambda X, Y: -np.sin(TWO_PI * X) * np.cos(TWO_PI * Y),   # dH/dx
-        lambda X, Y: -np.cos(TWO_PI * X) * np.sin(TWO_PI * Y),   # dH/dy
-    ),
-    "sin_x_plus_sin_y": (
-        lambda X, Y: (np.sin(TWO_PI * X) + np.sin(TWO_PI * Y)) / TWO_PI,
-        lambda X, Y: np.cos(TWO_PI * X),
-        lambda X, Y: np.cos(TWO_PI * Y),
-    ),
-    "mix_mode2": (
-        lambda X, Y: (np.cos(TWO_PI * X) * np.cos(TWO_PI * Y)
-                      + 0.5 * np.sin(2 * TWO_PI * X) * np.cos(TWO_PI * Y)) / TWO_PI,
-        lambda X, Y: (-np.sin(TWO_PI * X) * np.cos(TWO_PI * Y)
-                      + np.cos(2 * TWO_PI * X) * np.cos(TWO_PI * Y)),
-        lambda X, Y: (-np.cos(TWO_PI * X) * np.sin(TWO_PI * Y)
-                      - 0.5 * np.sin(2 * TWO_PI * X) * np.sin(TWO_PI * Y)),
-    ),
+    "cos_x_cos_y": ((1.0, "cos", 1, "cos", 1),),
+    "sin_x_plus_sin_y": ((1.0, "sin", 1, "cos", 0), (1.0, "cos", 0, "sin", 1)),
+    "mix_mode2": ((1.0, "cos", 1, "cos", 1), (0.5, "sin", 2, "cos", 1)),
 }
+
+#: d/ds of each table function at 2 pi m s, over 2 pi m: (sign, function)
+_DERIVATIVE = {"cos": (-1.0, "sin"), "sin": (1.0, "cos")}
+
+
+def _check_potentials(names) -> None:
+    for name in names:
+        if name not in POTENTIALS:
+            raise KeyError(f"unknown potential {name!r}; have {sorted(POTENTIALS)}")
+
+
+def _harmonics(s: np.ndarray, top: int) -> dict[str, list]:
+    """cos(2 pi m s) and sin(2 pi m s) for m = 0..top from one cos/sin pair,
+    the higher harmonics by the angle-addition products."""
+    c1, s1 = np.cos(TWO_PI * s), np.sin(TWO_PI * s)
+    cos, sin = [1.0, c1], [0.0, s1]
+    for _ in range(top - 1):
+        cos.append(cos[-1] * c1 - sin[-1] * s1)
+        sin.append(sin[-1] * c1 + cos[-2] * s1)
+    return {"cos": cos, "sin": sin}
+
+
+def _evaluate(amps, points: np.ndarray, field: bool) -> np.ndarray:
+    """sum over {name: amp} of amp * H_name at `points` of shape (2, ...):
+    the potential itself, or with `field` its X_H = (dH/dy, -dH/dx) of
+    shape (2, ...).  The grid samples, the point values and the potential
+    of every named flow come from here."""
+    top = max((max(t[2], t[4]) for name in amps for t in POTENTIALS[name]),
+              default=1)
+    hx, hy = (_harmonics(points[k], top) for k in range(2))
+    out = np.zeros((2, *points.shape[1:]) if field else points.shape[1:])
+    for name, amp in amps.items():
+        if not field:
+            H = sum(a * hx[tx][m] * hy[ty][n] for a, tx, m, ty, n in POTENTIALS[name])
+            out += amp * (H / TWO_PI)
+            continue
+        dHx = dHy = 0.0
+        for a, tx, m, ty, n in POTENTIALS[name]:
+            if m:
+                sign, dtx = _DERIVATIVE[tx]
+                dHx = dHx + sign * a * m * hx[dtx][m] * hy[ty][n]
+            if n:
+                sign, dty = _DERIVATIVE[ty]
+                dHy = dHy + sign * a * n * hx[tx][m] * hy[dty][n]
+        out[0] += amp * dHy
+        out[1] += -amp * dHx
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class HamiltonianField:
+    """The Hamiltonian vector field X_H of H = sum of amp * POTENTIALS[name]
+    over `amps` ({name: amp}), on a mesh.
+
+    Read-only and closed under + and scalar *.  Its grid samples and its
+    values at arbitrary points both come from the closed-form gradient, so
+    a flow of this field (`TimeField.wrap`, `integrate_flow`) integrates
+    the true vector field instead of a spline of its samples.
+    """
+
+    mesh: GridMesh
+    amps: Mapping[str, float]
+
+    def __post_init__(self):
+        _check_potentials(self.amps)
+        object.__setattr__(self, "amps", MappingProxyType(
+            {name: float(a) for name, a in self.amps.items()}))
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """X_H on the grid, shape (2, N, N), read-only."""
+        out = self.at(self.mesh.points)
+        out.setflags(write=False)
+        return out
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """X_H at physical coordinates of shape (2, ...)."""
+        return _evaluate(self.amps, np.asarray(points, dtype=float), field=True)
+
+    def __add__(self, other: "HamiltonianField") -> "HamiltonianField":
+        if not isinstance(other, HamiltonianField):
+            return NotImplemented
+        if not self.mesh.same_grid(other.mesh):
+            raise ValueError("fields live on different meshes")
+        amps = dict(self.amps)
+        for name, a in other.amps.items():
+            amps[name] = amps.get(name, 0.0) + a
+        return HamiltonianField(self.mesh, amps)
+
+    def __mul__(self, c: float) -> "HamiltonianField":
+        return HamiltonianField(self.mesh, {name: c * a for name, a in self.amps.items()})
+
+    __rmul__ = __mul__
 
 
 def hamiltonian_potential(mesh: GridMesh, name: str, amp: float = 1.0):
     """Grid samples of a named potential, scaled by amp."""
     from .forms import ScalarField
-    if name not in POTENTIALS:
-        raise KeyError(f"unknown potential {name!r}; have {sorted(POTENTIALS)}")
-    H, _, _ = POTENTIALS[name]
-    X, Y = mesh.points
-    return ScalarField(mesh, amp * H(X, Y))
+    _check_potentials([name])
+    return ScalarField(mesh, _evaluate({name: amp}, mesh.points, field=False))
 
 
-def hamiltonian_field(mesh: GridMesh, name: str, amp: float = 1.0) -> np.ndarray:
-    """X_H sampled on the grid from the analytic gradient of the potential."""
-    if name not in POTENTIALS:
-        raise KeyError(f"unknown potential {name!r}; have {sorted(POTENTIALS)}")
-    _, dHx, dHy = POTENTIALS[name]
-    X, Y = mesh.points
-    return np.stack([amp * dHy(X, Y), -amp * dHx(X, Y)])
+def hamiltonian_field(mesh: GridMesh, name: str, amp: float = 1.0) -> HamiltonianField:
+    """X_H of a named potential scaled by amp, in closed form."""
+    return HamiltonianField(mesh, {name: amp})
 
 
 def hamiltonian_flow(mesh: GridMesh, name: str, amp: float = 1.0,
                      K: int = 64) -> Isotopy:
-    iso = integrate_flow(hamiltonian_field(mesh, name, amp), K, mesh,
-                         provenance={"kind": "hamiltonian_flow",
-                                     "potential": name, "amp": amp})
-    return iso
+    """Flow of a named potential, integrated from its closed-form field."""
+    return integrate_flow(hamiltonian_field(mesh, name, amp), K, mesh,
+                          provenance={"kind": "hamiltonian_flow",
+                                      "potential": name, "amp": amp})
 
 
 def hamiltonian_time1(mesh: GridMesh, name: str, amp: float = 1.0,

@@ -45,6 +45,15 @@ def _check_finite(*arrays):
             raise ValueError("non-finite values in field data")
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy: forms are values, and the caches keyed on a
+    form (closedness residual, displacement potentials, fluxes) rely on
+    its arrays never changing."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """A 0-form: real values on the grid."""
@@ -53,7 +62,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values)
         if v.shape != self.mesh.shape:
             raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
         _check_finite(v)
@@ -107,8 +116,8 @@ class OneForm:
     ay: np.ndarray
 
     def __post_init__(self):
-        ax = np.asarray(self.ax, dtype=float)
-        ay = np.asarray(self.ay, dtype=float)
+        ax = _frozen(self.ax)
+        ay = _frozen(self.ay)
         if ax.shape != self.mesh.shape or ay.shape != self.mesh.shape:
             raise ValueError("component shape does not match mesh")
         _check_finite(ax, ay)
@@ -133,9 +142,6 @@ class OneForm:
     def closedness_residual(self) -> float:
         """Cached sup norm of the exterior derivative."""
         return sup_norm(exterior_derivative(self))
-
-    def is_closed(self, tol: float | None = None) -> bool:
-        return self.closedness_residual <= (tol if tol is not None else tol_closed(self))
 
     def require_closed(self, tol: float | None = None, what: str = "operation"):
         t = tol if tol is not None else tol_closed(self)
@@ -180,7 +186,7 @@ class TwoForm:
     density: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.density, dtype=float)
+        d = _frozen(self.density)
         if d.shape != self.mesh.shape:
             raise ValueError("density shape does not match mesh")
         _check_finite(d)

@@ -11,7 +11,7 @@ differences remains available as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -83,6 +83,8 @@ class TimeField:
         self.certified_symplectic = certified_symplectic
         self._fields: dict[float, np.ndarray] = {}
         self._interps: dict[float, VectorInterpolator] = {}
+        # point values of a steady closed-form field (see `wrap`)
+        self._at = None
 
     #: caches are bounded; a path at K = 64 touches at most 129 time keys
     _CACHE_LIMIT = 150
@@ -109,14 +111,29 @@ class TimeField:
         return ip
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
+        if self._at is not None:
+            return self._at(points)
         return self.interp(t)(points)
 
     @classmethod
     def wrap(cls, X, mesh: GridMesh) -> "TimeField":
-        """Accept a TimeField, a VectorFieldPath, a callable t -> field, or a
-        constant (2, N, N) array."""
+        """Accept a TimeField, a VectorFieldPath, a catalog HamiltonianField,
+        a callable t -> field, or a constant (2, N, N) array.
+
+        A HamiltonianField becomes a steady field whose samples are its grid
+        samples and whose value at any point is computed in closed form;
+        every other input is evaluated off the grid by a spline of its
+        samples.
+        """
+        from .catalog import HamiltonianField
         if isinstance(X, TimeField):
             return X
+        if isinstance(X, HamiltonianField):
+            if not X.mesh.same_grid(mesh):
+                raise ValueError("field lives on a different mesh")
+            tf = cls(lambda t: X.samples, mesh, autonomous=True)
+            tf._at = X.at
+            return tf
         if isinstance(X, VectorFieldPath):
             return cls(X.at, mesh, autonomous=False)
         if callable(X):
@@ -188,6 +205,8 @@ class Isotopy:
         self.provenance = dict(provenance or {})
         # (kind, id(omega) or "std", tol) -> (omega, periods); see _cached_flux
         self._flux_cache: dict = {}
+        # the RK4 step of a flow of a closed-form field (see integrate_flow)
+        self._flow_step = None
 
     @property
     def K(self) -> int:
@@ -286,14 +305,32 @@ class Isotopy:
 # flow integration and velocity recovery
 # ---------------------------------------------------------------------------
 
+def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical fourth-order step of dy/dt = X(t, y) from lifted
+    points y of shape (2, M).  The stages are summed as they come,
+    k1 + 2 k2 + 2 k3 + k4 in that order, so only two of them are alive."""
+    k = tf(t, y)
+    acc = k.copy()
+    k = tf(t + 0.5 * h, y + 0.5 * h * k)
+    acc += 2.0 * k
+    k = tf(t + 0.5 * h, y + 0.5 * h * k)
+    acc += 2.0 * k
+    k = tf(t + h, y + h * k)
+    acc += k
+    return y + (h / 6.0) * acc
+
+
 def integrate_flow(X, K: int, mesh: GridMesh | None = None,
                    provenance: dict | None = None) -> Isotopy:
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
 
-    `X` may be a TimeField, a VectorFieldPath, a callable t -> (2, N, N)
-    field, or a constant field array.  Every resulting sample must pass the
-    diffeomorphism check; a failure suggests a larger K.
+    `X` may be a TimeField, a VectorFieldPath, a catalog HamiltonianField,
+    a callable t -> (2, N, N) field, or a constant field array.  Every
+    resulting sample must pass the diffeomorphism check; a failure suggests
+    a larger K.  A HamiltonianField is evaluated in closed form at every
+    stage, and the returned path keeps its step, so that orbits of
+    arbitrary points are integrated the same way (`_orbit_points`).
     """
     if mesh is None:
         if isinstance(X, (TimeField, VectorFieldPath)):
@@ -307,12 +344,7 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     y = mesh.flat_points.copy()
     maps = [TorusMap.identity(mesh)]
     for j in range(K):
-        t = j * h
-        k1 = tf(t, y)
-        k2 = tf(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = tf(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = tf(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4_step(tf, j * h, y, h)
         disp = (y - mesh.flat_points).reshape(2, *mesh.shape)
         try:
             maps.append(TorusMap(mesh, disp))
@@ -320,7 +352,10 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
             raise DiffeomorphismError(
                 f"flow sample {j + 1}/{K} failed the diffeomorphism check "
                 f"({exc}); increase K") from exc
-    return Isotopy(mesh, maps, generator=tf, provenance=provenance)
+    iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
+    if tf._at is not None:
+        iso._flow_step = partial(_rk4_step, tf)
+    return iso
 
 
 def velocity_field(phi_path: Isotopy) -> VectorFieldPath:
@@ -552,13 +587,27 @@ def hofer_like_length(phi_path: Isotopy, omega: TwoForm | None = None,
 # ---------------------------------------------------------------------------
 
 def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
-    """Lifted orbit t_j -> x + u_{t_j}(x), shape (K+1, 2, M)."""
+    """Lifted orbit t_j -> x + u_{t_j}(x), shape (K+1, 2, M).
+
+    A flow of a closed-form field integrates the points with its own RK4
+    step, which reproduces the stored maps at grid points; any other path
+    interpolates its stored displacements.  Either way, the grid jumps the
+    Isotopy constructor bounds by L/4 do not bound the increments between
+    grid points, so they are checked here.
+    """
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
+    if pts.ndim == 1:
         pts = pts.reshape(2, 1)
-    orbit = np.stack([pts + m.interp_disp(pts) for m in phi_path.maps])
-    inc = np.abs(np.diff(orbit, axis=0)).max() if phi_path.K else 0.0
+    K = phi_path.K
+    if phi_path._flow_step is None:
+        orbit = np.stack([pts + m.interp_disp(pts) for m in phi_path.maps])
+    else:
+        h = 1.0 / K
+        orbit = np.empty((K + 1, *pts.shape))
+        orbit[0] = pts
+        for j in range(K):
+            orbit[j + 1] = phi_path._flow_step(j * h, orbit[j], h)
+    inc = np.abs(np.diff(orbit, axis=0)).max()
     if inc >= min(phi_path.mesh.L) / 4.0:
         raise LiftError(
             f"orbit lift increment {inc:.3f} >= L/4; use a finer K")
@@ -568,15 +617,20 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
 def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
     """Line integral of a closed 1-form along the lifted orbit of x."""
     alpha.require_closed(what="orbit_integral")
-    orbit = _orbit_points(phi_path, x)  # (K+1, 2, 1)
+    orbit = _orbit_points(phi_path, x)[:, :, 0]  # (K+1, 2)
     K = phi_path.K
+    # alpha, and a steady generator, are looked up at all K+1 orbit points
+    # at once; spline evaluation is pointwise, so this equals a per-sample loop
     if phi_path.has_exact_generator():
         tf = TimeField.wrap(phi_path.generator, phi_path.mesh)
-        vel = np.stack([tf(t, orbit[j]) for j, t in enumerate(phi_path.times)])
+        if tf.autonomous:
+            vel = tf(0.0, orbit.T).T
+        else:
+            vel = np.stack([tf(t, p) for t, p in zip(phi_path.times, orbit)])
     else:
         vel = _time_derivative(orbit, K)
-    a = np.stack([alpha.at(orbit[j]) for j in range(K + 1)])  # (K+1, 2, 1)
-    integrand = (a * vel).sum(axis=1)[:, 0]
+    a = alpha.at(orbit.T).T
+    integrand = (a * vel).sum(axis=1)
     w = simpson_weights(K, 1.0 / K)
     return float(np.sum(w * integrand))
 

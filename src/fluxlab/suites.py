@@ -493,7 +493,7 @@ def suite_volume_defect(ctx: SuiteContext) -> list[CheckRow]:
                    catalog.hamiltonian_time1(mesh, "cos_x_cos_y", 0.08, ctx.K)]
         X, Y = mesh.points
         fields = [np.stack([np.full(mesh.shape, 0.3), np.full(mesh.shape, -0.2)]),
-                  catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.5),
+                  catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.5).samples,
                   np.stack([0.4 * np.sin(2 * np.pi * Y),
                             0.3 * np.cos(2 * np.pi * X)])]
         return max(volume_defect(m, Yf) for m in vp_maps for Yf in fields)

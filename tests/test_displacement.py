@@ -421,3 +421,19 @@ def test_rigidity_divergent_floor(mesh, sampler):
     assert not rep.pattern_violated
     assert min(rep.norm_premises) > 0.01
     assert rep.final_distance > 0.05
+
+
+def test_displacement_potential_cache_sees_no_writes():
+    # the cache is keyed by the form object, so a form whose arrays could
+    # be written in place would get its old potential back (0.06 off)
+    mesh = GridMesh(N=32)
+    psi = catalog.twist(mesh, 0.06, 0.05)
+    ax, ay = np.ones(mesh.shape), np.zeros(mesh.shape)
+    alpha = OneForm(mesh, ax, ay)
+    first = _displacement_potential(psi, alpha).values
+    with pytest.raises(ValueError, match="read-only"):
+        alpha.ax[...] = 2.0
+    ax[...] = 2.0
+    assert np.array_equal(_displacement_potential(psi, alpha).values, first)
+    fresh = _displacement_potential(psi, OneForm(mesh, ax, ay)).values
+    assert np.abs(fresh - 2.0 * first).max() < 1e-12

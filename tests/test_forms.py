@@ -252,3 +252,14 @@ def test_mesh_rejects_upsample_below_two():
         with pytest.raises(ValueError, match="upsample"):
             GridMesh(N=32, upsample=factor)
     assert GridMesh(N=32, upsample=2).upsample == 2
+
+
+def test_forms_own_read_only_arrays(mesh):
+    src = np.ones(mesh.shape)
+    forms = [(ScalarField(mesh, src), "values"), (OneForm(mesh, src, src), "ax"),
+             (OneForm(mesh, src, src), "ay"), (TwoForm(mesh, src), "density")]
+    for form, name in forms:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(form, name)[0, 0] = 2.0
+    src[...] = 3.0  # the caller's array is not shared
+    assert all(np.all(getattr(form, name) == 1.0) for form, name in forms)

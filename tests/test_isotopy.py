@@ -331,7 +331,7 @@ def test_geodesic_functional_constant_form_is_linear_in_lift():
 
 def test_steady_f_functional_builds_one_interpolator(monkeypatch):
     mesh = GridMesh(N=32)
-    X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
     flow = integrate_flow(TimeField(lambda t: X, mesh, autonomous=True), K, mesh)
     unsteady = Isotopy(mesh, flow.maps,
                        generator=TimeField(lambda t: X, mesh, autonomous=False))
@@ -478,3 +478,150 @@ def test_inverse_path_generator(mesh):
     p = symplectic_flux(Ainv)
     q = symplectic_flux(A)
     assert abs(p[0] + q[0]) < 1e-7 and abs(p[1] + q[1]) < 1e-7
+
+
+# -- closed-form Hamiltonian fields ---------------------------------------------
+
+# the per-potential gradients the catalog sampled before its Fourier tables,
+# kept as the oracle of the grid samples: (dH/dx, dH/dy) at unit amplitude
+_GRADIENT_ORACLE = {
+    "cos_x_cos_y": (
+        lambda X, Y: -np.sin(TWO_PI * X) * np.cos(TWO_PI * Y),
+        lambda X, Y: -np.cos(TWO_PI * X) * np.sin(TWO_PI * Y)),
+    "sin_x_plus_sin_y": (
+        lambda X, Y: np.cos(TWO_PI * X),
+        lambda X, Y: np.cos(TWO_PI * Y)),
+    "mix_mode2": (
+        lambda X, Y: (-np.sin(TWO_PI * X) * np.cos(TWO_PI * Y)
+                      + np.cos(2 * TWO_PI * X) * np.cos(TWO_PI * Y)),
+        lambda X, Y: (-np.cos(TWO_PI * X) * np.sin(TWO_PI * Y)
+                      - 0.5 * np.sin(2 * TWO_PI * X) * np.sin(TWO_PI * Y))),
+}
+
+
+def test_hamiltonian_field_samples_match_sampled_gradients():
+    mesh = GridMesh(N=32)
+    X, Y = mesh.points
+    assert set(_GRADIENT_ORACLE) == set(catalog.POTENTIALS)
+    for name, (dHx, dHy) in _GRADIENT_ORACLE.items():
+        F = catalog.hamiltonian_field(mesh, name, 0.07)
+        ref = np.stack([0.07 * dHy(X, Y), -0.07 * dHx(X, Y)])
+        assert np.abs(F.samples - ref).max() <= 1e-15
+        assert not F.samples.flags.writeable
+        # the potential comes from the same table: X_H = (dH/dy, -dH/dx)
+        H = catalog.hamiltonian_potential(mesh, name, 0.07).values
+        grad = mesh.gradient(H)
+        assert np.abs(np.stack([grad[1], -grad[0]]) - F.samples).max() < 1e-13
+
+
+def test_hamiltonian_field_algebra():
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    G = catalog.hamiltonian_field(mesh, "mix_mode2", 0.3)
+    W = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 1.0)
+    for a in (2.5, -0.1, 0.0):
+        S = a * F + G
+        assert np.abs(S.samples - (a * F.samples + G.samples)).max() <= 1e-15
+    S = F + F * 0.5 + W
+    assert dict(S.amps) == {"cos_x_cos_y": 0.12, "sin_x_plus_sin_y": 1.0}
+    with pytest.raises(TypeError):
+        S.amps["mix_mode2"] = 1.0
+    with pytest.raises(ValueError, match="different meshes"):
+        F + catalog.hamiltonian_field(GridMesh(N=64), "cos_x_cos_y", 0.08)
+    with pytest.raises(KeyError, match="unknown potential"):
+        catalog.hamiltonian_field(mesh, "cos_x", 1.0)
+    with pytest.raises(KeyError, match="unknown potential"):
+        catalog.hamiltonian_potential(mesh, "cos_x", 1.0)
+
+
+def test_point_route_orbits_reproduce_the_stored_maps():
+    # the orbit of each grid point, integrated by the flow's own step,
+    # against the map samples integrate_flow stored (6.9e-18 measured)
+    mesh = GridMesh(N=32)
+    fields = [catalog.hamiltonian_field(mesh, name, 0.08) for name in catalog.POTENTIALS]
+    fields.append(fields[0] + 0.05 * fields[1] + (-0.5) * fields[2])
+    for F in fields:
+        flow = integrate_flow(F, 16, mesh)
+        assert flow._flow_step is not None
+        orbit = isotopy._orbit_points(flow, mesh.flat_points)
+        for j, m in enumerate(flow.maps):
+            assert np.abs(orbit[j] - m.flat_position).max() <= 1e-15
+
+
+def test_point_route_matches_spline_route():
+    # the spline route carries the interpolation error of the sampled field:
+    # 9.8e-11 (cos_x_cos_y) and 5.0e-11 (sin_x_plus_sin_y) at N = 128;
+    # mix_mode2's mode 2 gives 1.1e-9 here, and N = 32 gives 2e-8
+    mesh = GridMesh(N=128)
+    for name in ("cos_x_cos_y", "sin_x_plus_sin_y"):
+        F = catalog.hamiltonian_field(mesh, name, 0.08)
+        point, spline = integrate_flow(F, 16, mesh), integrate_flow(F.samples, 16, mesh)
+        assert spline._flow_step is None
+        assert np.abs(point.end_map.disp - spline.end_map.disp).max() <= 1e-9
+
+
+def test_orbit_interpolators_by_route(monkeypatch):
+    # a raw-array flow reads each orbit off two spline interpolators of every
+    # stored displacement; a closed-form flow integrates the orbit instead
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    raw, closed = integrate_flow(F.samples, 16, mesh), integrate_flow(F, 16, mesh)
+    builds = []
+    real = TorusMap._get_interp
+
+    def counting(self, key, values):
+        if key not in self._interp:
+            builds.append(key)
+        return real(self, key, values)
+
+    monkeypatch.setattr(TorusMap, "_get_interp", counting)
+    x = np.array([0.3, 0.7])
+    isotopy._orbit_points(raw, x)
+    assert len(builds) == 2 * (16 + 1)
+    isotopy._orbit_points(closed, x)
+    assert len(builds) == 2 * (16 + 1)
+
+
+def _orbit_integral_per_sample(phi_path, x, alpha):
+    """The orbit integral with one lookup of alpha and of the generator per
+    time sample: the reference for the batched lookups."""
+    orbit = isotopy._orbit_points(phi_path, x)
+    K = phi_path.K
+    if phi_path.has_exact_generator():
+        tf = TimeField.wrap(phi_path.generator, phi_path.mesh)
+        vel = np.stack([tf(t, orbit[j]) for j, t in enumerate(phi_path.times)])
+    else:
+        vel = isotopy._time_derivative(orbit, K)
+    a = np.stack([alpha.at(orbit[j]) for j in range(K + 1)])
+    integrand = (a * vel).sum(axis=1)[:, 0]
+    return float(np.sum(simpson_weights(K, 1.0 / K) * integrand))
+
+
+def test_orbit_integral_batches_its_lookups():
+    mesh = GridMesh(N=32)
+    alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(
+        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * (x + y))))
+    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
+    no_generator = integrate_flow(F.samples, 16, mesh)
+    no_generator.generator = None
+    paths = [integrate_flow(F.samples, 16, mesh),      # steady spline
+             integrate_flow(F, 16, mesh),              # closed form
+             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
+             no_generator]                             # finite differences
+    for path in paths:
+        for x in (np.array([0.15, 0.65]), np.array([0.9, 0.05])):
+            assert (orbit_integral(path, x, alpha).hex()
+                    == _orbit_integral_per_sample(path, x, alpha).hex())
+
+
+def test_orbit_lift_guard_between_grid_points():
+    # grid jumps of 0.2495 pass the constructor's L/4 check, while the
+    # interpolated jump peaks between grid points at about 0.2505
+    mesh = GridMesh(N=16)
+    _, Y = mesh.points
+    profile = np.cos(TWO_PI * 3 * Y - TWO_PI * 3 / 32)
+    u = np.stack([0.2495 + 0.05 * (profile - profile.max()), np.zeros(mesh.shape)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh), TorusMap(mesh, u)])
+    isotopy._orbit_points(path, np.array([0.3, 0.2]))
+    with pytest.raises(LiftError, match="orbit lift increment"):
+        isotopy._orbit_points(path, np.array([0.3, 1 / 32]))
