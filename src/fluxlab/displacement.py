@@ -455,7 +455,7 @@ def conjugation_check(h: TorusMap, phi: TorusMap, x, alpha: OneForm,
     from .maps import evaluate_lift
     conj = compose(compose(phi, h), phi.inverse())
     x = np.asarray(x, dtype=float)
-    beta = pullback_oneform(phi, alpha)
+    beta = pullback_oneform(phi, alpha.at)
     # pulled-back forms carry interpolation-level d-residuals; closed in
     # exact arithmetic, so the gate only needs to reject genuine non-closedness
     loose = 1e-4 * (1.0 + max(sup_norm(alpha), sup_norm(beta)))

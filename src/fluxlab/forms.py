@@ -316,6 +316,12 @@ def periods(alpha: OneForm, tol: float | None = None) -> CohomologyClass1:
     non-closed input.
     """
     alpha.require_closed(tol=tol, what="periods")
+    return harmonic_periods(alpha)
+
+
+def harmonic_periods(alpha: OneForm) -> CohomologyClass1:
+    """Periods of the harmonic part of alpha, with no closedness check; the
+    periods of alpha itself when alpha is closed."""
     return CohomologyClass1((float(alpha.ax.mean()) * alpha.mesh.L[0],
                              float(alpha.ay.mean()) * alpha.mesh.L[1]))
 

@@ -286,10 +286,14 @@ def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
         f"with residual {rn[i]:.3e} (target {tol:.1e})")
 
 
-def pullback_oneform(phi: TorusMap, alpha: OneForm) -> OneForm:
-    """(phi^* alpha)_x = alpha_{phi(x)} o d(phi)_x, sampled on the grid."""
-    pts = phi.flat_position
-    a = alpha.at(pts).reshape(2, *phi.mesh.shape)
+def pullback_oneform(phi: TorusMap, alpha_at) -> OneForm:
+    """(phi^* alpha)_x = alpha_{phi(x)} o d(phi)_x, sampled on the grid.
+
+    `alpha_at` evaluates the components of alpha at points of shape
+    (2, M): `OneForm.at` (a spline of the grid form), or a closed-form
+    evaluator, so that alpha is read at phi(x) without interpolation.
+    """
+    a = alpha_at(phi.flat_position).reshape(2, *phi.mesh.shape)
     J = phi.jac
     return OneForm(phi.mesh,
                    a[0] * J[0, 0] + a[1] * J[1, 0],
@@ -354,10 +358,15 @@ def c0_distance(phi: TorusMap, psi: TorusMap) -> float:
     return float(max(d1, d2))
 
 
+def interior_components(X: np.ndarray, rho) -> np.ndarray:
+    """Components (-rho X_y, rho X_x) of i_X (rho dx ^ dy), for X of shape
+    (2, ...) and rho of shape (...): grid samples or values at points."""
+    return np.stack([-rho * X[1], rho * X[0]])
+
+
 def interior_product(X: np.ndarray, omega: TwoForm) -> OneForm:
-    """i_X omega for omega = rho dx ^ dy: components (-rho X_y, rho X_x)."""
-    rho = omega.density
-    return OneForm(omega.mesh, -rho * X[1], rho * X[0])
+    """i_X omega for omega = rho dx ^ dy, on the grid."""
+    return OneForm(omega.mesh, *interior_components(X, omega.density))
 
 
 def divergence(X: np.ndarray, mesh: GridMesh) -> np.ndarray:
@@ -380,7 +389,7 @@ def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) ->
         raise ValueError(
             f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
     lhs = interior_product(pushforward_vector(phi, Y), omega)
-    rhs = pullback_oneform(phi.inverse(), interior_product(Y, omega))
+    rhs = pullback_oneform(phi.inverse(), interior_product(Y, omega).at)
     return sup_norm(lhs - rhs)
 
 

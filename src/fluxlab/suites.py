@@ -237,7 +237,7 @@ def suite_pullback_bound(ctx: SuiteContext) -> list[CheckRow]:
                 phi = catalog.twist(mesh, rng.uniform(-0.1, 0.1),
                                     rng.uniform(-0.1, 0.1))
             alpha = _random_closed_form(ctx, rng, scale=rng.uniform(0.5, 2.0))
-            ratio = l2_norm(pullback_oneform(phi, alpha)) / (
+            ratio = l2_norm(pullback_oneform(phi, alpha.at)) / (
                 pullback_bound_constant(phi) * l2_norm(alpha))
             worst = max(worst, ratio - 1.0)
         return worst
@@ -246,7 +246,7 @@ def suite_pullback_bound(ctx: SuiteContext) -> list[CheckRow]:
 
     def shear_spot():
         S = catalog.shear(mesh, 0.1)
-        val = l2_norm(pullback_oneform(S, OneForm.constant(mesh, 1.0, 0.0))) ** 2
+        val = l2_norm(pullback_oneform(S, OneForm.constant(mesh, 1.0, 0.0).at)) ** 2
         return abs(val / (1.0 + 0.02 * math.pi ** 2) - 1.0)
 
     rows.add("02-shear-spot", ctx.tol("pullback_spot", 1e-6), shear_spot,
@@ -271,10 +271,10 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
         seq = build_perturbation_sequence(psi, amps, base_eps=(1e-3, 1e-3))
         alpha = _mode_form(ctx.sampler, harmonic=(0.7, -0.4),
                            waves=[(0, 1, "cos", 0.4), (1, 0, "sin", 0.3)])
-        base = pullback_oneform(psi, alpha)
+        base = pullback_oneform(psi, alpha.at)
         e_l2, e_sup, d0s = [], [], []
         for m in seq:
-            diff = pullback_oneform(m, alpha) - base
+            diff = pullback_oneform(m, alpha.at) - base
             e_l2.append(l2_norm(diff))
             e_sup.append(sup_norm(diff))
             d0s.append(c0_distance(m, psi))

@@ -67,7 +67,7 @@ def test_nu_matches_segment_quadrature(mesh):
     p = np.array([0.15, 0.35])
     nu = nu_function(psi, alpha, p)
     from fluxlab.maps import pullback_oneform
-    diff = pullback_oneform(psi, alpha) - alpha
+    diff = pullback_oneform(psi, alpha.at) - alpha
     rng = np.random.default_rng(0)
     S = 256
     w = np.ones(S + 1)
@@ -165,7 +165,7 @@ def test_basis_potentials_match_per_form_route():
         P = _basis_potentials(psi, sampler)
         for i in (0, 1, 4, 16, sampler.dimension - 1):
             e = sampler.materialize(np.eye(sampler.dimension)[i])
-            ref = hodge_decompose(pullback_oneform(psi, e) - e).potential.values
+            ref = hodge_decompose(pullback_oneform(psi, e.at) - e).potential.values
             assert np.abs(P[i].reshape(mesh.shape) - ref).max() < 1e-6
 
 

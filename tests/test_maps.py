@@ -76,8 +76,8 @@ def test_composition_functoriality(mesh):
     psi = catalog.shear(mesh, 0.08)
     alpha = OneForm.from_functions(
         mesh, lambda x, y: 0.5 + np.cos(TWO_PI * y), lambda x, y: 0 * x + 0.2)
-    lhs = pullback_oneform(compose(phi, psi), alpha)
-    rhs = pullback_oneform(psi, pullback_oneform(phi, alpha))
+    lhs = pullback_oneform(compose(phi, psi), alpha.at)
+    rhs = pullback_oneform(psi, pullback_oneform(phi, alpha.at).at)
     assert sup_norm(lhs - rhs) <= 1e-6 * (1.0 + sup_norm(alpha))
 
 
@@ -131,20 +131,20 @@ def test_inverse_composition_is_identity(mesh):
 def test_pullback_identity(mesh):
     alpha = OneForm.from_functions(
         mesh, lambda x, y: np.sin(TWO_PI * y), lambda x, y: np.cos(TWO_PI * x))
-    pb = pullback_oneform(TorusMap.identity(mesh), alpha)
+    pb = pullback_oneform(TorusMap.identity(mesh), alpha.at)
     assert sup_norm(pb - alpha) < 1e-13
 
 
 def test_pullback_translation_constant_form(mesh):
     T = catalog.translation(mesh, 0.21, 0.13)
     alpha = OneForm.constant(mesh, 1.5, -0.5)
-    assert sup_norm(pullback_oneform(T, alpha) - alpha) < 1e-13
+    assert sup_norm(pullback_oneform(T, alpha.at) - alpha) < 1e-13
 
 
 def test_pullback_shear_analytic(mesh):
     _, Y = mesh.points
     S = catalog.shear(mesh, 0.1)
-    pb = pullback_oneform(S, OneForm.constant(mesh, 1.0, 0.0))
+    pb = pullback_oneform(S, OneForm.constant(mesh, 1.0, 0.0).at)
     assert np.abs(pb.ax - 1.0).max() < 1e-14
     assert np.abs(pb.ay - 0.1 * TWO_PI * np.cos(TWO_PI * Y)).max() < 1e-12
     target = 1.0 + 0.02 * math.pi ** 2
@@ -159,7 +159,7 @@ def test_pullback_preserves_closedness():
     tw = catalog.twist(fine, 0.06, 0.05)
     G = ScalarField.from_function(fine, lambda x, y: 0.3 * np.sin(TWO_PI * (x + y)))
     alpha = OneForm.constant(fine, 0.5, 0.3) + exterior_derivative(G)
-    pb = pullback_oneform(tw, alpha)
+    pb = pullback_oneform(tw, alpha.at)
     assert pb.closedness_residual <= 10 * tol_closed(alpha)
 
 
@@ -178,7 +178,7 @@ def test_pullback_bound_inequality(seed):
         mesh, lambda x, y: rng.normal(0, 0.3) * np.sin(TWO_PI * x)
         + rng.normal(0, 0.3) * np.cos(TWO_PI * y))
     alpha = OneForm.constant(mesh, rng.normal(), rng.normal()) + exterior_derivative(G)
-    lhs = l2_norm(pullback_oneform(phi, alpha))
+    lhs = l2_norm(pullback_oneform(phi, alpha.at))
     assert lhs <= pullback_bound_constant(phi) * l2_norm(alpha) * (1 + 1e-6)
 
 
@@ -204,7 +204,7 @@ def test_contraction_pushforward_identity(mesh):
     vf = np.stack([0.2 + 0.1 * np.sin(TWO_PI * Y), 0.1 * np.cos(TWO_PI * X)])
     om = TwoForm.standard(mesh)
     lhs = interior_product(pushforward_vector(tw, vf), om)
-    rhs = pullback_oneform(tw.inverse(), interior_product(vf, om))
+    rhs = pullback_oneform(tw.inverse(), interior_product(vf, om).at)
     assert sup_norm(lhs - rhs) <= 1e-6
 
 
