@@ -488,8 +488,9 @@ def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
     periods of the result.  Errors if some sample generator is not
     symplectic to tolerance; a generator certified by construction is
     trusted.  The integral is not gated again: its d-residual is the
-    samples' plus the aliasing of the pulled-back forms (up to 1e-4 at
-    N = 32 for a closed field, 8.6e-2 for a certified rotation flow).
+    samples' plus the aliasing of the pulled-back forms, at N = 32 up to
+    1e-4 for a named-potential flow and 8.6e-2 for a certified rotation
+    flow, so no gate on it could be tighter than the one on the samples.
     """
     return _cached_flux(phi_path, "sym", omega, tol, lambda form: harmonic_periods(
         _flux_form(phi_path, form, tol, "symplectic_flux", pull=True)))
