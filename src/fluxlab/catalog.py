@@ -193,27 +193,32 @@ def non_volume_preserving(mesh: GridMesh, eps: float = 0.1, mode: int = 1) -> To
 # ---------------------------------------------------------------------------
 
 def translation_flow(mesh: GridMesh, c: float, d: float, K: int = 64) -> Isotopy:
-    gen = np.empty((2, mesh.N, mesh.N))
-    gen[0], gen[1] = c, d
+    def gen_at(t: float, points: np.ndarray) -> np.ndarray:
+        out = np.empty((2, *points.shape[1:]))
+        out[0], out[1] = c, d
+        return out
+
     return Isotopy.from_time_function(
         mesh, lambda t: translation(mesh, t * c, t * d), K,
-        generator=TimeField(lambda t: gen, mesh, autonomous=True,
-                            certified_symplectic=True),
+        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
+                                        certified_symplectic=True),
         provenance={"kind": "translation_flow", "c": c, "d": d})
 
 
 def shear_flow(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
                K: int = 64) -> Isotopy:
     """Hamiltonian flow whose time-1 map is shear(eps, axis, mode)."""
-    X, Y = mesh.points
     w = TWO_PI * mode / mesh.L[1 - axis]
-    coord = Y if axis == 0 else X
-    gen = np.zeros((2, mesh.N, mesh.N))
-    gen[axis] = eps * np.sin(w * coord)
+
+    def gen_at(t: float, points: np.ndarray) -> np.ndarray:
+        out = np.zeros((2, *points.shape[1:]))
+        out[axis] = eps * np.sin(w * points[1 - axis])
+        return out
+
     return Isotopy.from_time_function(
         mesh, lambda t: shear(mesh, t * eps, axis, mode), K,
-        generator=TimeField(lambda t: gen, mesh, autonomous=True,
-                            certified_symplectic=True),
+        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
+                                        certified_symplectic=True),
         provenance={"kind": "shear_flow", "eps": eps, "axis": axis})
 
 
@@ -245,28 +250,32 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
         m.set_analytic_inverse(inv)
         return m
 
-    def gen_at(t: float) -> np.ndarray:
-        out = np.empty((2, mesh.N, mesh.N))
-        out[0] = c + eps * np.sin(w * (Y - t * d))
+    def gen_at(t: float, points: np.ndarray) -> np.ndarray:
+        out = np.empty((2, *points.shape[1:]))
+        out[0] = c + eps * np.sin(w * (points[1] - t * d))
         out[1] = d
         return out
 
     return Isotopy.from_time_function(
         mesh, map_at, K,
-        generator=TimeField(gen_at, mesh, certified_symplectic=True),
+        generator=TimeField.closed_form(gen_at, mesh, certified_symplectic=True),
         provenance={"kind": "translation_shear_flow", "c": c, "d": d, "eps": eps})
 
 
 def rotation_flow(mesh: GridMesh, center, radius: float, angle: float,
                   K: int = 64) -> Isotopy:
     """Compactly supported Hamiltonian flow of rigid circle rotations."""
-    v = mesh.wrap_delta(mesh.points - np.asarray(center, dtype=float).reshape(2, 1, 1))
-    chi, _ = _bump_chi((v[0] ** 2 + v[1] ** 2) / radius ** 2)
-    gen = np.stack([-angle * chi * v[1], angle * chi * v[0]])
+    c = np.asarray(center, dtype=float)
+
+    def gen_at(t: float, points: np.ndarray) -> np.ndarray:
+        v = mesh.wrap_delta(points - c.reshape(2, *[1] * (points.ndim - 1)))
+        chi, _ = _bump_chi((v[0] ** 2 + v[1] ** 2) / radius ** 2)
+        return np.stack([-angle * chi * v[1], angle * chi * v[0]])
+
     return Isotopy.from_time_function(
         mesh, lambda t: bump_rotation(mesh, center, radius, t * angle), K,
-        generator=TimeField(lambda t: gen, mesh, autonomous=True,
-                            certified_symplectic=True),
+        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
+                                        certified_symplectic=True),
         provenance={"kind": "rotation_flow", "center": tuple(center),
                     "radius": radius, "angle": angle})
 

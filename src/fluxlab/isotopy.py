@@ -24,7 +24,7 @@ from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
                    c0_distance, chord_integral, compose, interior_components,
                    interior_product, pullback_oneform, pullback_vector,
-                   pushforward_vector)
+                   pushforward_at, pushforward_vector)
 from .mesh import GridMesh
 
 
@@ -68,24 +68,33 @@ def _time_derivative(samples: np.ndarray, K: int) -> np.ndarray:
 class TimeField:
     """A time-dependent vector field t -> X_t on the mesh.
 
-    Wraps a callable returning (2, N, N) samples; interpolators are cached
-    per time value (a single one when the field is autonomous).  Builders
-    whose fields are divergence-free in closed form may set
-    `certified_symplectic`, which lets the closedness gates trust the
-    construction instead of a spectral residual that only measures
-    aliasing on marginally resolved profiles.
+    Wraps a callable returning (2, N, N) samples.  A field known in closed
+    form also carries `at(t, points)`, its values at points of shape
+    (2, ...), and is evaluated off the grid through it; any other field is
+    evaluated by spline interpolators of its samples, cached per time value
+    (a single one when the field is autonomous).  Builders whose fields are
+    divergence-free in closed form may set `certified_symplectic`, which
+    lets the closedness gates trust the construction instead of a spectral
+    residual that only measures aliasing on marginally resolved profiles.
     """
 
     def __init__(self, fn, mesh: GridMesh, autonomous: bool = False,
-                 certified_symplectic: bool = False):
+                 certified_symplectic: bool = False, at=None):
         self._fn = fn
         self.mesh = mesh
         self.autonomous = autonomous
         self.certified_symplectic = certified_symplectic
+        self.at = at
         self._fields: dict[float, np.ndarray] = {}
         self._interps: dict[float, VectorInterpolator] = {}
-        # point values of a steady closed-form field (see `wrap`)
-        self._at = None
+
+    @classmethod
+    def closed_form(cls, at, mesh: GridMesh, autonomous: bool = False,
+                    certified_symplectic: bool = False) -> "TimeField":
+        """The field with point values `at(t, points)`; its grid samples are
+        those values at the mesh points."""
+        return cls(lambda t: at(t, mesh.points), mesh, autonomous,
+                   certified_symplectic, at=at)
 
     #: caches are bounded; a path at K = 64 touches at most 129 time keys
     _CACHE_LIMIT = 150
@@ -112,8 +121,8 @@ class TimeField:
         return ip
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self._at is not None:
-            return self._at(points)
+        if self.at is not None:
+            return self.at(t, points)
         return self.interp(t)(points)
 
     @classmethod
@@ -121,9 +130,10 @@ class TimeField:
         """Accept a TimeField, a VectorFieldPath, a catalog HamiltonianField,
         a callable t -> field, or a constant (2, N, N) array.
 
-        A HamiltonianField becomes a steady field whose samples are its grid
-        samples and whose value at any point is computed in closed form;
-        every other input is evaluated off the grid by a spline of its
+        A TimeField is returned as it is, with its point values if it has
+        them.  A HamiltonianField becomes a steady field whose samples are
+        its grid samples and whose value at any point is computed in closed
+        form; every other input is evaluated off the grid by a spline of its
         samples.
         """
         from .catalog import HamiltonianField
@@ -132,9 +142,8 @@ class TimeField:
         if isinstance(X, HamiltonianField):
             if not X.mesh.same_grid(mesh):
                 raise ValueError("field lives on a different mesh")
-            tf = cls(lambda t: X.samples, mesh, autonomous=True)
-            tf._at = X.at
-            return tf
+            return cls(lambda t: X.samples, mesh, autonomous=True,
+                       at=lambda t, p: X.at(p))
         if isinstance(X, VectorFieldPath):
             return cls(X.at, mesh, autonomous=False)
         if callable(X):
@@ -329,9 +338,10 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     `X` may be a TimeField, a VectorFieldPath, a catalog HamiltonianField,
     a callable t -> (2, N, N) field, or a constant field array.  Every
     resulting sample must pass the diffeomorphism check; a failure suggests
-    a larger K.  A HamiltonianField is evaluated in closed form at every
-    stage, and the returned path keeps its step, so that orbits of
-    arbitrary points are integrated the same way (`_orbit_points`).
+    a larger K.  A field with point values (a HamiltonianField, or a
+    TimeField with `at`) is evaluated in closed form at every stage, and
+    the returned path keeps its step, so that orbits of arbitrary points
+    are integrated the same way (`_orbit_points`).
     """
     if mesh is None:
         if isinstance(X, (TimeField, VectorFieldPath)):
@@ -354,7 +364,7 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
                 f"flow sample {j + 1}/{K} failed the diffeomorphism check "
                 f"({exc}); increase K") from exc
     iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
-    if tf._at is not None:
+    if tf.at is not None:
         iso._flow_step = partial(_rk4_step, tf)
     return iso
 
@@ -433,13 +443,14 @@ def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
 
 
 def _generator_at(phi_path: Isotopy, vel: np.ndarray):
-    """j -> a point evaluator of X_{t_j}: the closed form of a field that has
-    one, else a spline of vel[j], one for a steady path and a transient one
-    per sample otherwise.  Nothing is cached on the generator: at N = 128
-    each spline holds about 1 MB, and a path at K = 64 has 65 samples."""
+    """j -> a point evaluator of X_{t_j}: the generator's own point values
+    (`TimeField.at`) when it has them, else a spline of vel[j], one for a
+    steady path and a transient one per sample otherwise.  Nothing is
+    cached on the generator: at N = 128 each spline holds about 1 MB, and
+    a path at K = 64 has 65 samples."""
     gen = phi_path.generator
-    if isinstance(gen, TimeField) and gen._at is not None:
-        return lambda j: gen._at
+    if isinstance(gen, TimeField) and gen.at is not None:
+        return lambda j: partial(gen.at, phi_path.times[j])
     if _is_autonomous(phi_path):
         ip = VectorInterpolator(vel[0], phi_path.mesh)
         return lambda j: ip
@@ -483,8 +494,9 @@ def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
     """Period vector of the flux integral of the path.
 
     Composite Simpson over the samples of phi_t^*(i_{X_t} omega), with X_t
-    read at phi_t(x) from the generator itself (in closed form for a flow
-    of a HamiltonianField, else from a spline of its samples), then the
+    read at phi_t(x) from the generator itself (from its point values when
+    it has them, as every catalog flow and their concatenations and
+    reparametrizations do, else from a spline of its samples), then the
     periods of the result.  Errors if some sample generator is not
     symplectic to tolerance; a generator certified by construction is
     trusted.  The integral is not gated again: its d-residual is the
@@ -793,7 +805,9 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
     The endpoint is exactly A(1) o B(1).  The transition profile is only
     Gevrey-regular, so quadratures over the result converge subgeometrically
     in the sample count; `oversample` refines the output sampling when
-    quadrature accuracy matters more than cost.
+    quadrature accuracy matters more than cost.  When both generators have
+    point values, so does the result's: rate X_A on the first half and the
+    push-forward rate (A(1))_* X_B, evaluated at points, on the second.
     """
     if not a_path.mesh.same_grid(b_path.mesh):
         raise ValueError("paths live on different meshes")
@@ -815,25 +829,35 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
         tfa = TimeField.wrap(a_path.generator, mesh)
         tfb = TimeField.wrap(b_path.generator, mesh)
 
+        def stage(s: float):
+            """(rate, the second half?, the part's time) at output time s."""
+            r = 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
+            return 2.0 * float(profile.du(r)), s > 0.5, float(profile.u(r))
+
         def gen_fn(s: float) -> np.ndarray:
-            if s <= 0.5:
-                lam = float(profile.u(2.0 * s))
-                rate = 2.0 * float(profile.du(2.0 * s))
-                if rate == 0.0:
-                    return np.zeros((2, *mesh.shape))
-                return rate * tfa.field(lam)
-            tau = float(profile.u(2.0 * s - 1.0))
-            rate = 2.0 * float(profile.du(2.0 * s - 1.0))
+            rate, second, lam = stage(s)
             if rate == 0.0:
                 return np.zeros((2, *mesh.shape))
+            if not second:
+                return rate * tfa.field(lam)
             if a_end.is_identity():
-                return rate * tfb.field(tau)
-            return rate * pushforward_vector(a_end, tfb.field(tau))
+                return rate * tfb.field(lam)
+            return rate * pushforward_vector(a_end, tfb.field(lam))
+
+        def gen_at(s: float, points: np.ndarray) -> np.ndarray:
+            rate, second, lam = stage(s)
+            if rate == 0.0:
+                return np.zeros((2, *points.shape[1:]))
+            if not second:
+                return rate * tfa.at(lam, points)
+            return rate * pushforward_at(a_end, partial(tfb.at, lam), points)
 
         cert = (getattr(a_path.generator, 'certified_symplectic', False)
                 and getattr(b_path.generator, 'certified_symplectic', False))
-        gen = TimeField(gen_fn, mesh, autonomous=False,
-                        certified_symplectic=cert)
+        if tfa.at is not None and tfb.at is not None:
+            gen = TimeField.closed_form(gen_at, mesh, certified_symplectic=cert)
+        else:
+            gen = TimeField(gen_fn, mesh, certified_symplectic=cert)
 
     return Isotopy(mesh, maps, generator=gen, map_fn=map_at,
                    provenance={"kind": "concat"})

@@ -350,6 +350,15 @@ def pushforward_vector(phi: TorusMap, X: np.ndarray) -> np.ndarray:
     return pullback_vector(phi.inverse(), VectorInterpolator(X, phi.mesh))
 
 
+def pushforward_at(phi: TorusMap, X_at, points: np.ndarray) -> np.ndarray:
+    """(phi_* X) at points of shape (2, ...): d(phi^{-1})^{-1} X(phi^{-1} p),
+    read through the inverse map's cached interpolators (constants, so no
+    spline is evaluated, when phi^{-1} is a translation); `X_at` evaluates X
+    at points."""
+    g = phi.inverse()
+    return _solve_2x2(g.interp_jac(points), X_at(points + g.interp_disp(points)))
+
+
 def c0_distance(phi: TorusMap, psi: TorusMap) -> float:
     """Uniform distance max(sup d(phi, psi), sup d(phi^{-1}, psi^{-1}))."""
     mesh = phi.mesh

@@ -187,7 +187,8 @@ def _random_closed_form(ctx: SuiteContext, rng: np.random.Generator,
 
 def _reparam_flow(base_builder, mesh, K) -> Isotopy:
     """Sinusoidally reparametrized copy of a catalog flow: same endpoint,
-    time substitution tau(t) = t - sin(2 pi t) / (2 pi)."""
+    time substitution tau(t) = t - sin(2 pi t) / (2 pi).  Its generator
+    tau'(t) X_{tau(t)} is read through the point values of the base flow's."""
 
     def tau(t):
         return t - math.sin(2 * math.pi * t) / (2 * math.pi)
@@ -200,15 +201,15 @@ def _reparam_flow(base_builder, mesh, K) -> Isotopy:
     def map_at(t):
         return base.at_time(tau(t))
 
-    tf = TimeField.wrap(base.generator, mesh)
+    X = base.generator
 
-    def gen_at(t):
-        return dtau(t) * tf.field(tau(t))
+    def gen_at(t, points):
+        return dtau(t) * X.at(tau(t), points)
 
-    cert = getattr(base.generator, "certified_symplectic", False)
     return Isotopy.from_time_function(
         mesh, map_at, K,
-        generator=TimeField(gen_at, mesh, certified_symplectic=cert),
+        generator=TimeField.closed_form(
+            gen_at, mesh, certified_symplectic=X.certified_symplectic),
         provenance={"kind": "reparam"})
 
 

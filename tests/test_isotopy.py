@@ -163,26 +163,46 @@ def _pulled_flux(phi_path, omega):
     return isotopy._flux_form(phi_path, omega, None, "test", pull=True).components
 
 
+def _spline_route(flow):
+    """The flow's own maps under its grid samples alone, with no point
+    values, so that X is read off splines of the samples."""
+    return Isotopy(flow.mesh, flow.maps, generator=TimeField(
+        flow.generator.field, flow.mesh, certified_symplectic=True))
+
+
 def test_pulled_flux_spline_route_is_bit_identical():
     # at the standard form, -(spline of X_y) is the spline of -X_y bit for bit
     mesh = GridMesh(N=32)
     omega = TwoForm.standard(mesh)
     F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
-    for path in (integrate_flow(F.samples, 16, mesh),
-                 catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)):
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
+    for path in (integrate_flow(F.samples, 16, mesh), _spline_route(flow)):
+        assert path.generator.at is None
         got, ref = _pulled_flux(path, omega), _pulled_flux_by_form_spline(path, omega)
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in ref.ravel()]
 
 
 def test_pulled_flux_closed_form_matches_spline_route():
-    # the difference is the spline's interpolation error of the sampled form:
-    # 9.4e-11 (cos_x_cos_y) and 9.7e-10 (mix_mode2) measured at N = 128
+    # the difference is the spline's interpolation error of the sampled form,
+    # bounded here by twice the gap measured at N = 128, K = 16
     mesh = GridMesh(N=128)
     omega = TwoForm.standard(mesh)
-    for name in ("cos_x_cos_y", "mix_mode2"):
-        path = catalog.hamiltonian_flow(mesh, name, 0.08, K=16)
+    cases = [
+        (catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K=16), 9.4e-11),
+        (catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, K=16), 9.7e-10),
+        (catalog.shear_flow(mesh, 0.1, K=16), 1.1e-16),
+        (catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=16), 5.9e-11),
+        (concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
+                        catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16)),
+         4.5e-11),
+        (catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16), 6.0e-7),
+        # the spline's error on the narrower bump
+        (catalog.rotation_flow(mesh, (0.5, 0.5), 0.2, 0.8, 16), 5.7e-6),
+    ]
+    for path, measured in cases:
+        assert path.generator.at is not None
         diff = _pulled_flux(path, omega) - _pulled_flux_by_form_spline(path, omega)
-        assert np.abs(diff).max() <= 2e-9
+        assert np.abs(diff).max() <= 2.0 * measured
 
 
 def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
@@ -205,6 +225,80 @@ def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
     assert all(np.array_equal(s, c) for s, c in zip(splined, F.samples))
     volume_flux(closed)  # both routes
     assert len(splined) == 2
+
+
+def test_flux_of_catalog_flows_builds_no_spline(monkeypatch):
+    # translation-shear, rotation and their concatenation read X at
+    # phi_t(x) from their point values; only the spline route of the same
+    # samples builds splines (one per non-identity sample, X_y is constant)
+    mesh = GridMesh(N=32)
+    ts = catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=16)
+    paths = [ts, catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16),
+             concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
+                            catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16))]
+    spline = _spline_route(ts)
+    splined = []
+    real = PeriodicInterpolator.__init__
+
+    def counting(self, values, mesh):
+        if np.ptp(values) > 0:  # a constant field needs no spline
+            splined.append(values)
+        real(self, values, mesh)
+
+    monkeypatch.setattr(PeriodicInterpolator, "__init__", counting)
+    for path in paths:
+        volume_flux(path)  # both routes
+    assert splined == []
+    symplectic_flux(spline)
+    assert len(splined) == 16
+
+
+def test_catalog_point_values_are_the_grid_samples():
+    # each flow's samples are its point values at the mesh points, and both
+    # equal the grid expressions the catalog used before it had point values
+    mesh = GridMesh(N=32)
+    X, Y = mesh.points
+    flows, oracles = [], []
+
+    def add(flow, oracle):
+        flows.append(flow)
+        oracles.append(oracle)
+
+    def rotation(center, radius, angle):
+        v = mesh.wrap_delta(mesh.points - np.asarray(center, dtype=float).reshape(2, 1, 1))
+        chi, _ = catalog._bump_chi((v[0] ** 2 + v[1] ** 2) / radius ** 2)
+        gen = np.stack([-angle * chi * v[1], angle * chi * v[0]])
+        return lambda t: gen
+
+    def shear(eps, axis, mode):
+        gen = np.zeros((2, mesh.N, mesh.N))
+        gen[axis] = eps * np.sin(TWO_PI * mode / mesh.L[1 - axis] * (Y if axis == 0 else X))
+        return lambda t: gen
+
+    def translation_shear(c, d, eps):
+        def gen_at(t):
+            out = np.empty((2, mesh.N, mesh.N))
+            out[0] = c + eps * np.sin(TWO_PI / mesh.L[1] * (Y - t * d))
+            out[1] = d
+            return out
+        return gen_at
+
+    translation = np.empty((2, mesh.N, mesh.N))
+    translation[0], translation[1] = 0.3, -0.4
+    add(catalog.translation_flow(mesh, 0.3, -0.4, 16), lambda t: translation)
+    for eps, axis, mode in ((0.1, 0, 1), (-0.15, 0, 2), (0.12, 1, 1)):
+        add(catalog.shear_flow(mesh, eps, axis=axis, mode=mode, K=16),
+            shear(eps, axis, mode))
+    add(catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=16),
+        translation_shear(0.25, 0.35, 0.12))
+    add(catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, 16),
+        rotation((0.3, 0.6), 0.25, 0.8))
+    for flow, oracle in zip(flows, oracles):
+        samples = flow.generator_samples()
+        for j, t in enumerate(flow.times):
+            at = flow.generator.at(t, mesh.points)
+            assert [v.hex() for v in at.ravel()] == [v.hex() for v in samples[j].ravel()]
+            assert [v.hex() for v in at.ravel()] == [v.hex() for v in oracle(t).ravel()]
 
 
 def test_volume_flux_catches_a_false_certificate():
@@ -658,6 +752,13 @@ def test_orbit_interpolators_by_route(monkeypatch):
     assert len(builds) == 2 * (16 + 1)
     isotopy._orbit_points(closed, x)
     assert len(builds) == 2 * (16 + 1)
+
+
+def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator():
+    mesh = GridMesh(N=32)
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
+    orbit_integral(flow, np.array([0.15, 0.65]), OneForm.constant(mesh, 0.6, -0.2))
+    assert flow.generator._interps == {}
 
 
 def _orbit_integral_per_sample(phi_path, x, alpha):
