@@ -6,9 +6,6 @@ are exact to round-off rather than limited by spectral differentiation of
 barely resolved fields.  Flow builders attach the exact generating vector
 field to the isotopies they produce; flows of the named potentials
 integrate their field in closed form (`HamiltonianField`).
-
-Maps are addressable from experiment configs by name + parameters via
-`build_map`; the suites read one such spec, `generators.base_map`.
 """
 
 from __future__ import annotations
@@ -30,10 +27,6 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # elementary closed-form maps
 # ---------------------------------------------------------------------------
-
-def identity_map(mesh: GridMesh) -> TorusMap:
-    return TorusMap.identity(mesh)
-
 
 def translation(mesh: GridMesh, c: float, d: float) -> TorusMap:
     """x -> x + (c, d); an isometry with J = I."""
@@ -432,30 +425,3 @@ def perturbation_map(mesh: GridMesh, amplitude: float,
     m.provenance["amplitude"] = amplitude
     return m
 
-
-# ---------------------------------------------------------------------------
-# config-addressable builders
-# ---------------------------------------------------------------------------
-
-def build_map(mesh: GridMesh, spec: dict) -> TorusMap:
-    """Build a named map from a config spec {"type": name, ...params}."""
-    spec = dict(spec)
-    kind = spec.pop("type")
-    builders = {
-        "identity": lambda: identity_map(mesh),
-        "translation": lambda: translation(mesh, spec.get("c", 0.0), spec.get("d", 0.0)),
-        "shear": lambda: shear(mesh, spec.get("eps", 0.1), spec.get("axis", 0),
-                               spec.get("mode", 1), spec.get("phase", 0.0)),
-        "twist": lambda: twist(mesh, spec.get("e1", 0.1), spec.get("e2", 0.1),
-                               spec.get("m1", 1), spec.get("m2", 1)),
-        "bump_rotation": lambda: bump_rotation(mesh, spec.get("center", (0.5, 0.5)),
-                                               spec.get("radius", 0.2),
-                                               spec.get("angle", 1.0)),
-        "hamiltonian_time1": lambda: hamiltonian_time1(mesh, spec.get("potential", "cos_x_cos_y"),
-                                                       spec.get("amp", 0.05),
-                                                       spec.get("K", 64)),
-        "non_volume_preserving": lambda: non_volume_preserving(mesh, spec.get("eps", 0.1)),
-    }
-    if kind not in builders:
-        raise KeyError(f"unknown map type {kind!r}; have {sorted(builders)}")
-    return builders[kind]()

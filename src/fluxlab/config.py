@@ -7,7 +7,7 @@ Unknown keys are rejected with their path, the seed is mandatory
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .mesh import GridMesh
@@ -47,9 +47,7 @@ class ExperimentConfig:
     mesh: MeshConfig = field(default_factory=MeshConfig)
     K: int = 64
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    generators: dict = field(default_factory=dict)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    tolerances: dict = field(default_factory=dict)
     out: str = "fluxlab-out"
 
     def __post_init__(self):
@@ -57,18 +55,7 @@ class ExperimentConfig:
             self.sampler.seed = self.seed
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "mesh": {"N": self.mesh.N, "L": list(self.mesh.L)},
-            "K": self.K,
-            "sampler": {"m": self.sampler.m, "count": self.sampler.count,
-                        "refine": self.sampler.refine, "seed": self.sampler.seed},
-            "generators": self.generators,
-            "schedule": {"amplitudes": list(self.schedule.amplitudes)},
-            "tolerances": self.tolerances,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 _SCHEMA = {
@@ -77,9 +64,7 @@ _SCHEMA = {
     "mesh": {"N": int, "L": list},
     "K": int,
     "sampler": {"m": int, "count": int, "refine": int, "seed": int},
-    "generators": dict,
     "schedule": {"amplitudes": list},
-    "tolerances": dict,
     "out": str,
 }
 
@@ -90,16 +75,13 @@ def _check_keys(data: dict, schema: dict, path: str = ""):
         if key not in schema:
             raise ConfigError(f"unknown key {where!r}")
         expected = schema[key]
-        if isinstance(expected, dict) and expected is not dict:
+        if isinstance(expected, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{where!r} must be an object")
             _check_keys(val, expected, where)
         elif expected is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{where!r} must be an integer")
-        elif expected is dict:
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where!r} must be an object")
         elif not isinstance(val, expected):
             raise ConfigError(f"{where!r} must be {expected.__name__}")
 
@@ -127,9 +109,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         mesh=mesh,
         K=data.get("K", 64),
         sampler=sampler,
-        generators=data.get("generators", {}),
         schedule=schedule,
-        tolerances=data.get("tolerances", {}),
         out=data.get("out", "fluxlab-out"),
     )
 

@@ -37,10 +37,12 @@ from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
 
-#: Relative slack of the sampled triangle and duality axioms and of the
-#: energy positivity chain (the norm estimates are sampled lower bounds).
+#: Relative slack of the sampled triangle and duality axioms, of the
+#: energy positivity chain and of the two-sided norm equivalence under
+#: conjugation (the norm estimates are sampled lower bounds).
 AXIOM_SLACK = 0.05
 CHAIN_SLACK = 0.05
+CONJUGATION_SLACK = 0.05
 
 #: Separation axiom: a map farther than SEPARATION_DISTANCE from the
 #: identity in d0 must have a sampled norm above SEPARATION_NORM.
@@ -441,7 +443,7 @@ def _require_vanishing_flux(phi: TorusMap):
 
 
 def conjugation_check(h: TorusMap, phi: TorusMap, x, alpha: OneForm,
-                      sampler: UnitSphereSampler, slack: float = 0.05,
+                      sampler: UnitSphereSampler,
                       omega: TwoForm | None = None) -> ConjugationReport:
     """The conjugation identity for the unnormalized invariant:
     Delta~(phi h phi^{-1}, alpha) at phi(x) equals Delta~(h, phi^* alpha)
@@ -465,8 +467,8 @@ def conjugation_check(h: TorusMap, phi: TorusMap, x, alpha: OneForm,
     n_c = psi_norm(conj, sampler).norm_lower_bound
     c_phi = pullback_bound_constant(phi)
     c_phi_inv = pullback_bound_constant(phi.inverse())
-    ok = (n_h / c_phi_inv <= n_c + slack * max(n_h, 1e-30)
-          and n_c <= c_phi * n_h + slack * max(n_h, 1e-30))
+    ok = (n_h / c_phi_inv <= n_c + CONJUGATION_SLACK * max(n_h, 1e-30)
+          and n_c <= c_phi * n_h + CONJUGATION_SLACK * max(n_h, 1e-30))
     return ConjugationReport(identity_residual=abs(lhs - rhs), lhs=lhs,
                              rhs=rhs, sandwich_ok=ok, norm_h=n_h,
                              norm_conj=n_c, c_phi=c_phi, c_phi_inv=c_phi_inv)

@@ -409,12 +409,15 @@ def _certification_tol(phi_path: Isotopy, vel: np.ndarray) -> float:
 
 
 def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
-                         what: str) -> np.ndarray:
-    """Velocity samples with the closedness certification of i_{X_t} omega."""
+                         what: str):
+    """j -> the grid samples of X_{t_j}, after the closedness certification
+    of i_{X_t} omega.  A generator certified by construction is trusted and
+    sampled only at the times asked for, so a flux pulled back through its
+    point values never stacks all K + 1 fields."""
+    gen = phi_path.generator
+    if isinstance(gen, TimeField) and gen.certified_symplectic:
+        return lambda j: gen.field(phi_path.times[j])
     vel = phi_path.generator_samples()
-    if (isinstance(phi_path.generator, TimeField)
-            and phi_path.generator.certified_symplectic):
-        return vel
     if tol is None:
         tol = _certification_tol(phi_path, vel)
     worst = 0.0
@@ -426,7 +429,7 @@ def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
             f"{worst:.3e} > {tol:.3e}")
-    return vel
+    return vel.__getitem__
 
 
 def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
@@ -442,19 +445,19 @@ def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
     return p
 
 
-def _generator_at(phi_path: Isotopy, vel: np.ndarray):
+def _generator_at(phi_path: Isotopy, vel):
     """j -> a point evaluator of X_{t_j}: the generator's own point values
-    (`TimeField.at`) when it has them, else a spline of vel[j], one for a
-    steady path and a transient one per sample otherwise.  Nothing is
-    cached on the generator: at N = 128 each spline holds about 1 MB, and
-    a path at K = 64 has 65 samples."""
+    (`TimeField.at`) when it has them, else a spline of the grid samples
+    vel(j), one for a steady path and a transient one per sample otherwise.
+    Nothing is cached on the generator: at N = 128 each spline holds about
+    1 MB, and a path at K = 64 has 65 samples."""
     gen = phi_path.generator
     if isinstance(gen, TimeField) and gen.at is not None:
         return lambda j: partial(gen.at, phi_path.times[j])
     if _is_autonomous(phi_path):
-        ip = VectorInterpolator(vel[0], phi_path.mesh)
+        ip = VectorInterpolator(vel(0), phi_path.mesh)
         return lambda j: ip
-    return lambda j: VectorInterpolator(vel[j], phi_path.mesh)
+    return lambda j: VectorInterpolator(vel(j), phi_path.mesh)
 
 
 def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
@@ -472,7 +475,7 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     vel = _certified_generator(phi_path, omega, tol, what)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *mesh.shape))
-    steady = interior_product(vel[0], omega) if _is_autonomous(phi_path) else None
+    steady = interior_product(vel(0), omega) if _is_autonomous(phi_path) else None
     if pull:
         X_at = _generator_at(phi_path, vel)
         rho = PeriodicInterpolator(omega.density, mesh)
@@ -484,7 +487,7 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
                 m, lambda pts: interior_components(X(pts), rho(pts)))
         else:
             # a steady generator reuses one grid form
-            beta = steady if steady is not None else interior_product(vel[j], omega)
+            beta = steady if steady is not None else interior_product(vel(j), omega)
         acc += w[j] * beta.components
     return OneForm(mesh, *acc)
 

@@ -1,7 +1,8 @@
 """JSON grid serialization for forms, maps, and isotopies.
 
-Every record carries a header {n, N, L, kind} followed by row-major
-component arrays; maps serialize their displacement (Jacobians are
+Every record carries a header {n, N, L, upsample, kind} followed by
+row-major component arrays; a header without `upsample` reads as the
+mesh default, 2.  Maps serialize their displacement (Jacobians are
 reconstructed spectrally on load), isotopies serialize K plus the map
 records.
 """
@@ -20,13 +21,15 @@ from .mesh import GridMesh
 
 
 def _header(mesh: GridMesh, kind: str) -> dict:
-    return {"n": 2, "N": mesh.N, "L": list(mesh.L), "kind": kind}
+    return {"n": 2, "N": mesh.N, "L": list(mesh.L), "upsample": mesh.upsample,
+            "kind": kind}
 
 
 def _mesh_from_header(h: dict) -> GridMesh:
     if h.get("n") != 2:
         raise ValueError(f"unsupported dimension {h.get('n')}")
-    return GridMesh(N=int(h["N"]), L=tuple(h["L"]))
+    return GridMesh(N=int(h["N"]), L=tuple(h["L"]),
+                    upsample=int(h.get("upsample", 2)))
 
 
 def to_payload(obj) -> dict:

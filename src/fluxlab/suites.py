@@ -125,16 +125,6 @@ class SuiteContext:
         self.sampler = UnitSphereSampler(
             self.mesh, max_mode=config.sampler.m, count=config.sampler.count,
             refine=config.sampler.refine, seed=config.sampler.seed)
-        self.generators = config.generators
-        self.tolerances = config.tolerances
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
-    def gen_spec(self, name: str, default: dict) -> dict:
-        spec = dict(default)
-        spec.update(self.generators.get(name, {}))
-        return spec
 
     def norm(self, psi: TorusMap) -> float:
         return psi_norm(psi, self.sampler).norm_lower_bound
@@ -243,14 +233,14 @@ def suite_pullback_bound(ctx: SuiteContext) -> list[CheckRow]:
             worst = max(worst, ratio - 1.0)
         return worst
 
-    rows.add("01-random-pairs", ctx.tol("pullback_bound", 1e-6), random_pairs)
+    rows.add("01-random-pairs", 1e-6, random_pairs)
 
     def shear_spot():
         S = catalog.shear(mesh, 0.1)
         val = l2_norm(pullback_oneform(S, OneForm.constant(mesh, 1.0, 0.0).at)) ** 2
         return abs(val / (1.0 + 0.02 * math.pi ** 2) - 1.0)
 
-    rows.add("02-shear-spot", ctx.tol("pullback_spot", 1e-6), shear_spot,
+    rows.add("02-shear-spot", 1e-6, shear_spot,
              anchor="closed-form value of the sheared form norm")
     elapsed = time.perf_counter() - t0
     rows.add("03-runtime", 0.0, lambda: (max(0.0, elapsed - PULLBACK_BUDGET_S),
@@ -266,8 +256,7 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
     state = {}
 
     def build():
-        psi = catalog.build_map(mesh, ctx.gen_spec(
-            "base_map", {"type": "twist", "e1": 0.08, "e2": 0.06}))
+        psi = catalog.twist(mesh, 0.08, 0.06)
         amps = list(ctx.config.schedule.amplitudes)
         seq = build_perturbation_sequence(psi, amps, base_eps=(1e-3, 1e-3))
         alpha = _mode_form(ctx.sampler, harmonic=(0.7, -0.4),
@@ -288,9 +277,9 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
              lambda: float(np.diff(state["e_l2"][3:]).max()))
     rows.add("02-sup-monotone", 0.0,
              lambda: float(np.diff(state["e_sup"][3:]).max()))
-    rows.add("03-l2-final", ctx.tol("lemma14_final", 1e-3),
+    rows.add("03-l2-final", 1e-3,
              lambda: float(state["e_l2"][-1]))
-    rows.add("04-sup-final", ctx.tol("lemma14_final", 1e-3),
+    rows.add("04-sup-final", 1e-3,
              lambda: float(state["e_sup"][-1]))
     rows.add("05-d0-monotone", 0.0,
              lambda: float(np.diff(state["d0s"][3:]).max()),
@@ -348,13 +337,13 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
                     worst = max(worst, abs(d1 - d2) / (1.0 + abs(d1)))
         return worst
 
-    rows.add("01-agreement", ctx.tol("cor22", 1e-4), agreement)
+    rows.add("01-agreement", 1e-4, agreement)
 
     def spot():
         S = catalog.shear(mesh, 0.1)
         return abs(delta(S, OneForm.constant(mesh, 1.0, 0.0), (0.0, 0.25)) + 0.1)
 
-    rows.add("02-shear-spot", ctx.tol("cor22_spot", 1e-4), spot,
+    rows.add("02-shear-spot", 1e-4, spot,
              anchor="analytic displacement mean of the shear")
 
     def independence():
@@ -366,7 +355,7 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
         dB = delta_via_flux(flowA.end_map, alpha, p, flowB)
         return abs(dA - dB)
 
-    rows.add("03-isotopy-independence", ctx.tol("cor22_paths", 1e-6), independence)
+    rows.add("03-isotopy-independence", 1e-6, independence)
 
     def continuity():
         base = catalog.twist(mesh, 0.06, 0.05)
@@ -405,14 +394,13 @@ def suite_conjugation(ctx: SuiteContext) -> list[CheckRow]:
             phi = phis[count % 3]
             alpha = forms[count % 2]
             x = rng.uniform(0.0, 1.0, 2)
-            rep = conjugation_check(h, phi, x, alpha, ctx.sampler,
-                                    slack=ctx.tol("conj_slack", 0.05))
+            rep = conjugation_check(h, phi, x, alpha, ctx.sampler)
             worst = max(worst, rep.identity_residual / (1.0 + abs(rep.lhs)))
             fails += 0 if rep.sandwich_ok else 1
         state["fails"] = fails
         return worst
 
-    rows.add("01-identity-residual", ctx.tol("conjugation", 1e-4), tuples)
+    rows.add("01-identity-residual", 1e-4, tuples)
     rows.add("02-sandwich", 0.0, lambda: float(state["fails"]),
              anchor="two-sided norm equivalence under conjugation")
     return rows.items
@@ -450,7 +438,7 @@ def suite_energy_positivity(ctx: SuiteContext) -> list[CheckRow]:
         state["pair"] = (phi, psi)
         return commutator_collapse_check(f, phi, psi, strip)
 
-    rows.add("01-collapse-residual", ctx.tol("collapse", 1e-3), collapse,
+    rows.add("01-collapse-residual", 1e-3, collapse,
              anchor="commutator collapse under displacement")
 
     def chain():
@@ -499,7 +487,7 @@ def suite_volume_defect(ctx: SuiteContext) -> list[CheckRow]:
                             0.3 * np.cos(2 * np.pi * X)])]
         return max(volume_defect(m, Yf) for m in vp_maps for Yf in fields)
 
-    rows.add("01-vp-catalog", ctx.tol("vp_defect", 1e-6), vp_catalog)
+    rows.add("01-vp-catalog", 1e-6, vp_catalog)
 
     def witness():
         nvp = catalog.non_volume_preserving(mesh, eps=0.1)
@@ -611,7 +599,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
                 worst = max(worst, sup_norm(rec))
         return worst
 
-    rows.add("01-split-reconstruction", ctx.tol("split", 1e-8), reconstruction,
+    rows.add("01-split-reconstruction", 1e-8, reconstruction,
              anchor="generator splitting residual")
 
     def mean_zero():
@@ -626,13 +614,12 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
 
     def certify():
         from .isotopy import commutator_generator
-        theta, pi = commutator_generator(state["phi"], state["psi"],
-                                         tol=ctx.tol("g1_cert", 1e-3))
+        theta, pi = commutator_generator(state["phi"], state["psi"])
         state["theta"] = theta
         return theta.provenance["certified_residual"]
 
-    rows.add("03-certified-residual", ctx.tol("g1_cert", 1e-3), certify)
-    rows.add("04-theta-flux", ctx.tol("g1_flux", 1e-6),
+    rows.add("03-certified-residual", 1e-3, certify)
+    rows.add("04-theta-flux", 1e-6,
              lambda: symplectic_flux(state["theta"]).max_abs(),
              anchor="commutators have vanishing flux")
 
@@ -666,7 +653,7 @@ def suite_f_vs_geodesic(ctx: SuiteContext) -> list[CheckRow]:
                                         - geodesic_functional(flow, alpha)))
         return worst
 
-    rows.add("01-smooth-agreement", ctx.tol("l41_smooth", 1e-6), smooth)
+    rows.add("01-smooth-agreement", 1e-6, smooth)
 
     def sequences():
         X0 = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
@@ -682,7 +669,7 @@ def suite_f_vs_geodesic(ctx: SuiteContext) -> list[CheckRow]:
         return float(np.diff(gaps).max())
 
     rows.add("02-sequence-monotone", 0.0, sequences)
-    rows.add("03-sequence-final", ctx.tol("l41_final", 1e-2),
+    rows.add("03-sequence-final", 1e-2,
              lambda: state["gaps"][-1])
 
     def kappa_bound():
@@ -715,8 +702,8 @@ def suite_rigidity_limit(ctx: SuiteContext) -> list[CheckRow]:
         state["rep"] = rep
         return rep.norm_premises[-1]
 
-    rows.add("01-premise-vanishes", ctx.tol("rigidity_premise", 1e-2), convergent)
-    rows.add("02-distance-vanishes", ctx.tol("rigidity_distance", 1e-3),
+    rows.add("01-premise-vanishes", 1e-2, convergent)
+    rows.add("02-distance-vanishes", 1e-3,
              lambda: state["rep"].final_distance)
     rows.add("03-constant-sequence", 1e-12, lambda: max(
         rigidity_limit_check([state["target"]] * 3, state["target"],
@@ -775,7 +762,7 @@ def suite_hofer_cauchy(ctx: SuiteContext) -> list[CheckRow]:
 
     rows.add("05-cauchy-monotone", 0.0, cauchy,
              anchor="Cauchy tails of a commuting family")
-    rows.add("06-cauchy-final", ctx.tol("cauchy_tail", 1e-2),
+    rows.add("06-cauchy-final", 1e-2,
              lambda: state["tails"][-1],
              anchor="Cauchy tails of a commuting family")
     return rows.items

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from fluxlab.config import parse_config
-from fluxlab.displacement import AXIOM_SLACK, CHAIN_SLACK
+from fluxlab.displacement import AXIOM_SLACK, CHAIN_SLACK, CONJUGATION_SLACK
 from fluxlab.suites import (LEMMA14_BUDGET_S, PULLBACK_BUDGET_S, emit_report,
                             run_suite)
 
@@ -81,9 +81,12 @@ def test_criterion_03_delta_consistency(battery):
 
 
 def test_criterion_04_conjugation_identity(battery):
-    resid, = rows(battery, "conjugation", "01-identity-residual")
-    report(4, passed(resid) and resid.value <= 1e-4,
-           f"10 tuples, worst residual {resid.value:.2e}")
+    resid, sandwich = rows(battery, "conjugation", "01-identity-residual",
+                           "02-sandwich")
+    report(4, passed(resid, sandwich) and resid.value <= 1e-4
+           and sandwich.value <= 0 and CONJUGATION_SLACK <= 0.05,
+           f"10 tuples, worst residual {resid.value:.2e}, "
+           f"{sandwich.value:g} sandwich failures at slack {CONJUGATION_SLACK}")
 
 
 def test_criterion_05_norm_axioms(battery):
@@ -136,12 +139,23 @@ def test_criterion_10_generator_split_and_commutator(battery):
     rec, mean, cert, flux = rows(
         battery, "generator-g1", "01-split-reconstruction", "02-mean-zero",
         "03-certified-residual", "04-theta-flux")
-    report(10, passed(rec, mean, cert, flux) and rec.value <= 1e-8
-           and mean.value <= 1e-12 and cert.value <= 1e-3
-           and flux.value <= 1e-6,
+    # the path length is built from the same generator split
+    ident, trans, osc, reparam, tails, tail = rows(
+        battery, "hofer-cauchy", "01-identity-length", "02-translation-length",
+        "03-autonomous-oscillation", "04-reparam-invariance",
+        "05-cauchy-monotone", "06-cauchy-final")
+    report(10, passed(rec, mean, cert, flux, ident, trans, osc, reparam,
+                      tails, tail)
+           and rec.value <= 1e-8 and mean.value <= 1e-12
+           and cert.value <= 1e-3 and flux.value <= 1e-6
+           and ident.value <= 1e-12 and trans.value <= 1e-10
+           and osc.value <= 1e-8 and reparam.value <= 1e-8
+           and tails.value <= 0 and tail.value <= 1e-2,
            f"reconstruction {rec.value:.1e}, mean {mean.value:.1e}, "
            f"certified residual {cert.value:.2e}, "
-           f"commutator flux {flux.value:.1e}")
+           f"commutator flux {flux.value:.1e}; length errors "
+           f"{max(ident.value, trans.value, osc.value, reparam.value):.1e}, "
+           f"Cauchy tail {tail.value:.1e}")
 
 
 def test_criterion_11_path_vs_chord(battery):

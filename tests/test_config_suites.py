@@ -30,9 +30,11 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert list(cfg.schedule.amplitudes) == [1.0 / i for i in range(1, 17)]
 
 
-def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="mash"):
-        parse_config({"suite": "norm-axioms", "seed": 1, "mash": {"N": 64}})
+@pytest.mark.parametrize("key", ["mash", "tolerances", "generators"])
+def test_unknown_key_rejected(key):
+    # tolerances and base maps are code, not config
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config({"suite": "norm-axioms", "seed": 1, key: {"N": 64}})
 
 
 def test_nested_unknown_key_rejected():

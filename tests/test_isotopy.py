@@ -253,6 +253,26 @@ def test_flux_of_catalog_flows_builds_no_spline(monkeypatch):
     assert len(splined) == 16
 
 
+def test_flux_of_a_certified_path_stacks_no_samples(monkeypatch):
+    # flux-duality's concatenated path: its certified generator is read on
+    # the grid only at the identity samples, never stacked over all times
+    mesh = GridMesh(N=32)
+    path = concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
+                          catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16),
+                          BumpProfile(), oversample=2)
+    assert path.generator.certified_symplectic
+
+    def stacked(self):
+        raise AssertionError("generator samples stacked")
+
+    monkeypatch.setattr(Isotopy, "generator_samples", stacked)
+    p = symplectic_flux(path)
+    fathi_mass_flow(path)
+    # the parts' translation fluxes add up, to twice the gap measured at
+    # this N and K (1.2e-5)
+    assert abs(p[0] - (0.15 - 0.2)) < 2.5e-5 and abs(p[1] - (0.25 - 0.1)) < 2.5e-5
+
+
 def test_catalog_point_values_are_the_grid_samples():
     # each flow's samples are its point values at the mesh points, and both
     # equal the grid expressions the catalog used before it had point values

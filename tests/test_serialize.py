@@ -30,7 +30,7 @@ def test_scalar_roundtrip(tmp_path, mesh):
 def test_header_contents(mesh):
     payload = serialize.to_payload(OneForm.constant(mesh, 1.0, 2.0))
     assert payload["header"] == {"n": 2, "N": 16, "L": [1.0, 1.0],
-                                 "kind": "oneform"}
+                                 "upsample": 2, "kind": "oneform"}
 
 
 def test_oneform_roundtrip(tmp_path, mesh):
@@ -56,6 +56,16 @@ def test_map_roundtrip(tmp_path, mesh):
     assert np.array_equal(m.disp, m2.disp)
     # reconstructed Jacobian is spectral; agrees with the analytic one
     assert np.abs(m.jac - m2.jac).max() < 1e-10
+
+
+def test_map_roundtrip_keeps_upsample(tmp_path):
+    # the refinement factor sets off-grid values, so it must survive a reload
+    m = catalog.twist(GridMesh(N=16, upsample=4), 0.05, 0.04)
+    serialize.save(m, tmp_path / "map.json")
+    m2 = serialize.load(tmp_path / "map.json")
+    assert m2.mesh.upsample == 4
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (2, 50))
+    assert np.array_equal(m.interp_disp(pts), m2.interp_disp(pts))
 
 
 def test_isotopy_roundtrip(tmp_path, mesh):
