@@ -202,8 +202,8 @@ class Isotopy:
             raise ValueError("an isotopy needs at least two time samples")
         if not maps[0].is_identity(1e-10):
             raise ValueError("sample 0 of an isotopy must be the identity")
-        disp = np.stack([m.disp for m in maps])
-        jump = np.abs(np.diff(disp, axis=0)).max() if len(maps) > 1 else 0.0
+        # pair by pair: a (K+1)-sample stack would be built for one maximum
+        jump = max(np.abs(b.disp - a.disp).max() for a, b in zip(maps, maps[1:]))
         if jump > mesh.injectivity_radius / 2.0:
             raise LiftError(
                 f"consecutive samples jump by {jump:.3f} > r(g)/2 = "
@@ -240,12 +240,9 @@ class Isotopy:
     # -- sampling -------------------------------------------------------------
 
     @cached_property
-    def _disp_stack(self) -> np.ndarray:
-        return np.stack([m.disp for m in self.maps])
-
-    @cached_property
     def _disp_spline(self):
-        return CubicSpline(self.times, self._disp_stack, axis=0)
+        return CubicSpline(self.times, np.stack([m.disp for m in self.maps]),
+                           axis=0)
 
     def at_time(self, t: float) -> TorusMap:
         """Map at an arbitrary time: exact sample, exact constructor when the
@@ -377,15 +374,12 @@ def velocity_field(phi_path: Isotopy) -> VectorFieldPath:
     generator still expose it separately via `generator_samples`.
     """
     mesh = phi_path.mesh
-    K = phi_path.K
-    disp = phi_path._disp_stack
-    dudt = _time_derivative(disp, K)
-    invs = phi_path._inverses()
-    samples = np.empty_like(disp)
-    for j in range(K + 1):
-        pts = invs[j].flat_position
-        samples[j] = VectorInterpolator(dudt[j], mesh)(pts).reshape(2, *mesh.shape)
-    return VectorFieldPath(mesh, samples)
+    dudt = _time_derivative(np.stack([m.disp for m in phi_path.maps]), phi_path.K)
+    # each sample is overwritten in place: its interpolator holds a copy
+    for j, inv in enumerate(phi_path._inverses()):
+        vel = VectorInterpolator(dudt[j], mesh)(inv.flat_position)
+        dudt[j] = vel.reshape(2, *mesh.shape)
+    return VectorFieldPath(mesh, dudt)
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +726,9 @@ def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:
 
 def orbit_length_bound(phi_path: Isotopy) -> float:
     """kappa: the largest lifted orbit length over all grid points."""
-    disp = phi_path._disp_stack
-    seg = np.sqrt(np.diff(disp, axis=0)[:, 0] ** 2 +
-                  np.diff(disp, axis=0)[:, 1] ** 2)
-    return float(seg.sum(axis=0).max())
+    total = sum(np.sqrt(((b.disp - a.disp) ** 2).sum(axis=0))
+                for a, b in zip(phi_path.maps, phi_path.maps[1:]))
+    return float(total.max())
 
 
 def c0bar_distance(a_path: Isotopy, b_path: Isotopy) -> float:

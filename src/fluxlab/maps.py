@@ -101,18 +101,23 @@ class TorusMap:
             self._jac = jac
         return self._jac
 
+    def _det_of_jac(self) -> np.ndarray:
+        J = self.jac
+        return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+
     @property
     def det(self) -> np.ndarray:
         if self._det is None:
-            J = self.jac
-            self._det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+            self._det = self._det_of_jac()
         return self._det
 
     def _validate(self):
-        if self.det.min() <= 0.0:
-            i, j = np.unravel_index(np.argmin(self.det), self.det.shape)
+        # det is not cached here: most validated maps never read it again
+        det = self._det_of_jac()
+        if det.min() <= 0.0:
+            i, j = np.unravel_index(np.argmin(det), det.shape)
             raise DiffeomorphismError(
-                f"det J = {self.det.min():.3e} <= 0 at grid point "
+                f"det J = {det.min():.3e} <= 0 at grid point "
                 f"({self.mesh.axes[0][i]:.4f}, {self.mesh.axes[1][j]:.4f})")
 
     # -- constructors ---------------------------------------------------------

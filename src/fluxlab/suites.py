@@ -296,19 +296,17 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
 
 def _cor22_flows(ctx: SuiteContext):
     mesh, K = ctx.mesh, ctx.K
-    return [
-        catalog.translation_flow(mesh, 0.3, 0.4, K),
-        catalog.translation_flow(mesh, -0.2, 0.1, K),
-        catalog.shear_flow(mesh, 0.1, axis=0, mode=1, K=K),
-        catalog.shear_flow(mesh, -0.15, axis=0, mode=2, K=K),
-        catalog.shear_flow(mesh, 0.12, axis=1, mode=1, K=K),
-        catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K),
-        catalog.translation_shear_flow(mesh, -0.2, 0.15, 0.08, K=K),
-        catalog.translation_shear_flow(mesh, 0.1, 0.0, 0.05, K=K),
-        # supports wide enough that the bump profiles are fully resolved
-        catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, K),
-        catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, K),
-    ]
+    yield catalog.translation_flow(mesh, 0.3, 0.4, K)
+    yield catalog.translation_flow(mesh, -0.2, 0.1, K)
+    yield catalog.shear_flow(mesh, 0.1, axis=0, mode=1, K=K)
+    yield catalog.shear_flow(mesh, -0.15, axis=0, mode=2, K=K)
+    yield catalog.shear_flow(mesh, 0.12, axis=1, mode=1, K=K)
+    yield catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K)
+    yield catalog.translation_shear_flow(mesh, -0.2, 0.15, 0.08, K=K)
+    yield catalog.translation_shear_flow(mesh, 0.1, 0.0, 0.05, K=K)
+    # supports wide enough that the bump profiles are fully resolved
+    yield catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, K)
+    yield catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, K)
 
 
 def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
@@ -551,10 +549,11 @@ def suite_flux_duality(ctx: SuiteContext) -> list[CheckRow]:
 
     def duality():
         worst = -math.inf
-        for flow in (catalog.translation_flow(mesh, 0.3, 0.4, K),
-                     catalog.shear_flow(mesh, 0.1, K=K),
-                     catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K),
-                     catalog.rotation_flow(mesh, (0.5, 0.5), 0.2, 0.8, K)):
+        for make in (lambda: catalog.translation_flow(mesh, 0.3, 0.4, K),
+                     lambda: catalog.shear_flow(mesh, 0.1, K=K),
+                     lambda: catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K),
+                     lambda: catalog.rotation_flow(mesh, (0.5, 0.5), 0.2, 0.8, K)):
+            flow = make()
             mm = fathi_mass_flow(flow)
             pp = volume_flux(flow)
             worst = max(worst, abs(mm[0] - pp[1]), abs(mm[1] + pp[0]))
@@ -565,8 +564,9 @@ def suite_flux_duality(ctx: SuiteContext) -> list[CheckRow]:
 
     def volume_vs_symplectic():
         worst = -math.inf
-        for flow in (catalog.translation_flow(mesh, 0.3, 0.4, K),
-                     catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K)):
+        for make in (lambda: catalog.translation_flow(mesh, 0.3, 0.4, K),
+                     lambda: catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K)):
+            flow = make()
             pp, qq = volume_flux(flow), symplectic_flux(flow)
             worst = max(worst, abs(pp[0] - qq[0]), abs(pp[1] - qq[1]))
         return worst
@@ -647,8 +647,9 @@ def suite_f_vs_geodesic(ctx: SuiteContext) -> list[CheckRow]:
 
     def smooth():
         worst = -math.inf
-        for flow in (catalog.shear_flow(mesh, 0.1, K=K),
-                     catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K)):
+        for make in (lambda: catalog.shear_flow(mesh, 0.1, K=K),
+                     lambda: catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K)):
+            flow = make()
             worst = max(worst, sup_norm(f_functional(flow, alpha, 1.0)
                                         - geodesic_functional(flow, alpha)))
         return worst

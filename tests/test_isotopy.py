@@ -824,3 +824,90 @@ def test_orbit_lift_guard_between_grid_points():
     isotopy._orbit_points(path, np.array([0.3, 0.2]))
     with pytest.raises(LiftError, match="orbit lift increment"):
         isotopy._orbit_points(path, np.array([0.3, 1 / 32]))
+
+
+# -- streamed whole-path reductions -------------------------------------------
+
+def _stacked_jump(maps):
+    """The constructor's jump check as a reduction over the stacked path."""
+    disp = np.stack([m.disp for m in maps])
+    return np.abs(np.diff(disp, axis=0)).max()
+
+
+def _stacked_orbit_length(path):
+    disp = np.stack([m.disp for m in path.maps])
+    seg = np.sqrt(np.diff(disp, axis=0)[:, 0] ** 2 +
+                  np.diff(disp, axis=0)[:, 1] ** 2)
+    return float(seg.sum(axis=0).max())
+
+
+def _streamed_paths():
+    mesh = GridMesh(N=32)
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
+    A = catalog.translation_flow(mesh, 0.25, -0.15, 16)
+    B = catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16)
+    return mesh, [flow, concat_reparam(A, B, BumpProfile(), oversample=2)]
+
+
+def _lift_threshold(monkeypatch, threshold):
+    """Make the constructor's jump bound r(g)/2 equal `threshold` exactly."""
+    monkeypatch.setattr(GridMesh, "injectivity_radius",
+                        property(lambda self: 2.0 * threshold))
+
+
+def test_constructor_jump_equals_the_stacked_oracle(monkeypatch):
+    # the jump passes a bound equal to the oracle and fails the next float
+    # below it, so the two are the same float bit for bit
+    mesh, paths = _streamed_paths()
+    for path in paths:
+        oracle = _stacked_jump(path.maps)
+        assert oracle > 0.0
+        _lift_threshold(monkeypatch, oracle)
+        Isotopy(mesh, path.maps)
+        _lift_threshold(monkeypatch, np.nextafter(oracle, 0.0))
+        with pytest.raises(LiftError, match="consecutive samples jump"):
+            Isotopy(mesh, path.maps)
+        assert (float(np.nextafter(oracle, 0.0)).hex() != float(oracle).hex())
+
+
+def test_lift_error_fires_just_above_a_quarter_period():
+    mesh = GridMesh(N=32)
+    step = lambda s: TorusMap(mesh, np.stack([np.full(mesh.shape, s),
+                                              np.zeros(mesh.shape)]))
+    quarter = mesh.injectivity_radius / 2.0
+    assert quarter == 0.25
+    Isotopy(mesh, [TorusMap.identity(mesh), step(quarter)])
+    with pytest.raises(LiftError, match="consecutive samples jump"):
+        Isotopy(mesh, [TorusMap.identity(mesh), step(np.nextafter(quarter, 1.0))])
+
+
+def test_constructor_holds_no_stack_of_samples():
+    import tracemalloc
+    mesh = GridMesh(N=32)
+    maps = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64).maps
+    tracemalloc.start()
+    try:
+        Isotopy(mesh, maps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a pair difference and its absolute value; the stack was 65 samples
+    assert peak <= 4 * maps[0].disp.nbytes
+
+
+def test_orbit_length_bound_equals_the_stacked_oracle():
+    _, paths = _streamed_paths()
+    for path in paths:
+        assert orbit_length_bound(path).hex() == _stacked_orbit_length(path).hex()
+
+
+def test_velocity_field_equals_the_stacked_oracle():
+    mesh, paths = _streamed_paths()
+    for path in paths:
+        disp = np.stack([m.disp for m in path.maps])
+        dudt = isotopy._time_derivative(disp, path.K)
+        invs = path._inverses()
+        expected = np.stack([
+            isotopy.VectorInterpolator(dudt[j], mesh)(invs[j].flat_position)
+            .reshape(2, *mesh.shape) for j in range(path.K + 1)])
+        assert np.array_equal(velocity_field(path).samples, expected)

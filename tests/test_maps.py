@@ -295,3 +295,30 @@ def test_max_singular_value_shear(mesh):
     a = 0.1 * TWO_PI
     expected = math.sqrt((2 + a * a + math.sqrt((2 + a * a) ** 2 - 4)) / 2)
     assert abs(max_singular_value(S) - expected) < 1e-12
+
+
+def test_validation_does_not_cache_det():
+    mesh = GridMesh(N=32)
+    m = catalog.twist(mesh, 0.08, 0.06)
+    n = compose(m, m)
+    for phi in (m, n):
+        assert phi._det is None
+        det = phi.det
+        assert phi._det is det
+        J = phi.jac
+        assert np.array_equal(det, J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+
+
+def test_diffeomorphism_error_message():
+    mesh = GridMesh(N=32)
+    X, _ = mesh.points
+    u = np.stack([0.3 * np.sin(2 * np.pi * X), np.zeros(mesh.shape)])
+    (a, b), (c, d) = mesh.gradient(u[0]), mesh.gradient(u[1])
+    det = (1.0 + a) * (1.0 + d) - b * c
+    assert det.min() < 0.0
+    i, j = np.unravel_index(np.argmin(det), det.shape)
+    expected = (f"det J = {det.min():.3e} <= 0 at grid point "
+                f"({mesh.axes[0][i]:.4f}, {mesh.axes[1][j]:.4f})")
+    with pytest.raises(DiffeomorphismError) as err:
+        TorusMap(mesh, u)
+    assert str(err.value) == expected
