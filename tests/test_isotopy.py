@@ -1,6 +1,7 @@
 """Flows, velocity recovery, fluxes, mass flow, path functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -867,22 +868,22 @@ def test_constructor_jump_equals_the_stacked_oracle(monkeypatch):
         _lift_threshold(monkeypatch, np.nextafter(oracle, 0.0))
         with pytest.raises(LiftError, match="consecutive samples jump"):
             Isotopy(mesh, path.maps)
-        assert (float(np.nextafter(oracle, 0.0)).hex() != float(oracle).hex())
 
 
 def test_lift_error_fires_just_above_a_quarter_period():
     mesh = GridMesh(N=32)
-    step = lambda s: TorusMap(mesh, np.stack([np.full(mesh.shape, s),
-                                              np.zeros(mesh.shape)]))
-    quarter = mesh.injectivity_radius / 2.0
-    assert quarter == 0.25
-    Isotopy(mesh, [TorusMap.identity(mesh), step(quarter)])
+
+    def step(s):
+        return [TorusMap.identity(mesh),
+                TorusMap(mesh, np.stack([np.full(mesh.shape, s), np.zeros(mesh.shape)]))]
+
+    assert mesh.injectivity_radius / 2.0 == 0.25
+    Isotopy(mesh, step(0.25))
     with pytest.raises(LiftError, match="consecutive samples jump"):
-        Isotopy(mesh, [TorusMap.identity(mesh), step(np.nextafter(quarter, 1.0))])
+        Isotopy(mesh, step(np.nextafter(0.25, 1.0)))
 
 
 def test_constructor_holds_no_stack_of_samples():
-    import tracemalloc
     mesh = GridMesh(N=32)
     maps = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64).maps
     tracemalloc.start()
