@@ -18,7 +18,9 @@ import json
 import math
 import platform
 import time
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -64,19 +66,40 @@ class Rows:
     def __init__(self, default_anchor: str):
         self.items: list[CheckRow] = []
         self.anchor = default_anchor
+        self.raised: dict[str, str] = {}  # check_id -> note of a row that raised
 
     def add(self, check_id: str, tol: float, fn, anchor: str | None = None,
-            note: str = ""):
-        try:
-            out = fn()
-            if isinstance(out, tuple):
-                out, note = out
-            self.items.append(CheckRow(check_id, anchor or self.anchor,
-                                       float(out), tol, note=note))
-        except Exception as exc:
-            self.items.append(CheckRow(check_id, anchor or self.anchor,
-                                       math.nan, tol,
-                                       note=f"{type(exc).__name__}: {exc}"))
+            note: str = "", needs: tuple[str, ...] = ()):
+        """Run `fn` as row `check_id`.  An exception becomes a failing row
+        whose note names it and the innermost fluxlab frame it came from.
+        A row that `needs` earlier rows (those that set the state it reads)
+        is not run when one of them raised; its note names that row and its
+        error instead."""
+        cause = next((c for c in needs if c in self.raised), None)
+        if cause is not None:
+            out, note = math.nan, f"needs {cause}, which raised {self.raised[cause]}"
+        else:
+            try:
+                out = fn()
+                if isinstance(out, tuple):
+                    out, note = out
+                out = float(out)
+            except Exception as exc:
+                out = math.nan
+                note = f"{type(exc).__name__}: {exc}; at {_fluxlab_frame(exc)}"
+                self.raised[check_id] = note
+        self.items.append(CheckRow(check_id, anchor or self.anchor, out, tol,
+                                   note=note))
+
+
+def _fluxlab_frame(exc: BaseException) -> str:
+    """`fluxlab/<module>.py:<line>` of the innermost frame of the traceback
+    that runs package code (`Rows.add` itself at the latest)."""
+    here = Path(__file__).parent
+    frames = [(Path(f.f_code.co_filename), line)
+              for f, line in traceback.walk_tb(exc.__traceback__)]
+    path, line = next((p, n) for p, n in reversed(frames) if p.parent == here)
+    return f"fluxlab/{path.name}:{line}"
 
 
 @dataclass
@@ -273,20 +296,21 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
         return 0.0
 
     rows.add("00-build", 0.0, build, anchor="sequence construction")
+    built = ("00-build",)
     rows.add("01-l2-monotone", 0.0,
-             lambda: float(np.diff(state["e_l2"][3:]).max()))
+             lambda: float(np.diff(state["e_l2"][3:]).max()), needs=built)
     rows.add("02-sup-monotone", 0.0,
-             lambda: float(np.diff(state["e_sup"][3:]).max()))
+             lambda: float(np.diff(state["e_sup"][3:]).max()), needs=built)
     rows.add("03-l2-final", 1e-3,
-             lambda: float(state["e_l2"][-1]))
+             lambda: float(state["e_l2"][-1]), needs=built)
     rows.add("04-sup-final", 1e-3,
-             lambda: float(state["e_sup"][-1]))
+             lambda: float(state["e_sup"][-1]), needs=built)
     rows.add("05-d0-monotone", 0.0,
              lambda: float(np.diff(state["d0s"][3:]).max()),
-             anchor="uniform distance of the sequence")
+             anchor="uniform distance of the sequence", needs=built)
     rows.add("06-volume-preserving", 1e-8,
              lambda: float(max(np.abs(m.det - 1.0).max() for m in state["seq"])),
-             anchor="perturbations preserve the volume form")
+             anchor="perturbations preserve the volume form", needs=built)
     elapsed = time.perf_counter() - t0
     rows.add("07-runtime", 0.0, lambda: (max(0.0, elapsed - LEMMA14_BUDGET_S),
                                          "overshoot of the 10s budget"),
@@ -400,7 +424,8 @@ def suite_conjugation(ctx: SuiteContext) -> list[CheckRow]:
 
     rows.add("01-identity-residual", 1e-4, tuples)
     rows.add("02-sandwich", 0.0, lambda: float(state["fails"]),
-             anchor="two-sided norm equivalence under conjugation")
+             anchor="two-sided norm equivalence under conjugation",
+             needs=("01-identity-residual",))
     return rows.items
 
 
@@ -416,11 +441,14 @@ def suite_norm_axioms(ctx: SuiteContext) -> list[CheckRow]:
         return state["rep"].margins["positivity"]
 
     rows.add("01-positivity", 0.0, positivity)
-    rows.add("02-triangle", 0.0, lambda: state["rep"].margins["triangle"])
-    rows.add("03-duality", 0.0, lambda: state["rep"].margins["duality"])
+    rows.add("02-triangle", 0.0, lambda: state["rep"].margins["triangle"],
+             needs=("01-positivity",))
+    rows.add("03-duality", 0.0, lambda: state["rep"].margins["duality"],
+             needs=("01-positivity",))
     rows.add("04-separation", 0.0, lambda: (0.1 - 1e-6) - ctx.norm(S),
              note="shortfall of the shear norm against the analytic witness")
-    rows.add("05-report", 0.0, lambda: float(len(state["rep"].violations)))
+    rows.add("05-report", 0.0, lambda: float(len(state["rep"].violations)),
+             needs=("01-positivity",))
     return rows.items
 
 
@@ -447,7 +475,8 @@ def suite_energy_positivity(ctx: SuiteContext) -> list[CheckRow]:
     rows.add("02-chain-holds", 0.0, chain)
     rows.add("03-lower-bound-positive", -1e-9,
              lambda: (-state["chain"].lower_bound,
-                      f"lower bound {state['chain'].lower_bound:.6f}"))
+                      f"lower bound {state['chain'].lower_bound:.6f}"),
+             needs=("02-chain-holds",))
 
     def upper():
         candidates = [f, catalog.translation(mesh, 1.0 / 3.0, 0.0),
@@ -455,7 +484,7 @@ def suite_energy_positivity(ctx: SuiteContext) -> list[CheckRow]:
         up = displacement_energy_upper(strip, candidates, ctx.sampler)
         return (state["chain"].lower_bound - up, f"upper bound {up:.6f}")
 
-    rows.add("04-upper-vs-lower", 0.0, upper)
+    rows.add("04-upper-vs-lower", 0.0, upper, needs=("02-chain-holds",))
 
     def infinity():
         big = Region.rectangle((0.0, 0.0), (0.9, 0.9))
@@ -600,7 +629,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
         return worst
 
     rows.add("01-split-reconstruction", 1e-8, reconstruction,
-             anchor="generator splitting residual")
+             anchor="generator splitting residual", needs=("00-build",))
 
     def mean_zero():
         worst = -math.inf
@@ -610,7 +639,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
         return worst
 
     rows.add("02-mean-zero", 1e-12, mean_zero,
-             anchor="generator splitting normalization")
+             anchor="generator splitting normalization", needs=("00-build",))
 
     def certify():
         from .isotopy import commutator_generator
@@ -618,10 +647,11 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
         state["theta"] = theta
         return theta.provenance["certified_residual"]
 
-    rows.add("03-certified-residual", 1e-3, certify)
+    rows.add("03-certified-residual", 1e-3, certify, needs=("00-build",))
     rows.add("04-theta-flux", 1e-6,
              lambda: symplectic_flux(state["theta"]).max_abs(),
-             anchor="commutators have vanishing flux")
+             anchor="commutators have vanishing flux",
+             needs=("00-build", "03-certified-residual"))
 
     def sample_periods():
         om = TwoForm.standard(mesh)
@@ -634,7 +664,8 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
         return worst
 
     rows.add("05-sample-periods", 1e-6, sample_periods,
-             anchor="commutator generators are exact at every time")
+             anchor="commutator generators are exact at every time",
+             needs=("00-build", "03-certified-residual"))
     return rows.items
 
 
@@ -671,7 +702,7 @@ def suite_f_vs_geodesic(ctx: SuiteContext) -> list[CheckRow]:
 
     rows.add("02-sequence-monotone", 0.0, sequences)
     rows.add("03-sequence-final", 1e-2,
-             lambda: state["gaps"][-1])
+             lambda: state["gaps"][-1], needs=("02-sequence-monotone",))
 
     def kappa_bound():
         H_path = state["H"]
@@ -705,10 +736,12 @@ def suite_rigidity_limit(ctx: SuiteContext) -> list[CheckRow]:
 
     rows.add("01-premise-vanishes", 1e-2, convergent)
     rows.add("02-distance-vanishes", 1e-3,
-             lambda: state["rep"].final_distance)
+             lambda: state["rep"].final_distance,
+             needs=("01-premise-vanishes",))
     rows.add("03-constant-sequence", 1e-12, lambda: max(
         rigidity_limit_check([state["target"]] * 3, state["target"],
-                             ctx.sampler).norm_premises))
+                             ctx.sampler).norm_premises),
+        needs=("01-premise-vanishes",))
 
     def divergent():
         other = compose(catalog.translation(mesh, 0.3, 0.0), state["target"])
@@ -722,9 +755,11 @@ def suite_rigidity_limit(ctx: SuiteContext) -> list[CheckRow]:
         return (floor - min(rep2.norm_premises),
                 f"floor {floor:.5f} vs premises >= {min(rep2.norm_premises):.5f}")
 
-    rows.add("04-divergent-floor", 0.0, divergent)
+    rows.add("04-divergent-floor", 0.0, divergent,
+             needs=("01-premise-vanishes",))
     rows.add("05-no-violation", 0.0, lambda: float(
-        state["rep"].pattern_violated or state["rep2"].pattern_violated))
+        state["rep"].pattern_violated or state["rep2"].pattern_violated),
+        needs=("01-premise-vanishes",))
     return rows.items
 
 
@@ -765,7 +800,8 @@ def suite_hofer_cauchy(ctx: SuiteContext) -> list[CheckRow]:
              anchor="Cauchy tails of a commuting family")
     rows.add("06-cauchy-final", 1e-2,
              lambda: state["tails"][-1],
-             anchor="Cauchy tails of a commuting family")
+             anchor="Cauchy tails of a commuting family",
+             needs=("05-cauchy-monotone",))
     return rows.items
 
 
@@ -828,7 +864,6 @@ def emit_report(report: SuiteReport, out_dir, formats=("csv", "json")) -> list[s
     The CSV carries exactly the row table (no timestamp), so identical
     configurations and seeds produce byte-identical files.
     """
-    from pathlib import Path
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -6,15 +6,21 @@ their values to its own bound, written here, so a suite default loosened
 in the package still fails the criterion.  Where a row value is measured
 against a package constant (an axiom or chain slack, a runtime budget),
 the criterion bounds that constant too.  Criterion 14 checks that run
-against the runtime budget and repeats it for the determinism check.
-Every criterion prints one pass/fail line (visible with `pytest -s` and
-in failure output).
+against the runtime budget and compares its CSV bytes with those of a
+second battery, run by the command line in a fresh interpreter at the same
+time.  Every criterion prints one pass/fail line (visible with `pytest -s`
+and in failure output).
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fluxlab
 from fluxlab.config import parse_config
 from fluxlab.displacement import AXIOM_SLACK, CHAIN_SLACK, CONJUGATION_SLACK
 from fluxlab.suites import (LEMMA14_BUDGET_S, PULLBACK_BUDGET_S, emit_report,
@@ -29,11 +35,26 @@ def report(num: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def battery():
-    """The full battery at the default configuration and its wall time."""
-    t0 = time.perf_counter()
-    rep = run_suite(parse_config({"suite": "all", "seed": SEED}))
-    return rep, time.perf_counter() - t0
+def battery(tmp_path_factory):
+    """The full battery at the default configuration and its wall time,
+    with a second battery started before it in a child process: the child,
+    its output directory and its log."""
+    out = tmp_path_factory.mktemp("battery-cli")
+    src = Path(fluxlab.__file__).resolve().parents[1]
+    config = src.parent / "configs" / "default.json"
+    with open(out / "log.txt", "w") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fluxlab.cli", "run", "--config",
+             str(config), "--out", str(out)],
+            stdout=log, stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        t0 = time.perf_counter()
+        rep = run_suite(parse_config({"suite": "all", "seed": SEED}))
+        yield rep, time.perf_counter() - t0, child, out
+    finally:
+        child.kill()
+        child.wait()
 
 
 def rows(battery, suite: str, *checks: str):
@@ -190,11 +211,12 @@ def test_criterion_13_rigidity_pattern(battery):
 
 
 def test_criterion_14_determinism_and_runtime(battery, tmp_path):
-    rep1, elapsed = battery
+    rep1, elapsed, child, out = battery
     p1 = emit_report(rep1, tmp_path / "run1")[0]
-    rep2 = run_suite(parse_config({"suite": "all", "seed": SEED}))
-    p2 = emit_report(rep2, tmp_path / "run2")[0]
-    identical = open(p1, "rb").read() == open(p2, "rb").read()
+    code = child.wait(timeout=600)
+    p2 = out / "all-suites.csv"
+    identical = p2.exists() and open(p1, "rb").read() == p2.read_bytes()
     report(14, identical and elapsed < 120.0 and rep1.overall_pass,
-           f"byte-identical CSV {identical}, full default suite "
+           f"byte-identical CSV {identical} (second run in a fresh process, "
+           f"exit {code}, log {out / 'log.txt'}), full default suite "
            f"{elapsed:.1f}s (< 120 s), all rows pass {rep1.overall_pass}")

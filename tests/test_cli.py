@@ -1,9 +1,16 @@
-"""Command-line driver: subcommands, overrides, exit codes."""
+"""Command-line driver: subcommands, overrides, exit codes, error notes
+and the modules an import loads."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fluxlab
 from fluxlab.cli import main
 from fluxlab.suites import SUITE_REGISTRY
 
@@ -76,3 +83,34 @@ def test_seed_override_changes_sampled_rows(tmp_path):
     a = (tmp_path / "o1" / "pullback-bound.csv").read_text()
     b = (tmp_path / "o2" / "pullback-bound.csv").read_text()
     assert a != b
+
+
+def test_errored_rows_name_their_frame_and_cause(tmp_path, capsys):
+    # at N = 32 the strip is too small for the energy chain: 02 raises, and
+    # 03 and 04, which read its result, name 02 and its error
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert main(["run", "--config", str(config), "--suite",
+                 "energy-positivity", "--mesh", "32", "--out",
+                 str(tmp_path)]) == 1
+    rows = {r["check_id"]: r for r in json.loads(
+        (tmp_path / "energy-positivity.json").read_text())["rows"]}
+    raised = rows["02-chain-holds"]["note"]
+    assert raised.startswith("ValueError: region too small at N = 32")
+    assert re.search(r"; at fluxlab/displacement\.py:\d+$", raised)
+    for dependent in ("03-lower-bound-positive", "04-upper-vs-lower"):
+        assert rows[dependent]["note"] == f"needs 02-chain-holds, which raised {raised}"
+    # notes live in the JSON report only; the CSV is the bare row table
+    assert "region too small" not in (tmp_path / "energy-positivity.csv").read_text()
+
+
+def test_import_loads_only_numpy_and_ndimage():
+    # a fresh interpreter: the test process has loaded scipy's oracles
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.sparse", "scipy.linalg"]
+    src = str(Path(fluxlab.__file__).resolve().parents[1])
+    code = ("import sys, fluxlab, fluxlab.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

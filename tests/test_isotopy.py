@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from fluxlab import catalog, isotopy
 from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, oscillation, sup_norm
@@ -456,6 +457,30 @@ def test_f_functional_zero_form(mesh):
     iso = catalog.translation_flow(mesh, 0.3, 0.4, K)
     F = f_functional(iso, OneForm.constant(mesh, 0.0, 0.0), 1.0)
     assert sup_norm(F) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 18, 65])
+@pytest.mark.parametrize("tail", [(), (16, 16), (2, 16, 16)])
+def test_cumulative_is_scipys_cumulative_simpson(n, tail):
+    # scipy's rule is the oracle: same values to the last bit, and the same
+    # signed zeros (-0.0 in the first two samples integrates to -0.0 before
+    # scipy adds its initial +0.0)
+    y = np.random.default_rng(1000 * n + len(tail)).standard_normal((n, *tail))
+    zeros = np.zeros((n, *tail))
+    zeros[:2] = -0.0
+    for samples in (y, zeros):
+        for dt in (1.0 / (n - 1), 1.0 / 64, 0.3):
+            got = isotopy._cumulative(samples, dt)
+            want = cumulative_simpson(samples, dx=dt, axis=0, initial=0.0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cumulative_needs_three_samples(n):
+    # scipy falls back to the trapezoid rule here; no caller needs that
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        isotopy._cumulative(np.ones((n, 4)), 0.5)
 
 
 def test_f_functional_matches_orbit_integral(mesh):
