@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .isotopy import Isotopy, TimeField, integrate_flow
-from .maps import TorusMap
+from .maps import UNIT_JAC, TorusMap
 from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
@@ -29,14 +29,8 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 def translation(mesh: GridMesh, c: float, d: float) -> TorusMap:
-    """x -> x + (c, d); an isometry with J = I."""
-    N = mesh.N
-    disp = np.empty((2, N, N))
-    disp[0] = c
-    disp[1] = d
-    jac = np.zeros((2, 2, N, N))
-    jac[0, 0] = jac[1, 1] = 1.0
-    m = TorusMap(mesh, disp, jac=jac,
+    """x -> x + (c, d); an isometry with J = I, both fields stored once."""
+    m = TorusMap(mesh, np.reshape((c, d), (2, 1, 1)), jac=UNIT_JAC,
                  provenance={"kind": "translation", "c": c, "d": d})
     m.set_analytic_inverse(lambda: translation(mesh, -c, -d))
     return m

@@ -108,7 +108,7 @@ class TimeField:
         self.autonomous = autonomous
         self.certified_symplectic = certified_symplectic
         self.at = at
-        self._fields: dict[float, np.ndarray] = {}
+        self._steady: np.ndarray | None = None
         self._interps: dict[float, VectorInterpolator] = {}
 
     @classmethod
@@ -119,20 +119,23 @@ class TimeField:
         return cls(lambda t: at(t, mesh.points), mesh, autonomous,
                    certified_symplectic, at=at)
 
-    #: caches are bounded; a path at K = 64 touches at most 129 time keys
+    #: the interpolator cache is bounded; a path at K = 64 touches at most
+    #: 129 time keys
     _CACHE_LIMIT = 150
 
     def _key(self, t: float) -> float:
         return 0.0 if self.autonomous else round(float(t), 12)
 
     def field(self, t: float) -> np.ndarray:
-        key = self._key(t)
-        f = self._fields.get(key)
-        if f is None:
-            f = np.asarray(self._fn(t), dtype=float)
-            if len(self._fields) < self._CACHE_LIMIT:
-                self._fields[key] = f
-        return f
+        """The grid samples at time t.  Only a steady field keeps its one
+        sample; a time-dependent one is computed on every read, since a
+        cache of K + 1 samples would sit beside the stack that
+        `Isotopy.generator_samples` builds from them."""
+        if not self.autonomous:
+            return np.asarray(self._fn(t), dtype=float)
+        if self._steady is None:
+            self._steady = np.asarray(self._fn(t), dtype=float)
+        return self._steady
 
     def interp(self, t: float) -> VectorInterpolator:
         key = self._key(t)

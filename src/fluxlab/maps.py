@@ -50,33 +50,51 @@ def _lattice_normalize(disp: np.ndarray, L) -> np.ndarray:
     return out
 
 
+#: The identity Jacobian as a constant field (see TorusMap).
+UNIT_JAC = np.eye(2).reshape(2, 2, 1, 1)
+UNIT_JAC.setflags(write=False)
+
+
+def _frozen(field: np.ndarray, shape: tuple) -> np.ndarray:
+    """Freeze a fresh float array; one with unit grid axes becomes a
+    read-only stride-0 view of `shape`."""
+    field.setflags(write=False)
+    return field if field.shape == shape else np.broadcast_to(field, shape)
+
+
 class TorusMap:
     """A diffeomorphism x -> x + u(x) mod L of the flat torus.
 
-    The Jacobian field is supplied analytically by closed-form builders or
-    computed spectrally on first access; `check=False` skips the
-    determinant validation for maps whose invertibility is guaranteed by
-    construction (e.g. converged Newton inverses).
+    The displacement has shape (2, N, N) and the Jacobian field, when
+    given, (2, 2, N, N); both are copied and frozen.  A constant field may
+    be given with unit grid axes, (2, 1, 1) or (2, 2, 1, 1): it is stored
+    once and read as a stride-0 view of the full shape, so a translation
+    holds no grid arrays.  The Jacobian is supplied analytically by
+    closed-form builders or computed spectrally on first access;
+    `check=False` skips the determinant validation for maps whose
+    invertibility is guaranteed by construction (e.g. converged Newton
+    inverses).
     """
 
     def __init__(self, mesh: GridMesh, disp: np.ndarray, jac: np.ndarray | None = None,
                  provenance: dict | None = None, normalize: bool = False,
                  check: bool = True):
         disp = np.array(disp, dtype=float)
-        if disp.shape != (2, mesh.N, mesh.N):
-            raise ValueError(f"displacement shape {disp.shape} != (2, N, N)")
+        if disp.shape not in ((2, mesh.N, mesh.N), (2, 1, 1)):
+            raise ValueError(f"displacement shape {disp.shape} is neither "
+                             "(2, N, N) nor (2, 1, 1)")
         if not np.all(np.isfinite(disp)):
             raise ValueError("non-finite displacement")
         if normalize:
             disp = _lattice_normalize(disp, mesh.L)
         self.mesh = mesh
-        self.disp = disp
-        self.disp.setflags(write=False)
+        self.disp = _frozen(disp, (2, mesh.N, mesh.N))
         if jac is not None:
             jac = np.array(jac, dtype=float)
-            if jac.shape != (2, 2, mesh.N, mesh.N):
-                raise ValueError("jacobian shape must be (2, 2, N, N)")
-            jac.setflags(write=False)
+            if jac.shape not in ((2, 2, mesh.N, mesh.N), (2, 2, 1, 1)):
+                raise ValueError(f"jacobian shape {jac.shape} is neither "
+                                 "(2, 2, N, N) nor (2, 2, 1, 1)")
+            jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._jac = jac
         self._det = None
         self.provenance = dict(provenance or {})
@@ -124,9 +142,7 @@ class TorusMap:
 
     @classmethod
     def identity(cls, mesh: GridMesh) -> "TorusMap":
-        eye = np.zeros((2, 2, mesh.N, mesh.N))
-        eye[0, 0] = eye[1, 1] = 1.0
-        m = cls(mesh, np.zeros((2, mesh.N, mesh.N)), jac=eye,
+        m = cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC,
                 provenance={"kind": "identity"})
         m._inverse = m
         return m

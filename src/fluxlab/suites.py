@@ -198,18 +198,18 @@ def _random_closed_form(ctx: SuiteContext, rng: np.random.Generator,
     return ctx.sampler.materialize(c)
 
 
-def _reparam_flow(base_builder, mesh, K) -> Isotopy:
-    """Sinusoidally reparametrized copy of a catalog flow: same endpoint,
-    time substitution tau(t) = t - sin(2 pi t) / (2 pi).  Its generator
-    tau'(t) X_{tau(t)} is read through the point values of the base flow's."""
+def _reparam_flow(base: Isotopy) -> Isotopy:
+    """Sinusoidally reparametrized copy of a catalog flow `base`, on its
+    mesh and with its K: same endpoint, time substitution
+    tau(t) = t - sin(2 pi t) / (2 pi).  Its maps at t = 0, 1/2 and 1 are
+    the base flow's own samples, and its generator tau'(t) X_{tau(t)} is
+    read through the point values of the base flow's."""
 
     def tau(t):
         return t - math.sin(2 * math.pi * t) / (2 * math.pi)
 
     def dtau(t):
         return 1.0 - math.cos(2 * math.pi * t)
-
-    base = base_builder(K)
 
     def map_at(t):
         return base.at_time(tau(t))
@@ -220,9 +220,9 @@ def _reparam_flow(base_builder, mesh, K) -> Isotopy:
         return dtau(t) * X.at(tau(t), points)
 
     return Isotopy.from_time_function(
-        mesh, map_at, K,
+        base.mesh, map_at, base.K,
         generator=TimeField.closed_form(
-            gen_at, mesh, certified_symplectic=X.certified_symplectic),
+            gen_at, base.mesh, certified_symplectic=X.certified_symplectic),
         provenance={"kind": "reparam"})
 
 
@@ -370,8 +370,7 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
 
     def independence():
         flowA = catalog.translation_flow(mesh, 0.3, 0.4, ctx.K)
-        flowB = _reparam_flow(
-            lambda K: catalog.translation_flow(mesh, 0.3, 0.4, K), mesh, ctx.K)
+        flowB = _reparam_flow(flowA)
         alpha, p = forms[2], points[0]
         dA = delta_via_flux(flowA.end_map, alpha, p, flowA)
         dB = delta_via_flux(flowA.end_map, alpha, p, flowB)
@@ -461,7 +460,6 @@ def suite_energy_positivity(ctx: SuiteContext) -> list[CheckRow]:
 
     def collapse():
         phi, psi = supported_commutator_pair(strip, mesh)
-        state["pair"] = (phi, psi)
         return commutator_collapse_check(f, phi, psi, strip)
 
     rows.add("01-collapse-residual", 1e-3, collapse,
@@ -562,8 +560,7 @@ def suite_flux_duality(ctx: SuiteContext) -> list[CheckRow]:
 
     def reparam():
         base = catalog.translation_flow(mesh, 0.3, 0.4, K)
-        rep = _reparam_flow(
-            lambda KK: catalog.translation_flow(mesh, 0.3, 0.4, KK), mesh, K)
+        rep = _reparam_flow(base)
         p0, p1 = symplectic_flux(base), symplectic_flux(rep)
         return max(abs(p0[0] - p1[0]), abs(p0[1] - p1[1]))
 
@@ -781,8 +778,7 @@ def suite_hofer_cauchy(ctx: SuiteContext) -> list[CheckRow]:
 
     def reparam():
         base = catalog.shear_flow(mesh, 0.1, K=K)
-        rep = _reparam_flow(lambda KK: catalog.shear_flow(mesh, 0.1, K=KK),
-                            mesh, K)
+        rep = _reparam_flow(base)
         return abs(hofer_like_length(rep) - hofer_like_length(base))
 
     rows.add("04-reparam-invariance", 1e-8, reparam)

@@ -12,8 +12,9 @@ from fluxlab.displacement import psi_norm
 from fluxlab.maps import DiffeomorphismError, TorusMap, c0_distance, compose
 from fluxlab.mesh import GridMesh
 from fluxlab.suites import (SUITE_ANCHORS, SUITE_REGISTRY, CheckRow,
-                            SuiteContext, build_perturbation_sequence,
-                            emit_report, run_suite, suite_norm_axioms)
+                            SuiteContext, _reparam_flow,
+                            build_perturbation_sequence, emit_report,
+                            run_suite, suite_norm_axioms)
 
 
 # -- config -------------------------------------------------------------------
@@ -222,3 +223,16 @@ def test_seed_changes_report(tmp_path):
     v1 = [r.value for r in r1.rows if "random" in r.check_id]
     v2 = [r.value for r in r2.rows if "random" in r.check_id]
     assert v1 != v2
+
+
+def test_reparam_flow_reads_its_base_flow():
+    mesh = GridMesh(N=32)
+    K = 16
+    for base in (catalog.translation_flow(mesh, 0.3, 0.4, K),
+                 catalog.shear_flow(mesh, 0.1, K=K)):
+        rep = _reparam_flow(base)
+        assert rep.mesh is base.mesh and rep.K == K
+        # tau fixes 0, 1/2 and 1, so those samples are the base flow's maps
+        assert rep.at_time(0.0) is base.maps[0]
+        assert rep.at_time(0.5) is base.maps[K // 2]
+        assert rep.at_time(1.0) is base.maps[K]

@@ -921,6 +921,26 @@ def test_constructor_holds_no_stack_of_samples():
     assert peak <= 4 * maps[0].disp.nbytes
 
 
+def test_translation_flow_holds_no_grid_arrays():
+    mesh = GridMesh(N=128)
+    tracemalloc.start()
+    try:
+        flow = catalog.translation_flow(mesh, 0.3, 0.4, 64)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 65 maps with constant fields; full arrays would hold 65 x 768 KB
+    assert flow.K == 64 and live < 2 * 2 ** 20
+
+
+def test_only_a_steady_field_keeps_its_sample(mesh):
+    steady = catalog.shear_flow(mesh, 0.1, K=K).generator
+    assert steady.field(0.0) is steady.field(0.5)
+    moving = catalog.translation_shear_flow(mesh, 0.1, 0.2, 0.05, K=K).generator
+    a, b = moving.field(0.25), moving.field(0.25)
+    assert a is not b and np.array_equal(a, b)
+
+
 def test_orbit_length_bound_equals_the_stacked_oracle():
     _, paths = _streamed_paths()
     for path in paths:

@@ -43,6 +43,74 @@ def test_translation_evaluate_wraps(mesh):
     assert abs(out[0] - 0.2) < 1e-12 and abs(out[1] - 0.1) < 1e-12
 
 
+# -- constant fields ----------------------------------------------------------
+
+def _old_translation_fields(mesh, c, d):
+    """The full grid arrays translation and identity were built from."""
+    disp = np.empty((2, mesh.N, mesh.N))
+    disp[0] = c
+    disp[1] = d
+    jac = np.zeros((2, 2, mesh.N, mesh.N))
+    jac[0, 0] = jac[1, 1] = 1.0
+    return disp, jac
+
+
+def test_constant_fields_are_stored_once(mesh):
+    disp = np.array([1.3, -0.7]).reshape(2, 1, 1)
+    jac = np.array([[1.0, 0.25], [0.0, 1.0]]).reshape(2, 2, 1, 1)
+    for normalize in (False, True):
+        m = TorusMap(mesh, disp, jac=jac, normalize=normalize)
+        full = np.broadcast_to(disp, (2, mesh.N, mesh.N))
+        if normalize:
+            full = np.stack([full[0] - 1.0, full[1] + 1.0])
+        for got, want in ((m.disp, full),
+                          (m.jac, np.broadcast_to(jac, (2, 2, mesh.N, mesh.N)))):
+            assert got.shape == want.shape and not got.flags.writeable
+            assert got.strides[-2:] == (0, 0)
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            m.disp[0, 0, 0] = 0.0
+
+
+def test_constant_fields_are_copied(mesh):
+    disp = np.array([0.3, 0.4]).reshape(2, 1, 1)
+    jac = np.eye(2).reshape(2, 2, 1, 1).copy()
+    m = TorusMap(mesh, disp, jac=jac)
+    disp[:] = 0.9
+    jac[:] = 2.0
+    assert np.all(m.disp[0] == 0.3) and np.all(m.disp[1] == 0.4)
+    assert np.array_equal(m.jac, _old_translation_fields(mesh, 0.3, 0.4)[1])
+
+
+@pytest.mark.parametrize("disp_shape, jac_shape", [
+    ((2, 1), None), ((2, 1, 64), None), ((1, 1, 1), None), ((2, 64, 1), None),
+    ((2, 1, 1), (2, 2, 1)), ((2, 1, 1), (2, 2, 64, 1)), ((2, 1, 1), (2, 1, 1, 1))])
+def test_constant_field_shapes_are_checked(mesh, disp_shape, jac_shape):
+    jac = None if jac_shape is None else np.ones(jac_shape)
+    with pytest.raises(ValueError, match="shape"):
+        TorusMap(mesh, np.zeros(disp_shape), jac=jac)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_constant_displacement_raises(mesh, bad):
+    with pytest.raises(ValueError, match="non-finite displacement"):
+        TorusMap(mesh, np.array([0.1, bad]).reshape(2, 1, 1))
+
+
+def test_translation_and_identity_equal_the_full_arrays(mesh):
+    for c, d in ((0.3, 0.4), (-0.25, 0.15), (0.7, 0.6)):
+        T = catalog.translation(mesh, c, d)
+        disp, jac = _old_translation_fields(mesh, c, d)
+        assert np.array_equal(T.disp, disp) and np.array_equal(T.jac, jac)
+        Ti = T.inverse()
+        disp, jac = _old_translation_fields(mesh, -c, -d)
+        assert np.array_equal(Ti.disp, disp) and np.array_equal(Ti.jac, jac)
+    ident = TorusMap.identity(mesh)
+    disp, jac = _old_translation_fields(mesh, 0.0, 0.0)
+    assert np.array_equal(ident.disp, disp) and np.array_equal(ident.jac, jac)
+    assert ident.disp.strides[-2:] == ident.jac.strides[-2:] == (0, 0)
+
+
 # -- composition --------------------------------------------------------------
 
 def test_compose_with_identity(mesh):
