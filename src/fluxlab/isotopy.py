@@ -242,7 +242,7 @@ class Isotopy:
         self.provenance = dict(provenance or {})
         # (kind, id(omega) or "std", tol) -> (omega, periods); see _cached_flux
         self._flux_cache: dict = {}
-        # the RK4 step of a flow of a closed-form field (see integrate_flow)
+        # the RK4 step of an integrated flow (see integrate_flow)
         self._flow_step = None
 
     @property
@@ -364,9 +364,11 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     a callable t -> (2, N, N) field, or a constant field array.  Every
     resulting sample must pass the diffeomorphism check; a failure suggests
     a larger K.  A field with point values (a HamiltonianField, or a
-    TimeField with `at`) is evaluated in closed form at every stage, and
-    the returned path keeps its step, so that orbits of arbitrary points
-    are integrated the same way (`_orbit_points`).
+    TimeField with `at`) is evaluated in closed form at every stage; any
+    other field through the spline interpolators the TimeField caches while
+    integrating.  Either way the returned path keeps its step, so that
+    orbits of arbitrary points are integrated the same way, through the
+    same interpolators (`_orbit_points`).
     """
     if mesh is None:
         if isinstance(X, (TimeField, VectorFieldPath)):
@@ -389,8 +391,7 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
                 f"flow sample {j + 1}/{K} failed the diffeomorphism check "
                 f"({exc}); increase K") from exc
     iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
-    if tf.at is not None:
-        iso._flow_step = partial(_rk4_step, tf)
+    iso._flow_step = partial(_rk4_step, tf)
     return iso
 
 
@@ -430,6 +431,16 @@ def _certification_tol(phi_path: Isotopy, vel: np.ndarray) -> float:
     return 50.0 * scale / phi_path.K ** 2
 
 
+def _generator_sample(phi_path: Isotopy):
+    """j -> the grid samples of X_{t_j}.  A TimeField computes only the
+    sample asked for (a steady one hands out its one sample); any other
+    generator is read off `generator_samples`."""
+    gen = phi_path.generator
+    if isinstance(gen, TimeField):
+        return lambda j: gen.field(phi_path.times[j])
+    return phi_path.generator_samples().__getitem__
+
+
 def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
                          what: str):
     """j -> the grid samples of X_{t_j}, after the closedness certification
@@ -438,7 +449,7 @@ def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     point values never stacks all K + 1 fields."""
     gen = phi_path.generator
     if isinstance(gen, TimeField) and gen.certified_symplectic:
-        return lambda j: gen.field(phi_path.times[j])
+        return _generator_sample(phi_path)
     vel = phi_path.generator_samples()
     if tol is None:
         tol = _certification_tol(phi_path, vel)
@@ -659,11 +670,15 @@ def hofer_like_length(phi_path: Isotopy, omega: TwoForm | None = None,
 def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
     """Lifted orbit t_j -> x + u_{t_j}(x), shape (K+1, 2, M).
 
-    A flow of a closed-form field integrates the points with its own RK4
-    step, which reproduces the stored maps at grid points; any other path
-    interpolates its stored displacements.  Either way, the grid jumps the
-    Isotopy constructor bounds by L/4 do not bound the increments between
-    grid points, so they are checked here.
+    A path from `integrate_flow` integrates the points with its own RK4
+    step, which repeats at grid points the operations that made the stored
+    maps, so it reproduces them; a closed-form field is read in closed form,
+    any other through the interpolators its TimeField cached while
+    integrating.  Any other path (catalog translations, shears and
+    rotations, reparametrized and concatenated paths, paths given by their
+    maps) interpolates its stored displacements, two splines per sample.
+    Either way, the grid jumps the Isotopy constructor bounds by L/4 do not
+    bound the increments between grid points, so they are checked here.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -705,36 +720,63 @@ def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
     return float(np.sum(w * integrand))
 
 
-def f_functional_path(phi_path: Isotopy, alpha: OneForm) -> list[ScalarField]:
-    """The running family F^t = integral_0^t phi_s^*(alpha(X_s)) ds at every
-    sample time."""
-    alpha.require_closed(what="f_functional")
-    mesh = phi_path.mesh
-    vel = phi_path.generator_samples()
-    K = phi_path.K
-    steady = _is_autonomous(phi_path)  # one integrand, one interpolator
-    fields = np.empty((K + 1, *mesh.shape))
-    for j in range(K + 1):
-        if j == 0 or not steady:
-            g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
-            ip = None
-        m = phi_path.maps[j]
-        if m.is_identity():
-            fields[j] = g
-        else:
-            if ip is None:
-                ip = PeriodicInterpolator(g, mesh)
-            fields[j] = ip(m.flat_position).reshape(mesh.shape)
-    running = _cumulative(fields, 1.0 / K)
-    return [ScalarField(mesh, running[j]) for j in range(K + 1)]
-
-
 def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarField:
-    """F^t at a sample time t (the full running family costs the same)."""
-    j = round(float(t) * phi_path.K)
-    if abs(t * phi_path.K - j) > 1e-9 or not (0 <= j <= phi_path.K):
+    """F^t = integral_0^t phi_s^*(alpha(X_s)) ds at a sample time t_j.
+
+    The cumulative Simpson rule of `_cumulative` runs over the integrands
+    one sample at a time and stops at t_j: it holds the three samples of
+    the current parabola and one running sum, and forms and adds each
+    interval's integral as that rule does, in the same order, so F^t is
+    bit-identical to the rule applied to the stacked integrands.  The
+    generator is read one sample at a time too, and a steady one gives one
+    integrand and one interpolator for all samples.
+    """
+    K = phi_path.K
+    j = round(float(t) * K)
+    if abs(t * K - j) > 1e-9 or not (0 <= j <= K):
         raise ValueError(f"t = {t} is not a sample time of this path")
-    return f_functional_path(phi_path, alpha)[j]
+    alpha.require_closed(what="f_functional")
+    if K < 2:
+        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {K + 1}")
+    mesh = phi_path.mesh
+    vel = _generator_sample(phi_path)
+    steady = _is_autonomous(phi_path)
+    g = ip = None
+
+    def integrand(i: int) -> np.ndarray:
+        """phi_{t_i}^*(alpha(X_{t_i})) on the grid; called for i = 0, 1, ..."""
+        nonlocal g, ip
+        if i == 0 or not steady:
+            v = vel(i)
+            g = alpha.ax * v[0] + alpha.ay * v[1]
+            ip = None
+        m = phi_path.maps[i]
+        if m.is_identity():
+            return g
+        if ip is None:
+            ip = PeriodicInterpolator(g, mesh)
+        return ip(m.flat_position).reshape(mesh.shape)
+
+    c = (1.0 / K) / 3
+    window, first = [], 0  # the integrands first, first + 1, first + 2
+    # a sum from +0.0 is never -0.0; `_cumulative` adds 0.0 at the end to
+    # the same effect
+    running = np.zeros(mesh.shape)
+    for i in range(j):
+        # interval i takes the parabola through samples lo, lo + 1, lo + 2:
+        # forwards from i on an even interval, backwards from i + 1 on an
+        # odd one and on the last interval of an odd K
+        lo = i if i % 2 == 0 and i + 2 <= K else i - 1
+        del window[:lo - first]
+        first = lo
+        while len(window) < 3:
+            window.append(integrand(first + len(window)))
+        a, b, d = window
+        if lo == i:
+            running += c * (5 * a / 4 + 2 * b - d / 4)
+        else:
+            running += c * (5 * d / 4 + 2 * b - a / 4)
+    return ScalarField(mesh, running)
 
 
 def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:

@@ -12,12 +12,12 @@ from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, os
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
                              NonSymplecticError, TimeField, VectorFieldPath,
                              c0bar_distance, commutator_generator,
-                             concat_reparam, f_functional, f_functional_path,
-                             fathi_mass_flow, generator_hodge_split,
-                             geodesic_functional, hofer_like_length,
-                             integrate_flow, orbit_integral,
-                             orbit_length_bound, simpson_weights,
-                             symplectic_flux, velocity_field, volume_flux)
+                             concat_reparam, f_functional, fathi_mass_flow,
+                             generator_hodge_split, geodesic_functional,
+                             hofer_like_length, integrate_flow,
+                             orbit_integral, orbit_length_bound,
+                             simpson_weights, symplectic_flux,
+                             velocity_field, volume_flux)
 from fluxlab.interpolate import PeriodicInterpolator
 from fluxlab.maps import (TorusMap, c0_distance, compose, interior_product,
                           pullback_oneform)
@@ -448,9 +448,9 @@ def test_orbit_integral_exact_form(mesh):
 def test_f_functional_translation(mesh):
     iso = catalog.translation_flow(mesh, 0.3, 0.4, K)
     alpha = OneForm.constant(mesh, 2.0, 1.0)
-    F = f_functional_path(iso, alpha)
     for j in (0, K // 2, K):
-        assert np.abs(F[j].values - (j / K) * (2 * 0.3 + 1 * 0.4)).max() < 1e-12
+        F = f_functional(iso, alpha, j / K)
+        assert np.abs(F.values - (j / K) * (2 * 0.3 + 1 * 0.4)).max() < 1e-12
 
 
 def test_f_functional_zero_form(mesh):
@@ -563,12 +563,84 @@ def test_steady_f_functional_builds_one_interpolator(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(isotopy, "PeriodicInterpolator", counting)
-    steady_F = f_functional_path(flow, alpha)
+    steady_F = f_functional(flow, alpha, 1.0)
     assert len(builds) == 1
-    ref_F = f_functional_path(unsteady, alpha)
+    ref_F = f_functional(unsteady, alpha, 1.0)
     assert len(builds) == 1 + K
-    for a, b in zip(steady_F, ref_F):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(steady_F.values, ref_F.values)
+
+
+def _f_functional_family(phi_path, alpha):
+    """F^t at every sample time from the stacked integrands and one
+    whole-path cumulative Simpson rule: the oracle of the streamed
+    f_functional."""
+    mesh, K = phi_path.mesh, phi_path.K
+    vel = phi_path.generator_samples()
+    fields = np.empty((K + 1, *mesh.shape))
+    for j, m in enumerate(phi_path.maps):
+        g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
+        fields[j] = g if m.is_identity() else (
+            PeriodicInterpolator(g, mesh)(m.flat_position).reshape(mesh.shape))
+    return isotopy._cumulative(fields, 1.0 / K)
+
+
+def test_streamed_f_functional_equals_the_stacked_family():
+    # a steady flow, a time-dependent catalog flow, and a time-dependent
+    # callable at odd K, whose last interval takes the backward parabola
+    mesh = GridMesh(N=32)
+    alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
+        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * (x - y))))
+    a = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
+    b = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 0.05).samples
+    paths = [catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, 16),
+             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
+             integrate_flow(lambda t: np.cos(t) * a + t * b, 17, mesh)]
+    for path in paths:
+        family = _f_functional_family(path, alpha)
+        for j in range(path.K + 1):
+            F = f_functional(path, alpha, j / path.K)
+            assert np.array_equal(F.values, family[j])
+            assert np.array_equal(np.signbit(F.values), np.signbit(family[j]))
+
+
+@pytest.fixture(scope="module")
+def raw_flow_128():
+    """A steady flow of a raw field array at N = 128, K = 64, and a closed
+    form with an exact part."""
+    mesh = GridMesh(N=128)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(
+        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * (x + y))))
+    return integrate_flow(F.samples, 64, mesh), alpha
+
+
+def test_delta_via_flux_of_a_raw_flow_leaves_no_interpolators(raw_flow_128):
+    # the orbit runs through the flow's own step and the spline its field
+    # cached while integrating; reading it off the 65 stored maps cached
+    # 130 interpolators there, 68 MB
+    from fluxlab.displacement import delta_via_flux
+    flow, alpha = raw_flow_128
+    tracemalloc.start()
+    try:
+        delta_via_flux(flow.end_map, alpha, np.array([0.3, 0.7]), flow)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 5 * 2 ** 20
+
+
+def test_f_functional_streams_its_samples(raw_flow_128):
+    # three integrands, a running sum and one interpolator; the stacked
+    # integrands and the whole-path rule peaked 26 MB above the start
+    flow, alpha = raw_flow_128
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        f_functional(flow, alpha, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 6 * 2 ** 20
 
 
 def test_kappa_linear_bound(mesh):
@@ -754,10 +826,15 @@ def test_hamiltonian_field_algebra():
 
 def test_point_route_orbits_reproduce_the_stored_maps():
     # the orbit of each grid point, integrated by the flow's own step,
-    # against the map samples integrate_flow stored (6.9e-18 measured)
+    # against the map samples integrate_flow stored (6.9e-18 measured):
+    # closed-form fields, their raw grid samples, and a time-dependent
+    # callable read through the splines its TimeField cached
     mesh = GridMesh(N=32)
     fields = [catalog.hamiltonian_field(mesh, name, 0.08) for name in catalog.POTENTIALS]
     fields.append(fields[0] + 0.05 * fields[1] + (-0.5) * fields[2])
+    fields += [F.samples for F in fields[:2]]
+    a, b = fields[0].samples, fields[1].samples
+    fields.append(lambda t: np.cos(t) * a + t * b)
     for F in fields:
         flow = integrate_flow(F, 16, mesh)
         assert flow._flow_step is not None
@@ -774,16 +851,17 @@ def test_point_route_matches_spline_route():
     for name in ("cos_x_cos_y", "sin_x_plus_sin_y"):
         F = catalog.hamiltonian_field(mesh, name, 0.08)
         point, spline = integrate_flow(F, 16, mesh), integrate_flow(F.samples, 16, mesh)
-        assert spline._flow_step is None
         assert np.abs(point.end_map.disp - spline.end_map.disp).max() <= 1e-9
 
 
 def test_orbit_interpolators_by_route(monkeypatch):
-    # a raw-array flow reads each orbit off two spline interpolators of every
-    # stored displacement; a closed-form flow integrates the orbit instead
+    # integrated flows of both routes integrate the orbit with their own
+    # step and read no stored displacement; a path given by its maps reads
+    # each orbit off two spline interpolators of every stored displacement
     mesh = GridMesh(N=32)
     F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
     raw, closed = integrate_flow(F.samples, 16, mesh), integrate_flow(F, 16, mesh)
+    by_maps = Isotopy(mesh, raw.maps, generator=raw.generator)
     builds = []
     real = TorusMap._get_interp
 
@@ -795,8 +873,9 @@ def test_orbit_interpolators_by_route(monkeypatch):
     monkeypatch.setattr(TorusMap, "_get_interp", counting)
     x = np.array([0.3, 0.7])
     isotopy._orbit_points(raw, x)
-    assert len(builds) == 2 * (16 + 1)
     isotopy._orbit_points(closed, x)
+    assert builds == []
+    isotopy._orbit_points(by_maps, x)
     assert len(builds) == 2 * (16 + 1)
 
 
