@@ -7,16 +7,15 @@ from .forms import (CohomologyClass1, HodgeSplit, NonClosedFormError, OneForm,
                     harmonic_representative, hodge_decompose, l2_inner, l2_norm,
                     oscillation, periods, sup_norm, wedge_integral)
 from .maps import (DiffeomorphismError, InversionError, Region, TorusMap,
-                   c0_distance, compose, evaluate, evaluate_lift,
-                   interior_product, inverse, pullback_bound_constant,
+                   c0_distance, compose, evaluate_lift, interior_product,
+                   pullback_bound_constant,
                    pullback_oneform, pushforward_vector, volume_defect)
 from .isotopy import (BumpProfile, GeneratorSplit, HomologyClass1, Isotopy,
                       LiftError, NonSymplecticError, TimeField,
-                      VectorFieldPath, c0bar_distance, commutator_generator,
-                      concat_reparam, f_functional, fathi_mass_flow,
-                      generator_hodge_split, geodesic_functional,
-                      hofer_like_length, integrate_flow, orbit_integral,
-                      orbit_length_bound, symplectic_flux, velocity_field,
+                      VectorFieldPath, commutator_generator, concat_reparam,
+                      f_functional, fathi_mass_flow, generator_hodge_split,
+                      geodesic_functional, hofer_like_length, integrate_flow,
+                      orbit_integral, orbit_length_bound, symplectic_flux,
                       volume_flux)
 from .displacement import (DisplacementCheck, DisplacementReport,
                            UnitSphereSampler, commutator_collapse_check,
@@ -29,7 +28,7 @@ from .displacement import (DisplacementCheck, DisplacementReport,
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .suites import (SUITE_REGISTRY, CheckRow, SuiteReport,
                      build_perturbation_sequence, emit_report, run_suite)
-from . import catalog, serialize
+from . import catalog
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -258,15 +258,6 @@ class DisplacementReport:
     sampler_meta: dict
     map_provenance: dict
 
-    def witness_form(self, sampler: UnitSphereSampler) -> OneForm:
-        return sampler.materialize(self.witness_coeffs)
-
-    def witness_periods(self, sampler: UnitSphereSampler) -> tuple[float, float]:
-        mesh = sampler.mesh
-        root_vol = math.sqrt(mesh.volume)
-        return (self.witness_coeffs[0] / root_vol * mesh.L[0],
-                self.witness_coeffs[1] / root_vol * mesh.L[1])
-
     def write_table(self, path) -> str:
         """Dump the per-sample table to CSV; returns the path."""
         lines = ["sample,value,point_x,point_y"]
@@ -276,22 +267,6 @@ class DisplacementReport:
         from pathlib import Path
         Path(path).write_text("\n".join(lines) + "\n")
         return str(path)
-
-    def to_json(self, sampler: UnitSphereSampler | None = None,
-                table_path=None) -> dict:
-        out = {
-            "norm_lower_bound": self.norm_lower_bound,
-            "witness_point": list(self.witness_point),
-            "sampler": self.sampler_meta,
-            "map": self.map_provenance,
-        }
-        if table_path is not None:
-            out["table_path"] = self.write_table(table_path)
-        else:
-            out["table"] = [dict(r, point=list(r["point"])) for r in self.table]
-        if sampler is not None:
-            out["witness_form_periods"] = list(self.witness_periods(sampler))
-        return out
 
 
 def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:

@@ -3,15 +3,19 @@
 An isotopy is a path of diffeomorphisms sampled at t_j = j/K starting at
 the identity, stored with continuous-in-time displacement lifts so that
 homotopy-class constructions (mass flow, orbit lifts, minimizing chords)
-are well defined.  Paths built by the flow integrator or the catalog carry
-their exact generating vector field; velocity recovery by finite
-differences remains available as an independent oracle.
+are well defined.  A path is given by its maps and its generating vector
+field: the flow integrator, the catalog, reparametrization and
+concatenation attach a `TimeField`, the commutator path a
+`VectorFieldPath` of samples.  The generator calculus (fluxes, mass flow,
+splits, orbit integrals) reads the generator and raises `ValueError` on a
+path without one.  Finite differences of the maps appear only as the
+independent certificate of the commutator generating function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -20,9 +24,9 @@ from .forms import (CohomologyClass1, OneForm, ScalarField, TwoForm,
                     oscillation, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
-                   c0_distance, chord_integral, compose, interior_components,
+                   chord_integral, compose, interior_components,
                    interior_product, pullback_oneform, pullback_vector,
-                   pushforward_at, pushforward_vector)
+                   pushforward_at)
 from .mesh import GridMesh
 
 
@@ -153,8 +157,8 @@ class TimeField:
 
     @classmethod
     def wrap(cls, X, mesh: GridMesh) -> "TimeField":
-        """Accept a TimeField, a VectorFieldPath, a catalog HamiltonianField,
-        a callable t -> field, or a constant (2, N, N) array.
+        """Accept a TimeField, a catalog HamiltonianField, a callable
+        t -> field, or a constant (2, N, N) array.
 
         A TimeField is returned as it is, with its point values if it has
         them.  A HamiltonianField becomes a steady field whose samples are
@@ -170,8 +174,6 @@ class TimeField:
                 raise ValueError("field lives on a different mesh")
             return cls(lambda t: X.samples, mesh, autonomous=True,
                        at=lambda t, p: X.at(p))
-        if isinstance(X, VectorFieldPath):
-            return cls(X.at, mesh, autonomous=False)
         if callable(X):
             return cls(X, mesh, autonomous=False)
         arr = np.asarray(X, dtype=float)
@@ -182,7 +184,9 @@ class TimeField:
 
 @dataclass
 class VectorFieldPath:
-    """K+1 time samples of a vector field at t_j = j/K."""
+    """K+1 validated time samples of a vector field at t_j = j/K: the
+    generator of a commutator path, gated at 1e-4 as an assembled sample
+    path (`_certification_tol`)."""
 
     mesh: GridMesh
     samples: np.ndarray  # (K+1, 2, N, N)
@@ -194,25 +198,6 @@ class VectorFieldPath:
         if not np.all(np.isfinite(s)):
             raise ValueError("non-finite vector field samples")
         self.samples = s
-
-    @property
-    def K(self) -> int:
-        return self.samples.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.K + 1)
-
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline  # map-only route: load on use
-        return CubicSpline(self.times, self.samples, axis=0)
-
-    def at(self, t: float) -> np.ndarray:
-        j = round(float(t) * self.K)
-        if abs(t * self.K - j) < 1e-9 and 0 <= j <= self.K:
-            return self.samples[j]
-        return self._spline(float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +251,28 @@ class Isotopy:
 
     # -- sampling -------------------------------------------------------------
 
-    @cached_property
-    def _disp_spline(self):
-        from scipy.interpolate import CubicSpline  # map-only route: load on use
-        return CubicSpline(self.times, np.stack([m.disp for m in self.maps]),
-                           axis=0)
-
     def at_time(self, t: float) -> TorusMap:
-        """Map at an arbitrary time: exact sample, exact constructor when the
-        path has one, else a cubic time-interpolation of the displacement."""
+        """Map at an arbitrary time: the stored sample at a sample time,
+        else the path's exact constructor."""
         j = round(float(t) * self.K)
         if abs(t * self.K - j) < 1e-9 and 0 <= j <= self.K:
             return self.maps[j]
-        if self._map_fn is not None:
-            return self._map_fn(float(t))
-        return TorusMap(self.mesh, self._disp_spline(float(t)))
+        if self._map_fn is None:
+            raise ValueError(f"t = {t} is not a sample time and the path has "
+                             "no exact constructor")
+        return self._map_fn(float(t))
 
     def generator_samples(self) -> np.ndarray:
-        """(K+1, 2, N, N) velocity samples: the stored exact generator when
-        present, else finite-difference recovery.  A steady generator comes
+        """(K+1, 2, N, N) samples of the generator.  A steady generator comes
         back as one read-only field broadcast over the K+1 times."""
         if isinstance(self.generator, VectorFieldPath):
             return self.generator.samples
-        if isinstance(self.generator, TimeField):
-            if self.generator.autonomous:
-                return np.broadcast_to(self.generator.field(0.0),
-                                       (self.K + 1, 2, *self.mesh.shape))
-            return np.stack([self.generator.field(t) for t in self.times])
-        return velocity_field(self).samples
-
-    def has_exact_generator(self) -> bool:
-        return self.generator is not None
+        if not isinstance(self.generator, TimeField):
+            raise ValueError("the path has no generator")
+        if self.generator.autonomous:
+            return np.broadcast_to(self.generator.field(0.0),
+                                   (self.K + 1, 2, *self.mesh.shape))
+        return np.stack([self.generator.field(t) for t in self.times])
 
     # -- inverses -------------------------------------------------------------
 
@@ -317,27 +293,9 @@ class Isotopy:
             prev = inv
         return out
 
-    def inverse_path(self) -> "Isotopy":
-        """The path t -> phi_t^{-1}, with its exact generator when available.
-
-        The generator of the inverse path is minus the pushforward of the
-        forward generator under the inverse maps.
-        """
-        invs = self._inverses()
-        gen = None
-        if self.has_exact_generator():
-            X = self.generator_samples()
-            samples = np.empty_like(X)
-            for j, m in enumerate(self.maps):
-                samples[j] = -(X[j] if m.is_identity() else
-                               pullback_vector(m, VectorInterpolator(X[j], self.mesh)))
-            gen = VectorFieldPath(self.mesh, samples)
-        return Isotopy(self.mesh, invs, generator=gen,
-                       provenance={"kind": "inverse-path"})
-
 
 # ---------------------------------------------------------------------------
-# flow integration and velocity recovery
+# flow integration
 # ---------------------------------------------------------------------------
 
 def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -360,8 +318,8 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
 
-    `X` may be a TimeField, a VectorFieldPath, a catalog HamiltonianField,
-    a callable t -> (2, N, N) field, or a constant field array.  Every
+    `X` may be a TimeField, a catalog HamiltonianField, a callable
+    t -> (2, N, N) field, or a constant field array.  Every
     resulting sample must pass the diffeomorphism check; a failure suggests
     a larger K.  A field with point values (a HamiltonianField, or a
     TimeField with `at`) is evaluated in closed form at every stage; any
@@ -371,7 +329,7 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     same interpolators (`_orbit_points`).
     """
     if mesh is None:
-        if isinstance(X, (TimeField, VectorFieldPath)):
+        if isinstance(X, TimeField):
             mesh = X.mesh
         else:
             raise ValueError("mesh required when X is a raw callable or array")
@@ -395,22 +353,6 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     return iso
 
 
-def velocity_field(phi_path: Isotopy) -> VectorFieldPath:
-    """Recover the generator by centered time differences composed with the
-    inverse maps (one-sided second-order differences at the endpoints).
-
-    This is the finite-difference oracle; paths that carry their exact
-    generator still expose it separately via `generator_samples`.
-    """
-    mesh = phi_path.mesh
-    dudt = _time_derivative(np.stack([m.disp for m in phi_path.maps]), phi_path.K)
-    # each sample is overwritten in place: its interpolator holds a copy
-    for j, inv in enumerate(phi_path._inverses()):
-        vel = VectorInterpolator(dudt[j], mesh)(inv.flat_position)
-        dudt[j] = vel.reshape(2, *mesh.shape)
-    return VectorFieldPath(mesh, dudt)
-
-
 # ---------------------------------------------------------------------------
 # flux homomorphisms and mass flow
 # ---------------------------------------------------------------------------
@@ -420,15 +362,13 @@ def _is_autonomous(phi_path: Isotopy) -> bool:
 
 
 def _certification_tol(phi_path: Isotopy, vel: np.ndarray) -> float:
-    """Default closedness gate by generator provenance: closed-form fields
-    leave round-off, assembled sample paths carry interpolation noise, and
-    finite-difference recovery carries its O(K^-2) truncation error."""
+    """Default closedness gate by generator provenance: a `TimeField`
+    leaves round-off, an assembled `VectorFieldPath` carries interpolation
+    noise."""
     scale = 1.0 + float(np.abs(vel[0] if _is_autonomous(phi_path) else vel).max())
     if isinstance(phi_path.generator, TimeField):
         return 1e-8 * scale
-    if isinstance(phi_path.generator, VectorFieldPath):
-        return 1e-4 * scale
-    return 50.0 * scale / phi_path.K ** 2
+    return 1e-4 * scale
 
 
 def _generator_sample(phi_path: Isotopy):
@@ -675,8 +615,8 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
     maps, so it reproduces them; a closed-form field is read in closed form,
     any other through the interpolators its TimeField cached while
     integrating.  Any other path (catalog translations, shears and
-    rotations, reparametrized and concatenated paths, paths given by their
-    maps) interpolates its stored displacements, two splines per sample.
+    rotations, reparametrized and concatenated paths, paths built directly
+    from maps) interpolates its stored displacements, two splines per sample.
     Either way, the grid jumps the Isotopy constructor bounds by L/4 do not
     bound the increments between grid points, so they are checked here.
     """
@@ -700,20 +640,20 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
 
 
 def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
-    """Line integral of a closed 1-form along the lifted orbit of x."""
+    """Line integral of a closed 1-form along the lifted orbit of x, with the
+    velocity read off the path's `TimeField` generator at the orbit points."""
     alpha.require_closed(what="orbit_integral")
+    tf = phi_path.generator
+    if not isinstance(tf, TimeField):
+        raise ValueError("orbit_integral needs a path with a TimeField generator")
     orbit = _orbit_points(phi_path, x)[:, :, 0]  # (K+1, 2)
     K = phi_path.K
     # alpha, and a steady generator, are looked up at all K+1 orbit points
     # at once; spline evaluation is pointwise, so this equals a per-sample loop
-    if phi_path.has_exact_generator():
-        tf = TimeField.wrap(phi_path.generator, phi_path.mesh)
-        if tf.autonomous:
-            vel = tf(0.0, orbit.T).T
-        else:
-            vel = np.stack([tf(t, p) for t, p in zip(phi_path.times, orbit)])
+    if tf.autonomous:
+        vel = tf(0.0, orbit.T).T
     else:
-        vel = _time_derivative(orbit, K)
+        vel = np.stack([tf(t, p) for t, p in zip(phi_path.times, orbit)])
     a = alpha.at(orbit.T).T
     integrand = (a * vel).sum(axis=1)
     w = simpson_weights(K, 1.0 / K)
@@ -801,17 +741,6 @@ def orbit_length_bound(phi_path: Isotopy) -> float:
     return float(total.max())
 
 
-def c0bar_distance(a_path: Isotopy, b_path: Isotopy) -> float:
-    """max over time of the uniform distance between the two paths;
-    resamples to the finer grid when the sample counts differ."""
-    if a_path.K == b_path.K:
-        pairs = zip(a_path.maps, b_path.maps)
-        return float(max(c0_distance(p, q) for p, q in pairs))
-    K = max(a_path.K, b_path.K)
-    ts = np.linspace(0.0, 1.0, K + 1)
-    return float(max(c0_distance(a_path.at_time(t), b_path.at_time(t)) for t in ts))
-
-
 # ---------------------------------------------------------------------------
 # boundary-flat reparametrization and concatenation
 # ---------------------------------------------------------------------------
@@ -819,12 +748,10 @@ def c0bar_distance(a_path: Isotopy, b_path: Isotopy) -> float:
 def _smooth_step(x: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for x <= 0, 1 for x >= 1, flat to all orders."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gx = np.where(x > 0, np.exp(-1.0 / np.where(x > 0, x, 1.0)), 0.0)
         g1 = np.where(x < 1, np.exp(-1.0 / np.where(x < 1, 1.0 - x, 1.0)), 0.0)
-    out = gx / (gx + g1)
-    return out
+    return gx / (gx + g1)
 
 
 def _smooth_step_deriv(x: np.ndarray) -> np.ndarray:
@@ -861,8 +788,11 @@ class BumpProfile:
                                   / (1.0 - 2.0 * self.delta)) / (1.0 - 2.0 * self.delta)
 
 
+#: the transition profile of every concatenation
+_PROFILE = BumpProfile()
+
+
 def concat_reparam(a_path: Isotopy, b_path: Isotopy,
-                   profile: BumpProfile | None = None,
                    oversample: int = 1) -> Isotopy:
     """Boundary-flat concatenation: run A on [0, 1/2] and A(1) o B on
     [1/2, 1], each reparametrized through the bump profile so the velocity
@@ -871,60 +801,39 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
     The endpoint is exactly A(1) o B(1).  The transition profile is only
     Gevrey-regular, so quadratures over the result converge subgeometrically
     in the sample count; `oversample` refines the output sampling when
-    quadrature accuracy matters more than cost.  When both generators have
-    point values, so does the result's: rate X_A on the first half and the
-    push-forward rate (A(1))_* X_B, evaluated at points, on the second.
+    quadrature accuracy matters more than cost.  Both generators must have
+    point values, and so does the result's: rate X_A on the first half and
+    the push-forward rate (A(1))_* X_B, evaluated at points, on the second.
     """
     if not a_path.mesh.same_grid(b_path.mesh):
         raise ValueError("paths live on different meshes")
-    profile = profile or BumpProfile()
+    tfa, tfb = a_path.generator, b_path.generator
+    if not all(isinstance(tf, TimeField) and tf.at is not None for tf in (tfa, tfb)):
+        raise ValueError("concat_reparam needs two generators with point values")
     mesh = a_path.mesh
     a_end = a_path.end_map
     K_out = oversample * (a_path.K + b_path.K)
 
     def map_at(s: float) -> TorusMap:
         if s <= 0.5:
-            return a_path.at_time(float(profile.u(2.0 * s)))
-        return compose(a_end, b_path.at_time(float(profile.u(2.0 * s - 1.0))),
+            return a_path.at_time(float(_PROFILE.u(2.0 * s)))
+        return compose(a_end, b_path.at_time(float(_PROFILE.u(2.0 * s - 1.0))),
                        normalize=False)
 
     maps = [map_at(j / K_out) for j in range(K_out + 1)]
 
-    gen = None
-    if a_path.has_exact_generator() and b_path.has_exact_generator():
-        tfa = TimeField.wrap(a_path.generator, mesh)
-        tfb = TimeField.wrap(b_path.generator, mesh)
+    def gen_at(s: float, points: np.ndarray) -> np.ndarray:
+        r = 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
+        rate, lam = 2.0 * float(_PROFILE.du(r)), float(_PROFILE.u(r))
+        if rate == 0.0:
+            return np.zeros((2, *points.shape[1:]))
+        if s <= 0.5:
+            return rate * tfa.at(lam, points)
+        return rate * pushforward_at(a_end, partial(tfb.at, lam), points)
 
-        def stage(s: float):
-            """(rate, the second half?, the part's time) at output time s."""
-            r = 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
-            return 2.0 * float(profile.du(r)), s > 0.5, float(profile.u(r))
-
-        def gen_fn(s: float) -> np.ndarray:
-            rate, second, lam = stage(s)
-            if rate == 0.0:
-                return np.zeros((2, *mesh.shape))
-            if not second:
-                return rate * tfa.field(lam)
-            if a_end.is_identity():
-                return rate * tfb.field(lam)
-            return rate * pushforward_vector(a_end, tfb.field(lam))
-
-        def gen_at(s: float, points: np.ndarray) -> np.ndarray:
-            rate, second, lam = stage(s)
-            if rate == 0.0:
-                return np.zeros((2, *points.shape[1:]))
-            if not second:
-                return rate * tfa.at(lam, points)
-            return rate * pushforward_at(a_end, partial(tfb.at, lam), points)
-
-        cert = (getattr(a_path.generator, 'certified_symplectic', False)
-                and getattr(b_path.generator, 'certified_symplectic', False))
-        if tfa.at is not None and tfb.at is not None:
-            gen = TimeField.closed_form(gen_at, mesh, certified_symplectic=cert)
-        else:
-            gen = TimeField(gen_fn, mesh, certified_symplectic=cert)
-
+    gen = TimeField.closed_form(
+        gen_at, mesh,
+        certified_symplectic=tfa.certified_symplectic and tfb.certified_symplectic)
     return Isotopy(mesh, maps, generator=gen, map_fn=map_at,
                    provenance={"kind": "concat"})
 

@@ -220,13 +220,6 @@ class TorusMap:
 # operations
 # ---------------------------------------------------------------------------
 
-def evaluate(phi: TorusMap, x) -> np.ndarray:
-    """phi(x) reduced to the fundamental domain; x is (2,) or (2, ...)."""
-    pts = np.asarray(x, dtype=float)
-    out = pts + phi.interp_disp(pts)
-    return phi.mesh.wrap_point(out)
-
-
 def evaluate_lift(phi: TorusMap, x) -> np.ndarray:
     """phi on the lift: x + u(x), no reduction mod L."""
     pts = np.asarray(x, dtype=float)
@@ -267,11 +260,6 @@ def _solve_2x2(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     return np.stack([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det,
                      (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
-
-
-def inverse(phi: TorusMap) -> TorusMap:
-    """The inverse diffeomorphism (cached on the map)."""
-    return phi.inverse()
 
 
 def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:

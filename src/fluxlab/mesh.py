@@ -140,13 +140,6 @@ class GridMesh:
             out[k] = deltas[k] - l * np.ceil(deltas[k] / l - 0.5)
         return out
 
-    def wrap_point(self, points: np.ndarray) -> np.ndarray:
-        """Reduce coordinates into the fundamental domain [0, L)."""
-        out = np.empty_like(points, dtype=float)
-        for k in range(2):
-            out[k] = np.mod(points[k], self.L[k])
-        return out
-
     def torus_distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Flat-torus distance between point arrays of shape (2, ...)."""
         d = self.wrap_delta(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))

@@ -33,8 +33,8 @@ from .displacement import (UnitSphereSampler, commutator_collapse_check, delta,
                            rigidity_limit_check, supported_commutator_pair)
 from .forms import (OneForm, TwoForm, exterior_derivative, l2_norm,
                     oscillation, sup_norm)
-from .isotopy import (BumpProfile, Isotopy, TimeField, concat_reparam,
-                      f_functional, fathi_mass_flow, generator_hodge_split,
+from .isotopy import (Isotopy, TimeField, concat_reparam, f_functional,
+                      fathi_mass_flow, generator_hodge_split,
                       geodesic_functional, hofer_like_length, integrate_flow,
                       orbit_length_bound, symplectic_flux, volume_flux)
 from .maps import (Region, TorusMap, c0_distance, compose, interior_product,
@@ -552,7 +552,7 @@ def suite_flux_duality(ctx: SuiteContext) -> list[CheckRow]:
     def additivity():
         A = catalog.translation_flow(mesh, 0.25, -0.15, K)
         B = catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=K)
-        pj = symplectic_flux(concat_reparam(A, B, BumpProfile(), oversample=2))
+        pj = symplectic_flux(concat_reparam(A, B, oversample=2))
         pa, pb = symplectic_flux(A), symplectic_flux(B)
         return max(abs(pj[0] - pa[0] - pb[0]), abs(pj[1] - pa[1] - pb[1]))
 

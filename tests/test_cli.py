@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, overrides, exit codes, error notes
 and the modules an import loads."""
 
+import ast
 import json
 import os
 import re
@@ -114,3 +115,21 @@ def test_import_loads_only_numpy_and_ndimage():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_scipy_interpolate():
+    # not on import and not on use: splines in time went with the paths
+    # given by their maps alone, and fluxlab interpolates through ndimage
+    found = []
+    for path in sorted(Path(fluxlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.interpolate" or n.startswith("scipy.interpolate.")
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

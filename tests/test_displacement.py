@@ -222,18 +222,17 @@ def test_psi_norm_monotone_in_budget(mesh):
 
 def test_psi_norm_witness_is_unit_closed(mesh, sampler):
     rep = psi_norm(catalog.twist(mesh, 0.1, 0.08), sampler)
-    w = rep.witness_form(sampler)
+    w = sampler.materialize(rep.witness_coeffs)
     assert abs(l2_norm(w) - 1.0) < 1e-10
     assert w.closedness_residual < 1e-8
     assert max(r["value"] for r in rep.table) == rep.norm_lower_bound
 
 
-def test_psi_norm_report_json(mesh, sampler, tmp_path):
+def test_psi_norm_report_table(mesh, sampler, tmp_path):
     rep = psi_norm(catalog.shear(mesh, 0.1), sampler)
-    payload = rep.to_json(sampler, table_path=tmp_path / "table.csv")
-    assert set(payload) == {"norm_lower_bound", "witness_point", "sampler",
-                            "map", "table_path", "witness_form_periods"}
-    lines = open(payload["table_path"]).read().strip().split("\n")
+    path = rep.write_table(tmp_path / "table.csv")
+    assert path == str(tmp_path / "table.csv")
+    lines = open(path).read().strip().split("\n")
     assert lines[0] == "sample,value,point_x,point_y"
     assert len(lines) == len(rep.table) + 1
 

@@ -1,4 +1,4 @@
-"""Flows, velocity recovery, fluxes, mass flow, path functionals."""
+"""Flows, fluxes, mass flow, path functionals, concatenation."""
 
 import math
 import tracemalloc
@@ -10,17 +10,15 @@ from scipy.integrate import cumulative_simpson
 from fluxlab import catalog, isotopy
 from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, oscillation, sup_norm
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
-                             NonSymplecticError, TimeField, VectorFieldPath,
-                             c0bar_distance, commutator_generator,
-                             concat_reparam, f_functional, fathi_mass_flow,
+                             NonSymplecticError, TimeField,
+                             commutator_generator, concat_reparam,
+                             f_functional, fathi_mass_flow,
                              generator_hodge_split, geodesic_functional,
                              hofer_like_length, integrate_flow,
                              orbit_integral, orbit_length_bound,
-                             simpson_weights, symplectic_flux,
-                             velocity_field, volume_flux)
+                             simpson_weights, symplectic_flux, volume_flux)
 from fluxlab.interpolate import PeriodicInterpolator
-from fluxlab.maps import (TorusMap, c0_distance, compose, interior_product,
-                          pullback_oneform)
+from fluxlab.maps import TorusMap, compose, interior_product, pullback_oneform
 from fluxlab.mesh import GridMesh
 
 TWO_PI = 2 * np.pi
@@ -63,30 +61,6 @@ def test_integrate_flow_requires_min_steps(mesh):
         integrate_flow(np.zeros((2, mesh.N, mesh.N)), 8, mesh)
 
 
-# -- velocity recovery --------------------------------------------------------
-
-def test_velocity_identity_path(mesh):
-    iso = integrate_flow(np.zeros((2, mesh.N, mesh.N)), K, mesh)
-    assert np.abs(velocity_field(iso).samples).max() < 1e-12
-
-
-def test_velocity_translation_exact(mesh):
-    iso = catalog.translation_flow(mesh, 0.3, 0.4, K)
-    vf = velocity_field(iso)
-    assert np.abs(vf.samples[:, 0] - 0.3).max() < 1e-11
-    assert np.abs(vf.samples[:, 1] - 0.4).max() < 1e-11
-
-
-def test_velocity_roundtrip_second_order(mesh):
-    X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.1)
-    errs = []
-    for steps in (16, 32):
-        iso = integrate_flow(X, steps, mesh)
-        errs.append(np.abs(velocity_field(iso).samples - iso.generator_samples()).max())
-    assert errs[1] <= errs[0] / 3.0  # O(K^-2) convergence
-    assert errs[1] < 1e-4
-
-
 # -- fluxes -------------------------------------------------------------------
 
 def test_flux_identity_path(mesh):
@@ -108,8 +82,7 @@ def test_flux_hamiltonian_vanishes(mesh):
 def test_flux_rejects_nonsymplectic(mesh):
     X, Y = mesh.points
     bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])  # div != 0
-    iso = integrate_flow(bad, K, mesh)
-    iso.generator = None  # force finite-difference recovery and the gate
+    iso = integrate_flow(bad, K, mesh)  # an uncertified TimeField: gated at 1e-8
     with pytest.raises(NonSymplecticError):
         symplectic_flux(iso)
 
@@ -261,7 +234,7 @@ def test_flux_of_a_certified_path_stacks_no_samples(monkeypatch):
     mesh = GridMesh(N=32)
     path = concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
                           catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16),
-                          BumpProfile(), oversample=2)
+                          oversample=2)
     assert path.generator.certified_symplectic
 
     def stacked(self):
@@ -321,6 +294,27 @@ def test_catalog_point_values_are_the_grid_samples():
             at = flow.generator.at(t, mesh.points)
             assert [v.hex() for v in at.ravel()] == [v.hex() for v in samples[j].ravel()]
             assert [v.hex() for v in at.ravel()] == [v.hex() for v in oracle(t).ravel()]
+
+
+def test_a_path_without_its_generator_raises():
+    # the same maps with and without the generator that made them
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    flow = integrate_flow(F, 16, mesh)
+    bare = Isotopy(mesh, flow.maps)
+    with pytest.raises(ValueError, match="the path has no generator"):
+        symplectic_flux(bare)
+    with pytest.raises(ValueError, match="needs a path with a TimeField generator"):
+        orbit_integral(bare, np.array([0.3, 0.7]), OneForm.constant(mesh, 1.0, 0.0))
+    assert bare.at_time(0.5) is flow.maps[8]
+    with pytest.raises(ValueError, match="not a sample time"):
+        bare.at_time(0.5 / 16)
+    # a raw-array flow has no point values; a closed-form one does
+    raw = integrate_flow(F.samples, 16, mesh)
+    translation = catalog.translation_flow(mesh, 0.2, -0.1, 16)
+    for a, b in ((raw, translation), (translation, raw)):
+        with pytest.raises(ValueError, match="two generators with point values"):
+            concat_reparam(a, b)
 
 
 def test_volume_flux_catches_a_false_certificate():
@@ -651,25 +645,6 @@ def test_kappa_linear_bound(mesh):
         assert sup_norm(geodesic_functional(flow, beta)) <= kappa * sup_norm(beta) + 1e-12
 
 
-# -- path distance ------------------------------------------------------------
-
-def test_c0bar_reflexive(mesh):
-    iso = catalog.shear_flow(mesh, 0.1, K=K)
-    assert c0bar_distance(iso, iso) == 0.0
-
-
-def test_c0bar_translation_path(mesh):
-    a = catalog.translation_flow(mesh, 0.0, 0.0, K)
-    b = catalog.translation_flow(mesh, 0.3, 0.0, K)
-    assert abs(c0bar_distance(a, b) - 0.3) < 1e-12
-
-
-def test_c0bar_dominates_endpoint(mesh):
-    a = catalog.translation_flow(mesh, 0.0, 0.0, K)
-    b = catalog.shear_flow(mesh, 0.1, K=K)
-    assert c0bar_distance(a, b) >= c0_distance(a.end_map, b.end_map) - 1e-14
-
-
 # -- concatenation ------------------------------------------------------------
 
 def test_bump_profile_margins():
@@ -685,7 +660,7 @@ def test_bump_profile_margins():
 def test_concat_endpoints(mesh):
     A = catalog.translation_flow(mesh, 0.2, -0.1, K)
     B = catalog.shear_flow(mesh, 0.1, K=K)
-    joined = concat_reparam(A, B, BumpProfile())
+    joined = concat_reparam(A, B)
     assert joined.maps[0].sup_displacement() < 1e-12
     target = compose(A.end_map, B.end_map, normalize=False)
     assert np.abs(joined.end_map.disp - target.disp).max() < 1e-10
@@ -694,25 +669,27 @@ def test_concat_endpoints(mesh):
 def test_concat_flat_margins_velocity(mesh):
     A = catalog.translation_flow(mesh, 0.2, -0.1, K)
     B = catalog.shear_flow(mesh, 0.1, K=K)
-    joined = concat_reparam(A, B, BumpProfile())
-    vf = velocity_field(joined)
+    joined = concat_reparam(A, B)
+    # the velocity is zero exactly where the displacement stands still
     Kj = joined.K
+    dudt = isotopy._time_derivative(np.stack([m.disp for m in joined.maps]), Kj)
     mid = [j for j in range(Kj + 1) if abs(j / Kj - 0.5) <= 0.0625]
-    worst = max(np.abs(vf.samples[j]).max() for j in mid)
+    worst = max(np.abs(dudt[j]).max() for j in mid)
     assert worst < 1e-8
 
 
 def test_concat_inverse_returns_to_identity(mesh):
+    # the steady shear flow of -0.1 is t -> phi_t^{-1} of the flow of 0.1
     A = catalog.shear_flow(mesh, 0.1, K=K)
-    Ainv = A.inverse_path()
-    joined = concat_reparam(Ainv, A, BumpProfile())
+    Ainv = catalog.shear_flow(mesh, -0.1, K=K)
+    joined = concat_reparam(Ainv, A)
     assert joined.end_map.sup_displacement() < 1e-8
 
 
 def test_flux_additivity_under_concat(mesh):
     A = catalog.translation_flow(mesh, 0.25, -0.15, K)
     B = catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=K)
-    joined = concat_reparam(A, B, BumpProfile(), oversample=4)
+    joined = concat_reparam(A, B, oversample=4)
     pj = symplectic_flux(joined)
     pa, pb = symplectic_flux(A), symplectic_flux(B)
     assert max(abs(pj[0] - pa[0] - pb[0]), abs(pj[1] - pa[1] - pb[1])) < 1e-8
@@ -760,14 +737,6 @@ def test_commutator_certification_gate():
     B = catalog.translation_shear_flow(coarse, 0.2, 0.15, 0.05, K=16)
     with pytest.raises(NonSymplecticError, match="failed certification"):
         commutator_generator(A, B)
-
-
-def test_inverse_path_generator(mesh):
-    A = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=K)
-    Ainv = A.inverse_path()
-    p = symplectic_flux(Ainv)
-    q = symplectic_flux(A)
-    assert abs(p[0] + q[0]) < 1e-7 and abs(p[1] + q[1]) < 1e-7
 
 
 # -- closed-form Hamiltonian fields ---------------------------------------------
@@ -891,11 +860,8 @@ def _orbit_integral_per_sample(phi_path, x, alpha):
     time sample: the reference for the batched lookups."""
     orbit = isotopy._orbit_points(phi_path, x)
     K = phi_path.K
-    if phi_path.has_exact_generator():
-        tf = TimeField.wrap(phi_path.generator, phi_path.mesh)
-        vel = np.stack([tf(t, orbit[j]) for j, t in enumerate(phi_path.times)])
-    else:
-        vel = isotopy._time_derivative(orbit, K)
+    tf = phi_path.generator
+    vel = np.stack([tf(t, orbit[j]) for j, t in enumerate(phi_path.times)])
     a = np.stack([alpha.at(orbit[j]) for j in range(K + 1)])
     integrand = (a * vel).sum(axis=1)[:, 0]
     return float(np.sum(simpson_weights(K, 1.0 / K) * integrand))
@@ -906,12 +872,9 @@ def test_orbit_integral_batches_its_lookups():
     alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(
         ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * (x + y))))
     F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
-    no_generator = integrate_flow(F.samples, 16, mesh)
-    no_generator.generator = None
     paths = [integrate_flow(F.samples, 16, mesh),      # steady spline
              integrate_flow(F, 16, mesh),              # closed form
-             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
-             no_generator]                             # finite differences
+             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)]
     for path in paths:
         for x in (np.array([0.15, 0.65]), np.array([0.9, 0.05])):
             assert (orbit_integral(path, x, alpha).hex()
@@ -951,7 +914,7 @@ def _streamed_paths():
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
     A = catalog.translation_flow(mesh, 0.25, -0.15, 16)
     B = catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16)
-    return mesh, [flow, concat_reparam(A, B, BumpProfile(), oversample=2)]
+    return mesh, [flow, concat_reparam(A, B, oversample=2)]
 
 
 def _lift_threshold(monkeypatch, threshold):
@@ -1024,15 +987,3 @@ def test_orbit_length_bound_equals_the_stacked_oracle():
     _, paths = _streamed_paths()
     for path in paths:
         assert orbit_length_bound(path).hex() == _stacked_orbit_length(path).hex()
-
-
-def test_velocity_field_equals_the_stacked_oracle():
-    mesh, paths = _streamed_paths()
-    for path in paths:
-        disp = np.stack([m.disp for m in path.maps])
-        dudt = isotopy._time_derivative(disp, path.K)
-        invs = path._inverses()
-        expected = np.stack([
-            isotopy.VectorInterpolator(dudt[j], mesh)(invs[j].flat_position)
-            .reshape(2, *mesh.shape) for j in range(path.K + 1)])
-        assert np.array_equal(velocity_field(path).samples, expected)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fluxlab import catalog
 from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, l2_norm, sup_norm, tol_closed
 from fluxlab.maps import (DiffeomorphismError, Region, TorusMap, c0_distance,
-                          compose, evaluate, interior_product, inverse,
+                          compose, evaluate_lift, interior_product,
                           max_singular_value, pullback_bound_constant,
                           pullback_oneform, pushforward_vector, volume_defect,
                           _newton_inverse)
@@ -28,19 +28,13 @@ def mesh():
 def test_identity_evaluate(mesh):
     ident = TorusMap.identity(mesh)
     pts = np.array([[0.12, 0.7], [0.33, 0.9]]).T
-    assert np.abs(evaluate(ident, pts) - pts).max() == 0.0
+    assert np.abs(evaluate_lift(ident, pts) - pts).max() == 0.0
 
 
 def test_shear_evaluate_quarter(mesh):
     S = catalog.shear(mesh, 0.1)
-    out = evaluate(S, np.array([0.0, 0.25]))
+    out = evaluate_lift(S, np.array([0.0, 0.25]))
     assert abs(out[0] - 0.1) < 1e-12 and abs(out[1] - 0.25) < 1e-15
-
-
-def test_translation_evaluate_wraps(mesh):
-    T = catalog.translation(mesh, 0.7, 0.6)
-    out = evaluate(T, np.array([0.5, 0.5]))
-    assert abs(out[0] - 0.2) < 1e-12 and abs(out[1] - 0.1) < 1e-12
 
 
 # -- constant fields ----------------------------------------------------------
@@ -160,12 +154,12 @@ def test_compose_diffeo_check():
 # -- inversion ----------------------------------------------------------------
 
 def test_inverse_identity(mesh):
-    assert inverse(TorusMap.identity(mesh)).is_identity()
+    assert TorusMap.identity(mesh).inverse().is_identity()
 
 
 def test_inverse_translation(mesh):
     T = catalog.translation(mesh, 0.3, 0.4)
-    Ti = inverse(T)
+    Ti = T.inverse()
     assert np.abs(Ti.disp[0] + 0.3).max() < 1e-14
     assert np.abs(Ti.disp[1] + 0.4).max() < 1e-14
 
@@ -190,7 +184,7 @@ def test_inverse_roundtrip():
 
 def test_inverse_composition_is_identity(mesh):
     tw = catalog.twist(mesh, 0.07, 0.05)
-    rt = compose(inverse(tw), tw)
+    rt = compose(tw.inverse(), tw)
     assert rt.sup_displacement() < 5e-9
 
 
