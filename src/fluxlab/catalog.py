@@ -28,6 +28,14 @@ TWO_PI = 2.0 * np.pi
 # elementary closed-form maps
 # ---------------------------------------------------------------------------
 
+def _line(mesh: GridMesh, axis: int) -> np.ndarray:
+    """Grid coordinate `axis` on the one grid line it varies along: shape
+    (N, 1) for x, (1, N) for y.  A field of it alone is stored on that
+    line (see TorusMap)."""
+    a = mesh.axes[axis]
+    return a.reshape(-1, 1) if axis == 0 else a.reshape(1, -1)
+
+
 def translation(mesh: GridMesh, c: float, d: float) -> TorusMap:
     """x -> x + (c, d); an isometry with J = I, both fields stored once."""
     m = TorusMap(mesh, np.reshape((c, d), (2, 1, 1)), jac=UNIT_JAC,
@@ -43,13 +51,11 @@ def shear(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
     axis=0: (x, y) -> (x + eps sin(2 pi m y / L1 + phase), y).  The time-1
     map of a Hamiltonian flow, so volume preserving with vanishing flux.
     """
-    N = mesh.N
-    X, Y = mesh.points
     w = TWO_PI * mode / mesh.L[1 - axis]
-    coord = Y if axis == 0 else X
-    disp = np.zeros((2, N, N))
+    coord = _line(mesh, 1 - axis)
+    disp = np.zeros((2, *coord.shape))
     disp[axis] = eps * np.sin(w * coord + phase)
-    jac = np.zeros((2, 2, N, N))
+    jac = np.zeros((2, 2, *coord.shape))
     jac[0, 0] = jac[1, 1] = 1.0
     jac[axis, 1 - axis] = eps * w * np.cos(w * coord + phase)
     m = TorusMap(mesh, disp, jac=jac,
@@ -164,11 +170,11 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
 
 def non_volume_preserving(mesh: GridMesh, eps: float = 0.1, mode: int = 1) -> TorusMap:
     """(x, y) -> (x, y + eps sin(2 pi m y / L1)): det J = 1 + eps w cos != 1."""
-    X, Y = mesh.points
+    Y = _line(mesh, 1)
     w = TWO_PI * mode / mesh.L[1]
-    disp = np.zeros((2, mesh.N, mesh.N))
+    disp = np.zeros((2, *Y.shape))
     disp[1] = eps * np.sin(w * Y)
-    jac = np.zeros((2, 2, mesh.N, mesh.N))
+    jac = np.zeros((2, 2, *Y.shape))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0 + eps * w * np.cos(w * Y)
     return TorusMap(mesh, disp, jac=jac,
@@ -213,23 +219,23 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
                            mode: int = 1, K: int = 64) -> Isotopy:
     """Phi_t = T_{(tc, td)} o S_{t eps}: a volume-preserving flow with
     nonzero flux and a genuinely time-dependent generator."""
-    X, Y = mesh.points
+    Y = _line(mesh, 1)
     w = TWO_PI * mode / mesh.L[1]
 
     def map_at(t: float) -> TorusMap:
-        disp = np.empty((2, mesh.N, mesh.N))
+        disp = np.empty((2, *Y.shape))
         disp[0] = t * c + t * eps * np.sin(w * Y)
         disp[1] = t * d
-        jac = np.zeros((2, 2, mesh.N, mesh.N))
+        jac = np.zeros((2, 2, *Y.shape))
         jac[0, 0] = jac[1, 1] = 1.0
         jac[0, 1] = t * eps * w * np.cos(w * Y)
         m = TorusMap(mesh, disp, jac=jac)
 
         def inv():
-            dinv = np.empty((2, mesh.N, mesh.N))
+            dinv = np.empty((2, *Y.shape))
             dinv[0] = -t * c - t * eps * np.sin(w * (Y - t * d))
             dinv[1] = -t * d
-            jinv = np.zeros((2, 2, mesh.N, mesh.N))
+            jinv = np.zeros((2, 2, *Y.shape))
             jinv[0, 0] = jinv[1, 1] = 1.0
             jinv[0, 1] = -t * eps * w * np.cos(w * (Y - t * d))
             return TorusMap(mesh, dinv, jac=jinv)

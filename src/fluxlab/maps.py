@@ -55,6 +55,15 @@ UNIT_JAC = np.eye(2).reshape(2, 2, 1, 1)
 UNIT_JAC.setflags(write=False)
 
 
+def _check_field(field: np.ndarray, lead: tuple, N: int, name: str) -> None:
+    """A field is `lead` components over grid axes of length 1 or N each."""
+    shape = field.shape
+    if not (len(shape) == len(lead) + 2 and shape[:-2] == lead
+            and all(n in (1, N) for n in shape[-2:])):
+        raise ValueError(f"{name} shape {shape} is not {lead} + (a, b) "
+                         f"with a, b in (1, {N})")
+
+
 def _frozen(field: np.ndarray, shape: tuple) -> np.ndarray:
     """Freeze a fresh float array; one with unit grid axes becomes a
     read-only stride-0 view of `shape`."""
@@ -65,11 +74,13 @@ def _frozen(field: np.ndarray, shape: tuple) -> np.ndarray:
 class TorusMap:
     """A diffeomorphism x -> x + u(x) mod L of the flat torus.
 
-    The displacement has shape (2, N, N) and the Jacobian field, when
-    given, (2, 2, N, N); both are copied and frozen.  A constant field may
-    be given with unit grid axes, (2, 1, 1) or (2, 2, 1, 1): it is stored
-    once and read as a stride-0 view of the full shape, so a translation
-    holds no grid arrays.  The Jacobian is supplied analytically by
+    The displacement is given with shape (2, a, b) and the Jacobian field,
+    when given, with shape (2, 2, a, b), where each grid axis a, b is N or
+    1; both are copied and frozen.  A unit grid axis marks a field that is
+    constant along that axis: it is stored once on the remaining grid line
+    (or point) and read as a read-only stride-0 view of the full shape
+    (2, N, N) or (2, 2, N, N).  So a translation holds no grid arrays and
+    a shear one grid line.  The Jacobian is supplied analytically by
     closed-form builders or computed spectrally on first access;
     `check=False` skips the determinant validation for maps whose
     invertibility is guaranteed by construction (e.g. converged Newton
@@ -80,22 +91,20 @@ class TorusMap:
                  provenance: dict | None = None, normalize: bool = False,
                  check: bool = True):
         disp = np.array(disp, dtype=float)
-        if disp.shape not in ((2, mesh.N, mesh.N), (2, 1, 1)):
-            raise ValueError(f"displacement shape {disp.shape} is neither "
-                             "(2, N, N) nor (2, 1, 1)")
+        _check_field(disp, (2,), mesh.N, "displacement")
         if not np.all(np.isfinite(disp)):
             raise ValueError("non-finite displacement")
         if normalize:
             disp = _lattice_normalize(disp, mesh.L)
         self.mesh = mesh
+        # the stored fields, on their (a, b) grid axes, and their full views
+        self._stored_disp = disp
         self.disp = _frozen(disp, (2, mesh.N, mesh.N))
         if jac is not None:
             jac = np.array(jac, dtype=float)
-            if jac.shape not in ((2, 2, mesh.N, mesh.N), (2, 2, 1, 1)):
-                raise ValueError(f"jacobian shape {jac.shape} is neither "
-                                 "(2, 2, N, N) nor (2, 2, 1, 1)")
-            jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
-        self._jac = jac
+            _check_field(jac, (2, 2), mesh.N, "jacobian")
+        self._stored_jac = jac
+        self._jac = None if jac is None else _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._det = None
         self.provenance = dict(provenance or {})
         self._interp: dict[str, object] = {}
@@ -116,23 +125,28 @@ class TorusMap:
                 jac[k] = self.mesh.gradient(self.disp[k])
                 jac[k, k] += 1.0
             jac.setflags(write=False)
-            self._jac = jac
+            self._stored_jac = self._jac = jac
         return self._jac
 
+    def _jac_field(self) -> np.ndarray:
+        """The Jacobian on the grid axes it is stored on."""
+        return self.jac if self._stored_jac is None else self._stored_jac
+
     def _det_of_jac(self) -> np.ndarray:
-        J = self.jac
+        J = self._jac_field()
         return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
 
     @property
     def det(self) -> np.ndarray:
         if self._det is None:
-            self._det = self._det_of_jac()
+            self._det = _frozen(self._det_of_jac(), self.mesh.shape)
         return self._det
 
     def _validate(self):
         # det is not cached here: most validated maps never read it again
         det = self._det_of_jac()
         if det.min() <= 0.0:
+            # on a unit grid axis index 0 is a grid point of the minimum too
             i, j = np.unravel_index(np.argmin(det), det.shape)
             raise DiffeomorphismError(
                 f"det J = {det.min():.3e} <= 0 at grid point "
@@ -190,7 +204,7 @@ class TorusMap:
         return self.position.reshape(2, -1)
 
     def is_identity(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.disp).max() <= tol)
+        return bool(np.abs(self._stored_disp).max() <= tol)
 
     def sup_displacement(self) -> float:
         return float(np.sqrt(self.disp[0] ** 2 + self.disp[1] ** 2).max())
@@ -237,6 +251,13 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
     closed-form factors); `chain_jac=False` defers to lazy spectral
     differentiation of the composite displacement, which is cheaper and
     just as accurate for well-resolved maps.
+
+    When phi is a translation (a constant stored displacement c and the
+    stored identity Jacobian) the composite is psi's stored displacement
+    plus c, with psi's Jacobian, on psi's stored grid axes: the
+    interpolators of constant fields return the constants and the chain
+    with I is exact, so this equals the interpolated composite bit for
+    bit.
     """
     if not phi.mesh.same_grid(psi.mesh):
         raise ValueError("maps live on different meshes")
@@ -244,6 +265,10 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
         return phi
     if phi.is_identity():
         return psi
+    if phi._stored_disp.shape == (2, 1, 1) and np.array_equal(phi._stored_jac, UNIT_JAC):
+        u = psi._stored_disp + phi._stored_disp
+        jac = psi._jac_field() if chain_jac else None
+        return TorusMap(phi.mesh, u, jac=jac, normalize=normalize, check=check)
     pts = psi.flat_position
     u = psi.disp + phi.interp_disp(pts).reshape(2, *psi.mesh.shape)
     jac = None

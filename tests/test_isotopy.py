@@ -975,6 +975,28 @@ def test_translation_flow_holds_no_grid_arrays():
     assert flow.K == 64 and live < 2 * 2 ** 20
 
 
+def test_shear_family_flows_hold_one_grid_line_per_map():
+    mesh = GridMesh(N=128)
+
+    def live_mb(build):
+        tracemalloc.start()
+        try:
+            out = build()
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, live / 2 ** 20
+
+    # 65 maps each; full arrays held 49 MB a flow, the concatenation 82 MB
+    # more; one grid line per field measures 0.5, 0.5 and 0.9 MB
+    _, shear_mb = live_mb(lambda: catalog.shear_flow(mesh, 0.1, K=64))
+    A, _ = live_mb(lambda: catalog.translation_flow(mesh, 0.2, -0.1, 64))
+    B, ts_mb = live_mb(lambda: catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=64))
+    joined, concat_mb = live_mb(lambda: concat_reparam(A, B, oversample=2))
+    assert joined.K == 256
+    assert shear_mb < 1.0 and ts_mb < 1.0 and concat_mb < 2.0
+
+
 def test_only_a_steady_field_keeps_its_sample(mesh):
     steady = catalog.shear_flow(mesh, 0.1, K=K).generator
     assert steady.field(0.0) is steady.field(0.5)

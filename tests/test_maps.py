@@ -77,12 +77,51 @@ def test_constant_fields_are_copied(mesh):
 
 
 @pytest.mark.parametrize("disp_shape, jac_shape", [
-    ((2, 1), None), ((2, 1, 64), None), ((1, 1, 1), None), ((2, 64, 1), None),
-    ((2, 1, 1), (2, 2, 1)), ((2, 1, 1), (2, 2, 64, 1)), ((2, 1, 1), (2, 1, 1, 1))])
+    ((2, 1), None), ((1, 1, 1), None), ((2, 32, 64), None), ((2, 64, 1, 1), None),
+    ((2, 1, 1), (2, 2, 1)), ((2, 1, 1), (2, 1, 1, 1)), ((2, 1, 1), (2, 2, 64, 32))])
 def test_constant_field_shapes_are_checked(mesh, disp_shape, jac_shape):
+    # each grid axis is 1 or N; the components lead
     jac = None if jac_shape is None else np.ones(jac_shape)
     with pytest.raises(ValueError, match="shape"):
         TorusMap(mesh, np.zeros(disp_shape), jac=jac)
+
+
+@pytest.mark.parametrize("disp_shape, jac_shape", [
+    ((2, 1, 64), None), ((2, 64, 1), None), ((2, 1, 1), (2, 2, 64, 1)),
+    ((2, 1, 64), (2, 2, 1, 64)), ((2, 64, 1), (2, 2, 1, 1))])
+def test_line_fields_are_stored_once(mesh, disp_shape, jac_shape):
+    rng = np.random.default_rng(7)
+    s = np.indices(disp_shape[1:]).sum(axis=0) / mesh.N
+    disp = rng.uniform(0.005, 0.02, (2, 1, 1)) * np.sin(TWO_PI * s + rng.uniform(0, 6, (2, 1, 1)))
+    jac = None
+    if jac_shape is not None:
+        jac = np.eye(2).reshape(2, 2, 1, 1) + 0.05 * rng.standard_normal(jac_shape)
+    m = TorusMap(mesh, disp, jac=jac)
+    fields = [(m.disp, disp)] + ([] if jac is None else [(m.jac, jac)])
+    for got, stored in fields:
+        want = np.broadcast_to(stored, got.shape[:-2] + mesh.shape)
+        assert got.shape == want.shape and not got.flags.writeable
+        assert [st == 0 for st in got.strides[-2:]] == [n == 1 for n in stored.shape[-2:]]
+        assert np.array_equal(got, want)
+    J = np.ascontiguousarray(m.jac)
+    assert np.array_equal(m.det, J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+    with pytest.raises(ValueError):
+        m.disp[0, 0, 0] = 0.0
+
+
+def test_line_field_diffeomorphism_error_names_the_full_grid_point(mesh):
+    # det J stored on one grid line reports the point the full array would
+    jac = np.zeros((2, 2, 64, 1))
+    jac[0, 0] = 1.0
+    jac[1, 1] = 0.5 + np.cos(TWO_PI * mesh.axes[0]).reshape(64, 1)
+    full = np.ascontiguousarray(np.broadcast_to(jac, (2, 2, 64, 64)))
+    disp = np.zeros((2, 1, 1))
+    messages = []
+    for J in (jac, full):
+        with pytest.raises(DiffeomorphismError) as err:
+            TorusMap(mesh, disp, jac=J)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -103,6 +142,79 @@ def test_translation_and_identity_equal_the_full_arrays(mesh):
     disp, jac = _old_translation_fields(mesh, 0.0, 0.0)
     assert np.array_equal(ident.disp, disp) and np.array_equal(ident.jac, jac)
     assert ident.disp.strides[-2:] == ident.jac.strides[-2:] == (0, 0)
+
+
+def _old_shear_fields(mesh, eps, axis, mode, phase):
+    """The full grid arrays shear was built from."""
+    N = mesh.N
+    X, Y = mesh.points
+    w = TWO_PI * mode / mesh.L[1 - axis]
+    coord = Y if axis == 0 else X
+    disp = np.zeros((2, N, N))
+    disp[axis] = eps * np.sin(w * coord + phase)
+    jac = np.zeros((2, 2, N, N))
+    jac[0, 0] = jac[1, 1] = 1.0
+    jac[axis, 1 - axis] = eps * w * np.cos(w * coord + phase)
+    return disp, jac
+
+
+def _old_non_volume_preserving_fields(mesh, eps, mode):
+    _, Y = mesh.points
+    w = TWO_PI * mode / mesh.L[1]
+    disp = np.zeros((2, mesh.N, mesh.N))
+    disp[1] = eps * np.sin(w * Y)
+    jac = np.zeros((2, 2, mesh.N, mesh.N))
+    jac[0, 0] = 1.0
+    jac[1, 1] = 1.0 + eps * w * np.cos(w * Y)
+    return disp, jac
+
+
+def _old_translation_shear_fields(mesh, c, d, eps, mode, t):
+    """translation_shear_flow's time-t map and its inverse as full arrays."""
+    _, Y = mesh.points
+    w = TWO_PI * mode / mesh.L[1]
+    disp = np.empty((2, mesh.N, mesh.N))
+    disp[0] = t * c + t * eps * np.sin(w * Y)
+    disp[1] = t * d
+    jac = np.zeros((2, 2, mesh.N, mesh.N))
+    jac[0, 0] = jac[1, 1] = 1.0
+    jac[0, 1] = t * eps * w * np.cos(w * Y)
+    dinv = np.empty((2, mesh.N, mesh.N))
+    dinv[0] = -t * c - t * eps * np.sin(w * (Y - t * d))
+    dinv[1] = -t * d
+    jinv = np.zeros((2, 2, mesh.N, mesh.N))
+    jinv[0, 0] = jinv[1, 1] = 1.0
+    jinv[0, 1] = -t * eps * w * np.cos(w * (Y - t * d))
+    return (disp, jac), (dinv, jinv)
+
+
+def _assert_line_fields(m, old, const_axis):
+    """m's fields equal the full arrays and are stored along one grid
+    line: stride 0 on grid axis `const_axis` only."""
+    for got, want in zip((m.disp, m.jac), old):
+        assert np.array_equal(got, want)
+        assert [st == 0 for st in got.strides[-2:]] == [k == const_axis for k in range(2)]
+
+
+@pytest.mark.parametrize("L", [(1.0, 1.0), (1.0, 2.5)])
+def test_shear_family_equals_the_full_arrays(L):
+    mesh = GridMesh(N=64, L=L)
+    for axis in (0, 1):
+        for eps, mode, phase in ((0.1, 1, 0.0), (-0.13, 2, 0.7), (0.05, 3, -1.9)):
+            S = catalog.shear(mesh, eps, axis, mode, phase)
+            _assert_line_fields(S, _old_shear_fields(mesh, eps, axis, mode, phase), axis)
+            _assert_line_fields(S.inverse(),
+                                _old_shear_fields(mesh, -eps, axis, mode, phase), axis)
+    for eps, mode in ((0.1, 1), (0.05, 2)):
+        _assert_line_fields(catalog.non_volume_preserving(mesh, eps, mode),
+                            _old_non_volume_preserving_fields(mesh, eps, mode), 0)
+    for c, d, eps in ((0.25, 0.35, 0.12), (-0.2, 0.15, 0.08)):
+        flow = catalog.translation_shear_flow(mesh, c, d, eps, mode=2, K=16)
+        for t in (0.3, 0.5, 1.0):
+            m = flow.at_time(t)
+            old, old_inv = _old_translation_shear_fields(mesh, c, d, eps, 2, t)
+            _assert_line_fields(m, old, 0)
+            _assert_line_fields(m.inverse(), old_inv, 0)
 
 
 # -- composition --------------------------------------------------------------
@@ -131,6 +243,35 @@ def test_nearest_lift_branch(mesh):
     half = catalog.translation(mesh, 0.5, 0.0)
     two = compose(half, half)
     assert two.sup_displacement() < 1e-12  # wraps to the identity branch
+
+
+def _interpolated_compose(phi, psi, normalize, chain_jac):
+    """compose's general route: interpolate phi's fields at psi's image."""
+    pts = psi.flat_position
+    u = psi.disp + phi.interp_disp(pts).reshape(2, *psi.mesh.shape)
+    jac = None
+    if chain_jac:
+        A = phi.interp_jac(pts).reshape(2, 2, *psi.mesh.shape)
+        jac = np.einsum("km...,ml...->kl...", A, psi.jac)
+    return TorusMap(phi.mesh, u, jac=jac, normalize=normalize)
+
+
+def test_compose_with_a_translation_equals_the_interpolated_chain(mesh):
+    shear = catalog.shear(mesh, 0.1, axis=1, mode=2, phase=0.4)
+    sample = catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=16).maps[7]
+    # an integrated sample: full fields, its Jacobian spectral
+    spectral = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K=16).maps[9]
+    for T in (catalog.translation(mesh, 0.2, -0.1), catalog.translation(mesh, 0.45, 0.3)):
+        for psi, line in ((shear, True), (sample, True), (spectral, False)):
+            for normalize in (True, False):
+                for chain_jac in (True, False):
+                    got = compose(T, psi, normalize=normalize, chain_jac=chain_jac)
+                    want = _interpolated_compose(T, psi, normalize, chain_jac)
+                    assert np.array_equal(got.disp, want.disp)
+                    assert np.array_equal(got.jac, want.jac)
+                    assert (0 in got.disp.strides) == line
+                    if chain_jac:
+                        assert (0 in got.jac.strides) == line
 
 
 def test_composition_functoriality(mesh):
