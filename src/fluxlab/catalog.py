@@ -339,7 +339,8 @@ class HamiltonianField:
     Read-only and closed under + and scalar *.  Its grid samples and its
     values at arbitrary points both come from the closed-form gradient, so
     a flow of this field (`TimeField.wrap`, `integrate_flow`) integrates
-    the true vector field instead of a spline of its samples.
+    the true vector field; a flow of its `samples` array reads them off one
+    spline.
     """
 
     mesh: GridMesh

@@ -5,11 +5,12 @@ the identity, stored with continuous-in-time displacement lifts so that
 homotopy-class constructions (mass flow, orbit lifts, minimizing chords)
 are well defined.  A path is given by its maps and its generating vector
 field: the flow integrator, the catalog, reparametrization and
-concatenation attach a `TimeField`, the commutator path a
-`VectorFieldPath` of samples.  The generator calculus (fluxes, mass flow,
-splits, orbit integrals) reads the generator and raises `ValueError` on a
-path without one.  Finite differences of the maps appear only as the
-independent certificate of the commutator generating function.
+concatenation attach a `TimeField`, which has point values or is steady;
+the commutator path attaches a `VectorFieldPath`, the one time-dependent
+generator known only by its samples.  The generator calculus (fluxes,
+mass flow, splits, orbit integrals) reads the generator and raises
+`ValueError` on a path without one.  Finite differences of the maps appear
+only as the independent certificate of the commutator generating function.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ def _time_derivative(samples: np.ndarray, K: int) -> np.ndarray:
 class TimeField:
     """A time-dependent vector field t -> X_t on the mesh.
 
-    Wraps a callable returning (2, N, N) samples.  A field known in closed
-    form also carries `at(t, points)`, its values at points of shape
-    (2, ...), and is evaluated off the grid through it; any other field is
-    evaluated by spline interpolators of its samples, cached per time value
-    (a single one when the field is autonomous).  Builders whose fields are
+    Wraps a callable returning (2, N, N) grid samples.  Off the grid the
+    field is read one of two ways: through `at(t, points)`, its values at
+    points of shape (2, ...), when it has them, else, for a steady field,
+    through one spline of its one sample, built on the first off-grid read.
+    A time-dependent field must bring `at`; its grid samples alone would
+    need a spline per time value.  Builders whose fields are
     divergence-free in closed form may set `certified_symplectic`, which
     lets the closedness gates trust the construction instead of a spectral
     residual that only measures aliasing on marginally resolved profiles.
@@ -107,13 +109,15 @@ class TimeField:
 
     def __init__(self, fn, mesh: GridMesh, autonomous: bool = False,
                  certified_symplectic: bool = False, at=None):
+        if at is None and not autonomous:
+            raise ValueError("a time-dependent TimeField needs point values `at`")
         self._fn = fn
         self.mesh = mesh
         self.autonomous = autonomous
         self.certified_symplectic = certified_symplectic
         self.at = at
         self._steady: np.ndarray | None = None
-        self._interps: dict[float, VectorInterpolator] = {}
+        self._spline: VectorInterpolator | None = None
 
     @classmethod
     def closed_form(cls, at, mesh: GridMesh, autonomous: bool = False,
@@ -122,13 +126,6 @@ class TimeField:
         those values at the mesh points."""
         return cls(lambda t: at(t, mesh.points), mesh, autonomous,
                    certified_symplectic, at=at)
-
-    #: the interpolator cache is bounded; a path at K = 64 touches at most
-    #: 129 time keys
-    _CACHE_LIMIT = 150
-
-    def _key(self, t: float) -> float:
-        return 0.0 if self.autonomous else round(float(t), 12)
 
     def field(self, t: float) -> np.ndarray:
         """The grid samples at time t.  Only a steady field keeps its one
@@ -141,30 +138,24 @@ class TimeField:
             self._steady = np.asarray(self._fn(t), dtype=float)
         return self._steady
 
-    def interp(self, t: float) -> VectorInterpolator:
-        key = self._key(t)
-        ip = self._interps.get(key)
-        if ip is None:
-            ip = VectorInterpolator(self.field(t), self.mesh)
-            if len(self._interps) < self._CACHE_LIMIT:
-                self._interps[key] = ip
-        return ip
-
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         if self.at is not None:
             return self.at(t, points)
-        return self.interp(t)(points)
+        if self._spline is None:
+            self._spline = VectorInterpolator(self.field(t), self.mesh)
+        return self._spline(points)
 
     @classmethod
     def wrap(cls, X, mesh: GridMesh) -> "TimeField":
-        """Accept a TimeField, a catalog HamiltonianField, a callable
-        t -> field, or a constant (2, N, N) array.
+        """Accept a TimeField, a catalog HamiltonianField, or a steady
+        (2, N, N) field array.
 
-        A TimeField is returned as it is, with its point values if it has
-        them.  A HamiltonianField becomes a steady field whose samples are
-        its grid samples and whose value at any point is computed in closed
-        form; every other input is evaluated off the grid by a spline of its
-        samples.
+        A TimeField is returned as it is.  A HamiltonianField becomes a
+        steady field whose samples are its grid samples and whose value at
+        any point is computed in closed form; an array becomes a steady
+        field read off the grid through one spline of it.  Anything else,
+        a bare callable t -> field included, raises `ValueError`: a
+        time-dependent field is a TimeField with point values.
         """
         from .catalog import HamiltonianField
         if isinstance(X, TimeField):
@@ -174,11 +165,13 @@ class TimeField:
                 raise ValueError("field lives on a different mesh")
             return cls(lambda t: X.samples, mesh, autonomous=True,
                        at=lambda t, p: X.at(p))
-        if callable(X):
-            return cls(X, mesh, autonomous=False)
-        arr = np.asarray(X, dtype=float)
+        arr = np.asarray(X)
         if arr.shape != (2, mesh.N, mesh.N):
-            raise ValueError("constant field must have shape (2, N, N)")
+            raise ValueError(
+                f"constant field must have shape (2, N, N), got {type(X).__name__} "
+                f"of shape {arr.shape}; a time-dependent field is a TimeField "
+                "with point values")
+        arr = np.asarray(arr, dtype=float)
         return cls(lambda t: arr, mesh, autonomous=True)
 
 
@@ -318,21 +311,21 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
 
-    `X` may be a TimeField, a catalog HamiltonianField, a callable
-    t -> (2, N, N) field, or a constant field array.  Every
-    resulting sample must pass the diffeomorphism check; a failure suggests
-    a larger K.  A field with point values (a HamiltonianField, or a
-    TimeField with `at`) is evaluated in closed form at every stage; any
-    other field through the spline interpolators the TimeField caches while
-    integrating.  Either way the returned path keeps its step, so that
-    orbits of arbitrary points are integrated the same way, through the
-    same interpolators (`_orbit_points`).
+    `X` may be a TimeField, a catalog HamiltonianField, or a steady
+    (2, N, N) field array (`TimeField.wrap`).  Every resulting sample must
+    pass the diffeomorphism check; a failure suggests a larger K.  A field
+    with point values (a HamiltonianField, or a TimeField with `at`) is
+    evaluated in closed form at every stage; a steady field without them
+    through the one spline of its sample that its TimeField keeps.  Either
+    way the returned path keeps its step, so that orbits of arbitrary
+    points are integrated the same way, through the same evaluator
+    (`_orbit_points`).
     """
     if mesh is None:
         if isinstance(X, TimeField):
             mesh = X.mesh
         else:
-            raise ValueError("mesh required when X is a raw callable or array")
+            raise ValueError("mesh required unless X is a TimeField")
     if K < 16:
         raise ValueError(f"K must be at least 16, got {K}")
     tf = TimeField.wrap(X, mesh)
@@ -419,17 +412,15 @@ def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
 
 
 def _generator_at(phi_path: Isotopy, vel):
-    """j -> a point evaluator of X_{t_j}: the generator's own point values
-    (`TimeField.at`) when it has them, else a spline of the grid samples
-    vel(j), one for a steady path and a transient one per sample otherwise.
-    Nothing is cached on the generator: at N = 128 each spline holds about
-    1 MB, and a path at K = 64 has 65 samples."""
+    """j -> a point evaluator of X_{t_j}: a TimeField itself at t_j (its
+    point values, or the one spline of a steady field's sample, which a
+    flow built while integrating), else a transient spline of the grid
+    samples vel(j) per sample.  Nothing is cached for a `VectorFieldPath`:
+    at N = 128 each spline holds about 1 MB, and a path at K = 64 has 65
+    samples."""
     gen = phi_path.generator
-    if isinstance(gen, TimeField) and gen.at is not None:
-        return lambda j: partial(gen.at, phi_path.times[j])
-    if _is_autonomous(phi_path):
-        ip = VectorInterpolator(vel(0), phi_path.mesh)
-        return lambda j: ip
+    if isinstance(gen, TimeField):
+        return lambda j: partial(gen, phi_path.times[j])
     return lambda j: VectorInterpolator(vel(j), phi_path.mesh)
 
 
@@ -613,7 +604,7 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
     A path from `integrate_flow` integrates the points with its own RK4
     step, which repeats at grid points the operations that made the stored
     maps, so it reproduces them; a closed-form field is read in closed form,
-    any other through the interpolators its TimeField cached while
+    a steady field array through the one spline its TimeField built while
     integrating.  Any other path (catalog translations, shears and
     rotations, reparametrized and concatenated paths, paths built directly
     from maps) interpolates its stored displacements, two splines per sample.

@@ -10,15 +10,16 @@ from scipy.integrate import cumulative_simpson
 from fluxlab import catalog, isotopy
 from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, oscillation, sup_norm
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
-                             NonSymplecticError, TimeField,
+                             NonSymplecticError, TimeField, VectorFieldPath,
                              commutator_generator, concat_reparam,
                              f_functional, fathi_mass_flow,
                              generator_hodge_split, geodesic_functional,
                              hofer_like_length, integrate_flow,
                              orbit_integral, orbit_length_bound,
                              simpson_weights, symplectic_flux, volume_flux)
-from fluxlab.interpolate import PeriodicInterpolator
-from fluxlab.maps import TorusMap, compose, interior_product, pullback_oneform
+from fluxlab.interpolate import PeriodicInterpolator, VectorInterpolator
+from fluxlab.maps import (DiffeomorphismError, TorusMap, compose,
+                          interior_product, pullback_oneform)
 from fluxlab.mesh import GridMesh
 
 TWO_PI = 2 * np.pi
@@ -59,6 +60,65 @@ def test_shear_profile_flow_orbits_horizontal(mesh):
 def test_integrate_flow_requires_min_steps(mesh):
     with pytest.raises(ValueError):
         integrate_flow(np.zeros((2, mesh.N, mesh.N)), 8, mesh)
+
+
+def test_generator_inputs_are_checked():
+    # a time-dependent field brings point values; integrate_flow takes a
+    # TimeField, a HamiltonianField or a steady (2, N, N) array, nothing else
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    with pytest.raises(ValueError, match="time-dependent TimeField needs point values"):
+        TimeField(lambda t: t * F.samples, mesh)
+    with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\), "
+                                         r"got function of shape \(\)"):
+        integrate_flow(lambda t: t * F.samples, 16, mesh)
+    with pytest.raises(ValueError, match="mesh required unless X is a TimeField"):
+        integrate_flow(F.samples, 16)
+    with pytest.raises(ValueError, match="field lives on a different mesh"):
+        TimeField.wrap(catalog.hamiltonian_field(GridMesh(N=64), "cos_x_cos_y", 0.08), mesh)
+    for bad in (np.zeros((2, 64, 64)), np.zeros((2, 32)), np.zeros((3, 32, 32))):
+        with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\)"):
+            TimeField.wrap(bad, mesh)
+    # what is accepted: a steady field array, read off one spline
+    tf = TimeField.wrap(F.samples, mesh)
+    assert tf.autonomous and tf.at is None
+    assert TimeField.wrap(tf, mesh) is tf
+
+
+def test_a_flow_that_folds_asks_for_more_steps():
+    # cos_x_cos_y at amplitude 2 folds at the fifth RK4 step of K = 16
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 2.0)
+    with pytest.raises(DiffeomorphismError,
+                       match=r"flow sample 5/16 failed .*; increase K") as info:
+        integrate_flow(F, 16, mesh)
+    assert isinstance(info.value.__cause__, DiffeomorphismError)
+
+
+def test_isotopy_and_sample_path_inputs_are_checked():
+    mesh = GridMesh(N=32)
+    ident = TorusMap.identity(mesh)
+    with pytest.raises(ValueError, match="at least two time samples"):
+        Isotopy(mesh, [ident])
+    with pytest.raises(ValueError, match="sample 0 of an isotopy must be the identity"):
+        Isotopy(mesh, [catalog.translation(mesh, 0.1, 0.0), ident])
+    for shape in ((17, 2, 32), (17, 3, 32, 32), (17, 2, 64, 64)):
+        with pytest.raises(ValueError, match=r"samples must have shape \(K\+1, 2, N, N\)"):
+            VectorFieldPath(mesh, np.zeros(shape))
+    samples = np.zeros((17, 2, 32, 32))
+    for bad in (np.nan, np.inf):
+        samples[5, 1, 3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite vector field samples"):
+            VectorFieldPath(mesh, samples)
+
+
+def test_path_pairs_are_checked():
+    mesh = GridMesh(N=32)
+    a = catalog.translation_flow(mesh, 0.2, 0.1, 16)
+    with pytest.raises(ValueError, match="paths live on different meshes"):
+        concat_reparam(a, catalog.translation_flow(GridMesh(N=64), 0.2, 0.1, 16))
+    with pytest.raises(ValueError, match="paths must share the same time sampling"):
+        commutator_generator(a, catalog.translation_flow(mesh, 0.2, 0.1, 32))
 
 
 # -- fluxes -------------------------------------------------------------------
@@ -111,11 +171,14 @@ def test_flux_reparametrization_invariance(mesh):
     def tau(t):
         return t - math.sin(TWO_PI * t) / TWO_PI
 
-    gen = np.stack([np.full(mesh.shape, 0.3), np.full(mesh.shape, 0.4)])
+    def gen_at(t, points):
+        rate = 1 - math.cos(TWO_PI * t)
+        return np.stack([np.full(points.shape[1:], rate * 0.3),
+                         np.full(points.shape[1:], rate * 0.4)])
+
     rep = Isotopy.from_time_function(
         mesh, lambda t: catalog.translation(mesh, 0.3 * tau(t), 0.4 * tau(t)), K,
-        generator=TimeField(lambda t: (1 - math.cos(TWO_PI * t)) * gen, mesh,
-                            certified_symplectic=True))
+        generator=TimeField.closed_form(gen_at, mesh, certified_symplectic=True))
     p, q = symplectic_flux(base), symplectic_flux(rep)
     assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-8
 
@@ -141,8 +204,8 @@ def _pulled_flux(phi_path, omega):
 def _spline_route(flow):
     """The flow's own maps under its grid samples alone, with no point
     values, so that X is read off splines of the samples."""
-    return Isotopy(flow.mesh, flow.maps, generator=TimeField(
-        flow.generator.field, flow.mesh, certified_symplectic=True))
+    return Isotopy(flow.mesh, flow.maps,
+                   generator=VectorFieldPath(flow.mesh, flow.generator_samples()))
 
 
 def test_pulled_flux_spline_route_is_bit_identical():
@@ -152,7 +215,7 @@ def test_pulled_flux_spline_route_is_bit_identical():
     F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
     for path in (integrate_flow(F.samples, 16, mesh), _spline_route(flow)):
-        assert path.generator.at is None
+        assert getattr(path.generator, "at", None) is None
         got, ref = _pulled_flux(path, omega), _pulled_flux_by_form_spline(path, omega)
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in ref.ravel()]
 
@@ -181,11 +244,12 @@ def test_pulled_flux_closed_form_matches_spline_route():
 
 
 def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
-    # a raw-array flow splines its generator once; a closed-form flow reads
-    # X at phi_t(x) from the field itself and splines neither X nor i_X omega
+    # a raw-array flow splines its generator once, while integrating, and
+    # its flux reads X through that spline; a closed-form flow reads X at
+    # phi_t(x) from the field itself and splines neither X nor i_X omega
     mesh = GridMesh(N=32)
     F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    raw, closed = integrate_flow(F.samples, 16, mesh), integrate_flow(F, 16, mesh)
+    closed = integrate_flow(F, 16, mesh)
     splined = []
     real = PeriodicInterpolator.__init__
 
@@ -195,9 +259,10 @@ def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
         real(self, values, mesh)
 
     monkeypatch.setattr(PeriodicInterpolator, "__init__", counting)
-    symplectic_flux(raw)
+    raw = integrate_flow(F.samples, 16, mesh)
     assert len(splined) == 2
     assert all(np.array_equal(s, c) for s, c in zip(splined, F.samples))
+    symplectic_flux(raw)
     volume_flux(closed)  # both routes
     assert len(splined) == 2
 
@@ -545,8 +610,8 @@ def test_steady_f_functional_builds_one_interpolator(monkeypatch):
     mesh = GridMesh(N=32)
     X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
     flow = integrate_flow(TimeField(lambda t: X, mesh, autonomous=True), K, mesh)
-    unsteady = Isotopy(mesh, flow.maps,
-                       generator=TimeField(lambda t: X, mesh, autonomous=False))
+    unsteady = Isotopy(mesh, flow.maps, generator=VectorFieldPath(
+        mesh, np.broadcast_to(X, (K + 1, *X.shape))))
     alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
         ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * y)))
     builds = []
@@ -580,15 +645,17 @@ def _f_functional_family(phi_path, alpha):
 
 def test_streamed_f_functional_equals_the_stacked_family():
     # a steady flow, a time-dependent catalog flow, and a time-dependent
-    # callable at odd K, whose last interval takes the backward parabola
+    # closed-form field at odd K, whose last interval takes the backward
+    # parabola
     mesh = GridMesh(N=32)
     alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
         ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * (x - y))))
-    a = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
-    b = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 0.05).samples
+    A = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    B = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 0.05)
     paths = [catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, 16),
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
-             integrate_flow(lambda t: np.cos(t) * a + t * b, 17, mesh)]
+             integrate_flow(TimeField.closed_form(
+                 lambda t, p: np.cos(t) * A.at(p) + t * B.at(p), mesh), 17)]
     for path in paths:
         family = _f_functional_family(path, alpha)
         for j in range(path.K + 1):
@@ -796,14 +863,15 @@ def test_hamiltonian_field_algebra():
 def test_point_route_orbits_reproduce_the_stored_maps():
     # the orbit of each grid point, integrated by the flow's own step,
     # against the map samples integrate_flow stored (6.9e-18 measured):
-    # closed-form fields, their raw grid samples, and a time-dependent
-    # callable read through the splines its TimeField cached
+    # closed-form fields, their raw grid samples read through the one
+    # spline their TimeField keeps, and a time-dependent closed-form field
     mesh = GridMesh(N=32)
     fields = [catalog.hamiltonian_field(mesh, name, 0.08) for name in catalog.POTENTIALS]
     fields.append(fields[0] + 0.05 * fields[1] + (-0.5) * fields[2])
     fields += [F.samples for F in fields[:2]]
-    a, b = fields[0].samples, fields[1].samples
-    fields.append(lambda t: np.cos(t) * a + t * b)
+    A, B = fields[0], fields[1]
+    fields.append(TimeField.closed_form(
+        lambda t, p: np.cos(t) * A.at(p) + t * B.at(p), mesh))
     for F in fields:
         flow = integrate_flow(F, 16, mesh)
         assert flow._flow_step is not None
@@ -848,11 +916,28 @@ def test_orbit_interpolators_by_route(monkeypatch):
     assert len(builds) == 2 * (16 + 1)
 
 
-def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator():
+def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator(monkeypatch):
+    # a closed-form flow reads its generator at the orbit points; a steady
+    # raw-array flow builds one spline of it, while integrating, and reads
+    # the orbit integral through that one
     mesh = GridMesh(N=32)
+    x, alpha = np.array([0.15, 0.65]), OneForm.constant(mesh, 0.6, -0.2)
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
-    orbit_integral(flow, np.array([0.15, 0.65]), OneForm.constant(mesh, 0.6, -0.2))
-    assert flow.generator._interps == {}
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    builds = []
+    real = VectorInterpolator.__init__
+
+    def counting(self, components, mesh):
+        builds.append(components)
+        real(self, components, mesh)
+
+    monkeypatch.setattr(VectorInterpolator, "__init__", counting)
+    orbit_integral(flow, x, alpha)
+    assert builds == []
+    raw = integrate_flow(F.samples, 16, mesh)
+    assert len(builds) == 1 and np.array_equal(builds[0], F.samples)
+    orbit_integral(raw, x, alpha)
+    assert len(builds) == 1
 
 
 def _orbit_integral_per_sample(phi_path, x, alpha):
