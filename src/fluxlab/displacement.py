@@ -15,7 +15,9 @@ forms and the exact forms with potentials in the Fourier band |k| <= m.
 On that subspace the objective is linear in the form, so the exact
 maximizer has a closed form: the table of random sphere samples is
 reported together with the exact subspace maximizer, and the estimate is
-a certified lower bound for the full norm.
+a certified lower bound for the full norm.  The estimator streams over
+blocks of grid rows, so its memory does not grow with the number of basis
+forms times the number of grid points.
 """
 
 from __future__ import annotations
@@ -187,19 +189,28 @@ class UnitSphereSampler:
         c = rng.standard_normal(self.dimension)
         return c / np.linalg.norm(c)
 
-    def modes(self, points: np.ndarray):
-        """Yield exp(i w.p) at `points` (shape (2, ...)) for each wavevector
-        in `wavevectors` order, from power ladders of exp(2 pi i p_k / L_k)."""
-        ladders = []
-        for k in range(2):
-            base = np.exp(2j * np.pi * points[k] / self.mesh.L[k])
-            rungs = [np.ones_like(base)]
-            for _ in range(self.max_mode):
-                rungs.append(rungs[-1] * base)
-            ladders.append(rungs)
-        lad1, lad2 = ladders
-        for k1, k2 in self.wavevectors:
-            yield lad1[k1] * (lad2[k2] if k2 >= 0 else np.conj(lad2[-k2]))
+    @cached_property
+    def _grid_ladders(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_ladder` of the two grid axes, each of shape (2m + 1, N): the
+        mode exp(i w.x) at grid point (i, j) is gx[m + k1, i] gy[m + k2, j]."""
+        return tuple(_ladder(a, l, self.max_mode)
+                     for a, l in zip(self.mesh.axes, self.mesh.L))
+
+    @cached_property
+    def _amps(self) -> np.ndarray:
+        return np.array([self._amp(k) for k in self.wavevectors])
+
+    @cached_property
+    def _grid_sums(self) -> np.ndarray:
+        """sum_x X^k1 Y^k2 over the grid points, shape (m + 1, 2m + 1), summed
+        block by block as `_potential_means` sums the image points."""
+        m, N = self.max_mode, self.mesh.N
+        gx, gy = self._grid_ladders
+        sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
+        for rows in _row_blocks(self.mesh):
+            sums += _gram(np.repeat(gx[:, rows], N, axis=1),
+                          np.tile(gy, (1, rows.stop - rows.start)), m)
+        return sums
 
     def materialize(self, coeffs: np.ndarray) -> OneForm:
         """The closed unit form with the given basis coefficients."""
@@ -207,7 +218,10 @@ class UnitSphereSampler:
         root_vol = math.sqrt(mesh.volume)
         ax = np.full(mesh.shape, coeffs[0] / root_vol)
         ay = np.full(mesh.shape, coeffs[1] / root_vol)
-        for i, (k, W) in enumerate(zip(self.wavevectors, self.modes(mesh.points))):
+        gx, gy = self._grid_ladders
+        m = self.max_mode
+        for i, k in enumerate(self.wavevectors):
+            W = gx[m + k[0], :, None] * gy[m + k[1]]
             w = self._omega(k)
             a = self._amp(k)
             c_cos, c_sin = coeffs[2 + 2 * i], coeffs[3 + 2 * i]
@@ -218,32 +232,100 @@ class UnitSphereSampler:
         return OneForm(mesh, ax, ay)
 
 
-def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler) -> np.ndarray:
-    """Displacement potentials of every basis form under psi, shape
-    (D, N*N).
+def _ladder(coord: np.ndarray, period: float, m: int) -> np.ndarray:
+    """exp(2 pi i j coord / period) for j = -m..m at index j + m, shape
+    (2m + 1, *coord.shape): powers of one exponential, the negative ones
+    their conjugates."""
+    base = np.exp(2j * np.pi * coord / period)
+    lad = np.empty((2 * m + 1,) + base.shape, dtype=complex)
+    lad[m] = 1.0
+    for j in range(m + 1, 2 * m + 1):
+        lad[j] = lad[j - 1] * base
+    lad[:m] = lad[:m:-1].conj()
+    return lad
+
+
+#: Grid points per block of the streamed norm estimator, taken as whole
+#: grid rows (4 rows at N = 128): its working set is a few (D, block)
+#: arrays instead of the (D, N*N) basis-potential matrix.
+BLOCK_POINTS = 512
+
+
+def _row_blocks(mesh: GridMesh) -> list[slice]:
+    """The grid rows in consecutive blocks of about BLOCK_POINTS points."""
+    rows = min(mesh.N, max(1, BLOCK_POINTS // mesh.N))
+    return [slice(r, r + rows) for r in range(0, mesh.N, rows)]
+
+
+def _image_ladders(psi: TorusMap, m: int, rows: slice) -> list[np.ndarray]:
+    """x and y ladders, each (2m + 1, B), of the image points psi(x) of the
+    grid points in grid rows `rows`, flattened in grid order."""
+    mesh = psi.mesh
+    pos = (mesh.points[:, rows] + psi.disp[:, rows]).reshape(2, -1)
+    return [_ladder(pos[k], mesh.L[k], m) for k in range(2)]
+
+
+def _gram(lx: np.ndarray, ly: np.ndarray, m: int) -> np.ndarray:
+    """sum over the points of X^k1 Y^k2, k1 = 0..m, k2 = -m..m, from the
+    x and y ladders (2m + 1, B)."""
+    return lx[m:] @ ly.T
+
+
+def _potential_means(psi: TorusMap, sampler: UnitSphereSampler) -> np.ndarray:
+    """Grid means of the D uncentred basis potentials.
+
+    Slots 0 and 1 hold the means of u_x and u_y.  An exact direction with
+    mode W has the mean a (sum_x W(psi x) - sum_x W(x)) / N^2.  Both sums
+    of every mode come from (m+1) x (2m+1) products of the ladders, summed
+    over the row blocks in the same order for the image and the grid, so
+    the identity's means are exactly 0.
+    """
+    m, N = sampler.max_mode, psi.mesh.N
+    sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
+    for rows in _row_blocks(psi.mesh):
+        sums += _gram(*_image_ladders(psi, m, rows), m)
+    diff = (sums - sampler._grid_sums).ravel()[m + 1:]
+    mu = sampler._amps * diff / (N * N)
+    means = np.empty(sampler.dimension)
+    means[0], means[1] = psi.disp[0].mean(), psi.disp[1].mean()
+    means[2::2], means[3::2] = mu.real, mu.imag
+    return means
+
+
+def _basis_potentials(psi: TorusMap, sampler: UnitSphereSampler, rows: slice,
+                      means: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Displacement potentials of every basis form under psi at the grid
+    points of grid rows `rows`, centred by `_potential_means`; shape (D, B)
+    with B = N points per grid row, written into `out` when given.
 
     Harmonic rows are (u - mean)/sqrt(vol); an exact basis form dG has the
     potential G o psi - G minus its mean, read off the Fourier modes at the
     image points and at the grid points, so no row carries interpolation
     error.
     """
-    mesh = psi.mesh
-    P = np.empty((sampler.dimension, mesh.N * mesh.N))
-    root_vol = math.sqrt(mesh.volume)
-
-    # harmonic directions: psi^* dx - dx = d(u_x), exactly
+    m = sampler.max_mode
+    lx, ly = _image_ladders(psi, m, rows)
+    gx, gy = sampler._grid_ladders
+    P = np.empty((sampler.dimension, lx.shape[1])) if out is None else out
+    root_vol = math.sqrt(psi.mesh.volume)
     for k in range(2):
-        u = psi.disp[k]
-        P[k] = ((u - u.mean()) / root_vol).ravel()
-
-    modes = zip(sampler.wavevectors, sampler.modes(psi.position),
-                sampler.modes(mesh.points))
-    for i, (k, W, Wg) in enumerate(modes):
-        # G = a cos(w.x) and a sin(w.x): the real and imaginary parts
-        d = sampler._amp(k) * (W - Wg)
-        P[2 + 2 * i] = d.real.ravel()
-        P[3 + 2 * i] = d.imag.ravel()
-    P[2:] -= P[2:].mean(axis=1, keepdims=True)
+        # harmonic directions: psi^* dx - dx = d(u_x), exactly
+        P[k] = ((psi.disp[k, rows] - means[k]) / root_vol).ravel()
+    # G = a cos(w.x) and a sin(w.x): a real times the real and imaginary
+    # parts of W(psi x) - W(x), for W = X^k1 Y^k2 one k1 at a time, in
+    # `wavevectors` order (k2 = -m..m, from 1 when k1 = 0)
+    w = 0
+    for k1 in range(m + 1):
+        k2 = slice(m + 1 if k1 == 0 else 0, 2 * m + 1)
+        d = lx[m + k1] * ly[k2]
+        d -= (gx[m + k1, rows, None] * gy[k2, None, :]).reshape(d.shape)
+        n = len(d)
+        amp = sampler._amps[w:w + n, None]
+        np.multiply(d.real, amp, out=P[2 + 2 * w:2 + 2 * (w + n):2])
+        np.multiply(d.imag, amp, out=P[3 + 2 * w:3 + 2 * (w + n):2])
+        w += n
+    P[2:] -= means[2:, None]
     return P
 
 
@@ -278,6 +360,12 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     point the optimal coefficients are the normalized potential vector and
     the subspace sup is max_x ||P(:, x)||_2).  The reported value is the
     table maximum, hence monotone in the sample budget.
+
+    The basis-potential matrix P (D, N*N) is never formed: the grid is
+    walked in blocks of whole grid rows (`BLOCK_POINTS`), each block's
+    columns are built by `_basis_potentials` and folded into the running
+    maxima, so memory is O(D * block) rather than O(D * N*N + count * N*N).
+    Ties keep the first grid index, as a dense argmax would.
     """
     if sampler.count <= 0 and not sampler.refine:
         raise ValueError("sampler budget is zero: nothing to estimate")
@@ -288,37 +376,60 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
         return hit
 
     mesh = psi.mesh
-    P = _basis_potentials(psi, sampler)
     vol = mesh.volume
     rng = np.random.default_rng(sampler.seed)
+    count = sampler.count
+    coeffs = [sampler.draw_coefficients(rng) for _ in range(count)]
+    C = np.asarray(coeffs)
+    means = _potential_means(psi, sampler)
+    # running results over the blocks: the largest |C @ P| of each draw and
+    # the largest column norm with its column; strict > keeps first indices
+    top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
+    gmax, g_at, column = -1.0, 0, None
+    start = 0
+    # one buffer each for the block's potentials and its |C @ P|, reused by
+    # every block: arrays made afresh per block are handed back to the OS
+    # and faulted in again each block (8.7k page faults a call at N = 128)
+    blocks = _row_blocks(mesh)
+    width = mesh.N * (blocks[0].stop - blocks[0].start)
+    P = np.empty((sampler.dimension, width))
+    a = np.empty((count, width))
+    for block in blocks:
+        _basis_potentials(psi, sampler, block, means, out=P)
+        if count:
+            np.abs(np.matmul(C, P, out=a), out=a)
+            j = a.argmax(axis=1)
+            v = a[np.arange(count), j]
+            better = v > top
+            top[better], top_at[better] = v[better], start + j[better]
+        if sampler.refine:
+            G = np.sqrt(np.einsum("dx,dx->x", P, P))
+            j = int(G.argmax())
+            if G[j] > gmax:
+                gmax, g_at, column = G[j], start + j, P[:, j].copy()
+        start += P.shape[1]
+
     rows = []
     best = (-1.0, None, 0)
-    coeffs = [sampler.draw_coefficients(rng) for _ in range(sampler.count)]
-    if coeffs:
-        vals = np.asarray(coeffs) @ P  # (count, N*N)
-        amax = np.abs(vals).argmax(axis=1)
-        for s in range(sampler.count):
-            v = vol * abs(vals[s, amax[s]])
-            pt = mesh.flat_points[:, amax[s]]
-            rows.append({"sample": f"draw-{s:03d}", "value": float(v),
-                         "point": (float(pt[0]), float(pt[1]))})
-            if v > best[0]:
-                best = (v, coeffs[s], amax[s])
+    for s in range(count):
+        v = vol * top[s]
+        pt = mesh.flat_points[:, top_at[s]]
+        rows.append({"sample": f"draw-{s:03d}", "value": float(v),
+                     "point": (float(pt[0]), float(pt[1]))})
+        if v > best[0]:
+            best = (v, coeffs[s], top_at[s])
     if sampler.refine:
-        G = np.sqrt(np.einsum("dx,dx->x", P, P))
-        idx = int(G.argmax())
-        gmax = G[idx]
         if gmax > 0:
-            c_star = P[:, idx] / gmax
+            c_star = column / gmax
         else:
             c_star = np.zeros(sampler.dimension)
             c_star[0] = 1.0
         v = vol * float(gmax)
-        pt = mesh.flat_points[:, idx]
+        pt = mesh.flat_points[:, g_at]
         rows.append({"sample": "subspace-max", "value": v,
                      "point": (float(pt[0]), float(pt[1]))})
         if v >= best[0]:
-            best = (v, c_star, idx)
+            best = (v, c_star, g_at)
 
     pt = mesh.flat_points[:, best[2]]
     report = DisplacementReport(

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fluxlab import catalog
-from fluxlab.config import ConfigError, load_config, parse_config
+from fluxlab.config import (ConfigError, ExperimentConfig, load_config,
+                            parse_config)
 from fluxlab.displacement import psi_norm
 from fluxlab.maps import DiffeomorphismError, TorusMap, c0_distance, compose
 from fluxlab.mesh import GridMesh
@@ -182,6 +183,30 @@ def test_emit_empty_report(tmp_path):
                       environment={}, timestamp=0.0)
     csv_path, _ = emit_report(rep, tmp_path)
     assert open(csv_path).read() == "check_id,paper_anchor,value,tolerance,pass\n"
+
+
+def test_emit_report_os_errors(tmp_path):
+    from fluxlab.suites import SuiteReport
+    rep = SuiteReport(suite="norm-axioms", seed=0, rows=[], config={},
+                      environment={}, timestamp=0.0)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    with pytest.raises(OSError, match="cannot create output directory"):
+        emit_report(rep, blocker / "out")
+    # a directory where a report file should go cannot be written
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        (out / f"norm-axioms.{fmt}").mkdir(parents=True)
+        with pytest.raises(OSError, match=f"cannot write .*norm-axioms.{fmt}"):
+            emit_report(rep, out)
+
+
+def test_run_suite_unknown_suite():
+    # parse_config rejects the name; a config built directly reaches the
+    # registry lookup
+    cfg = ExperimentConfig(suite="no-such-suite", seed=1)
+    with pytest.raises(KeyError, match="unknown suite 'no-such-suite'"):
+        run_suite(cfg)
 
 
 def test_csv_pass_recomputable(tmp_path):

@@ -1,6 +1,7 @@
 """Displacement potentials, the norm estimator, energies, rigidity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,14 @@ def test_delta_translation_cancellation(mesh):
 
 # -- the norm -----------------------------------------------------------------
 
+def _assembled_potentials(psi, sampler):
+    """The (D, N*N) basis-potential matrix, assembled from the row blocks
+    the streamed estimator builds one at a time."""
+    means = displacement._potential_means(psi, sampler)
+    return np.hstack([_basis_potentials(psi, sampler, rows, means)
+                      for rows in displacement._row_blocks(psi.mesh)])
+
+
 def test_basis_potentials_match_per_form_route():
     # The batched route evaluates each basis potential exactly at psi(x);
     # the per-form route interpolates the pulled-back form there, so rows
@@ -162,7 +171,7 @@ def test_basis_potentials_match_per_form_route():
     tw = catalog.twist(mesh, 0.08, 0.06)
     newton = compose(catalog.shear(mesh, 0.05), tw, chain_jac=False).inverse()
     for psi in (tw, newton):
-        P = _basis_potentials(psi, sampler)
+        P = _assembled_potentials(psi, sampler)
         for i in (0, 1, 4, 16, sampler.dimension - 1):
             e = sampler.materialize(np.eye(sampler.dimension)[i])
             ref = hodge_decompose(pullback_oneform(psi, e.at) - e).potential.values
@@ -182,8 +191,126 @@ def test_displacement_potential_matches_basis_rows():
     rot = catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.5, K=32).end_map
     for psi in (tw, newton, rot):
         ref = _displacement_potential(psi, sampler.materialize(c)).values
-        gap = np.abs(c @ _basis_potentials(psi, sampler) - ref.ravel()).max()
+        gap = np.abs(c @ _assembled_potentials(psi, sampler) - ref.ravel()).max()
         assert gap < 2e-6
+
+
+def _dense_modes(sampler, points):
+    """exp(i w.p) at `points` (2, ...) for each wavevector, from power
+    ladders of exp(2 pi i p_k / L_k) over the whole point arrays: the dense
+    oracle of the estimator and of `materialize`."""
+    ladders = []
+    for k in range(2):
+        base = np.exp(2j * np.pi * points[k] / sampler.mesh.L[k])
+        rungs = [np.ones_like(base)]
+        for _ in range(sampler.max_mode):
+            rungs.append(rungs[-1] * base)
+        ladders.append(rungs)
+    lad1, lad2 = ladders
+    return [lad1[k1] * (lad2[k2] if k2 >= 0 else np.conj(lad2[-k2]))
+            for k1, k2 in sampler.wavevectors]
+
+
+def _dense_table_values(psi, sampler):
+    """The table values of the dense route: the whole (D, N*N) matrix P,
+    the draws' max |C @ P| and the largest column norm."""
+    mesh = psi.mesh
+    P = np.empty((sampler.dimension, mesh.N * mesh.N))
+    for k in range(2):
+        u = psi.disp[k]
+        P[k] = ((u - u.mean()) / math.sqrt(mesh.volume)).ravel()
+    modes = zip(sampler.wavevectors, _dense_modes(sampler, psi.position),
+                _dense_modes(sampler, mesh.points))
+    for i, (k, W, Wg) in enumerate(modes):
+        d = sampler._amp(k) * (W - Wg)
+        P[2 + 2 * i] = d.real.ravel()
+        P[3 + 2 * i] = d.imag.ravel()
+    P[2:] -= P[2:].mean(axis=1, keepdims=True)
+    rng = np.random.default_rng(sampler.seed)
+    C = np.array([sampler.draw_coefficients(rng) for _ in range(sampler.count)])
+    values = [mesh.volume * v for v in np.abs(C @ P).max(axis=1)] if len(C) else []
+    if sampler.refine:
+        values.append(mesh.volume * np.sqrt(np.einsum("dx,dx->x", P, P)).max())
+    return values
+
+
+def _norm_test_maps(mesh):
+    tw = catalog.twist(mesh, 0.08, 0.06)
+    return {"identity": TorusMap.identity(mesh),
+            "translation": catalog.translation(mesh, 0.3, 0.1),
+            "shear": catalog.shear(mesh, 0.1),
+            "twist": tw,
+            "bump": catalog.bump_rotation(mesh, (0.4, 0.6), 0.25, 0.6),
+            "newton": compose(catalog.shear(mesh, 0.05), tw,
+                              chain_jac=False).inverse()}
+
+
+@pytest.mark.parametrize("N", [32, 64])
+@pytest.mark.parametrize("count, refine", [(64, 1), (0, 1), (64, 0)])
+def test_streamed_norm_matches_dense_route(N, count, refine):
+    # Streaming changes only the summation order of the row means (Gram
+    # sums against np.mean): measured 4.4e-16 relative at most.
+    mesh = GridMesh(N=N)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=count, refine=refine,
+                                seed=3)
+    for name, psi in _norm_test_maps(mesh).items():
+        rep = psi_norm(psi, sampler)
+        dense = _dense_table_values(psi, sampler)
+        got = [r["value"] for r in rep.table]
+        assert len(got) == len(dense) == count + refine
+        if name == "identity":
+            assert rep.norm_lower_bound == 0.0 and got == [0.0] * len(got)
+            continue
+        for a, b in zip(got, dense):
+            assert abs(a - b) <= 1e-15 * abs(b), (name, a, b)
+        assert abs(rep.norm_lower_bound - max(dense)) <= 1e-15 * max(dense)
+
+
+def test_psi_norm_peak_memory_is_per_block():
+    # The production sampler at N = 128 (D = 290): the dense route held
+    # P (38 MB) and the (count, N*N) values and peaked 54.9 MB above its
+    # start; streamed over blocks of 4 grid rows it peaks at 2.7 MB.
+    mesh = GridMesh(N=128)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=64, seed=3)
+    psi = catalog.twist(mesh, 0.08, 0.06)
+    mesh.points, mesh.flat_points  # the mesh's cached grids are not the estimator's
+    tracemalloc.start()
+    try:
+        psi_norm(psi, sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"psi_norm peaked {peak / 1e6:.1f} MB above its start"
+
+
+def test_materialize_matches_full_grid_modes():
+    # The ladders of the grid axes give the same forms, bit for bit, as
+    # ladders of the full (N, N) coordinate arrays.
+    mesh = GridMesh(N=32)
+    sampler = UnitSphereSampler(mesh, max_mode=8)
+    rng = np.random.default_rng(4)
+    root_vol = math.sqrt(mesh.volume)
+    for _ in range(3):
+        c = sampler.draw_coefficients(rng)
+        ax = np.full(mesh.shape, c[0] / root_vol)
+        ay = np.full(mesh.shape, c[1] / root_vol)
+        for i, (k, W) in enumerate(zip(sampler.wavevectors,
+                                       _dense_modes(sampler, mesh.points))):
+            w = sampler._omega(k)
+            a = sampler._amp(k)
+            val = -c[2 + 2 * i] * a * W.imag + c[3 + 2 * i] * a * W.real
+            ax += val * w[0]
+            ay += val * w[1]
+        form = sampler.materialize(c)
+        assert np.array_equal(form.ax, ax) and np.array_equal(form.ay, ay)
+
+
+def test_coefficient_index_outside_band():
+    sampler = UnitSphereSampler(GridMesh(N=32), max_mode=2)
+    assert sampler.coefficient_index(2, 2, trig="sin") == sampler.dimension - 1
+    for k in [(3, 0), (0, -1), (0, 0)]:
+        with pytest.raises(KeyError, match="outside the sampled band"):
+            sampler.coefficient_index(*k)
 
 
 def test_bump_rotation_potentials_need_no_isotopy_gate():
