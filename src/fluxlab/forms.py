@@ -45,13 +45,15 @@ def _check_finite(*arrays):
             raise ValueError("non-finite values in field data")
 
 
-def _frozen(values) -> np.ndarray:
+def _frozen(values, shape: tuple) -> np.ndarray:
     """A read-only float copy: forms are values, and the caches keyed on a
     form (closedness residual, displacement potentials, fluxes) rely on
-    its arrays never changing."""
+    its arrays never changing.  A (1, 1) array is a constant field: it is
+    stored as its one value and read as a read-only stride-0 view of the
+    grid `shape`, as `TorusMap` stores a translation."""
     out = np.array(values, dtype=float)
     out.setflags(write=False)
-    return out
+    return np.broadcast_to(out, shape) if out.shape == (1, 1) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +64,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
+        v = _frozen(self.values, self.mesh.shape)
         if v.shape != self.mesh.shape:
             raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
         _check_finite(v)
@@ -70,7 +72,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, mesh: GridMesh, c: float) -> "ScalarField":
-        return cls(mesh, np.full(mesh.shape, float(c)))
+        return cls(mesh, [[c]])
 
     @classmethod
     def from_function(cls, mesh: GridMesh, fn) -> "ScalarField":
@@ -116,8 +118,8 @@ class OneForm:
     ay: np.ndarray
 
     def __post_init__(self):
-        ax = _frozen(self.ax)
-        ay = _frozen(self.ay)
+        ax = _frozen(self.ax, self.mesh.shape)
+        ay = _frozen(self.ay, self.mesh.shape)
         if ax.shape != self.mesh.shape or ay.shape != self.mesh.shape:
             raise ValueError("component shape does not match mesh")
         _check_finite(ax, ay)
@@ -126,7 +128,7 @@ class OneForm:
 
     @classmethod
     def constant(cls, mesh: GridMesh, cx: float, cy: float) -> "OneForm":
-        return cls(mesh, np.full(mesh.shape, float(cx)), np.full(mesh.shape, float(cy)))
+        return cls(mesh, [[cx]], [[cy]])
 
     @classmethod
     def from_functions(cls, mesh: GridMesh, fx, fy) -> "OneForm":
@@ -186,7 +188,7 @@ class TwoForm:
     density: np.ndarray
 
     def __post_init__(self):
-        d = _frozen(self.density)
+        d = _frozen(self.density, self.mesh.shape)
         if d.shape != self.mesh.shape:
             raise ValueError("density shape does not match mesh")
         _check_finite(d)

@@ -908,18 +908,22 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
         u_ip = u_ip0 or PeriodicInterpolator(split_x.potentials[j].values, mesh)
         v_ip = v_ip0 or PeriodicInterpolator(split_y.potentials[j].values, mesh)
 
+        # each inverse's Jacobian is read once: the inverses keep none
+        J_phi_i, J_h_inv, J_theta_inv = phi_i.jac, h_inv.jac, theta_inv.jac
+
         # exact velocity of the composed paths; g_* V is the pull-back by g^-1
-        push_y_phi = Y[j] if phi.is_identity() else pullback_vector(phi_i, y_ip)
-        push_x_h = X[j] if h.is_identity() else pullback_vector(h_inv, x_ip)
+        push_y_phi = Y[j] if phi.is_identity() else pullback_vector(phi_i, y_ip, J_phi_i)
+        push_x_h = X[j] if h.is_identity() else pullback_vector(h_inv, x_ip, J_h_inv)
         vL = X[j] + push_y_phi - push_x_h
-        push_y_theta = Y[j] if theta.is_identity() else pullback_vector(theta_inv, y_ip)
+        push_y_theta = (Y[j] if theta.is_identity()
+                        else pullback_vector(theta_inv, y_ip, J_theta_inv))
         vT = vL - push_y_theta
         vel_theta[j] = vT
 
         # G-integrands: -(J_g)^{-1} at g^{-1} equals J_{g^{-1}} on the grid
-        gP[j] = -_pointwise_matvec(phi_i.jac, X[j])
-        gL[j] = -_pointwise_matvec(h_inv.jac, vL)
-        gT[j] = -_pointwise_matvec(theta_inv.jac, vT)
+        gP[j] = -_pointwise_matvec(J_phi_i, X[j])
+        gL[j] = -_pointwise_matvec(J_h_inv, vL)
+        gT[j] = -_pointwise_matvec(J_theta_inv, vT)
 
         v_comp[j, 0] = v_ip(phi_i.flat_position).reshape(mesh.shape)
         v_comp[j, 1] = u_ip(h_inv.flat_position).reshape(mesh.shape)

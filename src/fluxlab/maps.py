@@ -1,13 +1,15 @@
 """Diffeomorphisms of the flat torus as periodic displacement fields.
 
 A map is stored as x -> x + u(x) mod L with u a smooth periodic
-displacement sampled on the grid, plus its Jacobian field.  Closed-form
-constructions (see `catalog`) supply analytic Jacobians and inverses;
-otherwise Jacobians come from spectral differentiation and inverses from
-a damped Newton iteration on the lift.
+displacement sampled on the grid, plus the Jacobian field it was given.
+Closed-form constructions (see `catalog`) supply analytic Jacobians and
+inverses, and `compose` chains Jacobians; any other map differentiates
+its displacement spectrally on every Jacobian read and keeps nothing, and
+its inverse comes from a damped Newton iteration on the lift.
 
-Maps are immutable after construction; interpolators and inverses are
-cached lazily, so sharing across threads is safe once built.
+Maps are immutable after construction; interpolators, inverses and the
+determinant are cached lazily, so sharing across threads is safe once
+built.
 """
 
 from __future__ import annotations
@@ -81,7 +83,11 @@ class TorusMap:
     (or point) and read as a read-only stride-0 view of the full shape
     (2, N, N) or (2, 2, N, N).  So a translation holds no grid arrays and
     a shear one grid line.  The Jacobian is supplied analytically by
-    closed-form builders or computed spectrally on first access;
+    closed-form builders or chained by `compose`; a map given none
+    (integrated flow samples, Newton inverses, `chain_jac=False`
+    composites) computes it spectrally on every `jac` read and never
+    stores it, so it holds its displacement only, and a caller that reads
+    one map's Jacobian more than once takes it once into a local.
     `check=False` skips the determinant validation for maps whose
     invertibility is guaranteed by construction (e.g. converged Newton
     inverses).
@@ -119,32 +125,29 @@ class TorusMap:
 
     @property
     def jac(self) -> np.ndarray:
-        if self._jac is None:
-            jac = np.empty((2, 2, self.mesh.N, self.mesh.N))
-            for k in range(2):
-                jac[k] = self.mesh.gradient(self.disp[k])
-                jac[k, k] += 1.0
-            jac.setflags(write=False)
-            self._stored_jac = self._jac = jac
-        return self._jac
+        """The Jacobian field (2, 2, N, N): the given one as its stored
+        view, else a fresh spectral one on every read."""
+        return _spectral_jac(self.mesh, self.disp) if self._jac is None else self._jac
 
     def _jac_field(self) -> np.ndarray:
         """The Jacobian on the grid axes it is stored on."""
         return self.jac if self._stored_jac is None else self._stored_jac
 
-    def _det_of_jac(self) -> np.ndarray:
-        J = self._jac_field()
-        return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-
     @property
     def det(self) -> np.ndarray:
+        return self._det if self._det is not None else self._det_from(self._jac_field())
+
+    def _det_from(self, J: np.ndarray) -> np.ndarray:
+        """`det`, computed on its first read from J, this map's Jacobian,
+        which a caller that holds it passes in."""
         if self._det is None:
-            self._det = _frozen(self._det_of_jac(), self.mesh.shape)
+            self._det = _frozen(_det2(J), self.mesh.shape)
         return self._det
 
     def _validate(self):
-        # det is not cached here: most validated maps never read it again
-        det = self._det_of_jac()
+        # neither det nor a spectral Jacobian is kept here: most validated
+        # maps never read them again
+        det = _det2(self._jac_field())
         if det.min() <= 0.0:
             # on a unit grid axis index 0 is a grid point of the minimum too
             i, j = np.unravel_index(np.argmin(det), det.shape)
@@ -175,17 +178,21 @@ class TorusMap:
                          self._get_interp("u1", self.disp[1])(points)])
 
     def interp_jac(self, points: np.ndarray) -> np.ndarray:
+        keys = [[f"j{k}{l}" for l in range(2)] for k in range(2)]
+        # the Jacobian is read once, and only to build a missing interpolator
+        J = None if all(key in self._interp for row in keys for key in row) else self.jac
         return np.stack([
-            np.stack([self._get_interp(f"j{k}{l}", self.jac[k, l])(points)
+            np.stack([self._get_interp(keys[k][l], None if J is None else J[k, l])(points)
                       for l in range(2)])
             for k in range(2)])
 
-    def interp_jac_rough(self, points: np.ndarray) -> np.ndarray:
-        """Bilinear Jacobian lookup; enough to steer Newton steps."""
+    def interp_jac_rough(self, points: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear Jacobian lookup; enough to steer Newton steps.  `jac` is
+        this map's Jacobian field when the caller already holds it."""
         from scipy import ndimage
         idx = np.stack([points[0] * (self.mesh.N / self.mesh.L[0]),
                         points[1] * (self.mesh.N / self.mesh.L[1])])
-        J = self.jac
+        J = self.jac if jac is None else jac
         return np.stack([
             np.stack([ndimage.map_coordinates(J[k, l], idx, order=1,
                                               mode="grid-wrap", prefilter=False)
@@ -228,6 +235,19 @@ class TorusMap:
             inv._inverse = self
             self._inverse = inv
         return inv
+
+
+def _spectral_jac(mesh: GridMesh, disp: np.ndarray) -> np.ndarray:
+    """I + du for a displacement field (2, N, N), read-only.  Each
+    component's gradient is written into the Jacobian itself: a stacked
+    gradient, or one transform of all components, makes temporaries large
+    enough that the allocator maps and unmaps them on every read."""
+    jac = np.empty((2, 2, mesh.N, mesh.N))
+    for k in range(2):
+        mesh.gradient(disp[k], out=jac[k])
+        jac[k, k] += 1.0
+    jac.setflags(write=False)
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +299,15 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
     return TorusMap(phi.mesh, u, jac=jac, normalize=normalize, check=check)
 
 
+def _det2(J: np.ndarray) -> np.ndarray:
+    """Pointwise determinant of a (2, 2, ...) matrix field."""
+    return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+
+
 def _solve_2x2(J: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise J^{-1} v for a (2, 2, ...) matrix field and a (2, ...)
     vector field."""
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    det = _det2(J)
     return np.stack([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det,
                      (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
 
@@ -298,13 +323,14 @@ def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
         r = yy + phi.interp_disp(yy) - x
         return r, np.abs(r).max(axis=0)
 
+    J = phi.jac  # read once: phi may compute it on every read
     r, rn = residual(y)
     for _ in range(MAX_NEWTON_ITER):
         if rn.max() <= tol:
-            # the spectral Jacobian of the (smooth) inverse displacement is
-            # computed lazily; Newton convergence certifies invertibility
+            # the inverse's Jacobian is the spectral one of its (smooth)
+            # displacement; Newton convergence certifies invertibility
             return TorusMap(mesh, (y - x).reshape(2, *mesh.shape), check=False)
-        dy = _solve_2x2(phi.interp_jac_rough(y), r)
+        dy = _solve_2x2(phi.interp_jac_rough(y, J), r)
         step = np.ones_like(rn)
         for _ in range(8):
             y_try = y - step * dy
@@ -320,15 +346,16 @@ def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
         f"with residual {rn[i]:.3e} (target {tol:.1e})")
 
 
-def pullback_oneform(phi: TorusMap, alpha_at) -> OneForm:
+def pullback_oneform(phi: TorusMap, alpha_at, jac: np.ndarray | None = None) -> OneForm:
     """(phi^* alpha)_x = alpha_{phi(x)} o d(phi)_x, sampled on the grid.
 
     `alpha_at` evaluates the components of alpha at points of shape
     (2, M): `OneForm.at` (a spline of the grid form), or a closed-form
     evaluator, so that alpha is read at phi(x) without interpolation.
+    `jac` is phi's Jacobian field when the caller already holds it.
     """
     a = alpha_at(phi.flat_position).reshape(2, *phi.mesh.shape)
-    J = phi.jac
+    J = phi.jac if jac is None else jac
     return OneForm(phi.mesh,
                    a[0] * J[0, 0] + a[1] * J[1, 0],
                    a[0] * J[0, 1] + a[1] * J[1, 1])
@@ -350,9 +377,9 @@ def chord_integral(psi: TorusMap, alpha: OneForm) -> np.ndarray:
 
 def max_singular_value(phi: TorusMap) -> float:
     """sup over the grid of the largest singular value of d(phi)."""
-    J = phi.jac
+    J = phi._jac_field()  # read once, for the det too
     t = J[0, 0] ** 2 + J[0, 1] ** 2 + J[1, 0] ** 2 + J[1, 1] ** 2
-    disc = np.clip(t * t - 4.0 * phi.det ** 2, 0.0, None)
+    disc = np.clip(t * t - 4.0 * phi._det_from(J) ** 2, 0.0, None)
     smax2 = 0.5 * (t + np.sqrt(disc))
     return float(np.sqrt(smax2.max()))
 
@@ -367,11 +394,12 @@ def pullback_bound_constant(phi: TorusMap) -> float:
     return max_singular_value(phi) / float(np.sqrt(phi.det.min()))
 
 
-def pullback_vector(g: TorusMap, X_at) -> np.ndarray:
+def pullback_vector(g: TorusMap, X_at, jac: np.ndarray | None = None) -> np.ndarray:
     """(g^* X)(x) = d(g)_x^{-1} X(g(x)) on the grid; `X_at` evaluates X at
-    points of shape (2, M)."""
+    points of shape (2, M), and `jac` is g's Jacobian field when the caller
+    already holds it."""
     Xg = X_at(g.flat_position).reshape(2, *g.mesh.shape)
-    return _solve_2x2(g.jac, Xg)
+    return _solve_2x2(g.jac if jac is None else jac, Xg)
 
 
 def pushforward_vector(phi: TorusMap, X: np.ndarray) -> np.ndarray:
@@ -431,8 +459,11 @@ def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) ->
     if np.abs(div).max() > 1e-8 * (1.0 + ymax):
         raise ValueError(
             f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
-    lhs = interior_product(pushforward_vector(phi, Y), omega)
-    rhs = pullback_oneform(phi.inverse(), interior_product(Y, omega).at)
+    # phi_* Y is the pull-back by phi^{-1}, whose Jacobian is read once
+    g = phi.inverse()
+    J = g.jac
+    lhs = interior_product(pullback_vector(g, VectorInterpolator(Y, mesh), J), omega)
+    rhs = pullback_oneform(g, interior_product(Y, omega).at, J)
     return sup_norm(lhs - rhs)
 
 

@@ -99,12 +99,16 @@ class GridMesh:
         K = self._rfft_wavenumbers[axis]
         return np.fft.irfft2(1j * K * np.fft.rfft2(values), s=self.shape)
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Both spectral partials from a single forward transform."""
+    def gradient(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Both spectral partials, shape (2, N, N), from a single forward
+        transform; written into `out` when given."""
         spec = np.fft.rfft2(values)
         K0, K1 = self._rfft_wavenumbers
-        return np.stack([np.fft.irfft2(1j * K0 * spec, s=self.shape),
-                         np.fft.irfft2(1j * K1 * spec, s=self.shape)])
+        if out is None:
+            out = np.empty((2, *self.shape))
+        out[0] = np.fft.irfft2(1j * K0 * spec, s=self.shape)
+        out[1] = np.fft.irfft2(1j * K1 * spec, s=self.shape)
+        return out
 
     def potential(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         """Mean-zero F whose gradient is the curl-free part of the 1-form

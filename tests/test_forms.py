@@ -263,3 +263,31 @@ def test_forms_own_read_only_arrays(mesh):
             getattr(form, name)[0, 0] = 2.0
     src[...] = 3.0  # the caller's array is not shared
     assert all(np.all(getattr(form, name) == 1.0) for form, name in forms)
+
+
+def test_mesh_rejects_bad_sizes_and_periods():
+    for N in (8, 48, 0):
+        with pytest.raises(ValueError, match="power of two"):
+            GridMesh(N=N)
+    for L in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="periods must be positive"):
+            GridMesh(N=16, L=L)
+
+
+def test_constant_forms_are_stored_once(mesh):
+    forms = [(OneForm.constant(mesh, 0.7, -0.2), ("ax", "ay"), (0.7, -0.2)),
+             (ScalarField.constant(mesh, 3.7), ("values",), (3.7,)),
+             (hodge_decompose(OneForm.constant(mesh, 0.4, 0.1) + exterior_derivative(
+                 ScalarField.from_function(mesh, lambda x, y: np.sin(TWO_PI * x)))).harmonic,
+              ("ax", "ay"), None)]
+    for form, names, values in forms:
+        for i, name in enumerate(names):
+            a = getattr(form, name)
+            assert a.shape == mesh.shape and a.strides == (0, 0)
+            assert not a.flags.writeable
+            if values is not None:
+                assert np.array_equal(a, np.full(mesh.shape, values[i]))
+    # a constant form is a value like any other
+    assert np.array_equal((forms[0][0] + forms[0][0]).ax, np.full(mesh.shape, 1.4))
+    full = OneForm(mesh, np.full(mesh.shape, 0.7), np.full(mesh.shape, -0.2))
+    assert periods(forms[0][0]).periods == periods(full).periods

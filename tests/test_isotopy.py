@@ -1094,3 +1094,31 @@ def test_orbit_length_bound_equals_the_stacked_oracle():
     _, paths = _streamed_paths()
     for path in paths:
         assert orbit_length_bound(path).hex() == _stacked_orbit_length(path).hex()
+
+
+def test_integrated_flow_keeps_only_its_displacements():
+    mesh = GridMesh(N=128)
+    tracemalloc.start()
+    try:
+        flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 64 displacements of 256 KiB; keeping the spectral Jacobian that each
+    # sample's validation computed held 48 MiB
+    assert flow.K == 64 and live < 20 * 2 ** 20
+
+
+def test_generator_split_keeps_no_constant_grid_forms():
+    mesh = GridMesh(N=128)
+    psi = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=64)
+    tracemalloc.start()
+    try:
+        split = generator_hodge_split(psi)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 65 potentials of 128 KiB each, 8.2 MiB; the harmonic parts stored
+    # as full (2, N, N) forms added 16 MiB
+    assert len(split.harmonics) == 65 and live < 10 * 2 ** 20
+    assert all(h.ax.strides == h.ay.strides == (0, 0) for h in split.harmonics)

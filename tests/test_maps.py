@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fluxlab import catalog
 from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, l2_norm, sup_norm, tol_closed
-from fluxlab.maps import (DiffeomorphismError, Region, TorusMap, c0_distance,
+from fluxlab import maps
+from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap, c0_distance,
                           compose, evaluate_lift, interior_product,
                           max_singular_value, pullback_bound_constant,
                           pullback_oneform, pushforward_vector, volume_defect,
@@ -525,3 +526,84 @@ def test_diffeomorphism_error_message():
     with pytest.raises(DiffeomorphismError) as err:
         TorusMap(mesh, u)
     assert str(err.value) == expected
+
+
+# -- Jacobians: given ones are kept, spectral ones computed on read -----------
+
+def _spectral_oracle(m: TorusMap) -> np.ndarray:
+    """I + du from one spectral partial per component and axis."""
+    return np.stack([np.stack([m.mesh.derivative(m.disp[k], l) + float(k == l)
+                               for l in range(2)]) for k in range(2)])
+
+
+def test_spectral_jacobian_is_computed_on_every_read():
+    mesh = GridMesh(N=32)
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
+    sample = flow.maps[7]
+    twist = catalog.twist(mesh, 0.08, 0.06)
+    cases = [sample, _newton_inverse(sample), compose(twist, sample, chain_jac=False)]
+    for m in cases:
+        J = m.jac
+        assert np.array_equal(J, _spectral_oracle(m))
+        assert not J.flags.writeable
+        # nothing is kept: the next read computes a fresh, equal array
+        assert m._jac is None and m._stored_jac is None
+        assert m.jac is not J and np.array_equal(m.jac, J)
+
+
+def test_given_jacobian_is_returned_as_the_stored_view():
+    mesh = GridMesh(N=32)
+    twist = catalog.twist(mesh, 0.08, 0.06)
+    cases = [twist, catalog.shear(mesh, 0.1), catalog.translation(mesh, 0.3, 0.4),
+             compose(twist, twist)]
+    for m in cases:
+        assert m.jac is m.jac and m.jac is m._jac
+        assert np.shares_memory(m.jac, m._stored_jac)
+
+
+def test_jacobians_computed_by_a_pulled_flux_and_a_newton_inversion(monkeypatch):
+    from fluxlab.isotopy import symplectic_flux
+    mesh = GridMesh(N=32)
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
+    calls = []
+    spectral = maps._spectral_jac
+    monkeypatch.setattr(maps, "_spectral_jac",
+                        lambda *a: calls.append(1) or spectral(*a))
+    symplectic_flux(flow)
+    # one per pulled sample; the identity sample is not pulled
+    assert len(calls) == 16
+    calls.clear()
+    _newton_inverse(flow.maps[8])
+    assert len(calls) == 1
+
+
+# -- error paths -------------------------------------------------------------
+
+def test_newton_inversion_of_a_folded_map_raises():
+    mesh = GridMesh(N=32)
+    X, _ = mesh.points
+    # det J = 1 + pi cos(2 pi x) changes sign: the map folds, and Newton
+    # stalls on the fold
+    folded = TorusMap(mesh, np.stack([0.5 * np.sin(TWO_PI * X), np.zeros(mesh.shape)]),
+                      check=False)
+    with pytest.raises(InversionError, match=r"Newton inversion stalled at x = \("):
+        _newton_inverse(folded)
+
+
+def test_compose_rejects_maps_on_different_meshes():
+    a = catalog.twist(GridMesh(N=32), 0.08, 0.06)
+    for b in (catalog.twist(GridMesh(N=64), 0.08, 0.06),
+              catalog.twist(GridMesh(N=32, L=(1.0, 2.0)), 0.08, 0.06)):
+        with pytest.raises(ValueError, match="maps live on different meshes"):
+            compose(a, b)
+
+
+def test_region_rejects_empty_and_unknown_kinds():
+    with pytest.raises(ValueError, match="empty rectangle"):
+        Region.rectangle((0.2, 0.0), (0.2, 1.0))
+    with pytest.raises(ValueError, match="empty rectangle"):
+        Region.rectangle((0.0, 0.5), (1.0, 0.25))
+    with pytest.raises(ValueError, match="empty ball"):
+        Region.ball((0.5, 0.5), 0.0)
+    with pytest.raises(ValueError, match="unknown region kind 'disc'"):
+        Region("disc", center=(0.5, 0.5), radius=0.1)
