@@ -45,15 +45,25 @@ def _check_finite(*arrays):
             raise ValueError("non-finite values in field data")
 
 
-def _frozen(values, shape: tuple) -> np.ndarray:
+def _frozen(values) -> np.ndarray:
     """A read-only float copy: forms are values, and the caches keyed on a
     form (closedness residual, displacement potentials, fluxes) rely on
-    its arrays never changing.  A (1, 1) array is a constant field: it is
-    stored as its one value and read as a read-only stride-0 view of the
-    grid `shape`, as `TorusMap` stores a translation."""
+    its arrays never changing.  An array whose strides are all zero, as
+    `_constant_field` builds, is a constant field: only its one value is
+    copied, and it stays a read-only stride-0 view of its shape."""
+    if isinstance(values, np.ndarray) and values.size and not any(values.strides):
+        one = np.array(values.flat[0], dtype=float)
+        one.setflags(write=False)
+        return np.broadcast_to(one, values.shape)
     out = np.array(values, dtype=float)
     out.setflags(write=False)
-    return np.broadcast_to(out, shape) if out.shape == (1, 1) else out
+    return out
+
+
+def _constant_field(mesh: GridMesh, c: float) -> np.ndarray:
+    """The constant c on the grid, stored once: a stride-0 view, as
+    `TorusMap` stores a translation."""
+    return np.broadcast_to(float(c), mesh.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +74,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values, self.mesh.shape)
+        v = _frozen(self.values)
         if v.shape != self.mesh.shape:
             raise ValueError(f"field shape {v.shape} != mesh shape {self.mesh.shape}")
         _check_finite(v)
@@ -72,7 +82,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, mesh: GridMesh, c: float) -> "ScalarField":
-        return cls(mesh, [[c]])
+        return cls(mesh, _constant_field(mesh, c))
 
     @classmethod
     def from_function(cls, mesh: GridMesh, fn) -> "ScalarField":
@@ -118,8 +128,8 @@ class OneForm:
     ay: np.ndarray
 
     def __post_init__(self):
-        ax = _frozen(self.ax, self.mesh.shape)
-        ay = _frozen(self.ay, self.mesh.shape)
+        ax = _frozen(self.ax)
+        ay = _frozen(self.ay)
         if ax.shape != self.mesh.shape or ay.shape != self.mesh.shape:
             raise ValueError("component shape does not match mesh")
         _check_finite(ax, ay)
@@ -128,7 +138,7 @@ class OneForm:
 
     @classmethod
     def constant(cls, mesh: GridMesh, cx: float, cy: float) -> "OneForm":
-        return cls(mesh, [[cx]], [[cy]])
+        return cls(mesh, _constant_field(mesh, cx), _constant_field(mesh, cy))
 
     @classmethod
     def from_functions(cls, mesh: GridMesh, fx, fy) -> "OneForm":
@@ -188,7 +198,7 @@ class TwoForm:
     density: np.ndarray
 
     def __post_init__(self):
-        d = _frozen(self.density, self.mesh.shape)
+        d = _frozen(self.density)
         if d.shape != self.mesh.shape:
             raise ValueError("density shape does not match mesh")
         _check_finite(d)

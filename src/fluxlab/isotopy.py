@@ -431,9 +431,10 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
 
     A pulled sample is rho(phi x) d(phi)_x^T (-X_y, X_x)(phi x): the
     generator is evaluated at the image points by `_generator_at`, not read
-    off a spline of the grid form i_X omega.  The maps and their Jacobians
-    are those stored on the path, so the pulled and unpulled integrals stay
-    two different computations.
+    off a spline of the grid form i_X omega.  The maps are those stored on
+    the path, and each pulled sample uses its map's given Jacobian or a
+    spectral one computed on read, so the pulled and unpulled integrals
+    stay two different computations.
     """
     mesh = phi_path.mesh
     vel = _certified_generator(phi_path, omega, tol, what)

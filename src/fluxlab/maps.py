@@ -186,13 +186,12 @@ class TorusMap:
                       for l in range(2)])
             for k in range(2)])
 
-    def interp_jac_rough(self, points: np.ndarray, jac: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear Jacobian lookup; enough to steer Newton steps.  `jac` is
-        this map's Jacobian field when the caller already holds it."""
+    def interp_jac_rough(self, points: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """Bilinear lookup of J, this map's Jacobian field, which the caller
+        reads once; enough to steer Newton steps."""
         from scipy import ndimage
         idx = np.stack([points[0] * (self.mesh.N / self.mesh.L[0]),
                         points[1] * (self.mesh.N / self.mesh.L[1])])
-        J = self.jac if jac is None else jac
         return np.stack([
             np.stack([ndimage.map_coordinates(J[k, l], idx, order=1,
                                               mode="grid-wrap", prefilter=False)
@@ -268,9 +267,9 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
     midrange (nearest lift); a failed diffeomorphism check raises rather
     than silently accepting the composite.  The Jacobian is chained
     through interpolation by default (exact determinant algebra for
-    closed-form factors); `chain_jac=False` defers to lazy spectral
-    differentiation of the composite displacement, which is cheaper and
-    just as accurate for well-resolved maps.
+    closed-form factors); a `chain_jac=False` composite keeps no Jacobian
+    and differentiates its displacement spectrally on each `jac` read,
+    which is cheaper and just as accurate for well-resolved maps.
 
     When phi is a translation (a constant stored displacement c and the
     stored identity Jacobian) the composite is psi's stored displacement
@@ -346,16 +345,15 @@ def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
         f"with residual {rn[i]:.3e} (target {tol:.1e})")
 
 
-def pullback_oneform(phi: TorusMap, alpha_at, jac: np.ndarray | None = None) -> OneForm:
+def pullback_oneform(phi: TorusMap, alpha_at) -> OneForm:
     """(phi^* alpha)_x = alpha_{phi(x)} o d(phi)_x, sampled on the grid.
 
     `alpha_at` evaluates the components of alpha at points of shape
     (2, M): `OneForm.at` (a spline of the grid form), or a closed-form
     evaluator, so that alpha is read at phi(x) without interpolation.
-    `jac` is phi's Jacobian field when the caller already holds it.
     """
     a = alpha_at(phi.flat_position).reshape(2, *phi.mesh.shape)
-    J = phi.jac if jac is None else jac
+    J = phi.jac
     return OneForm(phi.mesh,
                    a[0] * J[0, 0] + a[1] * J[1, 0],
                    a[0] * J[0, 1] + a[1] * J[1, 1])
@@ -459,11 +457,8 @@ def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) ->
     if np.abs(div).max() > 1e-8 * (1.0 + ymax):
         raise ValueError(
             f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
-    # phi_* Y is the pull-back by phi^{-1}, whose Jacobian is read once
-    g = phi.inverse()
-    J = g.jac
-    lhs = interior_product(pullback_vector(g, VectorInterpolator(Y, mesh), J), omega)
-    rhs = pullback_oneform(g, interior_product(Y, omega).at, J)
+    lhs = interior_product(pushforward_vector(phi, Y), omega)
+    rhs = pullback_oneform(phi.inverse(), interior_product(Y, omega).at)
     return sup_norm(lhs - rhs)
 
 

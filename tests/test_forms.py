@@ -291,3 +291,22 @@ def test_constant_forms_are_stored_once(mesh):
     assert np.array_equal((forms[0][0] + forms[0][0]).ax, np.full(mesh.shape, 1.4))
     full = OneForm(mesh, np.full(mesh.shape, 0.7), np.full(mesh.shape, -0.2))
     assert periods(forms[0][0]).periods == periods(full).periods
+
+
+def test_forms_reject_single_value_arrays(mesh):
+    one = np.zeros((1, 1))
+    with pytest.raises(ValueError, match="shape"):
+        OneForm(mesh, one, one)
+    with pytest.raises(ValueError, match="shape"):
+        OneForm(mesh, np.zeros(mesh.shape), one)
+    with pytest.raises(ValueError, match="shape"):
+        ScalarField(mesh, one)
+    with pytest.raises(ValueError, match="shape"):
+        TwoForm(mesh, one)
+
+
+def test_stride0_input_does_not_alias_its_base(mesh):
+    base = np.array(0.5)
+    f = ScalarField(mesh, np.broadcast_to(base, mesh.shape))
+    base[()] = 2.0
+    assert f.values.strides == (0, 0) and np.all(f.values == 0.5)
