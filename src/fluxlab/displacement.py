@@ -698,7 +698,6 @@ def commutator_collapse_check(f: TorusMap, phi: TorusMap, psi: TorusMap,
 
     c = cc(cc(cc(phi, f.inverse()), phi.inverse()), f)
     c_inv = cc(cc(cc(f.inverse(), phi), f), phi.inverse())
-    c._inverse, c_inv._inverse = c_inv, c
     lhs = cc(cc(cc(psi.inverse(), c_inv), psi), c)
     rhs = map_commutator(phi, psi)
     return float(mesh.torus_distance(lhs.position, rhs.position).max())

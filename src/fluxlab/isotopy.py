@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -48,45 +49,57 @@ def simpson_weights(K: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def _cumulative(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative time integral along axis 0, one entry per sample, by the
-    cumulative Simpson rule of equal intervals.
+def _running_simpson(integrand, K: int, dt: float):
+    """Yield the running time integrals F(t_0), ..., F(t_K) of the samples
+    integrand(0), ..., integrand(K) by the cumulative Simpson rule of equal
+    intervals.
 
     Interval i, from t_i to t_(i+1), gets the integral of the parabola
     through three neighbouring samples, dt/3 (5 f1/4 + 2 f2 - f3/4): forwards
     (f1, f2, f3 = y_i, y_(i+1), y_(i+2)) on even intervals, backwards
     (f1, f2, f3 = y_(i+1), y_i, y_(i-1)) on odd ones and on the last; then a
     running sum from 0.  This is scipy's `cumulative_simpson(y, dx=dt,
-    axis=0, initial=0.0)` operation for operation, so the result is
-    bit-identical to it, signed zeros included.  Needs at least three
-    samples.
+    axis=0, initial=0.0)` operation for operation, so every value is
+    bit-identical to it, signed zeros included.
+
+    `integrand(i)` is called once per sample, in order, and at most one
+    sample ahead of the value yielded: F(t_j) needs y_(j+1).  Only the three
+    samples of the current parabola and the running sum are held; each
+    yielded value is a new array.  Needs at least three samples.
     """
-    y = samples
-    n = y.shape[0]
-    if n < 3:
-        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {n}")
+    if K < 2:
+        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {K + 1}")
     c = dt / 3
-    out = np.empty(y.shape)
-    sub = out[1:]  # sub[i] is the integral over [t_i, t_i+1]
-    sub[0:n - 2:2] = c * (5 * y[0:n - 2:2] / 4 + 2 * y[1:n - 1:2] - y[2::2] / 4)
-    sub[1::2] = c * (5 * y[2::2] / 4 + 2 * y[1:n - 1:2] - y[0:n - 2:2] / 4)
-    if n % 2 == 0:
-        sub[-1] = c * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    np.cumsum(sub, axis=0, out=sub)
-    out[0] = 0.0
-    out += 0.0  # -0.0 + 0.0 is +0.0, as scipy's added `initial` makes it
-    return out
+    window, first = [integrand(0)], 0  # the samples first, first + 1, first + 2
+    # a sum from +0.0 is never -0.0, as scipy's added `initial` makes it
+    running = np.zeros(np.shape(window[0]))
+    yield running
+    for i in range(K):
+        # forwards from i on an even interval, backwards from i + 1 on an
+        # odd one and on the last interval of an odd K
+        lo = i if i % 2 == 0 and i + 2 <= K else i - 1
+        del window[:lo - first]
+        first = lo
+        while len(window) < 3:
+            window.append(integrand(first + len(window)))
+        a, b, d = window
+        if lo == i:
+            running = running + c * (5 * a / 4 + 2 * b - d / 4)
+        else:
+            running = running + c * (5 * d / 4 + 2 * b - a / 4)
+        yield running
 
 
-def _time_derivative(samples: np.ndarray, K: int) -> np.ndarray:
-    """d/dt along axis 0 of samples at t_j = j/K: centred differences inside,
-    one-sided second-order differences at the endpoints."""
+def _time_derivative(samples, j: int, K: int) -> np.ndarray:
+    """d/dt at t_j = j/K of samples[0], ..., samples[K] at t_i = i/K: a
+    centred difference inside, one-sided second-order differences at the
+    endpoints."""
     h = 1.0 / K
-    out = np.empty_like(samples)
-    out[1:-1] = (samples[2:] - samples[:-2]) / (2 * h)
-    out[0] = (-3 * samples[0] + 4 * samples[1] - samples[2]) / (2 * h)
-    out[-1] = (3 * samples[-1] - 4 * samples[-2] + samples[-3]) / (2 * h)
-    return out
+    if j == 0:
+        return (-3 * samples[0] + 4 * samples[1] - samples[2]) / (2 * h)
+    if j == K:
+        return (3 * samples[K] - 4 * samples[K - 1] + samples[K - 2]) / (2 * h)
+    return (samples[j + 1] - samples[j - 1]) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -655,21 +668,18 @@ def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
 def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarField:
     """F^t = integral_0^t phi_s^*(alpha(X_s)) ds at a sample time t_j.
 
-    The cumulative Simpson rule of `_cumulative` runs over the integrands
-    one sample at a time and stops at t_j: it holds the three samples of
-    the current parabola and one running sum, and forms and adds each
-    interval's integral as that rule does, in the same order, so F^t is
-    bit-identical to the rule applied to the stacked integrands.  The
-    generator is read one sample at a time too, and a steady one gives one
-    integrand and one interpolator for all samples.
+    F^t is the value at t_j of `_running_simpson`, the streamed cumulative
+    Simpson rule, which holds the three integrands of the current parabola
+    and one running sum and stops there; it is bit-identical to scipy's
+    rule applied to the stacked integrands.  The generator is read one
+    sample at a time too, and a steady one gives one integrand and one
+    interpolator for all samples.
     """
     K = phi_path.K
     j = round(float(t) * K)
     if abs(t * K - j) > 1e-9 or not (0 <= j <= K):
         raise ValueError(f"t = {t} is not a sample time of this path")
     alpha.require_closed(what="f_functional")
-    if K < 2:
-        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {K + 1}")
     mesh = phi_path.mesh
     vel = _generator_sample(phi_path)
     steady = _is_autonomous(phi_path)
@@ -689,26 +699,7 @@ def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarFie
             ip = PeriodicInterpolator(g, mesh)
         return ip(m.flat_position).reshape(mesh.shape)
 
-    c = (1.0 / K) / 3
-    window, first = [], 0  # the integrands first, first + 1, first + 2
-    # a sum from +0.0 is never -0.0; `_cumulative` adds 0.0 at the end to
-    # the same effect
-    running = np.zeros(mesh.shape)
-    for i in range(j):
-        # interval i takes the parabola through samples lo, lo + 1, lo + 2:
-        # forwards from i on an even interval, backwards from i + 1 on an
-        # odd one and on the last interval of an odd K
-        lo = i if i % 2 == 0 and i + 2 <= K else i - 1
-        del window[:lo - first]
-        first = lo
-        while len(window) < 3:
-            window.append(integrand(first + len(window)))
-        a, b, d = window
-        if lo == i:
-            running += c * (5 * a / 4 + 2 * b - d / 4)
-        else:
-            running += c * (5 * d / 4 + 2 * b - a / 4)
-    return ScalarField(mesh, running)
+    return ScalarField(mesh, next(islice(_running_simpson(integrand, K, 1.0 / K), j, None)))
 
 
 def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:
@@ -864,17 +855,15 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
         raise ValueError("paths must share the same time sampling")
     K = phi_path.K
     omega = omega or TwoForm.standard(mesh)
-    X = phi_path.generator_samples()
-    Y = psi_path.generator_samples()
+    X = _generator_sample(phi_path)
+    Y = _generator_sample(psi_path)
     split_x = generator_hodge_split(phi_path, omega)
     split_y = generator_hodge_split(psi_path, omega)
 
     theta_maps, theta_invs = [], []
-    gP = np.empty((K + 1, 2, *mesh.shape))   # integrand for F along Phi^{-1}
-    gL = np.empty_like(gP)                   # ... along L^{-1}
-    gT = np.empty_like(gP)                   # ... along Theta^{-1}
-    v_comp = np.empty((K + 1, 3, *mesh.shape))  # V o phi^-1, U o h^-1, V o theta^-1
     vel_theta = np.empty((K + 1, 2, *mesh.shape))
+    # sample j -> (V o phi^-1, U o h^-1, V o theta^-1), until Pi_j is formed
+    comps = {}
 
     phi_invs = phi_path._inverses()
     psi_invs = psi_path._inverses()
@@ -883,29 +872,31 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     # when the path is steady, per sample otherwise
     steady_x = _is_autonomous(phi_path)
     steady_y = _is_autonomous(psi_path)
-    x_ip0 = VectorInterpolator(X[0], mesh) if steady_x else None
-    y_ip0 = VectorInterpolator(Y[0], mesh) if steady_y else None
+    x_ip0 = VectorInterpolator(X(0), mesh) if steady_x else None
+    y_ip0 = VectorInterpolator(Y(0), mesh) if steady_y else None
     u_ip0 = PeriodicInterpolator(split_x.potentials[0].values, mesh) if steady_x else None
     v_ip0 = PeriodicInterpolator(split_y.potentials[0].values, mesh) if steady_y else None
 
     def cc(a: TorusMap, b: TorusMap) -> TorusMap:
         return compose(a, b, normalize=False, chain_jac=False, check=False)
 
-    for j in range(K + 1):
+    def integrand(j: int) -> np.ndarray:
+        """Build theta_j, its velocity and compositions; return the three
+        G-integrands along Phi^{-1}, L^{-1} and Theta^{-1}, (3, 2, N, N)."""
         phi, psi = phi_path.maps[j], psi_path.maps[j]
         phi_i, psi_i = phi_invs[j], psi_invs[j]
         h = cc(cc(phi, psi), phi_i)          # phi psi phi^-1
         theta = cc(h, psi_i)
         s = cc(psi_i, phi_i)                 # psi^-1 phi^-1
         h_inv = cc(phi, s)                   # phi psi^-1 phi^-1
-        h._inverse, h_inv._inverse = h_inv, h
         theta_inv = cc(cc(psi, phi), s)
         theta._inverse, theta_inv._inverse = theta_inv, theta
         theta_maps.append(theta)
         theta_invs.append(theta_inv)
 
-        x_ip = x_ip0 or VectorInterpolator(X[j], mesh)
-        y_ip = y_ip0 or VectorInterpolator(Y[j], mesh)
+        Xj, Yj = X(j), Y(j)
+        x_ip = x_ip0 or VectorInterpolator(Xj, mesh)
+        y_ip = y_ip0 or VectorInterpolator(Yj, mesh)
         u_ip = u_ip0 or PeriodicInterpolator(split_x.potentials[j].values, mesh)
         v_ip = v_ip0 or PeriodicInterpolator(split_y.potentials[j].values, mesh)
 
@@ -913,47 +904,46 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
         J_phi_i, J_h_inv, J_theta_inv = phi_i.jac, h_inv.jac, theta_inv.jac
 
         # exact velocity of the composed paths; g_* V is the pull-back by g^-1
-        push_y_phi = Y[j] if phi.is_identity() else pullback_vector(phi_i, y_ip, J_phi_i)
-        push_x_h = X[j] if h.is_identity() else pullback_vector(h_inv, x_ip, J_h_inv)
-        vL = X[j] + push_y_phi - push_x_h
-        push_y_theta = (Y[j] if theta.is_identity()
+        push_y_phi = Yj if phi.is_identity() else pullback_vector(phi_i, y_ip, J_phi_i)
+        push_x_h = Xj if h.is_identity() else pullback_vector(h_inv, x_ip, J_h_inv)
+        vL = Xj + push_y_phi - push_x_h
+        push_y_theta = (Yj if theta.is_identity()
                         else pullback_vector(theta_inv, y_ip, J_theta_inv))
         vT = vL - push_y_theta
         vel_theta[j] = vT
 
-        # G-integrands: -(J_g)^{-1} at g^{-1} equals J_{g^{-1}} on the grid
-        gP[j] = -_pointwise_matvec(J_phi_i, X[j])
-        gL[j] = -_pointwise_matvec(J_h_inv, vL)
-        gT[j] = -_pointwise_matvec(J_theta_inv, vT)
-
-        v_comp[j, 0] = v_ip(phi_i.flat_position).reshape(mesh.shape)
-        v_comp[j, 1] = u_ip(h_inv.flat_position).reshape(mesh.shape)
-        v_comp[j, 2] = v_ip(theta_inv.flat_position).reshape(mesh.shape)
-
-    GP = _cumulative(gP, 1.0 / K)
-    GL = _cumulative(gL, 1.0 / K)
-    GT = _cumulative(gT, 1.0 / K)
+        comps[j] = (v_ip(phi_i.flat_position).reshape(mesh.shape),
+                    u_ip(h_inv.flat_position).reshape(mesh.shape),
+                    v_ip(theta_inv.flat_position).reshape(mesh.shape))
+        # -(J_g)^{-1} at g^{-1} equals J_{g^{-1}} on the grid
+        return -np.stack([_pointwise_matvec(J_phi_i, Xj),
+                          _pointwise_matvec(J_h_inv, vL),
+                          _pointwise_matvec(J_theta_inv, vT)])
 
     hx = np.array([h.ax[0, 0] for h in split_x.harmonics])
     hy = np.array([h.ay[0, 0] for h in split_x.harmonics])
     kx = np.array([h.ax[0, 0] for h in split_y.harmonics])
     ky = np.array([h.ay[0, 0] for h in split_y.harmonics])
 
+    # one pass: Pi_j is formed as soon as the running integrals reach t_j,
+    # which is at most one sample behind the integrands
+    pi_fields = []
+    for j, (GP, GL, GT) in enumerate(_running_simpson(integrand, K, 1.0 / K)):
+        FK_phi = kx[j] * GP[0] + ky[j] * GP[1]
+        FH_l = hx[j] * GL[0] + hy[j] * GL[1]
+        FK_t = kx[j] * GT[0] + ky[j] * GT[1]
+        v_phi, u_h, v_theta = comps.pop(j)
+        pi = split_x.potentials[j].values + v_phi + FK_phi - u_h - FH_l - v_theta - FK_t
+        pi_fields.append(ScalarField(mesh, pi - pi.mean()))
+
     # certify each Pi_t against the independent finite-difference velocity
     # of the composed maps
-    dudt = _time_derivative(np.stack([m.disp for m in theta_maps]), K)
-    pi_fields = []
+    disps = [m.disp for m in theta_maps]
     worst, worst_t = 0.0, 0.0
     for j in range(K + 1):
-        FK_phi = kx[j] * GP[j, 0] + ky[j] * GP[j, 1]
-        FH_l = hx[j] * GL[j, 0] + hy[j] * GL[j, 1]
-        FK_t = kx[j] * GT[j, 0] + ky[j] * GT[j, 1]
-        pi = (split_x.potentials[j].values + v_comp[j, 0] + FK_phi
-              - v_comp[j, 1] - FH_l - v_comp[j, 2] - FK_t)
-        pi_fields.append(ScalarField(mesh, pi - pi.mean()))
         pts = theta_invs[j].flat_position
-        vfd = VectorInterpolator(dudt[j], mesh)(pts).reshape(2, *mesh.shape)
-        beta_fd = interior_product(vfd, omega)
+        vfd = VectorInterpolator(_time_derivative(disps, j, K), mesh)(pts)
+        beta_fd = interior_product(vfd.reshape(2, *mesh.shape), omega)
         r = sup_norm(exterior_derivative(pi_fields[j]) - beta_fd)
         if r > worst:
             worst, worst_t = r, j / K

@@ -1,5 +1,6 @@
 """Flows, fluxes, mass flow, path functionals, concatenation."""
 
+import gc
 import math
 import tracemalloc
 
@@ -447,6 +448,18 @@ def test_split_hamiltonian(mesh):
     assert sup_norm(split.potentials[0] - (H - H.mean())) < 1e-12
 
 
+def test_split_rejects_a_divergent_generator(mesh):
+    # a steady field with div X = 0.4 pi cos(2 pi x), uncertified, on a
+    # path of identity maps: the split's coexact part is the divergence
+    X, _ = mesh.points
+    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
+                   generator=TimeField(lambda t: bad, mesh, autonomous=True))
+    with pytest.raises(NonSymplecticError,
+                       match=r"sample 0: coexact residual .* path is not symplectic"):
+        generator_hodge_split(path)
+
+
 def test_steady_generator_samples_share_one_field(mesh):
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.1, K)
     X = flow.generator_samples()
@@ -529,7 +542,8 @@ def test_cumulative_is_scipys_cumulative_simpson(n, tail):
     zeros[:2] = -0.0
     for samples in (y, zeros):
         for dt in (1.0 / (n - 1), 1.0 / 64, 0.3):
-            got = isotopy._cumulative(samples, dt)
+            got = np.stack(list(isotopy._running_simpson(
+                samples.__getitem__, n - 1, dt)))
             want = cumulative_simpson(samples, dx=dt, axis=0, initial=0.0)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -539,7 +553,21 @@ def test_cumulative_is_scipys_cumulative_simpson(n, tail):
 def test_cumulative_needs_three_samples(n):
     # scipy falls back to the trapezoid rule here; no caller needs that
     with pytest.raises(ValueError, match="at least 3 samples"):
-        isotopy._cumulative(np.ones((n, 4)), 0.5)
+        list(isotopy._running_simpson(np.ones((n, 4)).__getitem__, n - 1, 0.5))
+
+
+@pytest.mark.parametrize("K", [2, 3, 16, 17])
+def test_running_simpson_reads_each_sample_once_one_ahead(K):
+    # F(t_j) needs the parabola through y_(j+1), and no sample beyond it
+    calls = []
+
+    def integrand(i):
+        calls.append(i)
+        return np.full(4, float(i))
+
+    for j, _ in enumerate(isotopy._running_simpson(integrand, K, 1.0 / K)):
+        assert calls == list(range(len(calls))) and len(calls) <= min(j + 2, K + 1)
+    assert calls == list(range(K + 1))
 
 
 def test_f_functional_matches_orbit_integral(mesh):
@@ -630,7 +658,7 @@ def test_steady_f_functional_builds_one_interpolator(monkeypatch):
 
 
 def _f_functional_family(phi_path, alpha):
-    """F^t at every sample time from the stacked integrands and one
+    """F^t at every sample time from the stacked integrands and scipy's
     whole-path cumulative Simpson rule: the oracle of the streamed
     f_functional."""
     mesh, K = phi_path.mesh, phi_path.K
@@ -640,7 +668,7 @@ def _f_functional_family(phi_path, alpha):
         g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
         fields[j] = g if m.is_identity() else (
             PeriodicInterpolator(g, mesh)(m.flat_position).reshape(mesh.shape))
-    return isotopy._cumulative(fields, 1.0 / K)
+    return cumulative_simpson(fields, dx=1.0 / K, axis=0, initial=0.0)
 
 
 def test_streamed_f_functional_equals_the_stacked_family():
@@ -739,9 +767,9 @@ def test_concat_flat_margins_velocity(mesh):
     joined = concat_reparam(A, B)
     # the velocity is zero exactly where the displacement stands still
     Kj = joined.K
-    dudt = isotopy._time_derivative(np.stack([m.disp for m in joined.maps]), Kj)
+    disps = [m.disp for m in joined.maps]
     mid = [j for j in range(Kj + 1) if abs(j / Kj - 0.5) <= 0.0625]
-    worst = max(np.abs(dudt[j]).max() for j in mid)
+    worst = max(np.abs(isotopy._time_derivative(disps, j, Kj)).max() for j in mid)
     assert worst < 1e-8
 
 
@@ -804,6 +832,27 @@ def test_commutator_certification_gate():
     B = catalog.translation_shear_flow(coarse, 0.2, 0.15, 0.05, K=16)
     with pytest.raises(NonSymplecticError, match="failed certification"):
         commutator_generator(A, B)
+
+
+def test_commutator_streams_its_samples(mesh):
+    # generator-g1's pair: the whole-path integrand stacks, their running
+    # integrals, the composition stack and the stacked finite differences
+    # peaked 46.7 MiB above the start, and the h <-> h^-1 links left 115
+    # unreachable objects; streamed, the peak measures 19.9 MiB
+    A = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.06, K)
+    B = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=K)
+    A._inverses(), B._inverses()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = commutator_generator(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 24 * 2 ** 20
+    assert gc.collect() == 0
+    assert result[0].provenance["certified_residual"] < 1e-3
 
 
 # -- closed-form Hamiltonian fields ---------------------------------------------
