@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -132,24 +132,21 @@ def _bump_chi(s: np.ndarray):
     return chi, dchi
 
 
-def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusMap:
-    """Rotate each circle r = const about `center` by angle(r) =
-    angle * chi((r/radius)^2); identity outside the radius.
-
-    The time-1 map of a compactly supported Hamiltonian flow: each circle
-    is rotated rigidly, so areas are preserved (det J = 1 analytically)
-    and the flux vanishes.
-    """
-    if radius >= mesh.injectivity_radius:
-        raise ValueError("support radius must be below the injectivity radius")
+def _bump_fields(mesh: GridMesh, center, radius: float, angle: float):
+    """The grid offsets v from `center` (wrapped), chi((|v|/radius)^2), its
+    derivative, and cos and sin of the angle angle * chi."""
     v = mesh.wrap_delta(mesh.points - np.asarray(center, dtype=float).reshape(2, 1, 1))
     s = (v[0] ** 2 + v[1] ** 2) / radius ** 2
     chi, dchi = _bump_chi(s)
     theta = angle * chi
-    ct, st = np.cos(theta), np.sin(theta)
-    disp = np.stack([ct * v[0] - st * v[1] - v[0],
-                     st * v[0] + ct * v[1] - v[1]])
-    # J = R(theta) + (R'(theta) v) (grad theta)^T, grad theta = angle chi' 2v/r^2
+    return v, chi, dchi, np.cos(theta), np.sin(theta)
+
+
+def _bump_jac(mesh: GridMesh, center, radius: float, angle: float) -> np.ndarray:
+    """The Jacobian of `bump_rotation`, read-only, computed from its four
+    parameters alone: J = R(theta) + (R'(theta) v) (grad theta)^T, with
+    grad theta = angle chi' 2v/r^2."""
+    v, _, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
     g0 = angle * dchi * (2.0 / radius ** 2) * v[0]
     g1 = angle * dchi * (2.0 / radius ** 2) * v[1]
     rp0 = -st * v[0] - ct * v[1]
@@ -159,7 +156,26 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
     jac[0, 1] = -st + rp0 * g1
     jac[1, 0] = st + rp1 * g0
     jac[1, 1] = ct + rp1 * g1
-    m = TorusMap(mesh, disp, jac=jac,
+    jac.setflags(write=False)
+    return jac
+
+
+def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusMap:
+    """Rotate each circle r = const about `center` by angle(r) =
+    angle * chi((r/radius)^2); identity outside the radius.
+
+    The time-1 map of a compactly supported Hamiltonian flow: each circle
+    is rotated rigidly, so areas are preserved (det J = 1 analytically)
+    and the flux vanishes.  The map stores its displacement only; its
+    closed-form Jacobian is computed on every read (see TorusMap), and so
+    is its inverse's, which is the bump rotation by -angle.
+    """
+    if radius >= mesh.injectivity_radius:
+        raise ValueError("support radius must be below the injectivity radius")
+    v, chi, _, ct, st = _bump_fields(mesh, center, radius, angle)
+    disp = np.stack([ct * v[0] - st * v[1] - v[0],
+                     st * v[0] + ct * v[1] - v[1]])
+    m = TorusMap(mesh, disp, jac=partial(_bump_jac, mesh, center, radius, angle),
                  provenance={"kind": "bump_rotation", "center": tuple(center),
                              "radius": radius, "angle": angle,
                              "flux_periods": (float(np.mean(-angle * chi * v[1])),

@@ -445,9 +445,10 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     A pulled sample is rho(phi x) d(phi)_x^T (-X_y, X_x)(phi x): the
     generator is evaluated at the image points by `_generator_at`, not read
     off a spline of the grid form i_X omega.  The maps are those stored on
-    the path, and each pulled sample uses its map's given Jacobian or a
-    spectral one computed on read, so the pulled and unpulled integrals
-    stay two different computations.
+    the path, and each pulled sample uses its map's stored Jacobian or one
+    computed on read (a bump rotation's closed form, else the spectral
+    one), so the pulled and unpulled integrals stay two different
+    computations.
     """
     mesh = phi_path.mesh
     vel = _certified_generator(phi_path, omega, tol, what)
@@ -572,24 +573,32 @@ def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
 
     The coexact part must vanish sample by sample (else the path is not
     symplectic); U_t is the mean-zero potential and H_t the harmonic part.
+    A generator certified by construction is trusted and read one sample
+    at a time; any other is gated at `tol`, by default
+    `_certification_tol`, which reads the largest of all its samples, so
+    its samples are stacked.
     """
     mesh = phi_path.mesh
     omega = omega or TwoForm.standard(mesh)
-    vel = phi_path.generator_samples()
     trusted = (isinstance(phi_path.generator, TimeField)
                and phi_path.generator.certified_symplectic)
-    if tol is None:
-        tol = _certification_tol(phi_path, vel)
+    if trusted:
+        vel = _generator_sample(phi_path)
+    else:
+        stack = phi_path.generator_samples()
+        vel = stack.__getitem__
+        if tol is None:
+            tol = _certification_tol(phi_path, stack)
     steady = _is_autonomous(phi_path)
     potentials, harmonics = [], []
     for j in range(1 if steady else phi_path.K + 1):
-        beta = interior_product(vel[j], omega)
-        split = hodge_decompose(beta)
-        resid = sup_norm(split.coexact)
-        if resid > tol and not trusted:
-            raise NonSymplecticError(
-                f"sample {j}: coexact residual {resid:.3e} > {tol:.3e}; "
-                "path is not symplectic")
+        split = hodge_decompose(interior_product(vel(j), omega))
+        if not trusted:
+            resid = sup_norm(split.coexact)
+            if resid > tol:
+                raise NonSymplecticError(
+                    f"sample {j}: coexact residual {resid:.3e} > {tol:.3e}; "
+                    "path is not symplectic")
         potentials.append(split.potential)
         harmonics.append(split.harmonic)
     if steady:
@@ -598,12 +607,10 @@ def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
     return GeneratorSplit(potentials, harmonics)
 
 
-def hofer_like_length(phi_path: Isotopy, omega: TwoForm | None = None,
-                      split: GeneratorSplit | None = None) -> float:
+def hofer_like_length(phi_path: Isotopy, omega: TwoForm | None = None) -> float:
     """Length of a symplectic path: integral over time of
     osc(U_t) + |H_t|_0 for the generator split i_{X_t} omega = dU_t + H_t."""
-    if split is None:
-        split = generator_hodge_split(phi_path, omega)
+    split = generator_hodge_split(phi_path, omega)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     return float(np.sum(w * (split.oscillations() + split.harmonic_sup_norms())))
 

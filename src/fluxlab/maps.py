@@ -1,11 +1,13 @@
 """Diffeomorphisms of the flat torus as periodic displacement fields.
 
 A map is stored as x -> x + u(x) mod L with u a smooth periodic
-displacement sampled on the grid, plus the Jacobian field it was given.
-Closed-form constructions (see `catalog`) supply analytic Jacobians and
-inverses, and `compose` chains Jacobians; any other map differentiates
-its displacement spectrally on every Jacobian read and keeps nothing, and
-its inverse comes from a damped Newton iteration on the lift.
+displacement sampled on the grid.  Its Jacobian is stored, or computed
+by a function on every read and never kept.  Closed-form constructions
+(see `catalog`) supply analytic Jacobians, as arrays or as functions of
+their parameters, and analytic inverses; `compose` chains Jacobians; any
+other map gets the default function, the spectral derivative I + du of
+its displacement, and its inverse comes from a damped Newton iteration
+on the lift.
 
 Maps are immutable after construction; interpolators, inverses and the
 determinant are cached lazily, so sharing across threads is safe once
@@ -13,6 +15,8 @@ built.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -76,24 +80,31 @@ def _frozen(field: np.ndarray, shape: tuple) -> np.ndarray:
 class TorusMap:
     """A diffeomorphism x -> x + u(x) mod L of the flat torus.
 
-    The displacement is given with shape (2, a, b) and the Jacobian field,
-    when given, with shape (2, 2, a, b), where each grid axis a, b is N or
-    1; both are copied and frozen.  A unit grid axis marks a field that is
-    constant along that axis: it is stored once on the remaining grid line
-    (or point) and read as a read-only stride-0 view of the full shape
-    (2, N, N) or (2, 2, N, N).  So a translation holds no grid arrays and
-    a shear one grid line.  The Jacobian is supplied analytically by
-    closed-form builders or chained by `compose`; a map given none
-    (integrated flow samples, Newton inverses, `chain_jac=False`
-    composites) computes it spectrally on every `jac` read and never
-    stores it, so it holds its displacement only, and a caller that reads
-    one map's Jacobian more than once takes it once into a local.
+    The displacement is given with shape (2, a, b), where each grid axis
+    a, b is N or 1; it is copied and frozen.  A unit grid axis marks a
+    field that is constant along that axis: it is stored once on the
+    remaining grid line (or point) and read as a read-only stride-0 view of
+    the full shape (2, N, N) or (2, 2, N, N).  So a translation holds no
+    grid arrays and a shear one grid line.
+
+    The Jacobian is stored or computed on read.  An array of shape
+    (2, 2, a, b) is copied, frozen and stored the same way: closed-form
+    builders supply one, and `compose` chains one.  A zero-argument
+    function returning the (2, 2, N, N) field is called on every `jac`
+    read and nothing is kept: a bump rotation passes its closed form, and
+    a map given no Jacobian (integrated flow samples, Newton inverses,
+    `chain_jac=False` composites) gets the default function, the spectral
+    I + du of its displacement.  Such a function should close over
+    parameters only, not grid arrays, or it keeps them alive.  A caller
+    that reads one map's Jacobian more than once takes it once into a
+    local.
     `check=False` skips the determinant validation for maps whose
     invertibility is guaranteed by construction (e.g. converged Newton
     inverses).
     """
 
-    def __init__(self, mesh: GridMesh, disp: np.ndarray, jac: np.ndarray | None = None,
+    def __init__(self, mesh: GridMesh, disp: np.ndarray,
+                 jac: np.ndarray | Callable[[], np.ndarray] | None = None,
                  provenance: dict | None = None, normalize: bool = False,
                  check: bool = True):
         disp = np.array(disp, dtype=float)
@@ -106,11 +117,18 @@ class TorusMap:
         # the stored fields, on their (a, b) grid axes, and their full views
         self._stored_disp = disp
         self.disp = _frozen(disp, (2, mesh.N, mesh.N))
-        if jac is not None:
+        if jac is None:
+            # the default: the spectral I + du, closed over the frozen view
+            # and read late, so a rebound `_spectral_jac` is the one called
+            full = self.disp
+            jac = lambda: _spectral_jac(mesh, full)
+        if callable(jac):
+            self._jac_fn, self._stored_jac, self._jac = jac, None, None
+        else:
             jac = np.array(jac, dtype=float)
             _check_field(jac, (2, 2), mesh.N, "jacobian")
-        self._stored_jac = jac
-        self._jac = None if jac is None else _frozen(jac, (2, 2, mesh.N, mesh.N))
+            self._jac_fn, self._stored_jac = None, jac
+            self._jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._det = None
         self.provenance = dict(provenance or {})
         self._interp: dict[str, object] = {}
@@ -125,9 +143,9 @@ class TorusMap:
 
     @property
     def jac(self) -> np.ndarray:
-        """The Jacobian field (2, 2, N, N): the given one as its stored
-        view, else a fresh spectral one on every read."""
-        return _spectral_jac(self.mesh, self.disp) if self._jac is None else self._jac
+        """The Jacobian field (2, 2, N, N): a stored one as its view, else
+        a fresh one from the Jacobian function on every read."""
+        return self._jac_fn() if self._jac is None else self._jac
 
     def _jac_field(self) -> np.ndarray:
         """The Jacobian on the grid axes it is stored on."""
@@ -145,8 +163,8 @@ class TorusMap:
         return self._det
 
     def _validate(self):
-        # neither det nor a spectral Jacobian is kept here: most validated
-        # maps never read them again
+        # neither det nor a Jacobian computed on read is kept here: most
+        # validated maps never read them again
         det = _det2(self._jac_field())
         if det.min() <= 0.0:
             # on a unit grid axis index 0 is a grid point of the minimum too

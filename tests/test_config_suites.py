@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def test_seed_required():
 def test_unregistered_suite_rejected():
     with pytest.raises(ConfigError, match="unknown suite"):
         parse_config({"suite": "lemma99", "seed": 1})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"suite": "norm-axioms", "seed": 1, "sampler": 8}, "'sampler' must be an object"),
+    ({"suite": "norm-axioms", "seed": 1, "mesh": {"N": True}}, "'mesh.N' must be an integer"),
+    ({"suite": "norm-axioms", "seed": 1, "out": 3}, "'out' must be str"),
+    (["norm-axioms", 1], "config root must be an object"),
+    ({"seed": 1}, "missing required key 'suite'"),
+])
+def test_malformed_config_rejected(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(data)
 
 
 def test_missing_file():

@@ -249,7 +249,7 @@ def test_mesh_rejects_upsample_below_two():
     # at factor 1 the Nyquist split of the fused spline prefilter would not
     # give the raw-grid spline
     for factor in (0, 1):
-        with pytest.raises(ValueError, match="upsample"):
+        with pytest.raises(ValueError, match=f"upsample must be at least 2, got {factor}"):
             GridMesh(N=32, upsample=factor)
     assert GridMesh(N=32, upsample=2).upsample == 2
 

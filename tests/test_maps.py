@@ -1,6 +1,8 @@
 """Torus maps: evaluation, composition, inversion, pull-backs, distances."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -575,6 +577,60 @@ def test_jacobians_computed_by_a_pulled_flux_and_a_newton_inversion(monkeypatch)
     calls.clear()
     _newton_inverse(flow.maps[8])
     assert len(calls) == 1
+
+
+def _bump_jac_oracle(mesh, center, radius, angle):
+    """The bump rotation's Jacobian, written out as its builder once
+    computed and stored it."""
+    v = mesh.wrap_delta(mesh.points - np.asarray(center, dtype=float).reshape(2, 1, 1))
+    s = (v[0] ** 2 + v[1] ** 2) / radius ** 2
+    inside = s < 1.0
+    chi, dchi = np.zeros_like(s), np.zeros_like(s)
+    with np.errstate(over="ignore", under="ignore"):
+        c = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+    chi[inside] = c
+    dchi[inside] = -c / (1.0 - s[inside]) ** 2
+    theta = angle * chi
+    ct, st = np.cos(theta), np.sin(theta)
+    g0 = angle * dchi * (2.0 / radius ** 2) * v[0]
+    g1 = angle * dchi * (2.0 / radius ** 2) * v[1]
+    rp0 = -st * v[0] - ct * v[1]
+    rp1 = ct * v[0] - st * v[1]
+    return np.stack([np.stack([ct + rp0 * g0, -st + rp0 * g1]),
+                     np.stack([st + rp1 * g0, ct + rp1 * g1])])
+
+
+def test_bump_jacobian_is_its_closed_form_computed_on_read():
+    mesh = GridMesh(N=64)
+    rot = catalog.bump_rotation(mesh, (0.3, 0.6), 0.25, 0.8)
+    flow = catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16)
+    for m in (rot, rot.inverse(), flow.maps[7], flow.maps[7].inverse()):
+        p = m.provenance
+        J = m.jac
+        assert np.array_equal(J, _bump_jac_oracle(mesh, p["center"], p["radius"], p["angle"]))
+        assert not J.flags.writeable
+        # nothing is kept: the next read computes a fresh, equal array
+        assert m._jac is None and m._stored_jac is None
+        assert m.jac is not J and np.array_equal(m.jac, J)
+    assert rot.inverse().provenance["angle"] == -0.8
+
+
+def test_rotation_flow_keeps_displacements_only():
+    # 65 samples of (2, N, N) displacements are 16.3 MiB at N = 128; with a
+    # stored (2, 2, N, N) Jacobian per sample the flow kept 48.8 MiB
+    mesh = GridMesh(N=128)
+    mesh.points  # the mesh's own cached grid is not the flow's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        flow = catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 64)
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flow.K == 64
+    assert live - start < 20 * 2 ** 20
 
 
 # -- error paths -------------------------------------------------------------
