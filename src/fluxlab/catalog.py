@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .isotopy import Isotopy, TimeField, integrate_flow
-from .maps import UNIT_JAC, TorusMap
+from .maps import UNIT_JAC, TorusMap, require_positive_det
 from .mesh import GridMesh
 
 TWO_PI = 2.0 * np.pi
@@ -142,22 +142,28 @@ def _bump_fields(mesh: GridMesh, center, radius: float, angle: float):
     return v, chi, dchi, np.cos(theta), np.sin(theta)
 
 
-def _bump_jac(mesh: GridMesh, center, radius: float, angle: float) -> np.ndarray:
-    """The Jacobian of `bump_rotation`, read-only, computed from its four
-    parameters alone: J = R(theta) + (R'(theta) v) (grad theta)^T, with
+def _bump_jac_of(v, dchi, ct, st, radius: float, angle: float) -> np.ndarray:
+    """The Jacobian of `bump_rotation`, read-only, from the fields of
+    `_bump_fields`: J = R(theta) + (R'(theta) v) (grad theta)^T, with
     grad theta = angle chi' 2v/r^2."""
-    v, _, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
     g0 = angle * dchi * (2.0 / radius ** 2) * v[0]
     g1 = angle * dchi * (2.0 / radius ** 2) * v[1]
     rp0 = -st * v[0] - ct * v[1]
     rp1 = ct * v[0] - st * v[1]
-    jac = np.empty((2, 2, mesh.N, mesh.N))
+    jac = np.empty((2, 2, *v.shape[1:]))
     jac[0, 0] = ct + rp0 * g0
     jac[0, 1] = -st + rp0 * g1
     jac[1, 0] = st + rp1 * g0
     jac[1, 1] = ct + rp1 * g1
     jac.setflags(write=False)
     return jac
+
+
+def _bump_jac(mesh: GridMesh, center, radius: float, angle: float) -> np.ndarray:
+    """The Jacobian of `bump_rotation`, computed from its four parameters
+    alone."""
+    v, _, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
+    return _bump_jac_of(v, dchi, ct, st, radius, angle)
 
 
 def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusMap:
@@ -172,10 +178,14 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
     """
     if radius >= mesh.injectivity_radius:
         raise ValueError("support radius must be below the injectivity radius")
-    v, chi, _, ct, st = _bump_fields(mesh, center, radius, angle)
+    v, chi, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
     disp = np.stack([ct * v[0] - st * v[1] - v[0],
                      st * v[0] + ct * v[1] - v[1]])
+    # det J is checked once, on the fields in hand, so the map skips its own
+    # check, which would compute them again
+    require_positive_det(mesh, _bump_jac_of(v, dchi, ct, st, radius, angle))
     m = TorusMap(mesh, disp, jac=partial(_bump_jac, mesh, center, radius, angle),
+                 check=False,
                  provenance={"kind": "bump_rotation", "center": tuple(center),
                              "radius": radius, "angle": angle,
                              "flux_periods": (float(np.mean(-angle * chi * v[1])),

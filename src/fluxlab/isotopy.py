@@ -367,11 +367,12 @@ def _is_autonomous(phi_path: Isotopy) -> bool:
     return isinstance(phi_path.generator, TimeField) and phi_path.generator.autonomous
 
 
-def _certification_tol(phi_path: Isotopy, vel: np.ndarray) -> float:
-    """Default closedness gate by generator provenance: a `TimeField`
+def _certification_tol(phi_path: Isotopy, vmax: float) -> float:
+    """Default closedness gate by generator provenance, scaled by vmax, the
+    largest |X| over the samples read (one when steady): a `TimeField`
     leaves round-off, an assembled `VectorFieldPath` carries interpolation
     noise."""
-    scale = 1.0 + float(np.abs(vel[0] if _is_autonomous(phi_path) else vel).max())
+    scale = 1.0 + vmax
     if isinstance(phi_path.generator, TimeField):
         return 1e-8 * scale
     return 1e-4 * scale
@@ -397,10 +398,10 @@ def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     if isinstance(gen, TimeField) and gen.certified_symplectic:
         return _generator_sample(phi_path)
     vel = phi_path.generator_samples()
-    if tol is None:
-        tol = _certification_tol(phi_path, vel)
-    worst = 0.0
     steady = _is_autonomous(phi_path)
+    if tol is None:
+        tol = _certification_tol(phi_path, float(np.abs(vel[0] if steady else vel).max()))
+    worst = 0.0
     for j in range(1 if steady else phi_path.K + 1):
         beta = interior_product(vel[j], omega)
         worst = max(worst, sup_norm(exterior_derivative(beta)))
@@ -571,36 +572,37 @@ def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
                           tol: float | None = None) -> GeneratorSplit:
     """Hodge-split the path generator: i_{X_t} omega = dU_t + H_t.
 
-    The coexact part must vanish sample by sample (else the path is not
-    symplectic); U_t is the mean-zero potential and H_t the harmonic part.
-    A generator certified by construction is trusted and read one sample
-    at a time; any other is gated at `tol`, by default
-    `_certification_tol`, which reads the largest of all its samples, so
-    its samples are stacked.
+    The generator is read one sample at a time.  The coexact part must
+    vanish sample by sample (else the path is not symplectic); U_t is the
+    mean-zero potential and H_t the harmonic part.  A generator certified
+    by construction is trusted; any other is gated at `tol`, by default
+    `_certification_tol` of the largest sample, so its residuals are
+    gated once all samples are read.
     """
     mesh = phi_path.mesh
     omega = omega or TwoForm.standard(mesh)
     trusted = (isinstance(phi_path.generator, TimeField)
                and phi_path.generator.certified_symplectic)
-    if trusted:
-        vel = _generator_sample(phi_path)
-    else:
-        stack = phi_path.generator_samples()
-        vel = stack.__getitem__
-        if tol is None:
-            tol = _certification_tol(phi_path, stack)
+    vel = _generator_sample(phi_path)
     steady = _is_autonomous(phi_path)
-    potentials, harmonics = [], []
+    potentials, harmonics, resids = [], [], []
+    vmax = 0.0
     for j in range(1 if steady else phi_path.K + 1):
-        split = hodge_decompose(interior_product(vel(j), omega))
+        X = vel(j)
+        split = hodge_decompose(interior_product(X, omega))
         if not trusted:
-            resid = sup_norm(split.coexact)
+            resids.append(sup_norm(split.coexact))
+            vmax = max(vmax, float(np.abs(X).max()))
+        potentials.append(split.potential)
+        harmonics.append(split.harmonic)
+    if not trusted:
+        if tol is None:
+            tol = _certification_tol(phi_path, vmax)
+        for j, resid in enumerate(resids):
             if resid > tol:
                 raise NonSymplecticError(
                     f"sample {j}: coexact residual {resid:.3e} > {tol:.3e}; "
                     "path is not symplectic")
-        potentials.append(split.potential)
-        harmonics.append(split.harmonic)
     if steady:
         potentials = potentials * (phi_path.K + 1)
         harmonics = harmonics * (phi_path.K + 1)

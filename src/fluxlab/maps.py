@@ -165,13 +165,7 @@ class TorusMap:
     def _validate(self):
         # neither det nor a Jacobian computed on read is kept here: most
         # validated maps never read them again
-        det = _det2(self._jac_field())
-        if det.min() <= 0.0:
-            # on a unit grid axis index 0 is a grid point of the minimum too
-            i, j = np.unravel_index(np.argmin(det), det.shape)
-            raise DiffeomorphismError(
-                f"det J = {det.min():.3e} <= 0 at grid point "
-                f"({self.mesh.axes[0][i]:.4f}, {self.mesh.axes[1][j]:.4f})")
+        require_positive_det(self.mesh, self._jac_field())
 
     # -- constructors ---------------------------------------------------------
 
@@ -319,6 +313,18 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
 def _det2(J: np.ndarray) -> np.ndarray:
     """Pointwise determinant of a (2, 2, ...) matrix field."""
     return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+
+
+def require_positive_det(mesh: GridMesh, J: np.ndarray) -> None:
+    """Raise DiffeomorphismError unless det J > 0 at every grid point of
+    the Jacobian field J, given on the grid axes it is stored on."""
+    det = _det2(J)
+    if det.min() <= 0.0:
+        # on a unit grid axis index 0 is a grid point of the minimum too
+        i, j = np.unravel_index(np.argmin(det), det.shape)
+        raise DiffeomorphismError(
+            f"det J = {det.min():.3e} <= 0 at grid point "
+            f"({mesh.axes[0][i]:.4f}, {mesh.axes[1][j]:.4f})")
 
 
 def _solve_2x2(J: np.ndarray, v: np.ndarray) -> np.ndarray:

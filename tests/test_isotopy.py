@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from fluxlab import catalog, isotopy
-from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, oscillation, sup_norm
+from fluxlab.forms import (OneForm, ScalarField, TwoForm, exterior_derivative,
+                           hodge_decompose, oscillation, sup_norm)
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
                              NonSymplecticError, TimeField, VectorFieldPath,
                              commutator_generator, concat_reparam,
@@ -460,6 +461,21 @@ def test_split_rejects_a_divergent_generator(mesh):
         generator_hodge_split(path)
 
 
+def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
+    # divergent only for t > 1/2; the default gate scales with the largest
+    # sample over the whole path, and the first failing sample is named
+    X, _ = mesh.points
+    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
+                   generator=TimeField(
+                       lambda t: bad * (t > 0.5), mesh,
+                       at=lambda t, p: np.stack([0.2 * np.sin(TWO_PI * p[0]),
+                                                 0.0 * p[1]]) * (t > 0.5)))
+    with pytest.raises(NonSymplecticError,
+                       match=rf"sample {K // 2 + 1}: coexact residual .* > 1\.200e-08;"):
+        generator_hodge_split(path)
+
+
 def test_steady_generator_samples_share_one_field(mesh):
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.1, K)
     X = flow.generator_samples()
@@ -747,15 +763,25 @@ def test_certified_split_reads_one_sample_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak - start < 16 * 2 ** 20
-    # the same generator, uncertified, takes the stacked and gated route
+    # the same generator, uncertified, is gated but still never stacked;
+    # its split equals the trusted one
     gen = flow.generator
     gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
-    stacked = generator_hodge_split(gated)
-    assert len(split.potentials) == len(stacked.potentials) == 65
-    for a, b in zip(split.potentials, stacked.potentials):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Isotopy, "generator_samples",
+                   lambda self: pytest.fail("generator samples stacked"))
+        gated_split = generator_hodge_split(gated)
+    assert len(split.potentials) == len(gated_split.potentials) == 65
+    for a, b in zip(split.potentials, gated_split.potentials):
         assert np.array_equal(a.values, b.values)
-    for a, b in zip(split.harmonics, stacked.harmonics):
+    for a, b in zip(split.harmonics, gated_split.harmonics):
         assert np.array_equal(a.components, b.components)
+    # and both equal the split of the stacked samples
+    stack = flow.generator_samples()
+    for j in (0, 33, 64):
+        ref = hodge_decompose(interior_product(stack[j], TwoForm.standard(mesh)))
+        assert np.array_equal(split.potentials[j].values, ref.potential.values)
+        assert np.array_equal(split.harmonics[j].components, ref.harmonic.components)
 
 
 def test_kappa_linear_bound(mesh):

@@ -615,6 +615,17 @@ def test_bump_jacobian_is_its_closed_form_computed_on_read():
     assert rot.inverse().provenance["angle"] == -0.8
 
 
+def test_bump_rotation_computes_its_fields_once(monkeypatch):
+    # the det check reads the fields that built the displacement
+    mesh = GridMesh(N=32)
+    calls = []
+    fields = catalog._bump_fields
+    monkeypatch.setattr(catalog, "_bump_fields",
+                        lambda *a: calls.append(a) or fields(*a))
+    catalog.bump_rotation(mesh, (0.5, 0.5), 0.2, 0.8)
+    assert len(calls) == 1
+
+
 def test_rotation_flow_keeps_displacements_only():
     # 65 samples of (2, N, N) displacements are 16.3 MiB at N = 128; with a
     # stored (2, 2, N, N) Jacobian per sample the flow kept 48.8 MiB
