@@ -665,13 +665,11 @@ def supported_commutator_pair(region: Region, mesh: GridMesh,
 def map_commutator(a: TorusMap, b: TorusMap) -> TorusMap:
     """[a, b] = b^{-1} a^{-1} b a.
 
-    The composite Jacobian is differentiated spectrally from the sampled
-    displacement: for marginally resolved factors this keeps positions and
-    Jacobian mutually consistent.
+    Like every composite, its Jacobian is differentiated spectrally from
+    the sampled displacement: for marginally resolved factors this keeps
+    positions and Jacobian mutually consistent.
     """
-    c = compose(compose(compose(b.inverse(), a.inverse(), chain_jac=False),
-                        b, chain_jac=False), a, chain_jac=False)
-    return c
+    return compose(compose(compose(b.inverse(), a.inverse()), b), a)
 
 
 def commutator_collapse_check(f: TorusMap, phi: TorusMap, psi: TorusMap,
@@ -693,12 +691,9 @@ def commutator_collapse_check(f: TorusMap, phi: TorusMap, psi: TorusMap,
     if not displaces(f, region):
         raise ValueError("f does not displace the region")
     # [f, phi^{-1}] = phi f^{-1} phi^{-1} f, inverted by reversing factors
-    def cc(a, b):
-        return compose(a, b, chain_jac=False)
-
-    c = cc(cc(cc(phi, f.inverse()), phi.inverse()), f)
-    c_inv = cc(cc(cc(f.inverse(), phi), f), phi.inverse())
-    lhs = cc(cc(cc(psi.inverse(), c_inv), psi), c)
+    c = compose(compose(compose(phi, f.inverse()), phi.inverse()), f)
+    c_inv = compose(compose(compose(f.inverse(), phi), f), phi.inverse())
+    lhs = compose(compose(compose(psi.inverse(), c_inv), psi), c)
     rhs = map_commutator(phi, psi)
     return float(mesh.torus_distance(lhs.position, rhs.position).max())
 

@@ -887,7 +887,7 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     v_ip0 = PeriodicInterpolator(split_y.potentials[0].values, mesh) if steady_y else None
 
     def cc(a: TorusMap, b: TorusMap) -> TorusMap:
-        return compose(a, b, normalize=False, chain_jac=False, check=False)
+        return compose(a, b, normalize=False, check=False)
 
     def integrand(j: int) -> np.ndarray:
         """Build theta_j, its velocity and compositions; return the three

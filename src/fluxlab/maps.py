@@ -4,8 +4,8 @@ A map is stored as x -> x + u(x) mod L with u a smooth periodic
 displacement sampled on the grid.  Its Jacobian is stored, or computed
 by a function on every read and never kept.  Closed-form constructions
 (see `catalog`) supply analytic Jacobians, as arrays or as functions of
-their parameters, and analytic inverses; `compose` chains Jacobians; any
-other map gets the default function, the spectral derivative I + du of
+their parameters, and analytic inverses; any other map, composites
+included, gets the default function, the spectral derivative I + du of
 its displacement, and its inverse comes from a damped Newton iteration
 on the lift.
 
@@ -89,15 +89,14 @@ class TorusMap:
 
     The Jacobian is stored or computed on read.  An array of shape
     (2, 2, a, b) is copied, frozen and stored the same way: closed-form
-    builders supply one, and `compose` chains one.  A zero-argument
-    function returning the (2, 2, N, N) field is called on every `jac`
-    read and nothing is kept: a bump rotation passes its closed form, and
-    a map given no Jacobian (integrated flow samples, Newton inverses,
-    `chain_jac=False` composites) gets the default function, the spectral
-    I + du of its displacement.  Such a function should close over
-    parameters only, not grid arrays, or it keeps them alive.  A caller
-    that reads one map's Jacobian more than once takes it once into a
-    local.
+    builders supply one.  A zero-argument function returning the
+    (2, 2, N, N) field is called on every `jac` read and nothing is kept:
+    a bump rotation passes its closed form, and a map given no Jacobian
+    (integrated flow samples, Newton inverses, composites) gets the
+    default function, the spectral I + du of its displacement.  Such a
+    function should close over parameters only, not grid arrays, or it
+    keeps them alive.  A caller that reads one map's Jacobian more than
+    once takes it once into a local.
     `check=False` skips the determinant validation for maps whose
     invertibility is guaranteed by construction (e.g. converged Newton
     inverses).
@@ -272,42 +271,38 @@ def evaluate_lift(phi: TorusMap, x) -> np.ndarray:
 
 
 def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
-            chain_jac: bool = True, check: bool = True) -> TorusMap:
+            chain_jac: bool = False, check: bool = True) -> TorusMap:
     """Grid-sampled phi o psi.
 
     The composite displacement is lifted to the branch with minimal
     midrange (nearest lift); a failed diffeomorphism check raises rather
-    than silently accepting the composite.  The Jacobian is chained
-    through interpolation by default (exact determinant algebra for
-    closed-form factors); a `chain_jac=False` composite keeps no Jacobian
-    and differentiates its displacement spectrally on each `jac` read,
-    which is cheaper and just as accurate for well-resolved maps.
+    than silently accepting the composite.  The composite keeps no
+    Jacobian: it differentiates its own displacement spectrally on each
+    `jac` read, so a composite the grid cannot resolve fails the check
+    even when its factors have well-behaved closed forms.
 
-    When phi is a translation (a constant stored displacement c and the
-    stored identity Jacobian) the composite is psi's stored displacement
-    plus c, with psi's Jacobian, on psi's stored grid axes: the
-    interpolators of constant fields return the constants and the chain
-    with I is exact, so this equals the interpolated composite bit for
-    bit.
+    When phi is a translation (a constant stored displacement c) the
+    composite displacement is psi's stored displacement plus c, on psi's
+    stored grid axes: the interpolators of constant fields return the
+    constants, so this equals the interpolated displacement bit for bit.
+
+    `chain_jac` accepts only False and raises ValueError otherwise.  It
+    exists only for the perfbench norm-sweep workload, which still passes
+    `chain_jac=False`, and goes when that workload stops passing it.
     """
+    if chain_jac is not False:
+        raise ValueError("compose chains no Jacobians: chain_jac must be False")
     if not phi.mesh.same_grid(psi.mesh):
         raise ValueError("maps live on different meshes")
     if psi.is_identity():
         return phi
     if phi.is_identity():
         return psi
-    if phi._stored_disp.shape == (2, 1, 1) and np.array_equal(phi._stored_jac, UNIT_JAC):
+    if phi._stored_disp.shape == (2, 1, 1):
         u = psi._stored_disp + phi._stored_disp
-        jac = psi._jac_field() if chain_jac else None
-        return TorusMap(phi.mesh, u, jac=jac, normalize=normalize, check=check)
-    pts = psi.flat_position
-    u = psi.disp + phi.interp_disp(pts).reshape(2, *psi.mesh.shape)
-    jac = None
-    if chain_jac:
-        A = phi.interp_jac(pts).reshape(2, 2, *psi.mesh.shape)
-        B = psi.jac
-        jac = np.einsum("km...,ml...->kl...", A, B)
-    return TorusMap(phi.mesh, u, jac=jac, normalize=normalize, check=check)
+    else:
+        u = psi.disp + phi.interp_disp(psi.flat_position).reshape(2, *psi.mesh.shape)
+    return TorusMap(phi.mesh, u, normalize=normalize, check=check)
 
 
 def _det2(J: np.ndarray) -> np.ndarray:

@@ -171,7 +171,7 @@ def build_perturbation_sequence(psi: TorusMap, amplitudes: list[float],
     out = []
     for a in amplitudes:
         out.append(compose(psi, catalog.perturbation_map(
-            psi.mesh, a, base_eps=base_eps, modes=modes), chain_jac=False))
+            psi.mesh, a, base_eps=base_eps, modes=modes)))
     return out
 
 

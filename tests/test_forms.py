@@ -117,6 +117,17 @@ def test_l2_cosine(mesh):
     assert abs(l2_norm(alpha) - math.sqrt(0.5)) < 1e-14
 
 
+@pytest.mark.parametrize("op, arg, message", [
+    (exterior_derivative, lambda mesh: TwoForm(mesh, np.zeros(mesh.shape)),
+     "cannot apply d to TwoForm"),
+    (sup_norm, lambda mesh: 1.0, "no sup norm for float"),
+    (l2_norm, lambda mesh: TwoForm(mesh, np.zeros(mesh.shape)), "no L2 norm for TwoForm"),
+])
+def test_operations_reject_unsupported_types(mesh, op, arg, message):
+    with pytest.raises(TypeError, match=message):
+        op(arg(mesh))
+
+
 # -- Hodge decomposition ------------------------------------------------------
 
 def test_hodge_harmonic_passthrough(mesh):

@@ -565,6 +565,25 @@ def test_cumulative_is_scipys_cumulative_simpson(n, tail):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("odd", [1, 3, 17])
+def test_simpson_weights_need_an_even_step_count(odd):
+    with pytest.raises(ValueError, match=f"even number of steps, got K={odd}"):
+        simpson_weights(odd, 1.0 / odd)
+
+
+@pytest.mark.parametrize("t", [0.5 / K, -1.0 / K, 1.0 + 1.0 / K])
+def test_f_functional_rejects_a_non_sample_time(mesh, t):
+    iso = catalog.translation_flow(mesh, 0.3, 0.4, K)
+    with pytest.raises(ValueError, match="is not a sample time of this path"):
+        f_functional(iso, OneForm.constant(mesh, 2.0, 1.0), t)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2, -0.1])
+def test_bump_profile_rejects_delta_outside_its_range(delta):
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/8\]"):
+        BumpProfile(delta=delta)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cumulative_needs_three_samples(n):
     # scipy falls back to the trapezoid rule here; no caller needs that

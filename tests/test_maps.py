@@ -248,15 +248,11 @@ def test_nearest_lift_branch(mesh):
     assert two.sup_displacement() < 1e-12  # wraps to the identity branch
 
 
-def _interpolated_compose(phi, psi, normalize, chain_jac):
-    """compose's general route: interpolate phi's fields at psi's image."""
-    pts = psi.flat_position
-    u = psi.disp + phi.interp_disp(pts).reshape(2, *psi.mesh.shape)
-    jac = None
-    if chain_jac:
-        A = phi.interp_jac(pts).reshape(2, 2, *psi.mesh.shape)
-        jac = np.einsum("km...,ml...->kl...", A, psi.jac)
-    return TorusMap(phi.mesh, u, jac=jac, normalize=normalize)
+def _interpolated_compose(phi, psi, normalize):
+    """compose's general route: interpolate phi's displacement at psi's
+    image; the composite's Jacobian is spectral."""
+    u = psi.disp + phi.interp_disp(psi.flat_position).reshape(2, *psi.mesh.shape)
+    return TorusMap(phi.mesh, u, normalize=normalize)
 
 
 def test_compose_with_a_translation_equals_the_interpolated_chain(mesh):
@@ -264,17 +260,16 @@ def test_compose_with_a_translation_equals_the_interpolated_chain(mesh):
     sample = catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=16).maps[7]
     # an integrated sample: full fields, its Jacobian spectral
     spectral = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K=16).maps[9]
-    for T in (catalog.translation(mesh, 0.2, -0.1), catalog.translation(mesh, 0.45, 0.3)):
+    # a composite of translations is a translation with a spectral Jacobian
+    tt = compose(catalog.translation(mesh, 0.2, -0.1), catalog.translation(mesh, 0.25, 0.4))
+    for T in (catalog.translation(mesh, 0.2, -0.1), catalog.translation(mesh, 0.45, 0.3), tt):
         for psi, line in ((shear, True), (sample, True), (spectral, False)):
             for normalize in (True, False):
-                for chain_jac in (True, False):
-                    got = compose(T, psi, normalize=normalize, chain_jac=chain_jac)
-                    want = _interpolated_compose(T, psi, normalize, chain_jac)
-                    assert np.array_equal(got.disp, want.disp)
-                    assert np.array_equal(got.jac, want.jac)
-                    assert (0 in got.disp.strides) == line
-                    if chain_jac:
-                        assert (0 in got.jac.strides) == line
+                got = compose(T, psi, normalize=normalize)
+                want = _interpolated_compose(T, psi, normalize)
+                assert np.array_equal(got.disp, want.disp)
+                assert np.array_equal(got.jac, _spectral_oracle(got))
+                assert (0 in got.disp.strides) == line
 
 
 def test_composition_functoriality(mesh):
@@ -543,7 +538,7 @@ def test_spectral_jacobian_is_computed_on_every_read():
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
     sample = flow.maps[7]
     twist = catalog.twist(mesh, 0.08, 0.06)
-    cases = [sample, _newton_inverse(sample), compose(twist, sample, chain_jac=False)]
+    cases = [sample, _newton_inverse(sample), compose(twist, sample), compose(twist, twist)]
     for m in cases:
         J = m.jac
         assert np.array_equal(J, _spectral_oracle(m))
@@ -556,8 +551,7 @@ def test_spectral_jacobian_is_computed_on_every_read():
 def test_given_jacobian_is_returned_as_the_stored_view():
     mesh = GridMesh(N=32)
     twist = catalog.twist(mesh, 0.08, 0.06)
-    cases = [twist, catalog.shear(mesh, 0.1), catalog.translation(mesh, 0.3, 0.4),
-             compose(twist, twist)]
+    cases = [twist, catalog.shear(mesh, 0.1), catalog.translation(mesh, 0.3, 0.4)]
     for m in cases:
         assert m.jac is m.jac and m.jac is m._jac
         assert np.shares_memory(m.jac, m._stored_jac)
@@ -655,6 +649,38 @@ def test_newton_inversion_of_a_folded_map_raises():
                       check=False)
     with pytest.raises(InversionError, match=r"Newton inversion stalled at x = \("):
         _newton_inverse(folded)
+
+
+def test_compose_of_closed_forms_checks_the_composite_spectrally():
+    # a twist's closed-form det is 1 at any amplitude; the composite's
+    # spectral Jacobian shows that the grid cannot resolve this one
+    mesh = GridMesh(N=32)
+    with pytest.raises(DiffeomorphismError):
+        compose(catalog.translation(mesh, 0.2, 0.1), catalog.perturbation_map(mesh, 40.0))
+
+
+def test_compose_keeps_no_jacobian_interpolators():
+    mesh = GridMesh(N=32)
+    phi = catalog.twist(mesh, 0.08, 0.06)
+    compose(phi, catalog.shear(mesh, 0.1))
+    assert phi._interp and not any(key.startswith("j") for key in phi._interp)
+
+
+@pytest.mark.parametrize("chain_jac", [True, None])
+def test_compose_accepts_only_chain_jac_false(chain_jac):
+    mesh = GridMesh(N=32)
+    a, b = catalog.twist(mesh, 0.08, 0.06), catalog.shear(mesh, 0.1)
+    with pytest.raises(ValueError, match="chain_jac must be False"):
+        compose(a, b, chain_jac=chain_jac)
+    assert np.array_equal(compose(a, b, chain_jac=False).disp, compose(a, b).disp)
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.7])
+def test_bump_rotation_support_must_lie_below_the_injectivity_radius(radius):
+    mesh = GridMesh(N=32)
+    assert radius >= mesh.injectivity_radius
+    with pytest.raises(ValueError, match="below the injectivity radius"):
+        catalog.bump_rotation(mesh, (0.5, 0.5), radius, 0.8)
 
 
 def test_compose_rejects_maps_on_different_meshes():
