@@ -3,9 +3,9 @@ diffeomorphisms of flat tori."""
 
 from .mesh import GridMesh
 from .forms import (CohomologyClass1, HodgeSplit, NonClosedFormError, OneForm,
-                    ScalarField, TwoForm, codifferential, exterior_derivative,
-                    harmonic_representative, hodge_decompose, l2_inner, l2_norm,
-                    oscillation, periods, sup_norm, wedge_integral)
+                    ScalarField, TwoForm, exterior_derivative,
+                    harmonic_representative, hodge_decompose, l2_norm,
+                    oscillation, sup_norm, wedge_integral)
 from .maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                    c0_distance, compose, evaluate_lift, interior_product,
                    pullback_bound_constant,

@@ -5,10 +5,9 @@ differentiated spectrally, so all identities (d o d = 0, Hodge
 orthogonality, exactness of quadrature on trig polynomials) hold to
 round-off for band-limited fields.
 
-Sign conventions: the codifferential is delta = -div o sharp, so that
-delta(dF) is the Laplacian with non-negative spectrum.  Harmonic 1-forms
-on the flat torus are exactly the constant-component forms, so the
-harmonic part of a Hodge split is componentwise mean extraction.
+Harmonic 1-forms on the flat torus are exactly the constant-component
+forms, so the harmonic part of a Hodge split is componentwise mean
+extraction.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ class NonClosedFormError(ValueError):
 
 def tol_closed(alpha: "OneForm") -> float:
     return TOL_SCALE * (1.0 + sup_norm(alpha))
-
-
-def tol_hodge(alpha: "OneForm") -> float:
-    return TOL_SCALE * (1.0 + l2_norm(alpha))
 
 
 def _check_finite(*arrays):
@@ -80,15 +75,6 @@ class ScalarField:
         _check_finite(v)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def constant(cls, mesh: GridMesh, c: float) -> "ScalarField":
-        return cls(mesh, _constant_field(mesh, c))
-
-    @classmethod
-    def from_function(cls, mesh: GridMesh, fn) -> "ScalarField":
-        X, Y = mesh.points
-        return cls(mesh, np.asarray(fn(X, Y), dtype=float))
-
     @cached_property
     def _interp(self) -> PeriodicInterpolator:
         return PeriodicInterpolator(self.values, self.mesh)
@@ -100,23 +86,10 @@ class ScalarField:
     def mean(self) -> float:
         return self.mesh.mean(self.values)
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.mesh, self.values + other.values)
-        return ScalarField(self.mesh, self.values + other)
-
     def __sub__(self, other):
         if isinstance(other, ScalarField):
             return ScalarField(self.mesh, self.values - other.values)
         return ScalarField(self.mesh, self.values - other)
-
-    def __mul__(self, c):
-        return ScalarField(self.mesh, self.values * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.mesh, -self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +112,6 @@ class OneForm:
     @classmethod
     def constant(cls, mesh: GridMesh, cx: float, cy: float) -> "OneForm":
         return cls(mesh, _constant_field(mesh, cx), _constant_field(mesh, cy))
-
-    @classmethod
-    def from_functions(cls, mesh: GridMesh, fx, fy) -> "OneForm":
-        X, Y = mesh.points
-        return cls(mesh, np.asarray(fx(X, Y), dtype=float),
-                   np.asarray(fy(X, Y), dtype=float))
 
     @property
     def components(self) -> np.ndarray:
@@ -175,19 +142,8 @@ class OneForm:
     def is_zero(self) -> bool:
         return not (np.any(self.ax) or np.any(self.ay))
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.mesh, self.ax + other.ax, self.ay + other.ay)
-
     def __sub__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.mesh, self.ax - other.ax, self.ay - other.ay)
-
-    def __mul__(self, c) -> "OneForm":
-        return OneForm(self.mesh, self.ax * c, self.ay * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.mesh, -self.ax, -self.ay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,18 +168,12 @@ class TwoForm:
     def total(self) -> float:
         return self.mesh.integrate(self.density)
 
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.mesh, self.density - other.density)
-
 
 @dataclass(frozen=True)
 class CohomologyClass1:
     """Period vector of a closed 1-form over the two generator loops."""
 
     periods: tuple[float, float]
-
-    def __iter__(self):
-        return iter(self.periods)
 
     def __getitem__(self, k):
         return self.periods[k]
@@ -240,9 +190,6 @@ class HodgeSplit:
     potential: ScalarField  # F with dF = exact, mean zero
     coexact: OneForm
     harmonic: OneForm       # constant components
-
-    def reconstruct(self) -> OneForm:
-        return self.exact + self.coexact + self.harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +208,6 @@ def exterior_derivative(obj):
     if isinstance(obj, OneForm):
         return TwoForm(mesh, mesh.derivative(obj.ay, 0) - mesh.derivative(obj.ax, 1))
     raise TypeError(f"cannot apply d to {type(obj).__name__}")
-
-
-def codifferential(alpha: OneForm) -> ScalarField:
-    """delta(alpha) = -(d/dx a_x + d/dy a_y); delta(dF) has spectrum |k|^2 >= 0."""
-    mesh = alpha.mesh
-    return ScalarField(mesh, -(mesh.derivative(alpha.ax, 0) +
-                               mesh.derivative(alpha.ay, 1)))
 
 
 def sup_norm(obj) -> float:
@@ -292,10 +232,6 @@ def l2_norm(obj) -> float:
     raise TypeError(f"no L2 norm for {type(obj).__name__}")
 
 
-def l2_inner(a: OneForm, b: OneForm) -> float:
-    return a.mesh.integrate(a.ax * b.ax + a.ay * b.ay)
-
-
 def wedge_integral(a: OneForm, b: OneForm) -> float:
     """Integral of a ^ b over the torus (orientation dx ^ dy positive)."""
     return a.mesh.integrate(a.ax * b.ay - a.ay * b.ax)
@@ -318,17 +254,6 @@ def hodge_decompose(alpha: OneForm) -> HodgeSplit:
                       alpha.ay - exact.ay - harmonic.ay)
     return HodgeSplit(exact=exact, potential=ScalarField(mesh, F),
                       coexact=coexact, harmonic=harmonic)
-
-
-def periods(alpha: OneForm, tol: float | None = None) -> CohomologyClass1:
-    """Periods over the two generator loops of a closed 1-form.
-
-    Equals the componentwise mean times the period length; loop quadrature
-    and the harmonic representative agree for closed forms.  Rejects
-    non-closed input.
-    """
-    alpha.require_closed(tol=tol, what="periods")
-    return harmonic_periods(alpha)
 
 
 def harmonic_periods(alpha: OneForm) -> CohomologyClass1:

@@ -142,9 +142,8 @@ class TimeField:
 
     def field(self, t: float) -> np.ndarray:
         """The grid samples at time t.  Only a steady field keeps its one
-        sample; a time-dependent one is computed on every read, since a
-        cache of K + 1 samples would sit beside the stack that
-        `Isotopy.generator_samples` builds from them."""
+        sample; a time-dependent one is computed on every read, since its
+        readers take one sample at a time and a cache would hold all K + 1."""
         if not self.autonomous:
             return np.asarray(self._fn(t), dtype=float)
         if self._steady is None:
@@ -268,18 +267,6 @@ class Isotopy:
                              "no exact constructor")
         return self._map_fn(float(t))
 
-    def generator_samples(self) -> np.ndarray:
-        """(K+1, 2, N, N) samples of the generator.  A steady generator comes
-        back as one read-only field broadcast over the K+1 times."""
-        if isinstance(self.generator, VectorFieldPath):
-            return self.generator.samples
-        if not isinstance(self.generator, TimeField):
-            raise ValueError("the path has no generator")
-        if self.generator.autonomous:
-            return np.broadcast_to(self.generator.field(0.0),
-                                   (self.K + 1, 2, *self.mesh.shape))
-        return np.stack([self.generator.field(t) for t in self.times])
-
     # -- inverses -------------------------------------------------------------
 
     def _inverses(self) -> list[TorusMap]:
@@ -380,36 +367,40 @@ def _certification_tol(phi_path: Isotopy, vmax: float) -> float:
 
 def _generator_sample(phi_path: Isotopy):
     """j -> the grid samples of X_{t_j}.  A TimeField computes only the
-    sample asked for (a steady one hands out its one sample); any other
-    generator is read off `generator_samples`."""
+    sample asked for (a steady one hands out its one sample); a
+    `VectorFieldPath` hands out its stored samples."""
     gen = phi_path.generator
     if isinstance(gen, TimeField):
         return lambda j: gen.field(phi_path.times[j])
-    return phi_path.generator_samples().__getitem__
+    if isinstance(gen, VectorFieldPath):
+        return gen.samples.__getitem__
+    raise ValueError("the path has no generator")
 
 
 def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
                          what: str):
     """j -> the grid samples of X_{t_j}, after the closedness certification
-    of i_{X_t} omega.  A generator certified by construction is trusted and
-    sampled only at the times asked for, so a flux pulled back through its
-    point values never stacks all K + 1 fields."""
+    of i_{X_t} omega.  A generator certified by construction is trusted.
+    Any other is read one sample at a time, keeping the largest |X| and the
+    worst residual, and gated at `tol`, by default `_certification_tol` of
+    that largest |X|, once all samples are read; no reader stacks all K + 1
+    fields."""
+    vel = _generator_sample(phi_path)
     gen = phi_path.generator
     if isinstance(gen, TimeField) and gen.certified_symplectic:
-        return _generator_sample(phi_path)
-    vel = phi_path.generator_samples()
-    steady = _is_autonomous(phi_path)
+        return vel
+    vmax = worst = 0.0
+    for j in range(1 if _is_autonomous(phi_path) else phi_path.K + 1):
+        X = vel(j)
+        vmax = max(vmax, float(np.abs(X).max()))
+        worst = max(worst, sup_norm(exterior_derivative(interior_product(X, omega))))
     if tol is None:
-        tol = _certification_tol(phi_path, float(np.abs(vel[0] if steady else vel).max()))
-    worst = 0.0
-    for j in range(1 if steady else phi_path.K + 1):
-        beta = interior_product(vel[j], omega)
-        worst = max(worst, sup_norm(exterior_derivative(beta)))
+        tol = _certification_tol(phi_path, vmax)
     if worst > tol:
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
             f"{worst:.3e} > {tol:.3e}")
-    return vel.__getitem__
+    return vel
 
 
 def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
@@ -523,9 +514,6 @@ class HomologyClass1:
     """Winding vector (average displacement per unit period) of a path."""
 
     components: tuple[float, float]
-
-    def __iter__(self):
-        return iter(self.components)
 
     def __getitem__(self, k):
         return self.components[k]

@@ -24,9 +24,6 @@ from .forms import OneForm, TwoForm, hodge_decompose, sup_norm
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .mesh import GridMesh
 
-#: Volume-preserving flag threshold on sup |det J - 1|.
-TOL_VP = 1e-8
-
 #: Newton inversion: residual target is TOL_INV_SCALE * max(L), at most
 #: MAX_NEWTON_ITER iterations, step halving on overshoot.
 TOL_INV_SCALE = 1e-10
@@ -222,14 +219,6 @@ class TorusMap:
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return bool(np.abs(self._stored_disp).max() <= tol)
-
-    def sup_displacement(self) -> float:
-        return float(np.sqrt(self.disp[0] ** 2 + self.disp[1] ** 2).max())
-
-    @property
-    def volume_preserving(self) -> bool:
-        """Valid iff sup |det J - 1| <= TOL_VP."""
-        return bool(np.abs(self.det - 1.0).max() <= TOL_VP)
 
     def set_analytic_inverse(self, build) -> None:
         """Register a closed-form inverse constructor (used by the catalog)."""
@@ -486,40 +475,22 @@ def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) ->
 # ---------------------------------------------------------------------------
 
 class Region:
-    """An open subset of the torus: a periodic axis-aligned rectangle or a
-    metric ball."""
+    """An open subset of the torus: the periodic axis-aligned rectangle
+    [lo, hi), wrapped mod L."""
 
-    def __init__(self, kind: str, **params):
-        self.kind = kind
-        self.params = params
-        if kind == "rect":
-            lo, hi = params["lo"], params["hi"]
-            self.lo = (float(lo[0]), float(lo[1]))
-            self.width = (float(hi[0]) - float(lo[0]), float(hi[1]) - float(lo[1]))
-            if min(self.width) <= 0:
-                raise ValueError("empty rectangle")
-        elif kind == "ball":
-            self.center = (float(params["center"][0]), float(params["center"][1]))
-            self.radius = float(params["radius"])
-            if self.radius <= 0:
-                raise ValueError("empty ball")
-        else:
-            raise ValueError(f"unknown region kind {kind!r}")
+    def __init__(self, lo, hi):
+        self.lo = (float(lo[0]), float(lo[1]))
+        self.width = (float(hi[0]) - float(lo[0]), float(hi[1]) - float(lo[1]))
+        if min(self.width) <= 0:
+            raise ValueError("empty rectangle")
 
     @classmethod
     def rectangle(cls, lo, hi) -> "Region":
-        return cls("rect", lo=lo, hi=hi)
-
-    @classmethod
-    def ball(cls, center, radius) -> "Region":
-        return cls("ball", center=center, radius=radius)
+        return cls(lo, hi)
 
     def distance(self, points: np.ndarray, mesh: GridMesh) -> np.ndarray:
         """Flat-torus distance from points (2, ...) to the region (0 inside)."""
         pts = np.asarray(points, dtype=float)
-        if self.kind == "ball":
-            d = mesh.torus_distance(pts, np.asarray(self.center).reshape(2, *([1] * (pts.ndim - 1))))
-            return np.clip(d - self.radius, 0.0, None)
         d2 = np.zeros(pts.shape[1:])
         for k in range(2):
             c = np.mod(pts[k] - self.lo[k], mesh.L[k])
@@ -528,31 +499,23 @@ class Region:
             d2 += ax ** 2
         return np.sqrt(d2)
 
-    def contains(self, points: np.ndarray, mesh: GridMesh, pad: float = 0.0) -> np.ndarray:
-        """Membership test, optionally padded outward by `pad`."""
-        if pad == 0.0:
-            if self.kind == "ball":
-                pts = np.asarray(points, dtype=float)
-                c = np.asarray(self.center).reshape(2, *([1] * (pts.ndim - 1)))
-                return mesh.torus_distance(pts, c) < self.radius
-            pts = np.asarray(points, dtype=float)
-            ok = np.ones(pts.shape[1:], dtype=bool)
-            for k in range(2):
-                c = np.mod(pts[k] - self.lo[k], mesh.L[k])
-                ok &= c < self.width[k]
-            return ok
-        return self.distance(points, mesh) < pad
+    def contains(self, points: np.ndarray, mesh: GridMesh) -> np.ndarray:
+        """Membership test for points (2, ...)."""
+        pts = np.asarray(points, dtype=float)
+        ok = np.ones(pts.shape[1:], dtype=bool)
+        for k in range(2):
+            c = np.mod(pts[k] - self.lo[k], mesh.L[k])
+            ok &= c < self.width[k]
+        return ok
 
-    def grid_points(self, mesh: GridMesh, pad: float = 0.0) -> np.ndarray:
-        """Grid points inside the region (padded), shape (2, M)."""
-        mask = self.contains(mesh.points, mesh, pad=pad).ravel()
+    def grid_points(self, mesh: GridMesh) -> np.ndarray:
+        """Grid points inside the region, shape (2, M)."""
+        mask = self.contains(mesh.points, mesh).ravel()
         return mesh.flat_points[:, mask]
 
     def measure(self, mesh: GridMesh) -> float:
         return float(self.contains(mesh.points, mesh).sum()) * mesh.cell_volume
 
     def __repr__(self):
-        if self.kind == "rect":
-            hi = (self.lo[0] + self.width[0], self.lo[1] + self.width[1])
-            return f"Region.rectangle({self.lo}, {hi})"
-        return f"Region.ball({self.center}, {self.radius})"
+        hi = (self.lo[0] + self.width[0], self.lo[1] + self.width[1])
+        return f"Region.rectangle({self.lo}, {hi})"

@@ -652,7 +652,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
 
     def sample_periods():
         om = TwoForm.standard(mesh)
-        vel = state["theta"].generator_samples()
+        vel = state["theta"].generator.samples
         worst = -math.inf
         for j in range(state["theta"].K + 1):
             beta = interior_product(vel[j], om)

@@ -16,13 +16,14 @@ from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   norm_axiom_report, nu_function, psi_norm,
                                   rigidity_limit_check,
                                   supported_commutator_pair)
-from fluxlab.forms import (NonClosedFormError, OneForm, ScalarField,
-                           exterior_derivative, hodge_decompose, l2_norm,
-                           sup_norm)
+from fluxlab.forms import (NonClosedFormError, OneForm, hodge_decompose,
+                           l2_norm, sup_norm)
 from fluxlab.isotopy import orbit_integral
 from fluxlab.maps import (Region, TorusMap, c0_distance, compose,
                           pullback_oneform)
 from fluxlab.mesh import GridMesh
+
+from builders import closed_form
 
 TWO_PI = 2 * np.pi
 
@@ -63,8 +64,7 @@ def test_nu_matches_segment_quadrature(mesh):
     # independent oracle: integrate psi^*alpha - alpha along the straight
     # segment from the base point
     psi = catalog.twist(mesh, 0.08, 0.05)
-    G = ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * y))
-    alpha = OneForm.constant(mesh, 0.7, -0.2) + exterior_derivative(G)
+    alpha = closed_form(mesh, (0.7, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * y))
     p = np.array([0.15, 0.35])
     nu = nu_function(psi, alpha, p)
     from fluxlab.maps import pullback_oneform
@@ -111,8 +111,7 @@ def test_delta_base_point_relation(mesh):
     # the base-point dependence sits entirely in the orbit term
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=64)
     psi = flow.end_map
-    G = ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * y))
-    alpha = OneForm.constant(mesh, 0.7, -0.2) + exterior_derivative(G)
+    alpha = closed_form(mesh, (0.7, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * y))
     z1, z2 = np.array([0.2, 0.6]), np.array([0.8, 0.15])
     lhs = delta_tilde(psi, alpha, z1) - delta_tilde(psi, alpha, z2)
     rhs = -(orbit_integral(flow, z1, alpha) - orbit_integral(flow, z2, alpha))
@@ -123,9 +122,8 @@ def test_delta_via_flux_agreement(mesh):
     flows = [catalog.translation_flow(mesh, 0.3, 0.4, 32),
              catalog.shear_flow(mesh, 0.1, K=32),
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=32)]
-    G = ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * x))
     forms = [OneForm.constant(mesh, 1.0, 0.0),
-             OneForm.constant(mesh, 0.4, 0.8) + exterior_derivative(G)]
+             closed_form(mesh, (0.4, 0.8), lambda x, y: 0.2 * np.cos(TWO_PI * x))]
     for flow in flows:
         psi = flow.end_map
         for alpha in forms:
@@ -322,8 +320,7 @@ def test_bump_rotation_potentials_need_no_isotopy_gate():
     assert rep.norm_lower_bound > 0.0
     mesh = GridMesh(N=32)
     flow = catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.5, K=32)
-    G = ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * x))
-    alpha = OneForm.constant(mesh, 0.4, 0.8) + exterior_derivative(G)
+    alpha = closed_form(mesh, (0.4, 0.8), lambda x, y: 0.2 * np.cos(TWO_PI * x))
     p = np.array([0.6, 0.5])  # inside the support, where delta is O(1e-2)
     d1 = delta(flow.end_map, alpha, p)
     d2 = delta_via_flux(flow.end_map, alpha, p, flow)
@@ -380,7 +377,7 @@ def test_norm_axiom_report_passes(mesh, sampler):
     maps = [TorusMap.identity(mesh), catalog.translation(mesh, 1 / 3, 0.0),
             catalog.shear(mesh, 0.1)]
     rep = norm_axiom_report(maps, sampler)
-    assert rep.passed, rep.violations
+    assert not rep.violations, rep.violations
 
 
 def test_separation_violated_at_threshold(mesh, sampler, monkeypatch):
@@ -421,6 +418,15 @@ def test_conjugation_requires_flux_certificate(mesh, sampler):
                           OneForm.constant(mesh, 1.0, 0.0), sampler)
 
 
+def test_conjugation_rejects_nonzero_flux(mesh, sampler):
+    phi = TorusMap.identity(mesh)
+    phi.provenance["flux_periods"] = (0.1, 0.0)
+    with pytest.raises(ValueError, match=r"phi has nonzero flux \(0\.1, 0\.0\); "
+                                         "not Hamiltonian-class"):
+        conjugation_check(catalog.shear(mesh, 0.1), phi, (0.1, 0.1),
+                          OneForm.constant(mesh, 1.0, 0.0), sampler)
+
+
 # -- displacement of regions ----------------------------------------------------
 
 def test_identity_never_displaces(mesh):
@@ -438,6 +444,12 @@ def test_shear_does_not_displace_y_strip(mesh):
     U = Region.rectangle((0.0, 0.0), (1.0, 0.25))
     chk = displaces(catalog.shear(mesh, 0.1), U)
     assert not chk
+
+
+def test_displaces_rejects_a_region_between_grid_points(mesh):
+    U = Region.rectangle((0.02, 0.02), (0.03, 0.03))
+    with pytest.raises(ValueError, match="region contains no grid points at this resolution"):
+        displaces(catalog.translation(mesh, 0.5, 0.0), U)
 
 
 def test_displacement_energy_upper(mesh, sampler):
@@ -468,20 +480,52 @@ def test_energy_monotone_in_region(mesh, sampler):
 # -- supported commutators ------------------------------------------------------
 
 def test_supported_pair_properties(mesh):
-    B = Region.ball((0.5, 0.5), 0.25)
-    phi, psi = supported_commutator_pair(B, mesh)
-    outside = ~B.contains(mesh.points, mesh)
+    U = Region.rectangle((0.0, 0.0), (0.25, 1.0))
+    phi, psi = supported_commutator_pair(U, mesh)
+    outside = ~U.contains(mesh.points, mesh)
     for m in (phi, psi):
         assert np.abs(m.disp[:, outside]).max() < 1e-12
-        assert m.volume_preserving
+        assert np.abs(m.det - 1.0).max() <= 1e-8
         assert max(abs(v) for v in m.provenance["flux_periods"]) < 1e-6
+        assert m.provenance["supported_in"] == "Region.rectangle((0.0, 0.0), (0.25, 1.0))"
     comm = map_commutator(phi, psi)
     assert c0_distance(comm, TorusMap.identity(mesh)) > 1e-3
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ((0.0, 0.0), (0.25, 1.0)),
+    ((0.9, 0.2), (1.15, 0.8)),     # wraps across x = 1
+    ((0.3, -0.2), (0.55, 0.25)),   # wraps across y = 0
+    ((0.1, 0.0), (0.35, 1.5)),     # longer than the period
+    ((0.1, 0.1), (0.6, 0.35)),     # long along x
+])
+def test_supported_pair_is_exactly_the_identity_outside(mesh, lo, hi):
+    # each support lies at least a cell inside the region and a bump
+    # rotation moves nothing off its support, so no displacement, not even
+    # round-off, leaks out of any region the pair accepts
+    U = Region.rectangle(lo, hi)
+    outside = ~U.contains(mesh.points, mesh)
+    assert outside.any()
+    for m in supported_commutator_pair(U, mesh):
+        assert not np.any(m.disp[:, outside])
+
+
 def test_supported_pair_region_too_small(mesh):
-    with pytest.raises(ValueError):
-        supported_commutator_pair(Region.ball((0.5, 0.5), 0.02), mesh)
+    # four columns of cells, but the bumps' margin is under one cell
+    with pytest.raises(ValueError, match="support margin 0.0037 is under one grid cell"):
+        supported_commutator_pair(Region.rectangle((0.0, 0.0), (0.05, 1.0)), mesh)
+
+
+def test_supported_pair_region_under_four_cells(mesh):
+    # two grid points lie in the region
+    with pytest.raises(ValueError, match="region smaller than 4 grid cells at this resolution"):
+        supported_commutator_pair(Region.rectangle((0.0, 0.0), (0.03, 0.01)), mesh)
+
+
+def test_supported_pair_too_close_to_the_identity(mesh):
+    U = Region.rectangle((0.0, 0.0), (0.25, 1.0))
+    with pytest.raises(AssertionError, match="too close to the identity .*increase the rotation angle"):
+        supported_commutator_pair(U, mesh, angle=1e-6)
 
 
 def test_collapse_identity_trivial_pair(mesh):
@@ -506,6 +550,20 @@ def test_collapse_requires_displacement(mesh):
         commutator_collapse_check(TorusMap.identity(mesh), phi, psi, U)
 
 
+def test_collapse_requires_support_in_the_region(mesh):
+    U = Region.rectangle((0.0, 0.0), (0.25, 1.0))
+    f = catalog.translation(mesh, 0.5, 0.0)
+    _, psi = supported_commutator_pair(U, mesh)
+    with pytest.raises(ValueError, match=r"phi is not supported in the region \(displacement "):
+        commutator_collapse_check(f, catalog.shear(mesh, 0.1), psi, U)
+
+
+def test_energy_chain_requires_displacement(mesh, sampler):
+    U = Region.rectangle((0.0, 0.0), (0.25, 1.0))
+    with pytest.raises(ValueError, match=r"f does not displace the region \(precondition\)"):
+        energy_chain_check(U, TorusMap.identity(mesh), sampler)
+
+
 def test_energy_chain():
     fine = GridMesh(N=128)
     fine_sampler = UnitSphereSampler(fine, max_mode=4, count=24, seed=5)
@@ -525,7 +583,7 @@ def test_rigidity_convergent(mesh, sampler):
     seq = [compose(target, catalog.perturbation_map(mesh, 0.002 / i))
            for i in range(1, 6)]
     rep = rigidity_limit_check(seq, target, sampler)
-    assert rep.passed
+    assert not rep.pattern_violated
     assert rep.norm_premises[-1] < rep.norm_premises[0]
     assert rep.distances[-1] < rep.distances[0]
 

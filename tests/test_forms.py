@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fluxlab.forms import (CohomologyClass1, NonClosedFormError, OneForm,
-                           ScalarField, TwoForm, codifferential,
-                           exterior_derivative, harmonic_representative,
-                           hodge_decompose, l2_inner, l2_norm, oscillation,
-                           periods, sup_norm, tol_hodge, wedge_integral)
+from fluxlab.forms import (TOL_SCALE, CohomologyClass1, NonClosedFormError,
+                           OneForm, ScalarField, TwoForm, exterior_derivative,
+                           harmonic_periods, harmonic_representative,
+                           hodge_decompose, l2_norm, oscillation, sup_norm,
+                           wedge_integral)
 from fluxlab.mesh import GridMesh
+
+from builders import plus_constant
 
 TWO_PI = 2 * np.pi
 
@@ -42,10 +44,24 @@ def random_oneform(mesh, seed):
     return OneForm(mesh, a.values, b.values)
 
 
+def closed_periods(alpha):
+    """The periods of alpha, which must be closed."""
+    alpha.require_closed(what="periods")
+    return harmonic_periods(alpha)
+
+
+def l2_inner(a, b):
+    return a.mesh.integrate(a.ax * b.ax + a.ay * b.ay)
+
+
+def hodge_tol(alpha):
+    return TOL_SCALE * (1.0 + l2_norm(alpha))
+
+
 # -- exterior derivative ------------------------------------------------------
 
 def test_d_constant_is_zero(mesh):
-    df = exterior_derivative(ScalarField.constant(mesh, 3.7))
+    df = exterior_derivative(ScalarField(mesh, np.full(mesh.shape, 3.7)))
     assert sup_norm(df) == 0.0
 
 
@@ -68,23 +84,6 @@ def test_dd_is_zero(seed):
     f = random_scalar(mesh, seed)
     dd = exterior_derivative(exterior_derivative(f))
     assert sup_norm(dd) <= 1e-12 * (1.0 + sup_norm(f))
-
-
-# -- codifferential -----------------------------------------------------------
-
-def test_codifferential_constant(mesh):
-    assert sup_norm(codifferential(OneForm.constant(mesh, 1.0, 0.0))) == 0.0
-
-
-def test_codifferential_laplacian_sign(mesh):
-    X, _ = mesh.points
-    f = ScalarField(mesh, np.sin(TWO_PI * X))
-    lap = codifferential(exterior_derivative(f))
-    assert np.abs(lap.values - TWO_PI ** 2 * np.sin(TWO_PI * X)).max() < 1e-9
-
-
-def test_codifferential_kills_harmonic(mesh):
-    assert sup_norm(codifferential(OneForm.constant(mesh, 0.7, -0.3))) == 0.0
 
 
 # -- norms --------------------------------------------------------------------
@@ -155,7 +154,9 @@ def test_hodge_reconstruction_and_orthogonality(seed):
     mesh = GridMesh(N=32)
     alpha = random_oneform(mesh, seed)
     split = hodge_decompose(alpha)
-    assert sup_norm(alpha - split.reconstruct()) <= tol_hodge(alpha)
+    parts = (split.exact, split.coexact, split.harmonic)
+    rec = OneForm(mesh, sum(p.ax for p in parts), sum(p.ay for p in parts))
+    assert sup_norm(alpha - rec) <= hodge_tol(alpha)
     ip = abs(l2_inner(split.exact, split.harmonic))
     bound = 1e-10 * max(l2_norm(split.exact) * l2_norm(split.harmonic), 1e-30)
     assert ip <= max(bound, 1e-16)
@@ -166,9 +167,9 @@ def test_hodge_reconstruction_and_orthogonality(seed):
 
 def test_closed_form_has_no_coexact_part(mesh):
     f = random_scalar(mesh, 5)
-    alpha = exterior_derivative(f) + OneForm.constant(mesh, 0.3, 0.2)
+    alpha = plus_constant(exterior_derivative(f), 0.3, 0.2)
     split = hodge_decompose(alpha)
-    assert sup_norm(split.coexact) <= tol_hodge(alpha)
+    assert sup_norm(split.coexact) <= hodge_tol(alpha)
 
 
 def test_norm_equivalence_on_harmonic_forms():
@@ -184,12 +185,12 @@ def test_norm_equivalence_on_harmonic_forms():
 # -- periods ------------------------------------------------------------------
 
 def test_periods_dx(mesh):
-    assert periods(OneForm.constant(mesh, 1.0, 0.0)).periods == (1.0, 0.0)
+    assert closed_periods(OneForm.constant(mesh, 1.0, 0.0)).periods == (1.0, 0.0)
 
 
 def test_periods_exact_form(mesh):
     f = random_scalar(mesh, 11)
-    p = periods(exterior_derivative(f))
+    p = closed_periods(exterior_derivative(f))
     assert p.max_abs() < 1e-12
 
 
@@ -200,29 +201,29 @@ def test_periods_linearity_and_exact_invariance(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(), rng.normal()
     G = random_scalar(mesh, seed + 7)
-    alpha = OneForm.constant(mesh, a, b) + exterior_derivative(G)
-    p = periods(alpha)
+    alpha = plus_constant(exterior_derivative(G), a, b)
+    p = closed_periods(alpha)
     assert abs(p[0] - a) < 1e-8 and abs(p[1] - b) < 1e-8
 
 
 def test_periods_rejects_nonclosed(mesh):
     _, Y = mesh.points
     alpha = OneForm(mesh, np.cos(TWO_PI * Y), np.zeros(mesh.shape))
-    with pytest.raises(NonClosedFormError):
-        periods(alpha)
+    with pytest.raises(NonClosedFormError, match="periods requires a closed 1-form"):
+        closed_periods(alpha)
 
 
 def test_harmonic_representative_roundtrip(mesh):
     cls = CohomologyClass1((0.7, -1.2))
     h = harmonic_representative(mesh, cls)
-    q = periods(h)
+    q = closed_periods(h)
     assert abs(q[0] - 0.7) < 1e-14 and abs(q[1] + 1.2) < 1e-14
 
 
 # -- oscillation and wedge ----------------------------------------------------
 
 def test_oscillation_constant(mesh):
-    assert oscillation(ScalarField.constant(mesh, 4.2)) == 0.0
+    assert oscillation(ScalarField(mesh, np.full(mesh.shape, 4.2))) == 0.0
 
 
 def test_oscillation_sine(mesh):
@@ -232,7 +233,7 @@ def test_oscillation_sine(mesh):
 
 def test_oscillation_shift_invariance(mesh):
     f = random_scalar(mesh, 21)
-    assert abs(oscillation(f) - oscillation(f + 13.5)) < 1e-12
+    assert abs(oscillation(f) - oscillation(ScalarField(mesh, f.values + 13.5))) < 1e-12
 
 
 def test_wedge_integral_harmonic(mesh):
@@ -245,7 +246,7 @@ def test_rectangular_torus_quadrature():
     mesh = GridMesh(N=32, L=(2.0, 0.5))
     assert abs(mesh.volume - 1.0) < 1e-15
     assert abs(l2_norm(OneForm.constant(mesh, 1.0, 0.0)) - 1.0) < 1e-14
-    p = periods(OneForm.constant(mesh, 1.0, 2.0))
+    p = closed_periods(OneForm.constant(mesh, 1.0, 2.0))
     assert abs(p[0] - 2.0) < 1e-14 and abs(p[1] - 1.0) < 1e-14
 
 
@@ -286,11 +287,11 @@ def test_mesh_rejects_bad_sizes_and_periods():
 
 
 def test_constant_forms_are_stored_once(mesh):
+    X, _ = mesh.points
+    dF = exterior_derivative(ScalarField(mesh, np.sin(TWO_PI * X)))
     forms = [(OneForm.constant(mesh, 0.7, -0.2), ("ax", "ay"), (0.7, -0.2)),
-             (ScalarField.constant(mesh, 3.7), ("values",), (3.7,)),
-             (hodge_decompose(OneForm.constant(mesh, 0.4, 0.1) + exterior_derivative(
-                 ScalarField.from_function(mesh, lambda x, y: np.sin(TWO_PI * x)))).harmonic,
-              ("ax", "ay"), None)]
+             (ScalarField(mesh, np.broadcast_to(3.7, mesh.shape)), ("values",), (3.7,)),
+             (hodge_decompose(plus_constant(dF, 0.4, 0.1)).harmonic, ("ax", "ay"), None)]
     for form, names, values in forms:
         for i, name in enumerate(names):
             a = getattr(form, name)
@@ -299,9 +300,9 @@ def test_constant_forms_are_stored_once(mesh):
             if values is not None:
                 assert np.array_equal(a, np.full(mesh.shape, values[i]))
     # a constant form is a value like any other
-    assert np.array_equal((forms[0][0] + forms[0][0]).ax, np.full(mesh.shape, 1.4))
+    assert np.array_equal(plus_constant(forms[0][0], 0.7, 0.0).ax, np.full(mesh.shape, 1.4))
     full = OneForm(mesh, np.full(mesh.shape, 0.7), np.full(mesh.shape, -0.2))
-    assert periods(forms[0][0]).periods == periods(full).periods
+    assert closed_periods(forms[0][0]).periods == closed_periods(full).periods
 
 
 def test_forms_reject_single_value_arrays(mesh):

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from fluxlab import catalog, isotopy
-from fluxlab.forms import (OneForm, ScalarField, TwoForm, exterior_derivative,
+from fluxlab.forms import (OneForm, TwoForm, exterior_derivative,
                            hodge_decompose, oscillation, sup_norm)
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
                              NonSymplecticError, TimeField, VectorFieldPath,
@@ -24,6 +25,8 @@ from fluxlab.maps import (DiffeomorphismError, TorusMap, compose,
                           interior_product, pullback_oneform)
 from fluxlab.mesh import GridMesh
 
+from builders import closed_form, grid_scalar, stacked_samples, sup_displacement
+
 TWO_PI = 2 * np.pi
 K = 32
 
@@ -37,7 +40,7 @@ def mesh():
 
 def test_zero_field_flows_to_identity(mesh):
     iso = integrate_flow(np.zeros((2, mesh.N, mesh.N)), K, mesh)
-    assert all(m.sup_displacement() < 1e-14 for m in iso.maps)
+    assert all(sup_displacement(m) < 1e-14 for m in iso.maps)
 
 
 def test_constant_field_flows_to_translations(mesh):
@@ -188,7 +191,7 @@ def test_flux_reparametrization_invariance(mesh):
 def _pulled_flux_by_form_spline(phi_path, omega):
     """The pulled flux integrand read off a spline of the grid form i_X omega
     at phi_t(x): the reference for the generator's own point values."""
-    vel = phi_path.generator_samples()
+    vel = stacked_samples(phi_path)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *phi_path.mesh.shape))
     for j, m in enumerate(phi_path.maps):
@@ -207,7 +210,7 @@ def _spline_route(flow):
     """The flow's own maps under its grid samples alone, with no point
     values, so that X is read off splines of the samples."""
     return Isotopy(flow.mesh, flow.maps,
-                   generator=VectorFieldPath(flow.mesh, flow.generator_samples()))
+                   generator=VectorFieldPath(flow.mesh, stacked_samples(flow)))
 
 
 def test_pulled_flux_spline_route_is_bit_identical():
@@ -303,13 +306,14 @@ def test_flux_of_a_certified_path_stacks_no_samples(monkeypatch):
                           catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16),
                           oversample=2)
     assert path.generator.certified_symplectic
-
-    def stacked(self):
-        raise AssertionError("generator samples stacked")
-
-    monkeypatch.setattr(Isotopy, "generator_samples", stacked)
+    reads = []
+    real = path.generator.field
+    monkeypatch.setattr(path.generator, "field", lambda t: reads.append(t) or real(t))
     p = symplectic_flux(path)
     fathi_mass_flow(path)
+    identity_times = [t for t, m in zip(path.times, path.maps) if m.is_identity()]
+    assert 0 < len(reads) == len(identity_times) < path.K + 1
+    assert reads == identity_times
     # the parts' translation fluxes add up, to twice the gap measured at
     # this N and K (1.2e-5)
     assert abs(p[0] - (0.15 - 0.2)) < 2.5e-5 and abs(p[1] - (0.25 - 0.1)) < 2.5e-5
@@ -356,7 +360,7 @@ def test_catalog_point_values_are_the_grid_samples():
     add(catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, 16),
         rotation((0.3, 0.6), 0.25, 0.8))
     for flow, oracle in zip(flows, oracles):
-        samples = flow.generator_samples()
+        samples = stacked_samples(flow)
         for j, t in enumerate(flow.times):
             at = flow.generator.at(t, mesh.points)
             assert [v.hex() for v in at.ravel()] == [v.hex() for v in samples[j].ravel()]
@@ -478,17 +482,16 @@ def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
 
 def test_steady_generator_samples_share_one_field(mesh):
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.1, K)
-    X = flow.generator_samples()
-    assert X.shape == (K + 1, 2, *mesh.shape)
-    assert np.shares_memory(X[0], X[-1])
+    X = isotopy._generator_sample(flow)
+    assert X(0).shape == (2, *mesh.shape)
     for j in (0, K // 2, K):
-        assert np.array_equal(X[j], flow.generator.field(0.0))
+        assert X(j) is flow.generator.field(0.0)
 
 
 def test_split_reconstruction(mesh):
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=K)
     split = generator_hodge_split(flow)
-    vel = flow.generator_samples()
+    vel = stacked_samples(flow)
     om = TwoForm.standard(mesh)
     from fluxlab.maps import interior_product
     for j in (0, K // 2, K):
@@ -523,7 +526,7 @@ def test_orbit_integral_translation(mesh):
 
 def test_orbit_integral_exact_form(mesh):
     iso = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=64)
-    G = ScalarField.from_function(
+    G = grid_scalar(
         mesh, lambda x, y: 0.3 * np.sin(TWO_PI * x) + 0.2 * np.cos(TWO_PI * y))
     x = np.array([0.15, 0.65])
     val = orbit_integral(iso, x, exterior_derivative(G))
@@ -607,8 +610,7 @@ def test_running_simpson_reads_each_sample_once_one_ahead(K):
 
 def test_f_functional_matches_orbit_integral(mesh):
     iso = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=64)
-    G = ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * y))
-    alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(G)
+    alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * y))
     F1 = f_functional(iso, alpha, 1.0)
     for x in (np.array([0.1, 0.3]), np.array([0.7, 0.8])):
         direct = orbit_integral(iso, x, alpha)
@@ -621,8 +623,7 @@ def test_geodesic_functional_identity(mesh):
 
 
 def test_geodesic_matches_f_functional_smooth(mesh):
-    alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * y)))
+    alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * y))
     for flow in (catalog.shear_flow(mesh, 0.1, K=64),
                  catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64)):
         gap = sup_norm(f_functional(flow, alpha, 1.0)
@@ -647,8 +648,7 @@ def test_geodesic_functional_matches_chord_quadrature():
     # endpoint potentials against the quadrature oracle; measured gap at
     # most 1.9e-8 (cos_x_cos_y; 2.5e-16 on the shear) on values up to 0.07
     mesh = GridMesh(N=32)
-    alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.5 * np.sin(TWO_PI * y) / TWO_PI))
+    alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.5 * np.sin(TWO_PI * y) / TWO_PI)
     for flow in (catalog.shear_flow(mesh, 0.1, K=K),
                  catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K)):
         gap = np.abs(geodesic_functional(flow, alpha).values
@@ -675,8 +675,7 @@ def test_steady_f_functional_builds_one_interpolator(monkeypatch):
     flow = integrate_flow(TimeField(lambda t: X, mesh, autonomous=True), K, mesh)
     unsteady = Isotopy(mesh, flow.maps, generator=VectorFieldPath(
         mesh, np.broadcast_to(X, (K + 1, *X.shape))))
-    alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * y)))
+    alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * y))
     builds = []
     real = isotopy.PeriodicInterpolator
 
@@ -697,7 +696,7 @@ def _f_functional_family(phi_path, alpha):
     whole-path cumulative Simpson rule: the oracle of the streamed
     f_functional."""
     mesh, K = phi_path.mesh, phi_path.K
-    vel = phi_path.generator_samples()
+    vel = stacked_samples(phi_path)
     fields = np.empty((K + 1, *mesh.shape))
     for j, m in enumerate(phi_path.maps):
         g = alpha.ax * vel[j, 0] + alpha.ay * vel[j, 1]
@@ -711,8 +710,7 @@ def test_streamed_f_functional_equals_the_stacked_family():
     # closed-form field at odd K, whose last interval takes the backward
     # parabola
     mesh = GridMesh(N=32)
-    alpha = OneForm.constant(mesh, 0.7, 0.4) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.cos(TWO_PI * (x - y))))
+    alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * (x - y)))
     A = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
     B = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 0.05)
     paths = [catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, 16),
@@ -733,8 +731,7 @@ def raw_flow_128():
     form with an exact part."""
     mesh = GridMesh(N=128)
     F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * (x + y))))
+    alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
     return integrate_flow(F.samples, 64, mesh), alpha
 
 
@@ -786,21 +783,85 @@ def test_certified_split_reads_one_sample_at_a_time():
     # its split equals the trusted one
     gen = flow.generator
     gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Isotopy, "generator_samples",
-                   lambda self: pytest.fail("generator samples stacked"))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
         gated_split = generator_hodge_split(gated)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 16 * 2 ** 20
     assert len(split.potentials) == len(gated_split.potentials) == 65
     for a, b in zip(split.potentials, gated_split.potentials):
         assert np.array_equal(a.values, b.values)
     for a, b in zip(split.harmonics, gated_split.harmonics):
         assert np.array_equal(a.components, b.components)
     # and both equal the split of the stacked samples
-    stack = flow.generator_samples()
+    stack = stacked_samples(flow)
     for j in (0, 33, 64):
         ref = hodge_decompose(interior_product(stack[j], TwoForm.standard(mesh)))
         assert np.array_equal(split.potentials[j].values, ref.potential.values)
         assert np.array_equal(split.harmonics[j].components, ref.harmonic.components)
+
+
+def _stacked_gate(path, omega):
+    """The oracle of the flux gate on a TimeField that is not certified:
+    the worst sup |d(i_X omega)| over all stacked samples and the default
+    tolerance 1e-8 (1 + max |X|)."""
+    vel = stacked_samples(path)
+    worst = max(sup_norm(exterior_derivative(interior_product(X, omega))) for X in vel)
+    return worst, 1e-8 * (1.0 + float(np.abs(vel).max()))
+
+
+def test_flux_gate_reads_an_uncertified_generator_one_sample_at_a_time():
+    # a time-dependent TimeField that is not certified: the gate of
+    # fathi_mass_flow and symplectic_flux reads it sample by sample.  The
+    # 65 samples at N = 128 take 16.3 MiB; stacking them peaked 32.9 MiB
+    # above the start, reading them one at a time peaks at 1.5 MiB
+    mesh = GridMesh(N=128)
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=64)
+    gen = flow.generator
+    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        m = fathi_mass_flow(gated)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * 2 ** 20
+    # it passes where the stacked oracle passes, with the trusted values
+    worst, tol = _stacked_gate(gated, TwoForm.standard(mesh))
+    assert worst <= tol
+    assert m == fathi_mass_flow(flow)
+
+
+def test_flux_gate_rejects_as_the_stacked_oracle_does():
+    # divergent with a strength growing in t: the largest |X| and the worst
+    # residual are those of the last sample, and both enter the message
+    mesh = GridMesh(N=32)
+    X, _ = mesh.points
+    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh)] * 17, generator=TimeField(
+        lambda t: t * bad, mesh,
+        at=lambda t, p: t * np.stack([0.2 * np.sin(TWO_PI * p[0]), 0.0 * p[1]])))
+    worst, tol = _stacked_gate(path, TwoForm.standard(mesh))
+    assert worst > tol
+    for check in (symplectic_flux, fathi_mass_flow):
+        message = (f"{check.__name__}: worst closedness residual of i_X omega over "
+                   f"the path is {worst:.3e} > {tol:.3e}")
+        with pytest.raises(NonSymplecticError, match=f"^{re.escape(message)}$"):
+            check(path)
+    # a symplectic time-dependent field, not certified, passes both, with
+    # the values of its certified twin
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=16)
+    gen = flow.generator
+    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
+    worst, tol = _stacked_gate(gated, TwoForm.standard(mesh))
+    assert worst <= tol
+    assert symplectic_flux(gated) == symplectic_flux(flow)
+    assert fathi_mass_flow(gated) == fathi_mass_flow(flow)
 
 
 def test_kappa_linear_bound(mesh):
@@ -827,7 +888,7 @@ def test_concat_endpoints(mesh):
     A = catalog.translation_flow(mesh, 0.2, -0.1, K)
     B = catalog.shear_flow(mesh, 0.1, K=K)
     joined = concat_reparam(A, B)
-    assert joined.maps[0].sup_displacement() < 1e-12
+    assert sup_displacement(joined.maps[0]) < 1e-12
     target = compose(A.end_map, B.end_map, normalize=False)
     assert np.abs(joined.end_map.disp - target.disp).max() < 1e-10
 
@@ -849,7 +910,7 @@ def test_concat_inverse_returns_to_identity(mesh):
     A = catalog.shear_flow(mesh, 0.1, K=K)
     Ainv = catalog.shear_flow(mesh, -0.1, K=K)
     joined = concat_reparam(Ainv, A)
-    assert joined.end_map.sup_displacement() < 1e-8
+    assert sup_displacement(joined.end_map) < 1e-8
 
 
 def test_flux_additivity_under_concat(mesh):
@@ -867,7 +928,7 @@ def test_commutator_identity_second_factor(mesh):
     A = catalog.shear_flow(mesh, 0.1, K=K)
     ident = catalog.translation_flow(mesh, 0.0, 0.0, K)
     theta, pi = commutator_generator(A, ident)
-    assert max(m.sup_displacement() for m in theta.maps) < 1e-12
+    assert max(sup_displacement(m) for m in theta.maps) < 1e-12
     assert max(sup_norm(f) for f in pi) < 1e-12
 
 
@@ -875,7 +936,7 @@ def test_commutator_translations(mesh):
     A = catalog.translation_flow(mesh, 0.3, 0.0, K)
     B = catalog.translation_flow(mesh, 0.0, 0.4, K)
     theta, pi = commutator_generator(A, B)
-    assert max(m.sup_displacement() for m in theta.maps) < 1e-12
+    assert max(sup_displacement(m) for m in theta.maps) < 1e-12
     assert max(sup_norm(f) for f in pi) < 1e-12
 
 
@@ -888,7 +949,7 @@ def test_commutator_certification_and_flux(mesh):
     # commutator paths are exact at every time: per-sample periods vanish
     from fluxlab.maps import interior_product
     om = TwoForm.standard(mesh)
-    vel = theta.generator_samples()
+    vel = theta.generator.samples
     for j in range(theta.K + 1):
         beta = interior_product(vel[j], om)
         p = max(abs(float(beta.ax.mean())), abs(float(beta.ay.mean())))
@@ -1074,8 +1135,7 @@ def _orbit_integral_per_sample(phi_path, x, alpha):
 
 def test_orbit_integral_batches_its_lookups():
     mesh = GridMesh(N=32)
-    alpha = OneForm.constant(mesh, 0.6, -0.2) + exterior_derivative(
-        ScalarField.from_function(mesh, lambda x, y: 0.2 * np.sin(TWO_PI * (x + y))))
+    alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
     F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
     paths = [integrate_flow(F.samples, 16, mesh),      # steady spline
              integrate_flow(F, 16, mesh),              # closed form

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxlab import catalog
-from fluxlab.forms import OneForm, ScalarField, TwoForm, exterior_derivative, l2_norm, sup_norm, tol_closed
+from fluxlab.forms import OneForm, TwoForm, exterior_derivative, l2_norm, sup_norm, tol_closed
 from fluxlab import maps
 from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap, c0_distance,
                           compose, evaluate_lift, interior_product,
@@ -17,6 +17,8 @@ from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                           pullback_oneform, pushforward_vector, volume_defect,
                           _newton_inverse)
 from fluxlab.mesh import GridMesh
+
+from builders import closed_form, grid_scalar, plus_constant, sup_displacement
 
 TWO_PI = 2 * np.pi
 
@@ -239,13 +241,13 @@ def test_translation_group_law(mesh):
 def test_shear_cancellation(mesh):
     S = catalog.shear(mesh, 0.1)
     Sm = catalog.shear(mesh, -0.1)
-    assert compose(Sm, S).sup_displacement() < 1e-10
+    assert sup_displacement(compose(Sm, S)) < 1e-10
 
 
 def test_nearest_lift_branch(mesh):
     half = catalog.translation(mesh, 0.5, 0.0)
     two = compose(half, half)
-    assert two.sup_displacement() < 1e-12  # wraps to the identity branch
+    assert sup_displacement(two) < 1e-12  # wraps to the identity branch
 
 
 def _interpolated_compose(phi, psi, normalize):
@@ -275,8 +277,8 @@ def test_compose_with_a_translation_equals_the_interpolated_chain(mesh):
 def test_composition_functoriality(mesh):
     phi = catalog.twist(mesh, 0.07, 0.05)
     psi = catalog.shear(mesh, 0.08)
-    alpha = OneForm.from_functions(
-        mesh, lambda x, y: 0.5 + np.cos(TWO_PI * y), lambda x, y: 0 * x + 0.2)
+    _, Y = mesh.points
+    alpha = OneForm(mesh, 0.5 + np.cos(TWO_PI * Y), np.full(mesh.shape, 0.2))
     lhs = pullback_oneform(compose(phi, psi), alpha.at)
     rhs = pullback_oneform(psi, pullback_oneform(phi, alpha.at).at)
     assert sup_norm(lhs - rhs) <= 1e-6 * (1.0 + sup_norm(alpha))
@@ -324,14 +326,14 @@ def test_inverse_roundtrip():
 def test_inverse_composition_is_identity(mesh):
     tw = catalog.twist(mesh, 0.07, 0.05)
     rt = compose(tw.inverse(), tw)
-    assert rt.sup_displacement() < 5e-9
+    assert sup_displacement(rt) < 5e-9
 
 
 # -- pull-backs ---------------------------------------------------------------
 
 def test_pullback_identity(mesh):
-    alpha = OneForm.from_functions(
-        mesh, lambda x, y: np.sin(TWO_PI * y), lambda x, y: np.cos(TWO_PI * x))
+    X, Y = mesh.points
+    alpha = OneForm(mesh, np.sin(TWO_PI * Y), np.cos(TWO_PI * X))
     pb = pullback_oneform(TorusMap.identity(mesh), alpha.at)
     assert sup_norm(pb - alpha) < 1e-13
 
@@ -358,8 +360,7 @@ def test_pullback_preserves_closedness():
     # eightfold-refined interpolant drives it below 10 x the closedness gate
     fine = GridMesh(N=64, upsample=8)
     tw = catalog.twist(fine, 0.06, 0.05)
-    G = ScalarField.from_function(fine, lambda x, y: 0.3 * np.sin(TWO_PI * (x + y)))
-    alpha = OneForm.constant(fine, 0.5, 0.3) + exterior_derivative(G)
+    alpha = closed_form(fine, (0.5, 0.3), lambda x, y: 0.3 * np.sin(TWO_PI * (x + y)))
     pb = pullback_oneform(tw, alpha.at)
     assert pb.closedness_residual <= 10 * tol_closed(alpha)
 
@@ -375,10 +376,10 @@ def test_pullback_bound_inequality(seed):
     mesh = GridMesh(N=32)
     rng = np.random.default_rng(seed)
     phi = catalog.twist(mesh, rng.uniform(-0.12, 0.12), rng.uniform(-0.12, 0.12))
-    G = ScalarField.from_function(
+    dG = exterior_derivative(grid_scalar(
         mesh, lambda x, y: rng.normal(0, 0.3) * np.sin(TWO_PI * x)
-        + rng.normal(0, 0.3) * np.cos(TWO_PI * y))
-    alpha = OneForm.constant(mesh, rng.normal(), rng.normal()) + exterior_derivative(G)
+        + rng.normal(0, 0.3) * np.cos(TWO_PI * y)))
+    alpha = plus_constant(dG, rng.normal(), rng.normal())
     lhs = l2_norm(pullback_oneform(phi, alpha.at))
     assert lhs <= pullback_bound_constant(phi) * l2_norm(alpha) * (1 + 1e-6)
 
@@ -468,19 +469,16 @@ def test_region_rect_membership(mesh):
     assert bool(inside[0]) and not bool(outside[0])
 
 
-def test_region_ball_wraps(mesh):
-    B = Region.ball((0.05, 0.5), 0.1)
-    assert bool(B.contains(np.array([[0.98], [0.5]]), mesh)[0])
+def test_region_rect_wraps(mesh):
+    U = Region.rectangle((0.9, 0.4), (1.1, 0.6))
+    pts = np.array([[0.98, 0.05, 0.15, 0.5], [0.5, 0.5, 0.5, 0.5]])
+    assert U.contains(pts, mesh).tolist() == [True, True, False, False]
+    assert np.allclose(U.distance(pts, mesh), [0.0, 0.0, 0.05, 0.4])
 
 
 def test_region_measure(mesh):
     U = Region.rectangle((0.0, 0.0), (0.25, 1.0))
     assert abs(U.measure(mesh) - 0.25) < 0.02
-
-
-def test_volume_preserving_flag(mesh):
-    assert catalog.twist(mesh, 0.08, 0.06).volume_preserving
-    assert not catalog.non_volume_preserving(mesh, 0.1).volume_preserving
 
 
 def test_bump_rotation_support_and_det(mesh):
@@ -691,12 +689,8 @@ def test_compose_rejects_maps_on_different_meshes():
             compose(a, b)
 
 
-def test_region_rejects_empty_and_unknown_kinds():
+def test_region_rejects_empty_rectangles():
     with pytest.raises(ValueError, match="empty rectangle"):
         Region.rectangle((0.2, 0.0), (0.2, 1.0))
     with pytest.raises(ValueError, match="empty rectangle"):
         Region.rectangle((0.0, 0.5), (1.0, 0.25))
-    with pytest.raises(ValueError, match="empty ball"):
-        Region.ball((0.5, 0.5), 0.0)
-    with pytest.raises(ValueError, match="unknown region kind 'disc'"):
-        Region("disc", center=(0.5, 0.5), radius=0.1)
