@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .forms import (OneForm, ScalarField, TwoForm,
-                    harmonic_representative, l2_norm, sup_norm,
-                    wedge_integral)
+from .forms import (OneForm, ScalarField, harmonic_representative, l2_norm,
+                    sup_norm, wedge_integral)
 from .isotopy import Isotopy, orbit_integral, volume_flux
 from .maps import (Region, TorusMap, c0_distance, chord_integral, compose,
                    max_singular_value, pullback_bound_constant,
@@ -91,28 +90,24 @@ def nu_function(psi: TorusMap, alpha: OneForm, p,
     return P - float(P.at(np.asarray(p, dtype=float)))
 
 
-def delta(psi: TorusMap, alpha: OneForm, p, omega: TwoForm | None = None,
-          closed_tol: float | None = None) -> float:
+def delta(psi: TorusMap, alpha: OneForm, p, closed_tol: float | None = None) -> float:
     """Volume average of nu over the torus, normalized by ||alpha||_L2;
     identically 0 for alpha = 0."""
     if alpha.is_zero():
         return 0.0
-    return delta_tilde(psi, alpha, p, omega, closed_tol) / l2_norm(alpha)
+    return delta_tilde(psi, alpha, p, closed_tol) / l2_norm(alpha)
 
 
 def delta_tilde(psi: TorusMap, alpha: OneForm, p,
-                omega: TwoForm | None = None,
                 closed_tol: float | None = None) -> float:
     """The unnormalized invariant ||alpha|| * delta."""
     if alpha.is_zero():
         return 0.0
-    omega = omega or TwoForm.standard(psi.mesh)
     nu = nu_function(psi, alpha, p, closed_tol)
-    return psi.mesh.integrate(nu.values * omega.density)
+    return psi.mesh.integrate(nu.values)
 
 
-def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy,
-                   omega: TwoForm | None = None) -> float:
+def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy) -> float:
     """Independent route to delta: cohomology pairing with the flux of an
     isotopy ending at psi, minus the volume-weighted orbit integral.
 
@@ -126,13 +121,10 @@ def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy,
     alpha.require_closed(what="delta_via_flux")
     if alpha.is_zero():
         return 0.0
-    flux = volume_flux(phi_path, omega)  # None keeps the cached default form
-    omega = omega or TwoForm.standard(mesh)
-    sigma = harmonic_representative(mesh, flux)
+    sigma = harmonic_representative(mesh, volume_flux(phi_path))
     pairing = wedge_integral(alpha, sigma)
     orbit = orbit_integral(phi_path, x, alpha)
-    vol = omega.total()
-    return (pairing - vol * orbit) / l2_norm(alpha)
+    return (pairing - mesh.volume * orbit) / l2_norm(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +517,7 @@ def _require_vanishing_flux(phi: TorusMap):
 
 
 def conjugation_check(h: TorusMap, phi: TorusMap, x, alpha: OneForm,
-                      sampler: UnitSphereSampler,
-                      omega: TwoForm | None = None) -> ConjugationReport:
+                      sampler: UnitSphereSampler) -> ConjugationReport:
     """The conjugation identity for the unnormalized invariant:
     Delta~(phi h phi^{-1}, alpha) at phi(x) equals Delta~(h, phi^* alpha)
     at x, for vanishing-flux phi; plus the two-sided norm equivalence
@@ -543,8 +534,8 @@ def conjugation_check(h: TorusMap, phi: TorusMap, x, alpha: OneForm,
     # pulled-back forms carry interpolation-level d-residuals; closed in
     # exact arithmetic, so the gate only needs to reject genuine non-closedness
     loose = 1e-4 * (1.0 + max(sup_norm(alpha), sup_norm(beta)))
-    lhs = delta_tilde(conj, alpha, evaluate_lift(phi, x), omega, closed_tol=loose)
-    rhs = delta_tilde(h, beta, x, omega, closed_tol=loose)
+    lhs = delta_tilde(conj, alpha, evaluate_lift(phi, x), closed_tol=loose)
+    rhs = delta_tilde(h, beta, x, closed_tol=loose)
     n_h = psi_norm(h, sampler).norm_lower_bound
     n_c = psi_norm(conj, sampler).norm_lower_bound
     c_phi = pullback_bound_constant(phi)

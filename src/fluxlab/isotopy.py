@@ -230,7 +230,7 @@ class Isotopy:
         self.generator = generator
         self._map_fn = map_fn  # optional exact time-t map constructor
         self.provenance = dict(provenance or {})
-        # (kind, id(omega) or "std", tol) -> (omega, periods); see _cached_flux
+        # "sym" or "vol" -> periods; see _cached_flux
         self._flux_cache: dict = {}
         # the RK4 step of an integrated flow (see integrate_flow)
         self._flow_step = None
@@ -377,25 +377,23 @@ def _generator_sample(phi_path: Isotopy):
     raise ValueError("the path has no generator")
 
 
-def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
-                         what: str):
+def _certified_generator(phi_path: Isotopy, what: str):
     """j -> the grid samples of X_{t_j}, after the closedness certification
     of i_{X_t} omega.  A generator certified by construction is trusted.
     Any other is read one sample at a time, keeping the largest |X| and the
-    worst residual, and gated at `tol`, by default `_certification_tol` of
-    that largest |X|, once all samples are read; no reader stacks all K + 1
-    fields."""
+    worst residual, and gated at `_certification_tol` of that largest |X|
+    once all samples are read; no reader stacks all K + 1 fields."""
     vel = _generator_sample(phi_path)
     gen = phi_path.generator
     if isinstance(gen, TimeField) and gen.certified_symplectic:
         return vel
+    omega = TwoForm.standard(phi_path.mesh)
     vmax = worst = 0.0
     for j in range(1 if _is_autonomous(phi_path) else phi_path.K + 1):
         X = vel(j)
         vmax = max(vmax, float(np.abs(X).max()))
         worst = max(worst, sup_norm(exterior_derivative(interior_product(X, omega))))
-    if tol is None:
-        tol = _certification_tol(phi_path, vmax)
+    tol = _certification_tol(phi_path, vmax)
     if worst > tol:
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
@@ -403,17 +401,11 @@ def _certified_generator(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     return vel
 
 
-def _cached_flux(phi_path: Isotopy, kind: str, omega: TwoForm | None,
-                 tol: float | None, compute) -> CohomologyClass1:
-    """Look up or compute a flux class.  The entry keeps its 2-form alive and
-    a hit must be that very object, so a recycled id() never matches."""
-    key = (kind, "std" if omega is None else id(omega), tol)
-    hit = phi_path._flux_cache.get(key)
-    if hit is not None and hit[0] is omega:
-        return hit[1]
-    p = compute(omega or TwoForm.standard(phi_path.mesh))
-    phi_path._flux_cache[key] = (omega, p)
-    return p
+def _cached_flux(phi_path: Isotopy, kind: str, compute) -> CohomologyClass1:
+    """Look up or compute the flux class of one kind, "sym" or "vol"."""
+    if kind not in phi_path._flux_cache:
+        phi_path._flux_cache[kind] = compute()
+    return phi_path._flux_cache[kind]
 
 
 def _generator_at(phi_path: Isotopy, vel):
@@ -429,12 +421,11 @@ def _generator_at(phi_path: Isotopy, vel):
     return lambda j: VectorInterpolator(vel(j), phi_path.mesh)
 
 
-def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
-               what: str, pull: bool) -> OneForm:
+def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     """The Simpson time integral of i_{X_t} omega, each sample pulled back by
     phi_t when `pull` is set.
 
-    A pulled sample is rho(phi x) d(phi)_x^T (-X_y, X_x)(phi x): the
+    A pulled sample is d(phi)_x^T (-X_y, X_x)(phi x): the
     generator is evaluated at the image points by `_generator_at`, not read
     off a spline of the grid form i_X omega.  The maps are those stored on
     the path, and each pulled sample uses its map's stored Jacobian or one
@@ -443,19 +434,19 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     computations.
     """
     mesh = phi_path.mesh
-    vel = _certified_generator(phi_path, omega, tol, what)
+    omega = TwoForm.standard(mesh)
+    vel = _certified_generator(phi_path, what)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *mesh.shape))
     steady = interior_product(vel(0), omega) if _is_autonomous(phi_path) else None
     if pull:
         X_at = _generator_at(phi_path, vel)
-        rho = PeriodicInterpolator(omega.density, mesh)
     for j in range(phi_path.K + 1):
         m = phi_path.maps[j]
         if pull and not m.is_identity():
             X = X_at(j)
             beta = pullback_oneform(
-                m, lambda pts: interior_components(X(pts), rho(pts)))
+                m, lambda pts: interior_components(X(pts), 1.0))
         else:
             # a steady generator reuses one grid form
             beta = steady if steady is not None else interior_product(vel(j), omega)
@@ -463,8 +454,7 @@ def _flux_form(phi_path: Isotopy, omega: TwoForm, tol: float | None,
     return OneForm(mesh, *acc)
 
 
-def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
-                    tol: float | None = None) -> CohomologyClass1:
+def symplectic_flux(phi_path: Isotopy) -> CohomologyClass1:
     """Period vector of the flux integral of the path.
 
     Composite Simpson over the samples of phi_t^*(i_{X_t} omega), with X_t
@@ -478,12 +468,11 @@ def symplectic_flux(phi_path: Isotopy, omega: TwoForm | None = None,
     1e-4 for a named-potential flow and 8.6e-2 for a certified rotation
     flow, so no gate on it could be tighter than the one on the samples.
     """
-    return _cached_flux(phi_path, "sym", omega, tol, lambda form: harmonic_periods(
-        _flux_form(phi_path, form, tol, "symplectic_flux", pull=True)))
+    return _cached_flux(phi_path, "sym", lambda: harmonic_periods(
+        _flux_form(phi_path, "symplectic_flux", pull=True)))
 
 
-def volume_flux(phi_path: Isotopy, omega: TwoForm | None = None,
-                tol: float | None = None) -> CohomologyClass1:
+def volume_flux(phi_path: Isotopy) -> CohomologyClass1:
     """Period vector of the volume flux, via the unpulled integral of
     i_{X_t} Omega.
 
@@ -495,9 +484,9 @@ def volume_flux(phi_path: Isotopy, omega: TwoForm | None = None,
     construction whose samples are not closed shows here: its pulled and
     unpulled integrals no longer differ by an exact form.
     """
-    def compute(form: TwoForm) -> CohomologyClass1:
-        p = harmonic_periods(_flux_form(phi_path, form, tol, "volume_flux", pull=False))
-        q = symplectic_flux(phi_path, omega, tol)
+    def compute() -> CohomologyClass1:
+        p = harmonic_periods(_flux_form(phi_path, "volume_flux", pull=False))
+        q = symplectic_flux(phi_path)
         gap = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
         allowed = 1e-8 * (1.0 + p.max_abs())
         if gap > allowed:
@@ -506,7 +495,7 @@ def volume_flux(phi_path: Isotopy, omega: TwoForm | None = None,
                 f"{q.periods} by {gap:.3e} (allowed {allowed:.3e})")
         return p
 
-    return _cached_flux(phi_path, "vol", omega, tol, compute)
+    return _cached_flux(phi_path, "vol", compute)
 
 
 @dataclass(frozen=True)
@@ -519,8 +508,7 @@ class HomologyClass1:
         return self.components[k]
 
 
-def fathi_mass_flow(phi_path: Isotopy, omega: TwoForm | None = None,
-                    tol: float | None = None) -> HomologyClass1:
+def fathi_mass_flow(phi_path: Isotopy) -> HomologyClass1:
     """Mass flow of a volume-preserving path.
 
     For each axis the coordinate circle map f = x_k / L_k is transported
@@ -530,12 +518,10 @@ def fathi_mass_flow(phi_path: Isotopy, omega: TwoForm | None = None,
     the stored end displacement is that continuous lift.
     """
     mesh = phi_path.mesh
-    omega = omega or TwoForm.standard(mesh)
-    _certified_generator(phi_path, omega, tol, "fathi_mass_flow")
-    rho = omega.density
+    _certified_generator(phi_path, "fathi_mass_flow")
     u1 = phi_path.end_map.disp
-    return HomologyClass1((mesh.integrate(u1[0] * rho) / mesh.L[0],
-                           mesh.integrate(u1[1] * rho) / mesh.L[1]))
+    return HomologyClass1((mesh.integrate(u1[0]) / mesh.L[0],
+                           mesh.integrate(u1[1]) / mesh.L[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +542,17 @@ class GeneratorSplit:
         return np.array([oscillation(u) for u in self.potentials])
 
 
-def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
-                          tol: float | None = None) -> GeneratorSplit:
+def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
     """Hodge-split the path generator: i_{X_t} omega = dU_t + H_t.
 
     The generator is read one sample at a time.  The coexact part must
     vanish sample by sample (else the path is not symplectic); U_t is the
     mean-zero potential and H_t the harmonic part.  A generator certified
-    by construction is trusted; any other is gated at `tol`, by default
-    `_certification_tol` of the largest sample, so its residuals are
-    gated once all samples are read.
+    by construction is trusted; any other is gated at `_certification_tol`
+    of the largest sample, so its residuals are gated once all samples are
+    read.
     """
-    mesh = phi_path.mesh
-    omega = omega or TwoForm.standard(mesh)
+    omega = TwoForm.standard(phi_path.mesh)
     trusted = (isinstance(phi_path.generator, TimeField)
                and phi_path.generator.certified_symplectic)
     vel = _generator_sample(phi_path)
@@ -584,8 +568,7 @@ def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
         potentials.append(split.potential)
         harmonics.append(split.harmonic)
     if not trusted:
-        if tol is None:
-            tol = _certification_tol(phi_path, vmax)
+        tol = _certification_tol(phi_path, vmax)
         for j, resid in enumerate(resids):
             if resid > tol:
                 raise NonSymplecticError(
@@ -597,10 +580,10 @@ def generator_hodge_split(phi_path: Isotopy, omega: TwoForm | None = None,
     return GeneratorSplit(potentials, harmonics)
 
 
-def hofer_like_length(phi_path: Isotopy, omega: TwoForm | None = None) -> float:
+def hofer_like_length(phi_path: Isotopy) -> float:
     """Length of a symplectic path: integral over time of
     osc(U_t) + |H_t|_0 for the generator split i_{X_t} omega = dU_t + H_t."""
-    split = generator_hodge_split(phi_path, omega)
+    split = generator_hodge_split(phi_path)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     return float(np.sum(w * (split.oscillations() + split.harmonic_sup_norms())))
 
@@ -827,8 +810,7 @@ def _pointwise_matvec(J: np.ndarray, X: np.ndarray) -> np.ndarray:
                      J[1, 0] * X[0] + J[1, 1] * X[1]])
 
 
-def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
-                         omega: TwoForm | None = None, tol: float = 1e-3):
+def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3):
     """Commutator path Theta_t = phi_t psi_t phi_t^{-1} psi_t^{-1} and the
     generating function Pi_t of its (exact) generator.
 
@@ -851,11 +833,11 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy,
     if phi_path.K != psi_path.K:
         raise ValueError("paths must share the same time sampling")
     K = phi_path.K
-    omega = omega or TwoForm.standard(mesh)
+    omega = TwoForm.standard(mesh)
     X = _generator_sample(phi_path)
     Y = _generator_sample(psi_path)
-    split_x = generator_hodge_split(phi_path, omega)
-    split_y = generator_hodge_split(psi_path, omega)
+    split_x = generator_hodge_split(phi_path)
+    split_y = generator_hodge_split(psi_path)
 
     theta_maps, theta_invs = [], []
     vel_theta = np.empty((K + 1, 2, *mesh.shape))

@@ -450,7 +450,7 @@ def divergence(X: np.ndarray, mesh: GridMesh) -> np.ndarray:
     return mesh.derivative(X[0], 0) + mesh.derivative(X[1], 1)
 
 
-def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) -> float:
+def volume_defect(phi: TorusMap, Y: np.ndarray) -> float:
     """sup norm of i_{phi_* Y} Omega - (phi^{-1})^*(i_Y Omega).
 
     Vanishes for every conservative (divergence-free) Y exactly when phi
@@ -458,7 +458,7 @@ def volume_defect(phi: TorusMap, Y: np.ndarray, omega: TwoForm | None = None) ->
     Y with divergence above tolerance.
     """
     mesh = phi.mesh
-    omega = omega or TwoForm.standard(mesh)
+    omega = TwoForm.standard(mesh)
     Y = np.asarray(Y, dtype=float)
     div = divergence(Y, mesh)
     ymax = float(np.abs(Y).max())

@@ -159,15 +159,23 @@ def test_volume_flux_matches_symplectic(mesh):
         assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-10
 
 
-def test_flux_cache_never_returns_a_recycled_form():
-    # each 2-form dies after its call, so the next one can reuse its id()
+def test_a_path_computes_each_flux_kind_once(monkeypatch):
+    # the cache is keyed by the kind alone; every computed flux certifies
+    # its generator once, and volume_flux computes the symplectic one too
     mesh = GridMesh(N=32)
-    flow = catalog.translation_flow(mesh, 0.3, 0.4, K=16)
-    for c in range(1, 7):
-        p = symplectic_flux(flow, TwoForm(mesh, np.full(mesh.shape, float(c))))
-        q = volume_flux(flow, TwoForm(mesh, np.full(mesh.shape, float(c))))
-        assert abs(p[1] - 0.3 * c) < 1e-12
-        assert abs(q[1] - 0.3 * c) < 1e-12
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
+    calls = []
+    real = isotopy._certified_generator
+
+    def counting(phi_path, what):
+        calls.append(what)
+        return real(phi_path, what)
+
+    monkeypatch.setattr(isotopy, "_certified_generator", counting)
+    q = volume_flux(flow)
+    p = symplectic_flux(flow)
+    assert volume_flux(flow) is q and symplectic_flux(flow) is p
+    assert calls == ["volume_flux", "symplectic_flux"]
 
 
 def test_flux_reparametrization_invariance(mesh):
@@ -202,8 +210,8 @@ def _pulled_flux_by_form_spline(phi_path, omega):
     return acc
 
 
-def _pulled_flux(phi_path, omega):
-    return isotopy._flux_form(phi_path, omega, None, "test", pull=True).components
+def _pulled_flux(phi_path):
+    return isotopy._flux_form(phi_path, "test", pull=True).components
 
 
 def _spline_route(flow):
@@ -221,7 +229,7 @@ def test_pulled_flux_spline_route_is_bit_identical():
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
     for path in (integrate_flow(F.samples, 16, mesh), _spline_route(flow)):
         assert getattr(path.generator, "at", None) is None
-        got, ref = _pulled_flux(path, omega), _pulled_flux_by_form_spline(path, omega)
+        got, ref = _pulled_flux(path), _pulled_flux_by_form_spline(path, omega)
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in ref.ravel()]
 
 
@@ -244,7 +252,7 @@ def test_pulled_flux_closed_form_matches_spline_route():
     ]
     for path, measured in cases:
         assert path.generator.at is not None
-        diff = _pulled_flux(path, omega) - _pulled_flux_by_form_spline(path, omega)
+        diff = _pulled_flux(path) - _pulled_flux_by_form_spline(path, omega)
         assert np.abs(diff).max() <= 2.0 * measured
 
 
