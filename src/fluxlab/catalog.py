@@ -438,16 +438,14 @@ def hamiltonian_time1(mesh: GridMesh, name: str, amp: float = 1.0,
 
 
 def perturbation_map(mesh: GridMesh, amplitude: float,
-                     base_eps: tuple[float, float] = (1.0, 1.0),
-                     modes: tuple[int, int] = (1, 1)) -> TorusMap:
+                     base_eps: tuple[float, float] = (1.0, 1.0)) -> TorusMap:
     """The standard perturbation: a twist with both shear strengths scaled
     by `amplitude`.  A product of Hamiltonian time-1 maps, so volume
     preserving with vanishing flux; the uniform distance to the identity is
     proportional to `amplitude`."""
     if amplitude == 0.0:
         return TorusMap.identity(mesh)
-    m = twist(mesh, amplitude * base_eps[0], amplitude * base_eps[1],
-              m1=modes[0], m2=modes[1])
+    m = twist(mesh, amplitude * base_eps[0], amplitude * base_eps[1])
     m.provenance["kind"] = "perturbation"
     m.provenance["amplitude"] = amplitude
     return m

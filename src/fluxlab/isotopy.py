@@ -9,8 +9,9 @@ concatenation attach a `TimeField`, which has point values or is steady;
 the commutator path attaches a `VectorFieldPath`, the one time-dependent
 generator known only by its samples.  The generator calculus (fluxes,
 mass flow, splits, orbit integrals) reads the generator and raises
-`ValueError` on a path without one.  Finite differences of the maps appear
-only as the independent certificate of the commutator generating function.
+`ValueError` on a path without one; its area form omega is dx ^ dy.
+Finite differences of the maps appear only as the independent certificate
+of the commutator generating function.
 """
 
 from __future__ import annotations
@@ -836,6 +837,8 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
     omega = TwoForm.standard(mesh)
     X = _generator_sample(phi_path)
     Y = _generator_sample(psi_path)
+    X_at = _generator_at(phi_path, X)
+    Y_at = _generator_at(psi_path, Y)
     split_x = generator_hodge_split(phi_path)
     split_y = generator_hodge_split(psi_path)
 
@@ -847,14 +850,12 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
     phi_invs = phi_path._inverses()
     psi_invs = psi_path._inverses()
 
-    # interpolators of the generator fields and split potentials; built once
-    # when the path is steady, per sample otherwise
-    steady_x = _is_autonomous(phi_path)
-    steady_y = _is_autonomous(psi_path)
-    x_ip0 = VectorInterpolator(X(0), mesh) if steady_x else None
-    y_ip0 = VectorInterpolator(Y(0), mesh) if steady_y else None
-    u_ip0 = PeriodicInterpolator(split_x.potentials[0].values, mesh) if steady_x else None
-    v_ip0 = PeriodicInterpolator(split_y.potentials[0].values, mesh) if steady_y else None
+    # interpolators of the split potentials; built once when the path is
+    # steady, per sample otherwise
+    u_ip0 = (PeriodicInterpolator(split_x.potentials[0].values, mesh)
+             if _is_autonomous(phi_path) else None)
+    v_ip0 = (PeriodicInterpolator(split_y.potentials[0].values, mesh)
+             if _is_autonomous(psi_path) else None)
 
     def cc(a: TorusMap, b: TorusMap) -> TorusMap:
         return compose(a, b, normalize=False, check=False)
@@ -866,16 +867,14 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
         phi_i, psi_i = phi_invs[j], psi_invs[j]
         h = cc(cc(phi, psi), phi_i)          # phi psi phi^-1
         theta = cc(h, psi_i)
-        s = cc(psi_i, phi_i)                 # psi^-1 phi^-1
-        h_inv = cc(phi, s)                   # phi psi^-1 phi^-1
-        theta_inv = cc(cc(psi, phi), s)
+        h_inv = cc(phi, cc(psi_i, phi_i))    # phi psi^-1 phi^-1
+        theta_inv = cc(psi, h_inv)           # psi phi psi^-1 phi^-1
         theta._inverse, theta_inv._inverse = theta_inv, theta
         theta_maps.append(theta)
         theta_invs.append(theta_inv)
 
         Xj, Yj = X(j), Y(j)
-        x_ip = x_ip0 or VectorInterpolator(Xj, mesh)
-        y_ip = y_ip0 or VectorInterpolator(Yj, mesh)
+        x_at, y_at = X_at(j), Y_at(j)
         u_ip = u_ip0 or PeriodicInterpolator(split_x.potentials[j].values, mesh)
         v_ip = v_ip0 or PeriodicInterpolator(split_y.potentials[j].values, mesh)
 
@@ -883,11 +882,11 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
         J_phi_i, J_h_inv, J_theta_inv = phi_i.jac, h_inv.jac, theta_inv.jac
 
         # exact velocity of the composed paths; g_* V is the pull-back by g^-1
-        push_y_phi = Yj if phi.is_identity() else pullback_vector(phi_i, y_ip, J_phi_i)
-        push_x_h = Xj if h.is_identity() else pullback_vector(h_inv, x_ip, J_h_inv)
+        push_y_phi = Yj if phi.is_identity() else pullback_vector(phi_i, y_at, J_phi_i)
+        push_x_h = Xj if h.is_identity() else pullback_vector(h_inv, x_at, J_h_inv)
         vL = Xj + push_y_phi - push_x_h
         push_y_theta = (Yj if theta.is_identity()
-                        else pullback_vector(theta_inv, y_ip, J_theta_inv))
+                        else pullback_vector(theta_inv, y_at, J_theta_inv))
         vT = vL - push_y_theta
         vel_theta[j] = vT
 

@@ -437,7 +437,8 @@ def c0_distance(phi: TorusMap, psi: TorusMap) -> float:
 
 def interior_components(X: np.ndarray, rho) -> np.ndarray:
     """Components (-rho X_y, rho X_x) of i_X (rho dx ^ dy), for X of shape
-    (2, ...) and rho of shape (...): grid samples or values at points."""
+    (2, ...) and rho a scalar or of shape (...): grid samples or values at
+    points."""
     return np.stack([-rho * X[1], rho * X[0]])
 
 

@@ -157,9 +157,9 @@ class SuiteContext:
 # operations owned by the experiment layer
 # ---------------------------------------------------------------------------
 
-def build_perturbation_sequence(psi: TorusMap, amplitudes: list[float],
-                                base_eps: tuple[float, float] = (1.0, 1.0),
-                                modes: tuple[int, int] = (1, 1)) -> list[TorusMap]:
+def build_perturbation_sequence(
+        psi: TorusMap, amplitudes: list[float],
+        base_eps: tuple[float, float] = (1.0, 1.0)) -> list[TorusMap]:
     """phi_i = psi o pert(a_i) with pert the standard Hamiltonian-composite
     twist scaled by each amplitude; volume preserving whenever psi is, and
     d0(phi_i, psi) proportional to a_i.
@@ -170,8 +170,7 @@ def build_perturbation_sequence(psi: TorusMap, amplitudes: list[float],
     """
     out = []
     for a in amplitudes:
-        out.append(compose(psi, catalog.perturbation_map(
-            psi.mesh, a, base_eps=base_eps, modes=modes)))
+        out.append(compose(psi, catalog.perturbation_map(psi.mesh, a, base_eps=base_eps)))
     return out
 
 

@@ -974,6 +974,17 @@ def test_commutator_certification_gate():
         commutator_generator(A, B)
 
 
+def test_commutator_flux_at_the_coarse_mesh():
+    # generator-g1's pair at N = 32, K = 64: theta^-1 is psi o h^-1, read
+    # through one composition fewer, and its sampled generator passes the
+    # flux gate
+    coarse = GridMesh(N=32)
+    A = catalog.hamiltonian_flow(coarse, "cos_x_cos_y", 0.06, 64)
+    B = catalog.translation_shear_flow(coarse, 0.2, 0.15, 0.05, K=64)
+    theta, _ = commutator_generator(A, B)
+    assert symplectic_flux(theta).max_abs() < 1e-6
+
+
 def test_commutator_streams_its_samples(mesh):
     # generator-g1's pair: the whole-path integrand stacks, their running
     # integrals, the composition stack and the stacked finite differences
