@@ -107,11 +107,13 @@ def delta_tilde(psi: TorusMap, alpha: OneForm, p,
     return psi.mesh.integrate(nu.values)
 
 
-def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy) -> float:
+def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy):
     """Independent route to delta: cohomology pairing with the flux of an
     isotopy ending at psi, minus the volume-weighted orbit integral.
 
-    The value does not depend on the choice of the isotopy.
+    The value does not depend on the choice of the isotopy.  x is one base
+    point of shape (2,), which gives a float, or M points of shape (2, M),
+    which give M values from one orbit integration.
     """
     mesh = psi.mesh
     gap = mesh.torus_distance(phi_path.end_map.position, psi.position).max()
@@ -120,7 +122,7 @@ def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy) -> float
             f"isotopy endpoint differs from psi by {gap:.3e} > 1e-6")
     alpha.require_closed(what="delta_via_flux")
     if alpha.is_zero():
-        return 0.0
+        return 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[1])
     sigma = harmonic_representative(mesh, volume_flux(phi_path))
     pairing = wedge_integral(alpha, sigma)
     orbit = orbit_integral(phi_path, x, alpha)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .interpolate import PeriodicInterpolator
+from .interpolate import PeriodicInterpolator, evaluate
 from .mesh import GridMesh
 
 #: Relative tolerance scale for closedness and Hodge residuals; spectral
@@ -136,8 +136,7 @@ class OneForm:
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Interpolated components at physical coordinates; shape (2, ...)."""
-        pts = np.asarray(points, dtype=float)
-        return np.stack([self._interp[0](pts), self._interp[1](pts)])
+        return evaluate(self._interp, points)
 
     def is_zero(self) -> bool:
         return not (np.any(self.ax) or np.any(self.ay))

@@ -7,12 +7,17 @@ the refined grid the spline error is far below every tolerance in this
 package while evaluation stays O(1) per point; values at the original
 nodes are reproduced exactly.  The upsampling and the cubic B-spline
 prefilter are fused into a single pair of real FFTs.
+
+Splines are evaluated here, in numpy, by `spline_values`: the arithmetic
+of `scipy.ndimage.map_coordinates(..., mode="grid-wrap", prefilter=False)`
+step for step, so every value is that function's to the last bit (the
+tests hold it to scipy as the oracle).  Fields read at the same points
+share one set of tap indices and weights (`evaluate`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .mesh import GridMesh
 
@@ -46,6 +51,112 @@ def _spline_coeffs(values: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.irfft2(pad, s=(m0, m1)) * (factor * factor)
 
 
+#: Points per block of `spline_values`: its work arrays stay small enough
+#: that the allocator reuses them instead of mapping fresh pages.
+BLOCK = 4096
+
+
+def _weights(c: np.ndarray, m: np.ndarray, order: int):
+    """For points c of shape (2, B) in knot units of a periodic array with
+    axis lengths m, shape (2, 1): floor(c) as an index array, and the
+    order + 1 B-spline weights of order 1 or 3 on the taps from
+    floor(c) - order // 2, each of shape (2, B).  c is overwritten.
+
+    c is first mapped into one period as grid-wrap does: shifted by
+    m (trunc(-c / m) + 1) where c < 0 and by -m trunc(c / m) elsewhere (no
+    shift inside [0, m)), which can leave it at m or just below 0, so
+    floor(c) lies in [-1, m].  The weights are formed as scipy's spline
+    code forms them, the last one as 1 minus the others in order; the
+    operations are written in place, in that order."""
+    # the shift is the integer m ((c < 0) - trunc(c / m)), exact in floats
+    shift = np.trunc(c / m)
+    np.subtract(c < 0, shift, out=shift)
+    shift *= m
+    c += shift
+    f = np.floor(c)
+    t = np.subtract(c, f, out=c)
+    if order == 1:
+        w0 = 1.0 - t
+        return f.astype(np.intp), [w0, 1.0 - w0]
+    if order != 3:
+        raise ValueError(f"spline order must be 1 or 3, got {order}")
+    z = 1.0 - t
+    w0 = z * z
+    w0 *= z
+    w0 /= 6.0
+    weights = [w0]
+    for y in (t, z):
+        # (y y (y - 2) 3 + 4) / 6
+        w = y * y
+        w *= np.subtract(y, 2.0, out=shift)
+        w *= 3.0
+        w += 4.0
+        w /= 6.0
+        weights.append(w)
+    w3 = 1.0 - w0
+    w3 -= weights[1]
+    w3 -= weights[2]
+    weights.append(w3)
+    return f.astype(np.intp), weights
+
+
+#: Wrapped rows and columns `wrap_pad` puts before and after an array: the
+#: taps floor(c) - order // 2 + k of `spline_values` lie in [-2, m + 2].
+PAD = (2, 3)
+
+
+def wrap_pad(a: np.ndarray) -> np.ndarray:
+    """The periodic array a with `PAD` rows and columns of its wrap-around
+    before and after, as `spline_values` reads it: every tap of a point
+    wrapped into one period then lies inside, and the order + 1 taps along
+    axis 1 are contiguous."""
+    m0, m1 = a.shape
+    return (a.take(np.arange(-PAD[0], m0 + PAD[1]) % m0, axis=0)
+            .take(np.arange(-PAD[0], m1 + PAD[1]) % m1, axis=1))
+
+
+def spline_values(padded, coords, order: int) -> np.ndarray:
+    """Values of the periodic B-splines of `order` (1 or 3) whose
+    coefficient arrays, all of one shape (m0, m1), are given padded by
+    `wrap_pad`, at the coordinates (c0, c1) in knot units, each of M values
+    in any shape; shape (len(padded), M).
+
+    This is `scipy.ndimage.map_coordinates(a, coords, order=order,
+    mode="grid-wrap", prefilter=False)` for each coefficient array a, bit
+    for bit: the value is the running sum from +0.0, over the taps in
+    row-major order, of (coefficient * axis-0 weight) * axis-1 weight.
+    The taps and weights are computed once for all arrays; the points are
+    read in blocks of `BLOCK`, one axis-0 tap at a time, which gathers the
+    contiguous axis-1 taps at once, so the work memory is
+    O(min(M, BLOCK)) per array.
+    """
+    flats = [np.ravel(a) for a in padded]
+    p0, p1 = np.shape(padded[0])
+    m = np.array([[p0], [p1]], dtype=float) - sum(PAD)
+    pts = np.array([np.ravel(coords[0]), np.ravel(coords[1])], dtype=float)
+    # flat offsets of the axis-1 taps of each axis-0 tap, from the first tap
+    offsets = [a * p1 + np.arange(order + 1)[:, None] for a in range(order + 1)]
+    out = np.zeros((len(flats), pts.shape[1]))
+    for lo in range(0, pts.shape[1], BLOCK):
+        f, weights = _weights(pts[:, lo:lo + BLOCK], m, order)
+        # the first tap, floor(c) - order // 2, sits PAD[0] in from the edge
+        first = (f[0] + (PAD[0] - order // 2)) * p1 + (f[1] + (PAD[0] - order // 2))
+        axis1 = np.array([w[1] for w in weights])
+        acc = out[:, lo:lo + BLOCK]
+        idx = np.empty(axis1.shape, dtype=np.intp)
+        term = np.empty(axis1.shape)
+        for offset, w in zip(offsets, weights):
+            np.add(first, offset, out=idx)
+            for flat, total in zip(flats, acc):
+                # idx is in range by construction: skip the check
+                flat.take(idx, out=term, mode="clip")
+                term *= w[0]
+                term *= axis1
+                for part in term:
+                    total += part
+    return out
+
+
 class PeriodicInterpolator:
     """Evaluate a periodic grid field at arbitrary physical coordinates."""
 
@@ -59,23 +170,40 @@ class PeriodicInterpolator:
             self._coeffs = None
             return
         self._const = None
-        self._coeffs = _spline_coeffs(values, mesh.upsample)
-        m0, m1 = self._coeffs.shape
+        coeffs = _spline_coeffs(values, mesh.upsample)
+        m0, m1 = coeffs.shape
         self._scale = (m0 / mesh.L[0], m1 / mesh.L[1])
+        self._coeffs = wrap_pad(coeffs)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Interpolate at `points` of shape (2,) or (2, ...); periodic."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(2, 1)
-        if self._const is not None:
-            out = np.full(pts.shape[1:], self._const)
-        else:
-            idx = np.stack([pts[0] * self._scale[0], pts[1] * self._scale[1]])
-            out = ndimage.map_coordinates(self._coeffs, idx, order=3,
-                                          mode="grid-wrap", prefilter=False)
-        return out[0] if single else out
+        return evaluate((self,), points)[0]
+
+
+def evaluate(interps, points: np.ndarray) -> np.ndarray:
+    """The values of several interpolators of one mesh at `points` of shape
+    (2,) or (2, ...), stacked: shape (len(interps),) + points.shape[1:].
+
+    A constant field gives its constant; the splines of the others share
+    one set of taps and weights.  Each value equals the one its
+    interpolator gives alone.
+    """
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(2, -1)
+    live = [k for k, ip in enumerate(interps) if ip._const is None]
+    if live:
+        s0, s1 = interps[live[0]]._scale
+        values = spline_values([interps[k]._coeffs for k in live],
+                               (flat[0] * s0, flat[1] * s1), order=3)
+    if len(live) < len(interps):
+        out = np.empty((len(interps), flat.shape[1]))
+        for k, ip in enumerate(interps):
+            if ip._const is not None:
+                out[k] = ip._const
+        if live:
+            out[live] = values
+        values = out
+    return values.reshape(len(interps), *pts.shape[1:])
 
 
 class VectorInterpolator:
@@ -85,4 +213,4 @@ class VectorInterpolator:
         self._parts = [PeriodicInterpolator(components[k], mesh) for k in range(2)]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([p(points) for p in self._parts])
+        return evaluate(self._parts, points)

@@ -28,7 +28,7 @@ from .forms import (CohomologyClass1, OneForm, ScalarField, TwoForm,
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
                    chord_integral, compose, interior_components,
-                   interior_product, pullback_oneform, pullback_vector,
+                   interior_product, pullback_vector,
                    pushforward_at)
 from .mesh import GridMesh
 
@@ -433,25 +433,38 @@ def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     computed on read (a bump rotation's closed form, else the spectral
     one), so the pulled and unpulled integrals stay two different
     computations.
+
+    Each component of each weighted sample is formed in one of two reused
+    grid buffers and added into the sum, in the order `pullback_oneform`
+    forms it, so no form is built per sample; the sum is a `OneForm`, which
+    rejects it if a sample was not finite.
     """
     mesh = phi_path.mesh
-    omega = TwoForm.standard(mesh)
     vel = _certified_generator(phi_path, what)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *mesh.shape))
-    steady = interior_product(vel(0), omega) if _is_autonomous(phi_path) else None
+    term, part = np.empty(mesh.shape), np.empty(mesh.shape)
+    steady = interior_components(vel(0), 1.0) if _is_autonomous(phi_path) else None
     if pull:
         X_at = _generator_at(phi_path, vel)
     for j in range(phi_path.K + 1):
         m = phi_path.maps[j]
         if pull and not m.is_identity():
-            X = X_at(j)
-            beta = pullback_oneform(
-                m, lambda pts: interior_components(X(pts), 1.0))
+            a = interior_components(X_at(j)(m.flat_position), 1.0)
+            a = a.reshape(2, *mesh.shape)
+            J = m.jac
+            for k in range(2):
+                np.multiply(a[0], J[0, k], out=term)
+                np.multiply(a[1], J[1, k], out=part)
+                term += part
+                term *= w[j]
+                acc[k] += term
         else:
-            # a steady generator reuses one grid form
-            beta = steady if steady is not None else interior_product(vel(j), omega)
-        acc += w[j] * beta.components
+            # a steady generator reuses one grid sample
+            a = steady if steady is not None else interior_components(vel(j), 1.0)
+            for k in range(2):
+                np.multiply(a[k], w[j], out=term)
+                acc[k] += term
     return OneForm(mesh, *acc)
 
 
@@ -625,25 +638,31 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
     return orbit
 
 
-def orbit_integral(phi_path: Isotopy, x, alpha: OneForm) -> float:
+def orbit_integral(phi_path: Isotopy, x, alpha: OneForm):
     """Line integral of a closed 1-form along the lifted orbit of x, with the
-    velocity read off the path's `TimeField` generator at the orbit points."""
+    velocity read off the path's `TimeField` generator at the orbit points.
+
+    x is one point of shape (2,), which gives a float, or M points of shape
+    (2, M), which give M values, each the one its point gives alone."""
     alpha.require_closed(what="orbit_integral")
     tf = phi_path.generator
     if not isinstance(tf, TimeField):
         raise ValueError("orbit_integral needs a path with a TimeField generator")
-    orbit = _orbit_points(phi_path, x)[:, :, 0]  # (K+1, 2)
+    pts = np.asarray(x, dtype=float)
+    orbit = _orbit_points(phi_path, pts)  # (K+1, 2, M)
     K = phi_path.K
-    # alpha, and a steady generator, are looked up at all K+1 orbit points
-    # at once; spline evaluation is pointwise, so this equals a per-sample loop
+    # alpha, and a steady generator, are looked up at all orbit points at
+    # once; point values are pointwise, so this equals a per-sample loop
+    path = orbit.transpose(1, 0, 2)  # (2, K+1, M)
     if tf.autonomous:
-        vel = tf(0.0, orbit.T).T
+        vel = tf(0.0, path)
     else:
-        vel = np.stack([tf(t, p) for t, p in zip(phi_path.times, orbit)])
-    a = alpha.at(orbit.T).T
-    integrand = (a * vel).sum(axis=1)
+        vel = np.stack([tf(t, p) for t, p in zip(phi_path.times, orbit)], axis=1)
+    integrand = (alpha.at(path) * vel).sum(axis=0)  # (K+1, M)
     w = simpson_weights(K, 1.0 / K)
-    return float(np.sum(w * integrand))
+    # one contiguous sum per point, as numpy sums a lone orbit
+    values = np.array([np.sum(w * integrand[:, i]) for i in range(orbit.shape[2])])
+    return float(values[0]) if pts.ndim == 1 else values
 
 
 def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarField:

@@ -21,7 +21,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .forms import OneForm, TwoForm, hodge_decompose, sup_norm
-from .interpolate import PeriodicInterpolator, VectorInterpolator
+from .interpolate import (PeriodicInterpolator, VectorInterpolator,
+                          evaluate, spline_values, wrap_pad)
 from .mesh import GridMesh
 
 #: Newton inversion: residual target is TOL_INV_SCALE * max(L), at most
@@ -182,29 +183,25 @@ class TorusMap:
         return ip
 
     def interp_disp(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([self._get_interp("u0", self.disp[0])(points),
-                         self._get_interp("u1", self.disp[1])(points)])
+        return evaluate((self._get_interp("u0", self.disp[0]),
+                         self._get_interp("u1", self.disp[1])), points)
 
     def interp_jac(self, points: np.ndarray) -> np.ndarray:
-        keys = [[f"j{k}{l}" for l in range(2)] for k in range(2)]
+        entries = [(k, l) for k in range(2) for l in range(2)]
         # the Jacobian is read once, and only to build a missing interpolator
-        J = None if all(key in self._interp for row in keys for key in row) else self.jac
-        return np.stack([
-            np.stack([self._get_interp(keys[k][l], None if J is None else J[k, l])(points)
-                      for l in range(2)])
-            for k in range(2)])
+        J = None if all(f"j{k}{l}" in self._interp for k, l in entries) else self.jac
+        out = evaluate([self._get_interp(f"j{k}{l}", None if J is None else J[k, l])
+                        for k, l in entries], points)
+        return out.reshape(2, 2, *out.shape[1:])
 
     def interp_jac_rough(self, points: np.ndarray, J: np.ndarray) -> np.ndarray:
         """Bilinear lookup of J, this map's Jacobian field, which the caller
         reads once; enough to steer Newton steps."""
-        from scipy import ndimage
-        idx = np.stack([points[0] * (self.mesh.N / self.mesh.L[0]),
-                        points[1] * (self.mesh.N / self.mesh.L[1])])
-        return np.stack([
-            np.stack([ndimage.map_coordinates(J[k, l], idx, order=1,
-                                              mode="grid-wrap", prefilter=False)
-                      for l in range(2)])
-            for k in range(2)])
+        coords = (points[0] * (self.mesh.N / self.mesh.L[0]),
+                  points[1] * (self.mesh.N / self.mesh.L[1]))
+        values = spline_values([wrap_pad(J[k, l]) for k in range(2) for l in range(2)],
+                               coords, order=1)
+        return values.reshape(2, 2, *np.shape(points)[1:])
 
     # -- evaluation --------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   supported_commutator_pair)
 from fluxlab.forms import (NonClosedFormError, OneForm, hodge_decompose,
                            l2_norm, sup_norm)
-from fluxlab.isotopy import orbit_integral
+from fluxlab.isotopy import integrate_flow, orbit_integral
 from fluxlab.maps import (Region, TorusMap, c0_distance, compose,
                           pullback_oneform)
 from fluxlab.mesh import GridMesh
@@ -131,6 +131,29 @@ def test_delta_via_flux_agreement(mesh):
                 d1 = delta(psi, alpha, p)
                 d2 = delta_via_flux(psi, alpha, p, flow)
                 assert abs(d1 - d2) <= 1e-4 * (1 + abs(d1))
+
+
+def test_delta_via_flux_of_several_points_equals_one_point_calls():
+    mesh = GridMesh(N=32)
+    K = 16
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    flows = [catalog.translation_flow(mesh, 0.3, 0.4, K),
+             catalog.shear_flow(mesh, -0.15, axis=0, mode=2, K=K),
+             catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K),
+             catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, K),
+             integrate_flow(F.samples, K, mesh),
+             catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, K)]
+    forms = [OneForm.constant(mesh, 0.0, 1.0),
+             closed_form(mesh, (0.4, 0.8), lambda x, y: 0.2 * np.cos(TWO_PI * x))]
+    x = np.random.default_rng(11).uniform(0.0, 1.0, (2, 5))
+    for flow in flows:
+        for alpha in forms:
+            values = delta_via_flux(flow.end_map, alpha, x, flow)
+            assert [v.hex() for v in values.tolist()] == [
+                delta_via_flux(flow.end_map, alpha, p, flow).hex() for p in x.T]
+    zero = OneForm.constant(mesh, 0.0, 0.0)
+    assert np.array_equal(delta_via_flux(flows[0].end_map, zero, x, flows[0]),
+                          np.zeros(5))
 
 
 def test_delta_via_flux_endpoint_gate(mesh):

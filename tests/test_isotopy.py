@@ -22,7 +22,8 @@ from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
                              simpson_weights, symplectic_flux, volume_flux)
 from fluxlab.interpolate import PeriodicInterpolator, VectorInterpolator
 from fluxlab.maps import (DiffeomorphismError, TorusMap, compose,
-                          interior_product, pullback_oneform)
+                          interior_components, interior_product,
+                          pullback_oneform)
 from fluxlab.mesh import GridMesh
 
 from builders import closed_form, grid_scalar, stacked_samples, sup_displacement
@@ -254,6 +255,60 @@ def test_pulled_flux_closed_form_matches_spline_route():
         assert path.generator.at is not None
         diff = _pulled_flux(path) - _pulled_flux_by_form_spline(path, omega)
         assert np.abs(diff).max() <= 2.0 * measured
+
+
+def _flux_form_by_pullback(phi_path, pull):
+    """The flux integrand summed as one `OneForm` per sample through
+    `pullback_oneform`: the reference for the in-place sum."""
+    mesh = phi_path.mesh
+    omega = TwoForm.standard(mesh)
+    vel = isotopy._generator_sample(phi_path)
+    X_at = isotopy._generator_at(phi_path, vel)
+    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
+    acc = np.zeros((2, *mesh.shape))
+    for j, m in enumerate(phi_path.maps):
+        if pull and not m.is_identity():
+            X = X_at(j)
+            beta = pullback_oneform(m, lambda pts: interior_components(X(pts), 1.0))
+        else:
+            beta = interior_product(vel(j), omega)
+        acc += w[j] * beta.components
+    return acc
+
+
+def test_flux_sum_in_place_equals_the_pullback_route():
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
+    paths = [
+        catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16),
+        integrate_flow(F.samples, 16, mesh),
+        catalog.rotation_flow(mesh, (0.5, 0.5), 0.2, 0.8, 16),
+        # flux-duality's additivity path
+        concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
+                       catalog.translation_shear_flow(mesh, -0.1, 0.2, 0.08, K=16),
+                       oversample=2),
+    ]
+    for path in paths:
+        for pull in (True, False):
+            got = isotopy._flux_form(path, "test", pull=pull).components
+            assert np.array_equal(got, _flux_form_by_pullback(path, pull))
+
+
+def test_flux_sum_rejects_a_non_finite_sample():
+    # a certified generator is not gated, so the NaN reaches the sum
+    mesh = GridMesh(N=16)
+    flow = catalog.shear_flow(mesh, 0.1, K=16)
+
+    def at(t, points):
+        out = np.zeros((2, *points.shape[1:]))
+        out[0, ...] = np.nan
+        return out
+
+    gen = TimeField(lambda t: np.zeros((2, *mesh.shape)), mesh, autonomous=True,
+                    certified_symplectic=True, at=at)
+    path = Isotopy(mesh, flow.maps, generator=gen)
+    with pytest.raises(ValueError, match="non-finite"):
+        symplectic_flux(path)
 
 
 def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
@@ -1163,6 +1218,23 @@ def test_orbit_integral_batches_its_lookups():
         for x in (np.array([0.15, 0.65]), np.array([0.9, 0.05])):
             assert (orbit_integral(path, x, alpha).hex()
                     == _orbit_integral_per_sample(path, x, alpha).hex())
+
+
+def test_orbit_integral_of_several_points_equals_one_point_calls():
+    mesh = GridMesh(N=32)
+    alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
+    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
+    paths = [integrate_flow(F.samples, 16, mesh),
+             integrate_flow(F, 16, mesh),
+             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
+             catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16)]
+    x = np.random.default_rng(7).uniform(0.0, 1.0, (2, 5))
+    for path in paths:
+        values = orbit_integral(path, x, alpha)
+        assert values.shape == (5,)
+        assert [v.hex() for v in values.tolist()] == [
+            orbit_integral(path, p, alpha).hex() for p in x.T]
+    assert isinstance(orbit_integral(paths[0], x[:, 0], alpha), float)
 
 
 def test_orbit_lift_guard_between_grid_points():
