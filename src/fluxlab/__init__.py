@@ -12,8 +12,8 @@ from .maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                    pullback_oneform, pushforward_vector, volume_defect)
 from .isotopy import (BumpProfile, GeneratorSplit, HomologyClass1, Isotopy,
                       LiftError, NonSymplecticError, TimeField,
-                      VectorFieldPath, commutator_generator, concat_reparam,
-                      f_functional, fathi_mass_flow, generator_hodge_split,
+                      commutator_generator, concat_reparam, f_functional,
+                      fathi_mass_flow, generator_hodge_split,
                       geodesic_functional, hofer_like_length, integrate_flow,
                       orbit_integral, orbit_length_bound, symplectic_flux,
                       volume_flux)

@@ -159,14 +159,6 @@ class TwoForm:
         _check_finite(d)
         object.__setattr__(self, "density", d)
 
-    @classmethod
-    def standard(cls, mesh: GridMesh) -> "TwoForm":
-        """The area form dx ^ dy (density identically 1)."""
-        return cls(mesh, np.ones(mesh.shape))
-
-    def total(self) -> float:
-        return self.mesh.integrate(self.density)
-
 
 @dataclass(frozen=True)
 class CohomologyClass1:

@@ -4,14 +4,14 @@ An isotopy is a path of diffeomorphisms sampled at t_j = j/K starting at
 the identity, stored with continuous-in-time displacement lifts so that
 homotopy-class constructions (mass flow, orbit lifts, minimizing chords)
 are well defined.  A path is given by its maps and its generating vector
-field: the flow integrator, the catalog, reparametrization and
-concatenation attach a `TimeField`, which has point values or is steady;
-the commutator path attaches a `VectorFieldPath`, the one time-dependent
-generator known only by its samples.  The generator calculus (fluxes,
-mass flow, splits, orbit integrals) reads the generator and raises
-`ValueError` on a path without one; its area form omega is dx ^ dy.
-Finite differences of the maps appear only as the independent certificate
-of the commutator generating function.
+field, a `TimeField`: the flow integrator, the catalog, reparametrization
+and concatenation attach one that has point values or is steady; the
+commutator path attaches one known only by its samples
+(`TimeField.from_samples`).  The generator calculus (fluxes, mass flow,
+splits, orbit integrals) reads every generator the same way, at the
+sample times; its area form omega is dx ^ dy.  Finite differences of
+the maps appear only as the independent certificate of the commutator
+generating function.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from itertools import islice
 
 import numpy as np
 
-from .forms import (CohomologyClass1, OneForm, ScalarField, TwoForm,
+from .forms import (CohomologyClass1, OneForm, ScalarField,
                     exterior_derivative, harmonic_periods, hodge_decompose,
                     oscillation, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
                    chord_integral, compose, interior_components,
-                   interior_product, pullback_vector,
-                   pushforward_at)
+                   interior_product, pullback_vector, pushforward_at)
 from .mesh import GridMesh
 
 
@@ -108,17 +107,20 @@ def _time_derivative(samples, j: int, K: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class TimeField:
-    """A time-dependent vector field t -> X_t on the mesh.
+    """A time-dependent vector field t -> X_t on the mesh: the one type of a
+    path's generator.
 
     Wraps a callable returning (2, N, N) grid samples.  Off the grid the
-    field is read one of two ways: through `at(t, points)`, its values at
-    points of shape (2, ...), when it has them, else, for a steady field,
-    through one spline of its one sample, built on the first off-grid read.
-    A time-dependent field must bring `at`; its grid samples alone would
-    need a spline per time value.  Builders whose fields are
-    divergence-free in closed form may set `certified_symplectic`, which
-    lets the closedness gates trust the construction instead of a spectral
-    residual that only measures aliasing on marginally resolved profiles.
+    field is read one of three ways: through `at(t, points)`, its values at
+    points of shape (2, ...), when it has them; for a steady field, through
+    one spline of its one sample, built on the first off-grid read; for a
+    field known only by its samples at t_j = j/K (`from_samples`), through a
+    transient spline of the sample read.  Any other time-dependent field
+    must bring `at`; its grid samples alone would need a spline per time
+    value.  Builders whose fields are divergence-free in closed form may set
+    `certified_symplectic`, which lets the closedness gates trust the
+    construction instead of a spectral residual that only measures aliasing
+    on marginally resolved profiles.
     """
 
     def __init__(self, fn, mesh: GridMesh, autonomous: bool = False,
@@ -141,6 +143,42 @@ class TimeField:
         return cls(lambda t: at(t, mesh.points), mesh, autonomous,
                    certified_symplectic, at=at)
 
+    @classmethod
+    def from_samples(cls, samples, mesh: GridMesh) -> "TimeField":
+        """The field known only by its K+1 grid samples at t_j = j/K, of
+        shape (K+1, 2, N, N): the generator of a commutator path.  It is read
+        at the sample times alone; a read at any other time raises
+        `ValueError`."""
+        s = np.asarray(samples, dtype=float)
+        if s.ndim != 4 or s.shape[1] != 2 or s.shape[2:] != mesh.shape:
+            raise ValueError("samples must have shape (K+1, 2, N, N)")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("non-finite vector field samples")
+        K = len(s) - 1
+
+        def sample(t: float) -> np.ndarray:
+            j = round(float(t) * K)
+            if abs(t * K - j) > 1e-9 or not 0 <= j <= K:
+                raise ValueError(f"t = {t} is not a sample time of this field")
+            return s[j]
+
+        # the constructor asks a field given by a function of t for `at`; a
+        # sampled one is time-dependent without it
+        tf = cls(sample, mesh, autonomous=True)
+        tf.autonomous = False
+        return tf
+
+    @property
+    def sampled(self) -> bool:
+        """Known only by its samples (`from_samples`)."""
+        return self.at is None and not self.autonomous
+
+    def closedness_tol(self, vmax: float) -> float:
+        """The closedness gate of i_X omega, scaled by vmax, the largest |X|
+        over the samples read: a sampled field carries the interpolation
+        noise of its assembly, any other leaves round-off."""
+        return (1e-4 if self.sampled else 1e-8) * (1.0 + vmax)
+
     def field(self, t: float) -> np.ndarray:
         """The grid samples at time t.  Only a steady field keeps its one
         sample; a time-dependent one is computed on every read, since its
@@ -154,6 +192,10 @@ class TimeField:
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         if self.at is not None:
             return self.at(t, points)
+        if self.sampled:
+            # nothing is cached: at N = 128 a spline holds about 1 MB, and a
+            # path at K = 64 has 65 samples
+            return VectorInterpolator(self.field(t), self.mesh)(points)
         if self._spline is None:
             self._spline = VectorInterpolator(self.field(t), self.mesh)
         return self._spline(points)
@@ -188,24 +230,6 @@ class TimeField:
         return cls(lambda t: arr, mesh, autonomous=True)
 
 
-@dataclass
-class VectorFieldPath:
-    """K+1 validated time samples of a vector field at t_j = j/K: the
-    generator of a commutator path, gated at 1e-4 as an assembled sample
-    path (`_certification_tol`)."""
-
-    mesh: GridMesh
-    samples: np.ndarray  # (K+1, 2, N, N)
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 4 or s.shape[1] != 2 or s.shape[2:] != self.mesh.shape:
-            raise ValueError("samples must have shape (K+1, 2, N, N)")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite vector field samples")
-        self.samples = s
-
-
 # ---------------------------------------------------------------------------
 # isotopies
 # ---------------------------------------------------------------------------
@@ -213,8 +237,7 @@ class VectorFieldPath:
 class Isotopy:
     """K+1 map samples phi_{t_j}, phi_0 = id, with continuous lifts."""
 
-    def __init__(self, mesh: GridMesh, maps: list[TorusMap],
-                 generator: TimeField | VectorFieldPath | None = None,
+    def __init__(self, mesh: GridMesh, maps: list[TorusMap], generator: TimeField,
                  map_fn=None, provenance: dict | None = None):
         if len(maps) < 2:
             raise ValueError("an isotopy needs at least two time samples")
@@ -250,7 +273,7 @@ class Isotopy:
 
     @classmethod
     def from_time_function(cls, mesh: GridMesh, map_fn, K: int,
-                           generator=None, provenance=None) -> "Isotopy":
+                           generator: TimeField, provenance=None) -> "Isotopy":
         maps = [map_fn(t) for t in np.linspace(0.0, 1.0, K + 1)]
         return cls(mesh, maps, generator=generator, map_fn=map_fn,
                    provenance=provenance)
@@ -320,7 +343,8 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     through the one spline of its sample that its TimeField keeps.  Either
     way the returned path keeps its step, so that orbits of arbitrary
     points are integrated the same way, through the same evaluator
-    (`_orbit_points`).
+    (`_orbit_points`).  A field known only by its samples
+    (`TimeField.from_samples`) has no values between them and is rejected.
     """
     if mesh is None:
         if isinstance(X, TimeField):
@@ -330,6 +354,8 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     if K < 16:
         raise ValueError(f"K must be at least 16, got {K}")
     tf = TimeField.wrap(X, mesh)
+    if tf.sampled:
+        raise ValueError("a time-dependent TimeField needs point values `at`")
     h = 1.0 / K
     y = mesh.flat_points.copy()
     maps = [TorusMap.identity(mesh)]
@@ -351,55 +377,26 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
 # flux homomorphisms and mass flow
 # ---------------------------------------------------------------------------
 
-def _is_autonomous(phi_path: Isotopy) -> bool:
-    return isinstance(phi_path.generator, TimeField) and phi_path.generator.autonomous
-
-
-def _certification_tol(phi_path: Isotopy, vmax: float) -> float:
-    """Default closedness gate by generator provenance, scaled by vmax, the
-    largest |X| over the samples read (one when steady): a `TimeField`
-    leaves round-off, an assembled `VectorFieldPath` carries interpolation
-    noise."""
-    scale = 1.0 + vmax
-    if isinstance(phi_path.generator, TimeField):
-        return 1e-8 * scale
-    return 1e-4 * scale
-
-
-def _generator_sample(phi_path: Isotopy):
-    """j -> the grid samples of X_{t_j}.  A TimeField computes only the
-    sample asked for (a steady one hands out its one sample); a
-    `VectorFieldPath` hands out its stored samples."""
-    gen = phi_path.generator
-    if isinstance(gen, TimeField):
-        return lambda j: gen.field(phi_path.times[j])
-    if isinstance(gen, VectorFieldPath):
-        return gen.samples.__getitem__
-    raise ValueError("the path has no generator")
-
-
-def _certified_generator(phi_path: Isotopy, what: str):
-    """j -> the grid samples of X_{t_j}, after the closedness certification
-    of i_{X_t} omega.  A generator certified by construction is trusted.
-    Any other is read one sample at a time, keeping the largest |X| and the
-    worst residual, and gated at `_certification_tol` of that largest |X|
-    once all samples are read; no reader stacks all K + 1 fields."""
-    vel = _generator_sample(phi_path)
-    gen = phi_path.generator
-    if isinstance(gen, TimeField) and gen.certified_symplectic:
-        return vel
-    omega = TwoForm.standard(phi_path.mesh)
+def _certified_generator(phi_path: Isotopy, what: str) -> TimeField:
+    """The path's generator, after the closedness certification of
+    i_{X_t} omega.  A generator certified by construction is trusted.  Any
+    other is read one sample at a time, keeping the largest |X| and the worst
+    residual, and gated at its `closedness_tol` of that largest |X| once all
+    samples are read; no reader stacks all K + 1 fields."""
+    gen, mesh = phi_path.generator, phi_path.mesh
+    if gen.certified_symplectic:
+        return gen
     vmax = worst = 0.0
-    for j in range(1 if _is_autonomous(phi_path) else phi_path.K + 1):
-        X = vel(j)
+    for t in phi_path.times[:1] if gen.autonomous else phi_path.times:
+        X = gen.field(t)
         vmax = max(vmax, float(np.abs(X).max()))
-        worst = max(worst, sup_norm(exterior_derivative(interior_product(X, omega))))
-    tol = _certification_tol(phi_path, vmax)
+        worst = max(worst, sup_norm(exterior_derivative(interior_product(X, mesh))))
+    tol = gen.closedness_tol(vmax)
     if worst > tol:
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
             f"{worst:.3e} > {tol:.3e}")
-    return vel
+    return gen
 
 
 def _cached_flux(phi_path: Isotopy, kind: str, compute) -> CohomologyClass1:
@@ -409,30 +406,16 @@ def _cached_flux(phi_path: Isotopy, kind: str, compute) -> CohomologyClass1:
     return phi_path._flux_cache[kind]
 
 
-def _generator_at(phi_path: Isotopy, vel):
-    """j -> a point evaluator of X_{t_j}: a TimeField itself at t_j (its
-    point values, or the one spline of a steady field's sample, which a
-    flow built while integrating), else a transient spline of the grid
-    samples vel(j) per sample.  Nothing is cached for a `VectorFieldPath`:
-    at N = 128 each spline holds about 1 MB, and a path at K = 64 has 65
-    samples."""
-    gen = phi_path.generator
-    if isinstance(gen, TimeField):
-        return lambda j: partial(gen, phi_path.times[j])
-    return lambda j: VectorInterpolator(vel(j), phi_path.mesh)
-
-
 def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     """The Simpson time integral of i_{X_t} omega, each sample pulled back by
     phi_t when `pull` is set.
 
-    A pulled sample is d(phi)_x^T (-X_y, X_x)(phi x): the
-    generator is evaluated at the image points by `_generator_at`, not read
-    off a spline of the grid form i_X omega.  The maps are those stored on
-    the path, and each pulled sample uses its map's stored Jacobian or one
-    computed on read (a bump rotation's closed form, else the spectral
-    one), so the pulled and unpulled integrals stay two different
-    computations.
+    A pulled sample is d(phi)_x^T (-X_y, X_x)(phi x): the generator is
+    evaluated at the image points, not read off a spline of the grid form
+    i_X omega.  The maps are those stored on the path, and each pulled
+    sample uses its map's stored Jacobian or one computed on read (a bump
+    rotation's closed form, else the spectral one), so the pulled and
+    unpulled integrals stay two different computations.
 
     Each component of each weighted sample is formed in one of two reused
     grid buffers and added into the sum, in the order `pullback_oneform`
@@ -440,17 +423,15 @@ def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     rejects it if a sample was not finite.
     """
     mesh = phi_path.mesh
-    vel = _certified_generator(phi_path, what)
+    gen = _certified_generator(phi_path, what)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *mesh.shape))
     term, part = np.empty(mesh.shape), np.empty(mesh.shape)
-    steady = interior_components(vel(0), 1.0) if _is_autonomous(phi_path) else None
-    if pull:
-        X_at = _generator_at(phi_path, vel)
-    for j in range(phi_path.K + 1):
+    steady = interior_components(gen.field(0.0)) if gen.autonomous else None
+    for j, t in enumerate(phi_path.times):
         m = phi_path.maps[j]
         if pull and not m.is_identity():
-            a = interior_components(X_at(j)(m.flat_position), 1.0)
+            a = interior_components(gen(t, m.flat_position))
             a = a.reshape(2, *mesh.shape)
             J = m.jac
             for k in range(2):
@@ -461,7 +442,7 @@ def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
                 acc[k] += term
         else:
             # a steady generator reuses one grid sample
-            a = steady if steady is not None else interior_components(vel(j), 1.0)
+            a = steady if steady is not None else interior_components(gen.field(t))
             for k in range(2):
                 np.multiply(a[k], w[j], out=term)
                 acc[k] += term
@@ -562,27 +543,25 @@ def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
     The generator is read one sample at a time.  The coexact part must
     vanish sample by sample (else the path is not symplectic); U_t is the
     mean-zero potential and H_t the harmonic part.  A generator certified
-    by construction is trusted; any other is gated at `_certification_tol`
+    by construction is trusted; any other is gated at its `closedness_tol`
     of the largest sample, so its residuals are gated once all samples are
     read.
     """
-    omega = TwoForm.standard(phi_path.mesh)
-    trusted = (isinstance(phi_path.generator, TimeField)
-               and phi_path.generator.certified_symplectic)
-    vel = _generator_sample(phi_path)
-    steady = _is_autonomous(phi_path)
+    gen = phi_path.generator
+    trusted = gen.certified_symplectic
+    steady = gen.autonomous
     potentials, harmonics, resids = [], [], []
     vmax = 0.0
-    for j in range(1 if steady else phi_path.K + 1):
-        X = vel(j)
-        split = hodge_decompose(interior_product(X, omega))
+    for t in phi_path.times[:1] if steady else phi_path.times:
+        X = gen.field(t)
+        split = hodge_decompose(interior_product(X, phi_path.mesh))
         if not trusted:
             resids.append(sup_norm(split.coexact))
             vmax = max(vmax, float(np.abs(X).max()))
         potentials.append(split.potential)
         harmonics.append(split.harmonic)
     if not trusted:
-        tol = _certification_tol(phi_path, vmax)
+        tol = gen.closedness_tol(vmax)
         for j, resid in enumerate(resids):
             if resid > tol:
                 raise NonSymplecticError(
@@ -640,14 +619,12 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
 
 def orbit_integral(phi_path: Isotopy, x, alpha: OneForm):
     """Line integral of a closed 1-form along the lifted orbit of x, with the
-    velocity read off the path's `TimeField` generator at the orbit points.
+    velocity read off the path's generator at the orbit points.
 
     x is one point of shape (2,), which gives a float, or M points of shape
     (2, M), which give M values, each the one its point gives alone."""
     alpha.require_closed(what="orbit_integral")
     tf = phi_path.generator
-    if not isinstance(tf, TimeField):
-        raise ValueError("orbit_integral needs a path with a TimeField generator")
     pts = np.asarray(x, dtype=float)
     orbit = _orbit_points(phi_path, pts)  # (K+1, 2, M)
     K = phi_path.K
@@ -681,15 +658,15 @@ def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarFie
         raise ValueError(f"t = {t} is not a sample time of this path")
     alpha.require_closed(what="f_functional")
     mesh = phi_path.mesh
-    vel = _generator_sample(phi_path)
-    steady = _is_autonomous(phi_path)
+    gen = phi_path.generator
+    times = phi_path.times
     g = ip = None
 
     def integrand(i: int) -> np.ndarray:
         """phi_{t_i}^*(alpha(X_{t_i})) on the grid; called for i = 0, 1, ..."""
         nonlocal g, ip
-        if i == 0 or not steady:
-            v = vel(i)
+        if i == 0 or not gen.autonomous:
+            v = gen.field(times[i])
             g = alpha.ax * v[0] + alpha.ay * v[1]
             ip = None
         m = phi_path.maps[i]
@@ -791,7 +768,7 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
     if not a_path.mesh.same_grid(b_path.mesh):
         raise ValueError("paths live on different meshes")
     tfa, tfb = a_path.generator, b_path.generator
-    if not all(isinstance(tf, TimeField) and tf.at is not None for tf in (tfa, tfb)):
+    if tfa.at is None or tfb.at is None:
         raise ValueError("concat_reparam needs two generators with point values")
     mesh = a_path.mesh
     a_end = a_path.end_map
@@ -853,11 +830,8 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
     if phi_path.K != psi_path.K:
         raise ValueError("paths must share the same time sampling")
     K = phi_path.K
-    omega = TwoForm.standard(mesh)
-    X = _generator_sample(phi_path)
-    Y = _generator_sample(psi_path)
-    X_at = _generator_at(phi_path, X)
-    Y_at = _generator_at(psi_path, Y)
+    times = phi_path.times
+    X, Y = phi_path.generator, psi_path.generator
     split_x = generator_hodge_split(phi_path)
     split_y = generator_hodge_split(psi_path)
 
@@ -872,9 +846,9 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
     # interpolators of the split potentials; built once when the path is
     # steady, per sample otherwise
     u_ip0 = (PeriodicInterpolator(split_x.potentials[0].values, mesh)
-             if _is_autonomous(phi_path) else None)
+             if X.autonomous else None)
     v_ip0 = (PeriodicInterpolator(split_y.potentials[0].values, mesh)
-             if _is_autonomous(psi_path) else None)
+             if Y.autonomous else None)
 
     def cc(a: TorusMap, b: TorusMap) -> TorusMap:
         return compose(a, b, normalize=False, check=False)
@@ -892,8 +866,8 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
         theta_maps.append(theta)
         theta_invs.append(theta_inv)
 
-        Xj, Yj = X(j), Y(j)
-        x_at, y_at = X_at(j), Y_at(j)
+        Xj, Yj = X.field(times[j]), Y.field(times[j])
+        x_at, y_at = partial(X, times[j]), partial(Y, times[j])
         u_ip = u_ip0 or PeriodicInterpolator(split_x.potentials[j].values, mesh)
         v_ip = v_ip0 or PeriodicInterpolator(split_y.potentials[j].values, mesh)
 
@@ -940,7 +914,7 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
     for j in range(K + 1):
         pts = theta_invs[j].flat_position
         vfd = VectorInterpolator(_time_derivative(disps, j, K), mesh)(pts)
-        beta_fd = interior_product(vfd.reshape(2, *mesh.shape), omega)
+        beta_fd = interior_product(vfd.reshape(2, *mesh.shape), mesh)
         r = sup_norm(exterior_derivative(pi_fields[j]) - beta_fd)
         if r > worst:
             worst, worst_t = r, j / K
@@ -950,7 +924,7 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
             f"{worst:.3e} > {tol:.3e} at t = {worst_t:.3f}")
 
     theta = Isotopy(mesh, theta_maps,
-                    generator=VectorFieldPath(mesh, vel_theta),
+                    generator=TimeField.from_samples(vel_theta, mesh),
                     provenance={"kind": "commutator",
                                 "certified_residual": worst})
     return theta, pi_fields

@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .forms import OneForm, TwoForm, hodge_decompose, sup_norm
+from .forms import OneForm, hodge_decompose, sup_norm
 from .interpolate import (PeriodicInterpolator, VectorInterpolator,
                           evaluate, spline_values, wrap_pad)
 from .mesh import GridMesh
@@ -432,16 +432,15 @@ def c0_distance(phi: TorusMap, psi: TorusMap) -> float:
     return float(max(d1, d2))
 
 
-def interior_components(X: np.ndarray, rho) -> np.ndarray:
-    """Components (-rho X_y, rho X_x) of i_X (rho dx ^ dy), for X of shape
-    (2, ...) and rho a scalar or of shape (...): grid samples or values at
-    points."""
-    return np.stack([-rho * X[1], rho * X[0]])
+def interior_components(X: np.ndarray) -> np.ndarray:
+    """Components (-X_y, X_x) of i_X (dx ^ dy), for X of shape (2, ...):
+    grid samples or values at points."""
+    return np.stack([-X[1], X[0]])
 
 
-def interior_product(X: np.ndarray, omega: TwoForm) -> OneForm:
-    """i_X omega for omega = rho dx ^ dy, on the grid."""
-    return OneForm(omega.mesh, *interior_components(X, omega.density))
+def interior_product(X: np.ndarray, mesh: GridMesh) -> OneForm:
+    """i_X (dx ^ dy) on the grid."""
+    return OneForm(mesh, *interior_components(X))
 
 
 def divergence(X: np.ndarray, mesh: GridMesh) -> np.ndarray:
@@ -456,15 +455,14 @@ def volume_defect(phi: TorusMap, Y: np.ndarray) -> float:
     Y with divergence above tolerance.
     """
     mesh = phi.mesh
-    omega = TwoForm.standard(mesh)
     Y = np.asarray(Y, dtype=float)
     div = divergence(Y, mesh)
     ymax = float(np.abs(Y).max())
     if np.abs(div).max() > 1e-8 * (1.0 + ymax):
         raise ValueError(
             f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
-    lhs = interior_product(pushforward_vector(phi, Y), omega)
-    rhs = pullback_oneform(phi.inverse(), interior_product(Y, omega).at)
+    lhs = interior_product(pushforward_vector(phi, Y), mesh)
+    rhs = pullback_oneform(phi.inverse(), interior_product(Y, mesh).at)
     return sup_norm(lhs - rhs)
 
 

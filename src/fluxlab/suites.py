@@ -31,8 +31,7 @@ from .displacement import (UnitSphereSampler, commutator_collapse_check, delta,
                            displacement_energy_upper, energy_chain_check,
                            conjugation_check, norm_axiom_report, psi_norm,
                            rigidity_limit_check, supported_commutator_pair)
-from .forms import (OneForm, TwoForm, exterior_derivative, l2_norm,
-                    oscillation, sup_norm)
+from .forms import OneForm, exterior_derivative, l2_norm, oscillation, sup_norm
 from .isotopy import (Isotopy, TimeField, concat_reparam, f_functional,
                       fathi_mass_flow, generator_hodge_split,
                       geodesic_functional, hofer_like_length, integrate_flow,
@@ -616,7 +615,7 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
             split = generator_hodge_split(path)
             for j in (0, K // 2, K):
                 vel = path.generator.field(path.times[j])
-                beta = interior_product(vel, TwoForm.standard(mesh))
+                beta = interior_product(vel, mesh)
                 rec = (beta - exterior_derivative(split.potentials[j])
                        - split.harmonics[j])
                 worst = max(worst, sup_norm(rec))
@@ -648,11 +647,10 @@ def suite_generator_g1(ctx: SuiteContext) -> list[CheckRow]:
              needs=("00-build", "03-certified-residual"))
 
     def sample_periods():
-        om = TwoForm.standard(mesh)
-        vel = state["theta"].generator.samples
+        theta = state["theta"]
         worst = -math.inf
-        for j in range(state["theta"].K + 1):
-            beta = interior_product(vel[j], om)
+        for t in theta.times:
+            beta = interior_product(theta.generator.field(t), mesh)
             worst = max(worst, abs(float(beta.ax.mean())),
                         abs(float(beta.ay.mean())))
         return worst

@@ -3,7 +3,6 @@
 import numpy as np
 
 from fluxlab.forms import OneForm, ScalarField, exterior_derivative
-from fluxlab.isotopy import VectorFieldPath
 
 
 def grid_scalar(mesh, fn):
@@ -28,9 +27,6 @@ def sup_displacement(m):
 
 
 def stacked_samples(path):
-    """The (K+1, 2, N, N) grid samples of a path's generator: a
-    `VectorFieldPath`'s stored ones, else its TimeField's, stacked over the
-    sample times."""
-    if isinstance(path.generator, VectorFieldPath):
-        return path.generator.samples
+    """The (K+1, 2, N, N) grid samples of a path's generator, stacked over
+    the sample times."""
     return np.stack([path.generator.field(t) for t in path.times])

@@ -10,10 +10,10 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from fluxlab import catalog, isotopy
-from fluxlab.forms import (OneForm, TwoForm, exterior_derivative,
-                           hodge_decompose, oscillation, sup_norm)
+from fluxlab.forms import (OneForm, exterior_derivative, hodge_decompose,
+                           oscillation, sup_norm)
 from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
-                             NonSymplecticError, TimeField, VectorFieldPath,
+                             NonSymplecticError, TimeField,
                              commutator_generator, concat_reparam,
                              f_functional, fathi_mass_flow,
                              generator_hodge_split, geodesic_functional,
@@ -104,18 +104,83 @@ def test_a_flow_that_folds_asks_for_more_steps():
 def test_isotopy_and_sample_path_inputs_are_checked():
     mesh = GridMesh(N=32)
     ident = TorusMap.identity(mesh)
+    still = TimeField.wrap(np.zeros((2, 32, 32)), mesh)
     with pytest.raises(ValueError, match="at least two time samples"):
-        Isotopy(mesh, [ident])
+        Isotopy(mesh, [ident], still)
     with pytest.raises(ValueError, match="sample 0 of an isotopy must be the identity"):
-        Isotopy(mesh, [catalog.translation(mesh, 0.1, 0.0), ident])
+        Isotopy(mesh, [catalog.translation(mesh, 0.1, 0.0), ident], still)
     for shape in ((17, 2, 32), (17, 3, 32, 32), (17, 2, 64, 64)):
         with pytest.raises(ValueError, match=r"samples must have shape \(K\+1, 2, N, N\)"):
-            VectorFieldPath(mesh, np.zeros(shape))
+            TimeField.from_samples(np.zeros(shape), mesh)
     samples = np.zeros((17, 2, 32, 32))
     for bad in (np.nan, np.inf):
         samples[5, 1, 3, 4] = bad
         with pytest.raises(ValueError, match="non-finite vector field samples"):
-            VectorFieldPath(mesh, samples)
+            TimeField.from_samples(samples, mesh)
+
+
+def test_a_sampled_field_is_read_at_its_sample_times_only():
+    # sample j at t_j, on the grid and through a transient spline of it at
+    # points; any other time raises, on the grid and at points alike
+    mesh = GridMesh(N=32)
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
+    samples = stacked_samples(flow)
+    tf = TimeField.from_samples(samples, mesh)
+    assert tf.sampled and not tf.autonomous and tf.at is None
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (2, 7))
+    for j, t in enumerate(flow.times):
+        # the stack is kept, not copied
+        assert np.array_equal(tf.field(t), samples[j])
+        assert np.shares_memory(tf.field(t), samples)
+        assert np.array_equal(tf(t, pts), VectorInterpolator(samples[j], mesh)(pts))
+    for t in (0.5 / 16, 0.5 + 1e-6, -1 / 16, 1 + 1 / 16):
+        with pytest.raises(ValueError, match=f"t = {t} is not a sample time"):
+            tf.field(t)
+        with pytest.raises(ValueError, match=f"t = {t} is not a sample time"):
+            tf(t, pts)
+
+
+def test_integrate_flow_and_concat_reparam_reject_a_sampled_field(monkeypatch):
+    # a sampled field has no values between its samples: neither a flow
+    # nor a concatenation reads it, or builds anything, before raising
+    mesh = GridMesh(N=32)
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
+    tf = TimeField.from_samples(stacked_samples(flow), mesh)
+    reads = []
+    monkeypatch.setattr(tf, "field", lambda t: reads.append(t))
+    composed = []
+    monkeypatch.setattr(isotopy, "compose", lambda *a, **k: composed.append(a))
+    with pytest.raises(ValueError, match="time-dependent TimeField needs point values"):
+        integrate_flow(tf, 16)
+    sampled = Isotopy(mesh, flow.maps, tf)
+    for a, b in ((sampled, flow), (flow, sampled)):
+        with pytest.raises(ValueError, match="two generators with point values"):
+            concat_reparam(a, b)
+    assert reads == [] and composed == []
+
+
+def test_the_closedness_gate_of_a_sampled_field_is_looser():
+    # an assembled generator carries interpolation noise: its samples are
+    # gated at 1e-4 (1 + max |X|), any other time-dependent field's at 1e-8
+    mesh = GridMesh(N=32)
+    X, _ = mesh.points
+    div = np.stack([np.sin(TWO_PI * X), np.zeros(mesh.shape)])  # sup |div| = 2 pi
+    maps = [TorusMap.identity(mesh)] * 17
+    for eps, sampled_passes in ((1e-6, True), (1e-4, False)):
+        bad = eps * div
+        sampled = TimeField.from_samples(np.broadcast_to(bad, (17, *bad.shape)), mesh)
+        closed = TimeField(lambda t: bad, mesh, at=lambda t, p: eps * np.stack(
+            [np.sin(TWO_PI * p[0]), 0.0 * p[1]]))
+        assert sampled.closedness_tol(eps) == 1e-4 * (1.0 + eps)
+        assert closed.closedness_tol(eps) == 1e-8 * (1.0 + eps)
+        with pytest.raises(NonSymplecticError, match=r"> 1\.000e-08$"):
+            symplectic_flux(Isotopy(mesh, maps, closed))
+        path = Isotopy(mesh, maps, sampled)
+        if sampled_passes:
+            assert symplectic_flux(path).max_abs() < 1e-12
+        else:
+            with pytest.raises(NonSymplecticError, match=r"> 1\.000e-04$"):
+                symplectic_flux(path)
 
 
 def test_path_pairs_are_checked():
@@ -197,14 +262,14 @@ def test_flux_reparametrization_invariance(mesh):
     assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-8
 
 
-def _pulled_flux_by_form_spline(phi_path, omega):
+def _pulled_flux_by_form_spline(phi_path):
     """The pulled flux integrand read off a spline of the grid form i_X omega
     at phi_t(x): the reference for the generator's own point values."""
     vel = stacked_samples(phi_path)
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *phi_path.mesh.shape))
     for j, m in enumerate(phi_path.maps):
-        beta = interior_product(vel[j], omega)
+        beta = interior_product(vel[j], phi_path.mesh)
         if not m.is_identity():
             beta = pullback_oneform(m, beta.at)
         acc += w[j] * beta.components
@@ -219,18 +284,17 @@ def _spline_route(flow):
     """The flow's own maps under its grid samples alone, with no point
     values, so that X is read off splines of the samples."""
     return Isotopy(flow.mesh, flow.maps,
-                   generator=VectorFieldPath(flow.mesh, stacked_samples(flow)))
+                   generator=TimeField.from_samples(stacked_samples(flow), flow.mesh))
 
 
 def test_pulled_flux_spline_route_is_bit_identical():
     # at the standard form, -(spline of X_y) is the spline of -X_y bit for bit
     mesh = GridMesh(N=32)
-    omega = TwoForm.standard(mesh)
     F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
     for path in (integrate_flow(F.samples, 16, mesh), _spline_route(flow)):
-        assert getattr(path.generator, "at", None) is None
-        got, ref = _pulled_flux(path), _pulled_flux_by_form_spline(path, omega)
+        assert path.generator.at is None
+        got, ref = _pulled_flux(path), _pulled_flux_by_form_spline(path)
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in ref.ravel()]
 
 
@@ -238,7 +302,6 @@ def test_pulled_flux_closed_form_matches_spline_route():
     # the difference is the spline's interpolation error of the sampled form,
     # bounded here by twice the gap measured at N = 128, K = 16
     mesh = GridMesh(N=128)
-    omega = TwoForm.standard(mesh)
     cases = [
         (catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K=16), 9.4e-11),
         (catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, K=16), 9.7e-10),
@@ -253,25 +316,21 @@ def test_pulled_flux_closed_form_matches_spline_route():
     ]
     for path, measured in cases:
         assert path.generator.at is not None
-        diff = _pulled_flux(path) - _pulled_flux_by_form_spline(path, omega)
+        diff = _pulled_flux(path) - _pulled_flux_by_form_spline(path)
         assert np.abs(diff).max() <= 2.0 * measured
 
 
 def _flux_form_by_pullback(phi_path, pull):
     """The flux integrand summed as one `OneForm` per sample through
     `pullback_oneform`: the reference for the in-place sum."""
-    mesh = phi_path.mesh
-    omega = TwoForm.standard(mesh)
-    vel = isotopy._generator_sample(phi_path)
-    X_at = isotopy._generator_at(phi_path, vel)
+    mesh, gen = phi_path.mesh, phi_path.generator
     w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
     acc = np.zeros((2, *mesh.shape))
-    for j, m in enumerate(phi_path.maps):
+    for j, (t, m) in enumerate(zip(phi_path.times, phi_path.maps)):
         if pull and not m.is_identity():
-            X = X_at(j)
-            beta = pullback_oneform(m, lambda pts: interior_components(X(pts), 1.0))
+            beta = pullback_oneform(m, lambda pts: interior_components(gen(t, pts)))
         else:
-            beta = interior_product(vel(j), omega)
+            beta = interior_product(gen.field(t), mesh)
         acc += w[j] * beta.components
     return acc
 
@@ -430,19 +489,15 @@ def test_catalog_point_values_are_the_grid_samples():
             assert [v.hex() for v in at.ravel()] == [v.hex() for v in oracle(t).ravel()]
 
 
-def test_a_path_without_its_generator_raises():
-    # the same maps with and without the generator that made them
+def test_off_sample_maps_and_raw_array_parts_raise():
+    # a path given by its maps has them at its sample times only
     mesh = GridMesh(N=32)
     F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
     flow = integrate_flow(F, 16, mesh)
-    bare = Isotopy(mesh, flow.maps)
-    with pytest.raises(ValueError, match="the path has no generator"):
-        symplectic_flux(bare)
-    with pytest.raises(ValueError, match="needs a path with a TimeField generator"):
-        orbit_integral(bare, np.array([0.3, 0.7]), OneForm.constant(mesh, 1.0, 0.0))
-    assert bare.at_time(0.5) is flow.maps[8]
-    with pytest.raises(ValueError, match="not a sample time"):
-        bare.at_time(0.5 / 16)
+    by_maps = Isotopy(mesh, flow.maps, flow.generator)
+    assert by_maps.at_time(0.5) is flow.maps[8]
+    with pytest.raises(ValueError, match="not a sample time and the path has no exact"):
+        by_maps.at_time(0.5 / 16)
     # a raw-array flow has no point values; a closed-form one does
     raw = integrate_flow(F.samples, 16, mesh)
     translation = catalog.translation_flow(mesh, 0.2, -0.1, 16)
@@ -495,7 +550,9 @@ def test_poincare_duality(mesh):
 def test_mass_flow_rejects_coarse_lift(mesh):
     with pytest.raises(LiftError):
         Isotopy.from_time_function(
-            mesh, lambda t: catalog.translation(mesh, 6.0 * t, 0.0), 16)
+            mesh, lambda t: catalog.translation(mesh, 6.0 * t, 0.0), 16,
+            TimeField.wrap(np.stack([np.full(mesh.shape, 6.0), np.zeros(mesh.shape)]),
+                           mesh))
 
 
 # -- generator split and length -----------------------------------------------
@@ -545,20 +602,18 @@ def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
 
 def test_steady_generator_samples_share_one_field(mesh):
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.1, K)
-    X = isotopy._generator_sample(flow)
-    assert X(0).shape == (2, *mesh.shape)
+    gen = flow.generator
+    assert gen.field(0.0).shape == (2, *mesh.shape)
     for j in (0, K // 2, K):
-        assert X(j) is flow.generator.field(0.0)
+        assert gen.field(flow.times[j]) is gen.field(0.0)
 
 
 def test_split_reconstruction(mesh):
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=K)
     split = generator_hodge_split(flow)
     vel = stacked_samples(flow)
-    om = TwoForm.standard(mesh)
-    from fluxlab.maps import interior_product
     for j in (0, K // 2, K):
-        beta = interior_product(vel[j], om)
+        beta = interior_product(vel[j], mesh)
         rec = beta - exterior_derivative(split.potentials[j]) - split.harmonics[j]
         assert sup_norm(rec) < 1e-10
         assert abs(split.potentials[j].mean()) < 1e-13
@@ -736,8 +791,8 @@ def test_steady_f_functional_builds_one_interpolator(monkeypatch):
     mesh = GridMesh(N=32)
     X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
     flow = integrate_flow(TimeField(lambda t: X, mesh, autonomous=True), K, mesh)
-    unsteady = Isotopy(mesh, flow.maps, generator=VectorFieldPath(
-        mesh, np.broadcast_to(X, (K + 1, *X.shape))))
+    unsteady = Isotopy(mesh, flow.maps, generator=TimeField.from_samples(
+        np.broadcast_to(X, (K + 1, *X.shape)), mesh))
     alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * y))
     builds = []
     real = isotopy.PeriodicInterpolator
@@ -862,17 +917,17 @@ def test_certified_split_reads_one_sample_at_a_time():
     # and both equal the split of the stacked samples
     stack = stacked_samples(flow)
     for j in (0, 33, 64):
-        ref = hodge_decompose(interior_product(stack[j], TwoForm.standard(mesh)))
+        ref = hodge_decompose(interior_product(stack[j], mesh))
         assert np.array_equal(split.potentials[j].values, ref.potential.values)
         assert np.array_equal(split.harmonics[j].components, ref.harmonic.components)
 
 
-def _stacked_gate(path, omega):
+def _stacked_gate(path):
     """The oracle of the flux gate on a TimeField that is not certified:
     the worst sup |d(i_X omega)| over all stacked samples and the default
     tolerance 1e-8 (1 + max |X|)."""
     vel = stacked_samples(path)
-    worst = max(sup_norm(exterior_derivative(interior_product(X, omega))) for X in vel)
+    worst = max(sup_norm(exterior_derivative(interior_product(X, path.mesh))) for X in vel)
     return worst, 1e-8 * (1.0 + float(np.abs(vel).max()))
 
 
@@ -895,7 +950,7 @@ def test_flux_gate_reads_an_uncertified_generator_one_sample_at_a_time():
         tracemalloc.stop()
     assert peak - start < 3 * 2 ** 20
     # it passes where the stacked oracle passes, with the trusted values
-    worst, tol = _stacked_gate(gated, TwoForm.standard(mesh))
+    worst, tol = _stacked_gate(gated)
     assert worst <= tol
     assert m == fathi_mass_flow(flow)
 
@@ -909,7 +964,7 @@ def test_flux_gate_rejects_as_the_stacked_oracle_does():
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * 17, generator=TimeField(
         lambda t: t * bad, mesh,
         at=lambda t, p: t * np.stack([0.2 * np.sin(TWO_PI * p[0]), 0.0 * p[1]])))
-    worst, tol = _stacked_gate(path, TwoForm.standard(mesh))
+    worst, tol = _stacked_gate(path)
     assert worst > tol
     for check in (symplectic_flux, fathi_mass_flow):
         message = (f"{check.__name__}: worst closedness residual of i_X omega over "
@@ -921,7 +976,7 @@ def test_flux_gate_rejects_as_the_stacked_oracle_does():
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=16)
     gen = flow.generator
     gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
-    worst, tol = _stacked_gate(gated, TwoForm.standard(mesh))
+    worst, tol = _stacked_gate(gated)
     assert worst <= tol
     assert symplectic_flux(gated) == symplectic_flux(flow)
     assert fathi_mass_flow(gated) == fathi_mass_flow(flow)
@@ -1010,11 +1065,8 @@ def test_commutator_certification_and_flux(mesh):
     assert theta.provenance["certified_residual"] < 5e-3
     assert symplectic_flux(theta).max_abs() < 1e-6
     # commutator paths are exact at every time: per-sample periods vanish
-    from fluxlab.maps import interior_product
-    om = TwoForm.standard(mesh)
-    vel = theta.generator.samples
-    for j in range(theta.K + 1):
-        beta = interior_product(vel[j], om)
+    for t in theta.times:
+        beta = interior_product(theta.generator.field(t), mesh)
         p = max(abs(float(beta.ax.mean())), abs(float(beta.ay.mean())))
         assert p <= 1e-6
 
@@ -1244,7 +1296,8 @@ def test_orbit_lift_guard_between_grid_points():
     _, Y = mesh.points
     profile = np.cos(TWO_PI * 3 * Y - TWO_PI * 3 / 32)
     u = np.stack([0.2495 + 0.05 * (profile - profile.max()), np.zeros(mesh.shape)])
-    path = Isotopy(mesh, [TorusMap.identity(mesh), TorusMap(mesh, u)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh), TorusMap(mesh, u)],
+                   TimeField.wrap(u, mesh))
     isotopy._orbit_points(path, np.array([0.3, 0.2]))
     with pytest.raises(LiftError, match="orbit lift increment"):
         isotopy._orbit_points(path, np.array([0.3, 1 / 32]))
@@ -1287,31 +1340,34 @@ def test_constructor_jump_equals_the_stacked_oracle(monkeypatch):
         oracle = _stacked_jump(path.maps)
         assert oracle > 0.0
         _lift_threshold(monkeypatch, oracle)
-        Isotopy(mesh, path.maps)
+        Isotopy(mesh, path.maps, path.generator)
         _lift_threshold(monkeypatch, np.nextafter(oracle, 0.0))
         with pytest.raises(LiftError, match="consecutive samples jump"):
-            Isotopy(mesh, path.maps)
+            Isotopy(mesh, path.maps, path.generator)
 
 
 def test_lift_error_fires_just_above_a_quarter_period():
     mesh = GridMesh(N=32)
 
     def step(s):
-        return [TorusMap.identity(mesh),
-                TorusMap(mesh, np.stack([np.full(mesh.shape, s), np.zeros(mesh.shape)]))]
+        """The translation by (s, 0) in one step, with its steady generator."""
+        u = np.stack([np.full(mesh.shape, s), np.zeros(mesh.shape)])
+        return Isotopy(mesh, [TorusMap.identity(mesh), TorusMap(mesh, u)],
+                       TimeField.wrap(u, mesh))
 
     assert mesh.injectivity_radius / 2.0 == 0.25
-    Isotopy(mesh, step(0.25))
+    step(0.25)
     with pytest.raises(LiftError, match="consecutive samples jump"):
-        Isotopy(mesh, step(np.nextafter(0.25, 1.0)))
+        step(np.nextafter(0.25, 1.0))
 
 
 def test_constructor_holds_no_stack_of_samples():
     mesh = GridMesh(N=32)
-    maps = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64).maps
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64)
+    maps = flow.maps
     tracemalloc.start()
     try:
-        Isotopy(mesh, maps)
+        Isotopy(mesh, maps, flow.generator)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
