@@ -28,7 +28,8 @@ from .forms import (CohomologyClass1, OneForm, ScalarField,
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
                    chord_integral, compose, interior_components,
-                   interior_product, pullback_vector, pushforward_at)
+                   interior_product, pullback_vector, pushforward_at,
+                   require_positive_det)
 from .mesh import GridMesh
 
 
@@ -256,8 +257,12 @@ class Isotopy:
         self.provenance = dict(provenance or {})
         # "sym" or "vol" -> periods; see _cached_flux
         self._flux_cache: dict = {}
-        # the RK4 step of an integrated flow (see integrate_flow)
+        # set once the generator passed the closedness gate on this path
+        self._generator_closed = False
+        # the RK4 step of an integrated flow, and the pulled flux integrand
+        # it summed while integrating (see integrate_flow)
         self._flow_step = None
+        self._pulled_flux: np.ndarray | None = None
 
     @property
     def K(self) -> int:
@@ -315,11 +320,14 @@ class Isotopy:
 # flow integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float,
+              k1: np.ndarray | None = None) -> np.ndarray:
     """One classical fourth-order step of dy/dt = X(t, y) from lifted
-    points y of shape (2, M).  The stages are summed as they come,
-    k1 + 2 k2 + 2 k3 + k4 in that order, so only two of them are alive."""
-    k = tf(t, y)
+    points y of shape (2, M).  `k1` is the first stage X(t, y) when the
+    caller has already evaluated it; it is read, not changed.  The stages
+    are summed as they come, k1 + 2 k2 + 2 k3 + k4 in that order, so only
+    two of them are alive."""
+    k = tf(t, y) if k1 is None else k1
     acc = k.copy()
     k = tf(t + 0.5 * h, y + 0.5 * h * k)
     acc += 2.0 * k
@@ -340,11 +348,20 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     pass the diffeomorphism check; a failure suggests a larger K.  A field
     with point values (a HamiltonianField, or a TimeField with `at`) is
     evaluated in closed form at every stage; a steady field without them
-    through the one spline of its sample that its TimeField keeps.  Either
-    way the returned path keeps its step, so that orbits of arbitrary
-    points are integrated the same way, through the same evaluator
-    (`_orbit_points`).  A field known only by its samples
-    (`TimeField.from_samples`) has no values between them and is rejected.
+    through the one spline of its sample that its TimeField keeps.  A field
+    known only by its samples (`TimeField.from_samples`) has no values
+    between them and is rejected.
+
+    Each step starts from the stored sample phi_(t_j), the grid plus its
+    stored displacement, and X(t_j) is read there once: it is the step's
+    first stage and, with the sample's spectral Jacobian J, which the
+    determinant check reads and nothing keeps, the term w_j J^T (-X_y, X_x)
+    of the pulled flux integral (`_FluxSum`).  The path keeps that sum,
+    which `symplectic_flux` returns after its generator gate, bit for bit
+    what the same maps and generator give without it.  At an odd K,
+    Simpson's rule has no weights and nothing is summed.  The path also
+    keeps its step, so that orbits of arbitrary points are integrated the
+    same way, through the same evaluator (`_orbit_points`).
     """
     if mesh is None:
         if isinstance(X, TimeField):
@@ -357,19 +374,36 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     if tf.sampled:
         raise ValueError("a time-dependent TimeField needs point values `at`")
     h = 1.0 / K
-    y = mesh.flat_points.copy()
+    times = np.linspace(0.0, 1.0, K + 1)  # j * h for j < K, and 1.0
+    total = _FluxSum(tf, K) if K % 2 == 0 else None
     maps = [TorusMap.identity(mesh)]
-    for j in range(K):
-        y = _rk4_step(tf, j * h, y, h)
-        disp = (y - mesh.flat_points).reshape(2, *mesh.shape)
+    if total is not None:
+        total.add_grid(0, 0.0)
+    y = mesh.flat_points.copy()
+    k1 = tf(0.0, y)
+    for j in range(1, K + 1):
+        disp = _rk4_step(tf, (j - 1) * h, y, h, k1) - mesh.flat_points
+        m = TorusMap(mesh, disp.reshape(2, *mesh.shape), check=False)
+        J = m.jac
         try:
-            maps.append(TorusMap(mesh, disp))
+            require_positive_det(mesh, J)
         except DiffeomorphismError as exc:
             raise DiffeomorphismError(
-                f"flow sample {j + 1}/{K} failed the diffeomorphism check "
+                f"flow sample {j}/{K} failed the diffeomorphism check "
                 f"({exc}); increase K") from exc
+        maps.append(m)
+        y = m.flat_position
+        if j < K or total is not None:
+            k1 = tf(times[j], y)
+        if total is not None:
+            if m.is_identity():
+                total.add_grid(j, times[j])
+            else:
+                total.add_pulled(j, k1, J)
+        del J
     iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
     iso._flow_step = partial(_rk4_step, tf)
+    iso._pulled_flux = None if total is None else total.acc
     return iso
 
 
@@ -377,25 +411,46 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
 # flux homomorphisms and mass flow
 # ---------------------------------------------------------------------------
 
-def _certified_generator(phi_path: Isotopy, what: str) -> TimeField:
-    """The path's generator, after the closedness certification of
-    i_{X_t} omega.  A generator certified by construction is trusted.  Any
-    other is read one sample at a time, keeping the largest |X| and the worst
-    residual, and gated at its `closedness_tol` of that largest |X| once all
-    samples are read; no reader stacks all K + 1 fields."""
-    gen, mesh = phi_path.generator, phi_path.mesh
-    if gen.certified_symplectic:
-        return gen
+def _sample_closedness(a: np.ndarray, mesh: GridMesh) -> tuple[float, float]:
+    """max |X| and the closedness residual sup |d(i_X omega)| of one grid
+    sample, from its components a = (-X_y, X_x)."""
+    return float(np.abs(a).max()), sup_norm(exterior_derivative(OneForm(mesh, *a)))
+
+
+def _gate_closedness(phi_path: Isotopy, what: str, reads) -> None:
+    """Gate the path's generator on `reads`, the `_sample_closedness` of the
+    samples read: the worst residual against `closedness_tol` of the
+    largest |X|.  A pass is kept on the path, so no later reader gates the
+    same generator again."""
     vmax = worst = 0.0
-    for t in phi_path.times[:1] if gen.autonomous else phi_path.times:
-        X = gen.field(t)
-        vmax = max(vmax, float(np.abs(X).max()))
-        worst = max(worst, sup_norm(exterior_derivative(interior_product(X, mesh))))
-    tol = gen.closedness_tol(vmax)
+    for v, r in reads:
+        vmax, worst = max(vmax, v), max(worst, r)
+    tol = phi_path.generator.closedness_tol(vmax)
     if worst > tol:
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
             f"{worst:.3e} > {tol:.3e}")
+    phi_path._generator_closed = True
+
+
+def _needs_gate(phi_path: Isotopy) -> bool:
+    """The generator is neither certified by construction nor has it passed
+    the closedness gate on this path."""
+    return not (phi_path.generator.certified_symplectic or phi_path._generator_closed)
+
+
+def _certified_generator(phi_path: Isotopy, what: str) -> TimeField:
+    """The path's generator, after the closedness certification of
+    i_{X_t} omega.  A generator certified by construction, or one that
+    passed on this path already, is trusted.  Any other is read one sample
+    at a time (one sample when steady), keeping the largest |X| and the
+    residual of each, and gated once all samples are read
+    (`_gate_closedness`); no reader stacks all K + 1 fields."""
+    gen, mesh = phi_path.generator, phi_path.mesh
+    if _needs_gate(phi_path):
+        times = phi_path.times[:1] if gen.autonomous else phi_path.times
+        _gate_closedness(phi_path, what, [
+            _sample_closedness(interior_components(gen.field(t)), mesh) for t in times])
     return gen
 
 
@@ -406,47 +461,88 @@ def _cached_flux(phi_path: Isotopy, kind: str, compute) -> CohomologyClass1:
     return phi_path._flux_cache[kind]
 
 
+class _FluxSum:
+    """The composite Simpson sum over t_j of the samples of i_{X_t} omega,
+    each on the grid or pulled back by its map phi_(t_j).
+
+    Both routes to a pulled flux form every term here, `integrate_flow`
+    while it integrates and `_flux_form` from a path's stored maps, so
+    they sum the same bits.  A pulled term is d(phi)_x^T (-X_y, X_x)(phi x):
+    the generator is read at the image points, not off a spline of the grid
+    form i_X omega.  Each component of each weighted term is formed in one
+    of two reused grid buffers and added into the sum, in the order
+    `pullback_oneform` forms it, so no form is built per sample.  Simpson's
+    rule needs an even K; an odd one raises `ValueError`.
+    """
+
+    def __init__(self, gen: TimeField, K: int):
+        self.w = simpson_weights(K, 1.0 / K)
+        self.acc = np.zeros((2, *gen.mesh.shape))
+        self._term, self._part = np.empty(gen.mesh.shape), np.empty(gen.mesh.shape)
+        self._gen = gen
+        # a steady generator reuses one grid sample
+        self._steady = interior_components(gen.field(0.0)) if gen.autonomous else None
+
+    def add_grid(self, j: int, t: float) -> np.ndarray:
+        """Add the unpulled sample j, read off the grid samples of X at t;
+        returns its components (-X_y, X_x)."""
+        a = self._steady
+        if a is None:
+            a = interior_components(self._gen.field(t))
+        for k in range(2):
+            np.multiply(a[k], self.w[j], out=self._term)
+            self.acc[k] += self._term
+        return a
+
+    def add_pulled(self, j: int, X: np.ndarray, J: np.ndarray) -> None:
+        """Add sample j pulled back by its map: X is the generator at the
+        map's image points, shape (2, N * N), and J the map's Jacobian."""
+        a = interior_components(X).reshape(self.acc.shape)
+        for k in range(2):
+            np.multiply(a[0], J[0, k], out=self._term)
+            np.multiply(a[1], J[1, k], out=self._part)
+            self._term += self._part
+            self._term *= self.w[j]
+            self.acc[k] += self._term
+
+
 def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     """The Simpson time integral of i_{X_t} omega, each sample pulled back by
-    phi_t when `pull` is set.
-
-    A pulled sample is d(phi)_x^T (-X_y, X_x)(phi x): the generator is
-    evaluated at the image points, not read off a spline of the grid form
-    i_X omega.  The maps are those stored on the path, and each pulled
-    sample uses its map's stored Jacobian or one computed on read (a bump
-    rotation's closed form, else the spectral one), so the pulled and
-    unpulled integrals stay two different computations.
-
-    Each component of each weighted sample is formed in one of two reused
-    grid buffers and added into the sum, in the order `pullback_oneform`
-    forms it, so no form is built per sample; the sum is a `OneForm`, which
+    phi_t when `pull` is set (`_FluxSum`); the sum is a `OneForm`, which
     rejects it if a sample was not finite.
+
+    The pulled integral passes `_certified_generator` first.  It is then
+    the sum an integrated flow formed while integrating, when there is one;
+    else each non-identity sample reads X at its map's image points and the
+    map's Jacobian, stored or computed on read (a bump rotation's closed
+    form, else the spectral one), so the pulled and unpulled integrals stay
+    two different computations.  The unpulled integral reads each grid
+    sample once and, when the generator still needs the closedness gate,
+    gates it on those reads; it passes `_certified_generator` after its
+    loop, which then finds the verdict on the path and reads nothing.
     """
-    mesh = phi_path.mesh
-    gen = _certified_generator(phi_path, what)
-    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
-    acc = np.zeros((2, *mesh.shape))
-    term, part = np.empty(mesh.shape), np.empty(mesh.shape)
-    steady = interior_components(gen.field(0.0)) if gen.autonomous else None
+    mesh, gen = phi_path.mesh, phi_path.generator
+    if pull:
+        _certified_generator(phi_path, what)
+        if phi_path._pulled_flux is not None:
+            return OneForm(mesh, *phi_path._pulled_flux)
+    total = _FluxSum(gen, phi_path.K)
+    reads = [] if not pull and _needs_gate(phi_path) else None
     for j, t in enumerate(phi_path.times):
         m = phi_path.maps[j]
         if pull and not m.is_identity():
-            a = interior_components(gen(t, m.flat_position))
-            a = a.reshape(2, *mesh.shape)
-            J = m.jac
-            for k in range(2):
-                np.multiply(a[0], J[0, k], out=term)
-                np.multiply(a[1], J[1, k], out=part)
-                term += part
-                term *= w[j]
-                acc[k] += term
+            total.add_pulled(j, gen(t, m.flat_position), m.jac)
         else:
-            # a steady generator reuses one grid sample
-            a = steady if steady is not None else interior_components(gen.field(t))
-            for k in range(2):
-                np.multiply(a[k], w[j], out=term)
-                acc[k] += term
-    return OneForm(mesh, *acc)
+            a = total.add_grid(j, t)
+            if reads is not None and (j == 0 or not gen.autonomous):
+                reads.append(_sample_closedness(a, mesh))
+    if not pull:
+        if reads is not None:
+            _gate_closedness(phi_path, what, reads)
+        # every computed flux passes the certification once; this one
+        # finds the verdict its own reads left
+        _certified_generator(phi_path, what)
+    return OneForm(mesh, *total.acc)
 
 
 def symplectic_flux(phi_path: Isotopy) -> CohomologyClass1:
@@ -456,8 +552,9 @@ def symplectic_flux(phi_path: Isotopy) -> CohomologyClass1:
     read at phi_t(x) from the generator itself (from its point values when
     it has them, as every catalog flow and their concatenations and
     reparametrizations do, else from a spline of its samples), then the
-    periods of the result.  Errors if some sample generator is not
-    symplectic to tolerance; a generator certified by construction is
+    periods of the result; an integrated flow summed these samples while
+    it integrated (`integrate_flow`).  Errors if some sample generator is
+    not symplectic to tolerance; a generator certified by construction is
     trusted.  The integral is not gated again: its d-residual is the
     samples' plus the aliasing of the pulled-back forms, at N = 32 up to
     1e-4 for a named-potential flow and 8.6e-2 for a certified rotation
@@ -590,11 +687,14 @@ def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
 
     A path from `integrate_flow` integrates the points with its own RK4
     step, which repeats at grid points the operations that made the stored
-    maps, so it reproduces them; a closed-form field is read in closed form,
-    a steady field array through the one spline its TimeField built while
-    integrating.  Any other path (catalog translations, shears and
-    rotations, reparametrized and concatenated paths, paths built directly
-    from maps) interpolates its stored displacements, two splines per sample.
+    maps; the flow restarted each step from its stored sample, grid plus
+    displacement, which differs from the step's result by round-off, so
+    the orbit of a grid point reproduces the stored maps to about 1e-16.
+    A closed-form field is read in closed form, a steady field array
+    through the one spline its TimeField built while integrating.  Any
+    other path (catalog translations, shears and rotations, reparametrized
+    and concatenated paths, paths built directly from maps) interpolates
+    its stored displacements, two splines per sample.
     Either way, the grid jumps the Isotopy constructor bounds by L/4 do not
     bound the increments between grid points, so they are checked here.
     """

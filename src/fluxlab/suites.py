@@ -27,7 +27,7 @@ import numpy as np
 from . import catalog
 from .config import ExperimentConfig
 from .displacement import (UnitSphereSampler, commutator_collapse_check, delta,
-                           delta_via_flux, displaces,
+                           delta_via_flux,
                            displacement_energy_upper, energy_chain_check,
                            conjugation_check, norm_axiom_report, psi_norm,
                            rigidity_limit_check, supported_commutator_pair)

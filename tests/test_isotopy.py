@@ -244,6 +244,81 @@ def test_a_path_computes_each_flux_kind_once(monkeypatch):
     assert calls == ["volume_flux", "symplectic_flux"]
 
 
+def _hex(values):
+    return [v.hex() for v in np.ravel(values)]
+
+
+def test_integrated_flux_equals_the_flux_of_the_same_maps():
+    # integrate_flow sums the pulled flux integrand while it integrates; the
+    # same maps and generator in a path of their own give the same bits
+    mesh = GridMesh(N=32)
+    A = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    B = catalog.hamiltonian_field(mesh, "mix_mode2", 0.05)
+    fields = [A,                                   # closed form
+              B.samples,                           # raw array, one spline
+              np.zeros((2, *mesh.shape)),          # every sample the identity
+              TimeField.closed_form(lambda t, p: np.cos(t) * A.at(p) + t * B.at(p),
+                                    mesh, certified_symplectic=True)]
+    flows = [integrate_flow(F, 16, mesh) for F in fields]
+    for flow in flows:
+        by_maps = Isotopy(mesh, flow.maps, flow.generator)
+        assert flow._pulled_flux is not None and by_maps._pulled_flux is None
+        assert _hex(_pulled_flux(flow)) == _hex(_pulled_flux(by_maps))
+        assert _hex(symplectic_flux(flow).periods) == _hex(symplectic_flux(by_maps).periods)
+    assert all(m.is_identity() for m in flows[2].maps)
+    assert symplectic_flux(flows[2]).max_abs() == 0.0
+
+
+def test_integrated_flux_at_odd_K_and_of_an_uncertified_field():
+    mesh = GridMesh(N=32)
+    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    # Simpson's rule has no weights at an odd K: the flow integrates, its
+    # flux raises as before
+    odd = integrate_flow(F, 17, mesh)
+    assert odd.K == 17 and odd._pulled_flux is None
+    with pytest.raises(ValueError, match="even number of steps, got K=17"):
+        symplectic_flux(odd)
+    # a divergent field, not certified: the summed route still gates it,
+    # with the message of the route through the same maps
+    X, _ = mesh.points
+    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
+    flow = integrate_flow(bad, 16, mesh)
+    assert flow._pulled_flux is not None
+    with pytest.raises(NonSymplecticError) as fused:
+        symplectic_flux(flow)
+    with pytest.raises(NonSymplecticError) as by_maps:
+        symplectic_flux(Isotopy(mesh, flow.maps, flow.generator))
+    assert str(fused.value) == str(by_maps.value)
+
+
+def test_flux_gate_reads_each_sample_once_per_path(monkeypatch):
+    # volume_flux of an uncertified, time-dependent field at N = 32, K = 16:
+    # the unpulled integral gates on the 17 grid samples it reads, and
+    # symplectic_flux and fathi_mass_flow find the verdict on the path; the
+    # pulled integral reads the identity sample on the grid.  Gating before
+    # each flux took 52 reads.
+    mesh = GridMesh(N=32)
+    flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=16)
+
+    def counted(gen):
+        tf = TimeField(gen._fn, mesh, at=gen.at)
+        real = tf.field
+        monkeypatch.setattr(tf, "field", lambda t: reads.append(t) or real(t))
+        return tf
+
+    reads = []
+    by_maps = Isotopy(mesh, flow.maps, generator=counted(flow.generator))
+    p = volume_flux(by_maps)
+    fathi_mass_flow(by_maps)
+    assert len(reads) == 18
+    assert p == volume_flux(flow)
+    reads = []
+    integrated = integrate_flow(counted(flow.generator), 16, mesh)
+    volume_flux(integrated)
+    fathi_mass_flow(integrated)
+    assert len(reads) == 18
+
+
 def test_flux_reparametrization_invariance(mesh):
     base = catalog.translation_flow(mesh, 0.3, 0.4, K)
 
@@ -966,7 +1041,7 @@ def test_flux_gate_rejects_as_the_stacked_oracle_does():
         at=lambda t, p: t * np.stack([0.2 * np.sin(TWO_PI * p[0]), 0.0 * p[1]])))
     worst, tol = _stacked_gate(path)
     assert worst > tol
-    for check in (symplectic_flux, fathi_mass_flow):
+    for check in (symplectic_flux, fathi_mass_flow, volume_flux):
         message = (f"{check.__name__}: worst closedness residual of i_X omega over "
                    f"the path is {worst:.3e} > {tol:.3e}")
         with pytest.raises(NonSymplecticError, match=f"^{re.escape(message)}$"):
@@ -1169,7 +1244,8 @@ def test_hamiltonian_field_algebra():
 
 def test_point_route_orbits_reproduce_the_stored_maps():
     # the orbit of each grid point, integrated by the flow's own step,
-    # against the map samples integrate_flow stored (6.9e-18 measured):
+    # against the map samples integrate_flow stored (1.1e-16 measured, the
+    # round-off of restarting each step from the stored sample):
     # closed-form fields, their raw grid samples read through the one
     # spline their TimeField keeps, and a time-dependent closed-form field
     mesh = GridMesh(N=32)

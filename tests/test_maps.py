@@ -557,13 +557,14 @@ def test_given_jacobian_is_returned_as_the_stored_view():
 def test_jacobians_computed_by_a_pulled_flux_and_a_newton_inversion(monkeypatch):
     from fluxlab.isotopy import symplectic_flux
     mesh = GridMesh(N=32)
-    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
     calls = []
     spectral = maps._spectral_jac
     monkeypatch.setattr(maps, "_spectral_jac",
                         lambda *a: calls.append(1) or spectral(*a))
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
     symplectic_flux(flow)
-    # one per pulled sample; the identity sample is not pulled
+    # one per integrated sample, read by its determinant check and its
+    # pulled flux term together; the identity sample is not pulled
     assert len(calls) == 16
     calls.clear()
     _newton_inverse(flow.maps[8])
