@@ -244,8 +244,10 @@ class Isotopy:
             raise ValueError("an isotopy needs at least two time samples")
         if not maps[0].is_identity(1e-10):
             raise ValueError("sample 0 of an isotopy must be the identity")
-        # pair by pair: a (K+1)-sample stack would be built for one maximum
-        jump = max(np.abs(b.disp - a.disp).max() for a, b in zip(maps, maps[1:]))
+        # pair by pair, on the stored axes: a (K+1)-sample stack would be
+        # built for one maximum, and constant or line samples need no grid
+        jump = max(np.abs(b._stored_disp - a._stored_disp).max()
+                   for a, b in zip(maps, maps[1:]))
         if jump > mesh.injectivity_radius / 2.0:
             raise LiftError(
                 f"consecutive samples jump by {jump:.3f} > r(g)/2 = "
@@ -795,8 +797,9 @@ def geodesic_functional(h_path: Isotopy, alpha: OneForm) -> ScalarField:
 
 
 def orbit_length_bound(phi_path: Isotopy) -> float:
-    """kappa: the largest lifted orbit length over all grid points."""
-    total = sum(np.sqrt(((b.disp - a.disp) ** 2).sum(axis=0))
+    """kappa: the largest lifted orbit length over all grid points; the
+    steps are taken on the samples' stored axes and broadcast."""
+    total = sum(np.sqrt(((b._stored_disp - a._stored_disp) ** 2).sum(axis=0))
                 for a, b in zip(phi_path.maps, phi_path.maps[1:]))
     return float(total.max())
 

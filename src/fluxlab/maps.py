@@ -87,12 +87,15 @@ class TorusMap:
 
     The Jacobian is stored or computed on read.  An array of shape
     (2, 2, a, b) is copied, frozen and stored the same way: closed-form
-    builders supply one.  A zero-argument function returning the
-    (2, 2, N, N) field is called on every `jac` read and nothing is kept:
+    builders supply one.  A zero-argument function returning the field on
+    grid axes of length 1 or N is called on every `jac` read, which
+    returns it as a read-only view of the full shape, and nothing is kept:
     a bump rotation passes its closed form, and a map given no Jacobian
     (integrated flow samples, Newton inverses, composites) gets the
-    default function, the spectral I + du of its displacement.  Such a
-    function should close over parameters only, not grid arrays, or it
+    default function, the spectral I + du of its stored displacement
+    (`_spectral_jac`).  So a composite stored on one grid line is
+    differentiated on that line, and a constant one has Jacobian I.  Such
+    a function should close over parameters only, not grid arrays, or it
     keeps them alive.  A caller that reads one map's Jacobian more than
     once takes it once into a local.
     `check=False` skips the determinant validation for maps whose
@@ -115,10 +118,9 @@ class TorusMap:
         self._stored_disp = disp
         self.disp = _frozen(disp, (2, mesh.N, mesh.N))
         if jac is None:
-            # the default: the spectral I + du, closed over the frozen view
-            # and read late, so a rebound `_spectral_jac` is the one called
-            full = self.disp
-            jac = lambda: _spectral_jac(mesh, full)
+            # the default: the spectral I + du on the stored axes, read
+            # late, so a rebound `_spectral_jac` is the one called
+            jac = lambda: _spectral_jac(mesh, disp)
         if callable(jac):
             self._jac_fn, self._stored_jac, self._jac = jac, None, None
         else:
@@ -141,12 +143,15 @@ class TorusMap:
     @property
     def jac(self) -> np.ndarray:
         """The Jacobian field (2, 2, N, N): a stored one as its view, else
-        a fresh one from the Jacobian function on every read."""
-        return self._jac_fn() if self._jac is None else self._jac
+        a fresh one from the Jacobian function on every read, viewed at the
+        full shape."""
+        if self._jac is None:
+            return _frozen(self._jac_fn(), (2, 2, self.mesh.N, self.mesh.N))
+        return self._jac
 
     def _jac_field(self) -> np.ndarray:
-        """The Jacobian on the grid axes it is stored on."""
-        return self.jac if self._stored_jac is None else self._stored_jac
+        """The Jacobian on the grid axes it is stored or computed on."""
+        return self._jac_fn() if self._jac is None else self._stored_jac
 
     @property
     def det(self) -> np.ndarray:
@@ -234,13 +239,29 @@ class TorusMap:
 
 
 def _spectral_jac(mesh: GridMesh, disp: np.ndarray) -> np.ndarray:
-    """I + du for a displacement field (2, N, N), read-only.  Each
-    component's gradient is written into the Jacobian itself: a stacked
-    gradient, or one transform of all components, makes temporaries large
-    enough that the allocator maps and unmaps them on every read."""
-    jac = np.empty((2, 2, mesh.N, mesh.N))
+    """I + du for a displacement field (2, a, b) with grid axes a, b of
+    length 1 or N, read-only, on the same axes.
+
+    A full field (2, N, N) gets each component's gradient written into the
+    Jacobian itself: a stacked gradient, or one transform of all
+    components, makes temporaries large enough that the allocator maps and
+    unmaps them on every read.  A field stored on one grid line is
+    differentiated on that line (`GridMesh.line_derivative`), and a
+    constant one has Jacobian I.  Each value equals the full-grid result
+    for the field's broadcast view; an entry that is 0 there may be -0.0.
+    """
+    shape = disp.shape[1:]
+    if shape == mesh.shape:
+        jac = np.empty((2, 2, *shape))
+        for k in range(2):
+            mesh.gradient(disp[k], out=jac[k])
+    else:
+        jac = np.zeros((2, 2, *shape))
+        if shape != (1, 1):
+            axis = 0 if shape[1] == 1 else 1
+            for k in range(2):
+                jac[k, axis] = mesh.line_derivative(disp[k].ravel(), axis).reshape(shape)
     for k in range(2):
-        mesh.gradient(disp[k], out=jac[k])
         jac[k, k] += 1.0
     jac.setflags(write=False)
     return jac
@@ -453,6 +474,12 @@ def volume_defect(phi: TorusMap, Y: np.ndarray) -> float:
     Vanishes for every conservative (divergence-free) Y exactly when phi
     preserves Omega; a nonzero value witnesses the volume defect.  Rejects
     Y with divergence above tolerance.
+
+    Both sides come from one spline read of Y at g(x), g = phi^{-1}, and
+    one read of J = d(g): phi_* Y is J^{-1} Y(g), and i_Y Omega at g(x) is
+    (-Y_y, Y_x)(g), pulled back by J.  That equals reading a spline of the
+    form i_Y Omega bit for bit, since a spline of -f is minus the spline
+    of f.
     """
     mesh = phi.mesh
     Y = np.asarray(Y, dtype=float)
@@ -461,8 +488,13 @@ def volume_defect(phi: TorusMap, Y: np.ndarray) -> float:
     if np.abs(div).max() > 1e-8 * (1.0 + ymax):
         raise ValueError(
             f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
-    lhs = interior_product(pushforward_vector(phi, Y), mesh)
-    rhs = pullback_oneform(phi.inverse(), interior_product(Y, mesh).at)
+    g = phi.inverse()
+    Yg = VectorInterpolator(Y, mesh)(g.flat_position).reshape(2, *mesh.shape)
+    J = g.jac
+    lhs = interior_product(_solve_2x2(J, Yg), mesh)
+    a = interior_components(Yg)
+    rhs = OneForm(mesh, a[0] * J[0, 0] + a[1] * J[1, 0],
+                  a[0] * J[0, 1] + a[1] * J[1, 1])
     return sup_norm(lhs - rhs)
 
 

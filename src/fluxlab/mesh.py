@@ -110,6 +110,22 @@ class GridMesh:
         out[1] = np.fft.irfft2(1j * K1 * spec, s=self.shape)
         return out
 
+    def line_derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Spectral derivative along `axis` of a field stored on one grid
+        line, the 1-D array of its N values along that axis; its derivative
+        along the other axis is 0.
+
+        The transforms are those `rfft2` and `irfft2` apply to that axis, so
+        each value equals the full-grid `gradient` of the line's broadcast
+        view: `rfft` and `irfft` along axis 1, a complex `fft` and `ifft`
+        along axis 0, keeping the real part.  A plain `rfft` along axis 0
+        differs by round-off.
+        """
+        K = self._rfft_wavenumbers[axis]
+        if axis == 1:
+            return np.fft.irfft(1j * K[0] * np.fft.rfft(values), n=self.N)
+        return np.fft.ifft(1j * K[:, 0] * np.fft.fft(values)).real
+
     def potential(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         """Mean-zero F whose gradient is the curl-free part of the 1-form
         (ax, ay): the Poisson problem lap F = div a solved in Fourier

@@ -1437,6 +1437,31 @@ def test_lift_error_fires_just_above_a_quarter_period():
         step(np.nextafter(0.25, 1.0))
 
 
+def test_lift_error_fires_for_constant_and_line_samples():
+    # the jump check subtracts the stored fields with broadcasting, so
+    # translations (stored as a point) and shears (stored as a line) keep
+    # the bound of full samples: r(g)/2 passes and the next float fails
+    mesh = GridMesh(N=32)
+    builders = [lambda s: catalog.translation(mesh, s, 0.0),
+                lambda s: catalog.shear(mesh, s),
+                lambda s: catalog.shear(mesh, s, axis=1)]
+    for build, stored in zip(builders, [(1, 1), (1, 32), (32, 1)]):
+        def step(s):
+            m = build(s)
+            assert m._stored_disp.shape[1:] == stored
+            return Isotopy(mesh, [TorusMap.identity(mesh), m],
+                           TimeField.wrap(np.array(m.disp), mesh))
+
+        step(0.25)
+        with pytest.raises(LiftError, match="consecutive samples jump"):
+            step(np.nextafter(0.25, 1.0))
+    # a line sample next to a line sample along the other axis
+    a, b = catalog.shear(mesh, 0.2), catalog.shear(mesh, 0.26, axis=1)
+    with pytest.raises(LiftError, match="jump by 0.260"):
+        Isotopy(mesh, [TorusMap.identity(mesh), a, b],
+                TimeField.wrap(np.array(a.disp), mesh))
+
+
 def test_constructor_holds_no_stack_of_samples():
     mesh = GridMesh(N=32)
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 64)

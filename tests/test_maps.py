@@ -535,14 +535,62 @@ def test_spectral_jacobian_is_computed_on_every_read():
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16)
     sample = flow.maps[7]
     twist = catalog.twist(mesh, 0.08, 0.06)
-    cases = [sample, _newton_inverse(sample), compose(twist, sample), compose(twist, twist)]
-    for m in cases:
+    T = catalog.translation(mesh, 0.3, -0.2)
+    cases = [sample, _newton_inverse(sample), compose(twist, sample), compose(twist, twist),
+             # a translation after a map stored on a line or a point
+             compose(T, catalog.shear(mesh, 0.1)), compose(T, catalog.shear(mesh, 0.1, axis=1)),
+             compose(T, catalog.translation(mesh, 0.1, 0.4))]
+    stored = [(32, 32)] * 4 + [(1, 32), (32, 1), (1, 1)]
+    for m, axes in zip(cases, stored):
+        assert m._stored_disp.shape[1:] == axes
         J = m.jac
         assert np.array_equal(J, _spectral_oracle(m))
         assert not J.flags.writeable
+        # computed on the stored axes and viewed at the full shape
+        assert J.shape == (2, 2, 32, 32) and m._jac_field().shape == (2, 2, *axes)
         # nothing is kept: the next read computes a fresh, equal array
         assert m._jac is None and m._stored_jac is None
         assert m.jac is not J and np.array_equal(m.jac, J)
+    assert np.array_equal(cases[-1].jac, np.broadcast_to(np.eye(2).reshape(2, 2, 1, 1), J.shape))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+def test_line_jacobian_equals_the_full_grid_one(N):
+    # the 1-D transforms of a line are those rfft2 and irfft2 apply to its
+    # axis, so every entry equals the full-grid Jacobian of the broadcast view
+    mesh = GridMesh(N=N, L=(1.0, 1.5))
+    rng = np.random.default_rng(N)
+    for axis in (0, 1):
+        t = TWO_PI * np.arange(N) / N
+        line = np.stack([0.04 * np.sin(t + 0.3) + 0.01 * np.cos(3 * t),
+                         0.03 * np.cos(2 * t - 1.1)]) + rng.normal(0.0, 1e-3, (2, N))
+        stored = line.reshape((2, N, 1) if axis == 0 else (2, 1, N))
+        full = maps._spectral_jac(mesh, np.broadcast_to(stored, (2, N, N)))
+        J = maps._spectral_jac(mesh, stored)
+        assert J.shape == (2, 2, *stored.shape[1:]) and not J.flags.writeable
+        assert np.array_equal(np.broadcast_to(J, full.shape), full)
+        assert np.array_equal(TorusMap(mesh, stored).det, maps._det2(full))
+    point = np.array([0.2, -0.1]).reshape(2, 1, 1)
+    full = maps._spectral_jac(mesh, np.broadcast_to(point, (2, N, N)))
+    assert np.array_equal(np.broadcast_to(maps._spectral_jac(mesh, point), full.shape), full)
+
+
+def test_c0_distance_reads_the_inverse_half(mesh):
+    # phi = A o B against psi = B for the shears A: x += a sin(2 pi y) and
+    # B: y += b sin(2 pi x).  The forward half is sup |a sin(2 pi y)| = a;
+    # the inverse half, phi^-1(q) - psi^-1(q) = (-f(y), g(x) - g(x - f(y)))
+    # with f, g the two profiles, is larger
+    a = b = 0.05
+    A, B = catalog.shear(mesh, a), catalog.shear(mesh, b, axis=1)
+    phi = compose(A, B)
+    x, y = mesh.points
+    f = a * np.sin(TWO_PI * y)
+    dg = b * (np.sin(TWO_PI * x) - np.sin(TWO_PI * (x - f)))
+    inverse_half = float(np.sqrt(f ** 2 + dg ** 2).max())
+    forward_half = float(mesh.torus_distance(phi.position, B.position).max())
+    assert abs(forward_half - a) < 1e-15 and inverse_half > a + 2e-3
+    # phi is grid-sampled and inverted through its spline: 1.6e-9 at N = 64
+    assert abs(c0_distance(phi, B) - inverse_half) < 1e-8
 
 
 def test_given_jacobian_is_returned_as_the_stored_view():
