@@ -8,12 +8,11 @@ from .forms import (CohomologyClass1, HodgeSplit, NonClosedFormError, OneForm,
                     oscillation, sup_norm, wedge_integral)
 from .maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                    c0_distance, compose, evaluate_lift, interior_product,
-                   pullback_bound_constant,
-                   pullback_oneform, pushforward_vector, volume_defect)
+                   pullback_bound_constant, pullback_oneform, volume_defect)
 from .isotopy import (BumpProfile, GeneratorSplit, HomologyClass1, Isotopy,
                       LiftError, NonSymplecticError, TimeField,
                       commutator_generator, concat_reparam, f_functional,
-                      fathi_mass_flow, generator_hodge_split,
+                      fathi_mass_flow, generator_hodge_split, generator_length,
                       geodesic_functional, hofer_like_length, integrate_flow,
                       orbit_integral, orbit_length_bound, symplectic_flux,
                       volume_flux)

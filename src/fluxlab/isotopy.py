@@ -636,24 +636,24 @@ class GeneratorSplit:
         return np.array([oscillation(u) for u in self.potentials])
 
 
-def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
-    """Hodge-split the path generator: i_{X_t} omega = dU_t + H_t.
+def _hodge_split(gen: TimeField, K: int, mesh: GridMesh) -> GeneratorSplit:
+    """Hodge-split the generator at t_j = j/K: i_{X_t} omega = dU_t + H_t.
 
-    The generator is read one sample at a time.  The coexact part must
-    vanish sample by sample (else the path is not symplectic); U_t is the
-    mean-zero potential and H_t the harmonic part.  A generator certified
-    by construction is trusted; any other is gated at its `closedness_tol`
-    of the largest sample, so its residuals are gated once all samples are
-    read.
+    The generator is read one sample at a time (once when steady).  The
+    coexact part must vanish sample by sample (else the path is not
+    symplectic); U_t is the mean-zero potential and H_t the harmonic part.
+    A generator certified by construction is trusted; any other is gated at
+    its `closedness_tol` of the largest sample, so its residuals are gated
+    once all samples are read.
     """
-    gen = phi_path.generator
     trusted = gen.certified_symplectic
     steady = gen.autonomous
+    times = np.linspace(0.0, 1.0, K + 1)
     potentials, harmonics, resids = [], [], []
     vmax = 0.0
-    for t in phi_path.times[:1] if steady else phi_path.times:
+    for t in times[:1] if steady else times:
         X = gen.field(t)
-        split = hodge_decompose(interior_product(X, phi_path.mesh))
+        split = hodge_decompose(interior_product(X, mesh))
         if not trusted:
             resids.append(sup_norm(split.coexact))
             vmax = max(vmax, float(np.abs(X).max()))
@@ -667,17 +667,36 @@ def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
                     f"sample {j}: coexact residual {resid:.3e} > {tol:.3e}; "
                     "path is not symplectic")
     if steady:
-        potentials = potentials * (phi_path.K + 1)
-        harmonics = harmonics * (phi_path.K + 1)
+        potentials = potentials * (K + 1)
+        harmonics = harmonics * (K + 1)
     return GeneratorSplit(potentials, harmonics)
 
 
-def hofer_like_length(phi_path: Isotopy) -> float:
-    """Length of a symplectic path: integral over time of
-    osc(U_t) + |H_t|_0 for the generator split i_{X_t} omega = dU_t + H_t."""
-    split = generator_hodge_split(phi_path)
-    w = simpson_weights(phi_path.K, 1.0 / phi_path.K)
+def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
+    """Hodge-split the path generator at the path's K + 1 sample times
+    (`_hodge_split`); it reads the generator and K only, never the maps."""
+    return _hodge_split(phi_path.generator, phi_path.K, phi_path.mesh)
+
+
+def generator_length(X, K: int, mesh: GridMesh) -> float:
+    """Hofer-like length of the path that X generates, sampled at
+    t_j = j/K: the Simpson sum over t_j of osc(U_t) + |H_t|_0 for the
+    generator split i_{X_t} omega = dU_t + H_t.
+
+    It reads the generator and K only, so no flow is integrated: `X` is
+    anything `integrate_flow` takes (`TimeField.wrap`), and the length is
+    bit for bit `hofer_like_length(integrate_flow(X, K, mesh))`.  K must be
+    even (composite Simpson).
+    """
+    w = simpson_weights(K, 1.0 / K)
+    split = _hodge_split(TimeField.wrap(X, mesh), K, mesh)
     return float(np.sum(w * (split.oscillations() + split.harmonic_sup_norms())))
+
+
+def hofer_like_length(phi_path: Isotopy) -> float:
+    """Length of a symplectic path (`generator_length`): it reads the path's
+    generator and K only, never its maps."""
+    return generator_length(phi_path.generator, phi_path.K, phi_path.mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -426,16 +426,6 @@ def pullback_vector(g: TorusMap, X_at, jac: np.ndarray | None = None) -> np.ndar
     return _solve_2x2(g.jac if jac is None else jac, Xg)
 
 
-def pushforward_vector(phi: TorusMap, X: np.ndarray) -> np.ndarray:
-    """(phi_* X)_y = d(phi)_{phi^{-1}(y)} X_{phi^{-1}(y)} on the grid.
-
-    This is the pull-back by phi^{-1}: d(phi) at phi^{-1}(y) is the
-    pointwise inverse of the inverse map's Jacobian, so only X itself is
-    interpolated.
-    """
-    return pullback_vector(phi.inverse(), VectorInterpolator(X, phi.mesh))
-
-
 def pushforward_at(phi: TorusMap, X_at, points: np.ndarray) -> np.ndarray:
     """(phi_* X) at points of shape (2, ...): d(phi^{-1})^{-1} X(phi^{-1} p),
     read through the inverse map's cached interpolators (constants, so no

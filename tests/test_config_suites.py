@@ -165,6 +165,24 @@ def test_norm_axiom_rows_match_inline_formulas():
     assert rows["05-report"] == 0.0
 
 
+def test_hofer_cauchy_integrates_no_flow(monkeypatch):
+    # its lengths read generators (`generator_length`); no row reads a map
+    # of an integrated flow
+    from fluxlab import isotopy, suites
+    calls = []
+    real = isotopy.integrate_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (isotopy, catalog, suites):
+        monkeypatch.setattr(module, "integrate_flow", counting)
+    rep = run_suite(_tiny_config("hofer-cauchy"))
+    assert len(rep.rows) == 6 and all(math.isfinite(r.value) for r in rep.rows)
+    assert calls == []
+
+
 def test_suite_isolation_never_aborts():
     # a mesh too coarse for the energy geometry must yield failing rows,
     # not an exception

@@ -16,7 +16,8 @@ from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
                              NonSymplecticError, TimeField,
                              commutator_generator, concat_reparam,
                              f_functional, fathi_mass_flow,
-                             generator_hodge_split, geodesic_functional,
+                             generator_hodge_split, generator_length,
+                             geodesic_functional,
                              hofer_like_length, integrate_flow,
                              orbit_integral, orbit_length_bound,
                              simpson_weights, symplectic_flux, volume_flux)
@@ -701,6 +702,24 @@ def test_hofer_length_values(mesh):
     flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", amp, K)
     H = catalog.hamiltonian_potential(mesh, "cos_x_cos_y", amp)
     assert abs(hofer_like_length(flow) - oscillation(H)) < 1e-10
+
+
+def test_generator_length_is_the_length_of_the_integrated_flow():
+    # the length reads the generator and K only: bit for bit the length of
+    # the flow integrated from the same field, steady or time-dependent
+    mesh = GridMesh(N=32)
+    X, Y = mesh.points
+    X0 = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 1.0)
+    raw = np.stack([0.1 + 0.05 * np.sin(TWO_PI * Y), -0.2 + 0.05 * np.cos(TWO_PI * X)])
+    moving = TimeField.closed_form(
+        lambda t, p: np.stack([0.05 * (1.0 + t) * np.sin(TWO_PI * p[1]),
+                               0.03 * np.cos(TWO_PI * (p[0] + t))]), mesh)
+    for field, k in ((catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08), K),
+                     (0.1 * (2.0 ** -1 - 2.0 ** -2) * X0, 16),
+                     (raw, K), (moving, K)):
+        length = generator_length(field, k, mesh)
+        assert length > 0.0
+        assert length.hex() == hofer_like_length(integrate_flow(field, k, mesh)).hex()
 
 
 # -- orbit integrals and functionals ------------------------------------------
