@@ -27,7 +27,7 @@ from .forms import (CohomologyClass1, OneForm, ScalarField,
                     oscillation, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
 from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
-                   chord_integral, compose, interior_components,
+                   chord_integral, compose, divergence, interior_components,
                    interior_product, pullback_vector, pushforward_at,
                    require_positive_det)
 from .mesh import GridMesh
@@ -119,7 +119,7 @@ class TimeField:
     transient spline of the sample read.  Any other time-dependent field
     must bring `at`; its grid samples alone would need a spline per time
     value.  Builders whose fields are divergence-free in closed form may set
-    `certified_symplectic`, which lets the closedness gates trust the
+    `certified_symplectic`, which lets the closedness gate trust the
     construction instead of a spectral residual that only measures aliasing
     on marginally resolved profiles.
     """
@@ -175,9 +175,10 @@ class TimeField:
         return self.at is None and not self.autonomous
 
     def closedness_tol(self, vmax: float) -> float:
-        """The closedness gate of i_X omega, scaled by vmax, the largest |X|
-        over the samples read: a sampled field carries the interpolation
-        noise of its assembly, any other leaves round-off."""
+        """The tolerance of sup |div X| in `_certified_generator`, the one
+        closedness gate, scaled by vmax, the largest |X| over the samples:
+        a sampled field carries the interpolation noise of its assembly, any
+        other leaves round-off."""
         return (1e-4 if self.sampled else 1e-8) * (1.0 + vmax)
 
     def field(self, t: float) -> np.ndarray:
@@ -259,8 +260,6 @@ class Isotopy:
         self.provenance = dict(provenance or {})
         # "sym" or "vol" -> periods; see _cached_flux
         self._flux_cache: dict = {}
-        # set once the generator passed the closedness gate on this path
-        self._generator_closed = False
         # the RK4 step of an integrated flow, and the pulled flux integrand
         # it summed while integrating (see integrate_flow)
         self._flow_step = None
@@ -413,47 +412,26 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
 # flux homomorphisms and mass flow
 # ---------------------------------------------------------------------------
 
-def _sample_closedness(a: np.ndarray, mesh: GridMesh) -> tuple[float, float]:
-    """max |X| and the closedness residual sup |d(i_X omega)| of one grid
-    sample, from its components a = (-X_y, X_x)."""
-    return float(np.abs(a).max()), sup_norm(exterior_derivative(OneForm(mesh, *a)))
-
-
-def _gate_closedness(phi_path: Isotopy, what: str, reads) -> None:
-    """Gate the path's generator on `reads`, the `_sample_closedness` of the
-    samples read: the worst residual against `closedness_tol` of the
-    largest |X|.  A pass is kept on the path, so no later reader gates the
-    same generator again."""
+def _certified_generator(gen: TimeField, K: int, what: str) -> None:
+    """Certify that i_{X_t} omega is closed, i.e. div X_t = 0, at the
+    sample times t_j = j/K.  A generator certified by construction is
+    trusted.  Any other is read one sample at a time (once when steady):
+    its worst sup |div X| is gated at `closedness_tol` of the largest |X|,
+    so no reader stacks all K + 1 fields.  Nothing is kept: every reader
+    that needs the hypothesis calls this."""
+    if gen.certified_symplectic:
+        return
+    times = np.linspace(0.0, 1.0, K + 1)
     vmax = worst = 0.0
-    for v, r in reads:
-        vmax, worst = max(vmax, v), max(worst, r)
-    tol = phi_path.generator.closedness_tol(vmax)
+    for t in times[:1] if gen.autonomous else times:
+        X = gen.field(t)
+        vmax = max(vmax, float(np.abs(X).max()))
+        worst = max(worst, float(np.abs(divergence(X, gen.mesh)).max()))
+    tol = gen.closedness_tol(vmax)
     if worst > tol:
         raise NonSymplecticError(
             f"{what}: worst closedness residual of i_X omega over the path is "
             f"{worst:.3e} > {tol:.3e}")
-    phi_path._generator_closed = True
-
-
-def _needs_gate(phi_path: Isotopy) -> bool:
-    """The generator is neither certified by construction nor has it passed
-    the closedness gate on this path."""
-    return not (phi_path.generator.certified_symplectic or phi_path._generator_closed)
-
-
-def _certified_generator(phi_path: Isotopy, what: str) -> TimeField:
-    """The path's generator, after the closedness certification of
-    i_{X_t} omega.  A generator certified by construction, or one that
-    passed on this path already, is trusted.  Any other is read one sample
-    at a time (one sample when steady), keeping the largest |X| and the
-    residual of each, and gated once all samples are read
-    (`_gate_closedness`); no reader stacks all K + 1 fields."""
-    gen, mesh = phi_path.generator, phi_path.mesh
-    if _needs_gate(phi_path):
-        times = phi_path.times[:1] if gen.autonomous else phi_path.times
-        _gate_closedness(phi_path, what, [
-            _sample_closedness(interior_components(gen.field(t)), mesh) for t in times])
-    return gen
 
 
 def _cached_flux(phi_path: Isotopy, kind: str, compute) -> CohomologyClass1:
@@ -485,16 +463,14 @@ class _FluxSum:
         # a steady generator reuses one grid sample
         self._steady = interior_components(gen.field(0.0)) if gen.autonomous else None
 
-    def add_grid(self, j: int, t: float) -> np.ndarray:
-        """Add the unpulled sample j, read off the grid samples of X at t;
-        returns its components (-X_y, X_x)."""
+    def add_grid(self, j: int, t: float) -> None:
+        """Add the unpulled sample j, read off the grid samples of X at t."""
         a = self._steady
         if a is None:
             a = interior_components(self._gen.field(t))
         for k in range(2):
             np.multiply(a[k], self.w[j], out=self._term)
             self.acc[k] += self._term
-        return a
 
     def add_pulled(self, j: int, X: np.ndarray, J: np.ndarray) -> None:
         """Add sample j pulled back by its map: X is the generator at the
@@ -513,37 +489,25 @@ def _flux_form(phi_path: Isotopy, what: str, pull: bool) -> OneForm:
     phi_t when `pull` is set (`_FluxSum`); the sum is a `OneForm`, which
     rejects it if a sample was not finite.
 
-    The pulled integral passes `_certified_generator` first.  It is then
-    the sum an integrated flow formed while integrating, when there is one;
-    else each non-identity sample reads X at its map's image points and the
-    map's Jacobian, stored or computed on read (a bump rotation's closed
+    Either integral passes `_certified_generator` first.  The pulled one is
+    then the sum an integrated flow formed while integrating, when there is
+    one; else each non-identity sample reads X at its map's image points and
+    the map's Jacobian, stored or computed on read (a bump rotation's closed
     form, else the spectral one), so the pulled and unpulled integrals stay
     two different computations.  The unpulled integral reads each grid
-    sample once and, when the generator still needs the closedness gate,
-    gates it on those reads; it passes `_certified_generator` after its
-    loop, which then finds the verdict on the path and reads nothing.
+    sample once.
     """
     mesh, gen = phi_path.mesh, phi_path.generator
-    if pull:
-        _certified_generator(phi_path, what)
-        if phi_path._pulled_flux is not None:
-            return OneForm(mesh, *phi_path._pulled_flux)
+    _certified_generator(gen, phi_path.K, what)
+    if pull and phi_path._pulled_flux is not None:
+        return OneForm(mesh, *phi_path._pulled_flux)
     total = _FluxSum(gen, phi_path.K)
-    reads = [] if not pull and _needs_gate(phi_path) else None
     for j, t in enumerate(phi_path.times):
         m = phi_path.maps[j]
         if pull and not m.is_identity():
             total.add_pulled(j, gen(t, m.flat_position), m.jac)
         else:
-            a = total.add_grid(j, t)
-            if reads is not None and (j == 0 or not gen.autonomous):
-                reads.append(_sample_closedness(a, mesh))
-    if not pull:
-        if reads is not None:
-            _gate_closedness(phi_path, what, reads)
-        # every computed flux passes the certification once; this one
-        # finds the verdict its own reads left
-        _certified_generator(phi_path, what)
+            total.add_grid(j, t)
     return OneForm(mesh, *total.acc)
 
 
@@ -612,7 +576,7 @@ def fathi_mass_flow(phi_path: Isotopy) -> HomologyClass1:
     the stored end displacement is that continuous lift.
     """
     mesh = phi_path.mesh
-    _certified_generator(phi_path, "fathi_mass_flow")
+    _certified_generator(phi_path.generator, phi_path.K, "fathi_mass_flow")
     u1 = phi_path.end_map.disp
     return HomologyClass1((mesh.integrate(u1[0]) / mesh.L[0],
                            mesh.integrate(u1[1]) / mesh.L[1]))
@@ -636,36 +600,22 @@ class GeneratorSplit:
         return np.array([oscillation(u) for u in self.potentials])
 
 
-def _hodge_split(gen: TimeField, K: int, mesh: GridMesh) -> GeneratorSplit:
-    """Hodge-split the generator at t_j = j/K: i_{X_t} omega = dU_t + H_t.
+def _hodge_split(gen: TimeField, K: int, mesh: GridMesh, what: str) -> GeneratorSplit:
+    """Hodge-split the generator at t_j = j/K: i_{X_t} omega = dU_t + H_t,
+    with U_t the mean-zero potential and H_t the harmonic part.
 
-    The generator is read one sample at a time (once when steady).  The
-    coexact part must vanish sample by sample (else the path is not
-    symplectic); U_t is the mean-zero potential and H_t the harmonic part.
-    A generator certified by construction is trusted; any other is gated at
-    its `closedness_tol` of the largest sample, so its residuals are gated
-    once all samples are read.
+    The generator passes `_certified_generator` first: a closed i_X omega
+    has no coexact part, whose amplitude in each mode is |div X| / (2 pi |k|
+    / L).  It is then read one sample at a time (once when steady).
     """
-    trusted = gen.certified_symplectic
+    _certified_generator(gen, K, what)
     steady = gen.autonomous
     times = np.linspace(0.0, 1.0, K + 1)
-    potentials, harmonics, resids = [], [], []
-    vmax = 0.0
+    potentials, harmonics = [], []
     for t in times[:1] if steady else times:
-        X = gen.field(t)
-        split = hodge_decompose(interior_product(X, mesh))
-        if not trusted:
-            resids.append(sup_norm(split.coexact))
-            vmax = max(vmax, float(np.abs(X).max()))
+        split = hodge_decompose(interior_product(gen.field(t), mesh))
         potentials.append(split.potential)
         harmonics.append(split.harmonic)
-    if not trusted:
-        tol = gen.closedness_tol(vmax)
-        for j, resid in enumerate(resids):
-            if resid > tol:
-                raise NonSymplecticError(
-                    f"sample {j}: coexact residual {resid:.3e} > {tol:.3e}; "
-                    "path is not symplectic")
     if steady:
         potentials = potentials * (K + 1)
         harmonics = harmonics * (K + 1)
@@ -674,8 +624,10 @@ def _hodge_split(gen: TimeField, K: int, mesh: GridMesh) -> GeneratorSplit:
 
 def generator_hodge_split(phi_path: Isotopy) -> GeneratorSplit:
     """Hodge-split the path generator at the path's K + 1 sample times
-    (`_hodge_split`); it reads the generator and K only, never the maps."""
-    return _hodge_split(phi_path.generator, phi_path.K, phi_path.mesh)
+    (`_hodge_split`), after its closedness gate; it reads the generator and
+    K only, never the maps."""
+    return _hodge_split(phi_path.generator, phi_path.K, phi_path.mesh,
+                        "generator_hodge_split")
 
 
 def generator_length(X, K: int, mesh: GridMesh) -> float:
@@ -689,7 +641,7 @@ def generator_length(X, K: int, mesh: GridMesh) -> float:
     even (composite Simpson).
     """
     w = simpson_weights(K, 1.0 / K)
-    split = _hodge_split(TimeField.wrap(X, mesh), K, mesh)
+    split = _hodge_split(TimeField.wrap(X, mesh), K, mesh, "generator_length")
     return float(np.sum(w * (split.oscillations() + split.harmonic_sup_norms())))
 
 

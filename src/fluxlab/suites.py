@@ -849,8 +849,8 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
                        timestamp=time.time())
 
 
-def emit_report(report: SuiteReport, out_dir, formats=("csv", "json")) -> list[str]:
-    """Write the report as CSV and/or JSON; returns the written paths.
+def emit_report(report: SuiteReport, out_dir) -> list[str]:
+    """Write the report as CSV, then as JSON; returns the two written paths.
 
     The CSV carries exactly the row table (no timestamp), so identical
     configurations and seeds produce byte-identical files.
@@ -860,25 +860,20 @@ def emit_report(report: SuiteReport, out_dir, formats=("csv", "json")) -> list[s
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
     stem = report.suite if report.suite != "all" else "all-suites"
-    if "csv" in formats:
-        path = out / f"{stem}.csv"
-        lines = ["check_id,paper_anchor,value,tolerance,pass"]
-        for r in report.rows:
-            anchor = r.paper_anchor.replace('"', "'")
-            lines.append(f"{r.check_id},\"{anchor}\",{r.value!r},"
-                         f"{r.tolerance!r},{r.passed}")
-        try:
-            path.write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        written.append(str(path))
-    if "json" in formats:
-        path = out / f"{stem}.json"
-        try:
-            path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True))
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        written.append(str(path))
-    return written
+    csv_path = out / f"{stem}.csv"
+    lines = ["check_id,paper_anchor,value,tolerance,pass"]
+    for r in report.rows:
+        anchor = r.paper_anchor.replace('"', "'")
+        lines.append(f"{r.check_id},\"{anchor}\",{r.value!r},"
+                     f"{r.tolerance!r},{r.passed}")
+    try:
+        csv_path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {csv_path}: {exc}") from exc
+    json_path = out / f"{stem}.json"
+    try:
+        json_path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    except OSError as exc:
+        raise OSError(f"cannot write {json_path}: {exc}") from exc
+    return [str(csv_path), str(json_path)]

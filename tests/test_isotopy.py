@@ -234,9 +234,9 @@ def test_a_path_computes_each_flux_kind_once(monkeypatch):
     calls = []
     real = isotopy._certified_generator
 
-    def counting(phi_path, what):
+    def counting(gen, K, what):
         calls.append(what)
-        return real(phi_path, what)
+        return real(gen, K, what)
 
     monkeypatch.setattr(isotopy, "_certified_generator", counting)
     q = volume_flux(flow)
@@ -290,34 +290,6 @@ def test_integrated_flux_at_odd_K_and_of_an_uncertified_field():
     with pytest.raises(NonSymplecticError) as by_maps:
         symplectic_flux(Isotopy(mesh, flow.maps, flow.generator))
     assert str(fused.value) == str(by_maps.value)
-
-
-def test_flux_gate_reads_each_sample_once_per_path(monkeypatch):
-    # volume_flux of an uncertified, time-dependent field at N = 32, K = 16:
-    # the unpulled integral gates on the 17 grid samples it reads, and
-    # symplectic_flux and fathi_mass_flow find the verdict on the path; the
-    # pulled integral reads the identity sample on the grid.  Gating before
-    # each flux took 52 reads.
-    mesh = GridMesh(N=32)
-    flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=16)
-
-    def counted(gen):
-        tf = TimeField(gen._fn, mesh, at=gen.at)
-        real = tf.field
-        monkeypatch.setattr(tf, "field", lambda t: reads.append(t) or real(t))
-        return tf
-
-    reads = []
-    by_maps = Isotopy(mesh, flow.maps, generator=counted(flow.generator))
-    p = volume_flux(by_maps)
-    fathi_mass_flow(by_maps)
-    assert len(reads) == 18
-    assert p == volume_flux(flow)
-    reads = []
-    integrated = integrate_flow(counted(flow.generator), 16, mesh)
-    volume_flux(integrated)
-    fathi_mass_flow(integrated)
-    assert len(reads) == 18
 
 
 def test_flux_reparametrization_invariance(mesh):
@@ -651,19 +623,21 @@ def test_split_hamiltonian(mesh):
 
 def test_split_rejects_a_divergent_generator(mesh):
     # a steady field with div X = 0.4 pi cos(2 pi x), uncertified, on a
-    # path of identity maps: the split's coexact part is the divergence
+    # path of identity maps: the split gates it as the fluxes do
     X, _ = mesh.points
     bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
                    generator=TimeField(lambda t: bad, mesh, autonomous=True))
-    with pytest.raises(NonSymplecticError,
-                       match=r"sample 0: coexact residual .* path is not symplectic"):
+    worst, tol = _stacked_gate(path)
+    message = (f"generator_hodge_split: worst closedness residual of i_X omega "
+               f"over the path is {worst:.3e} > {tol:.3e}")
+    with pytest.raises(NonSymplecticError, match=f"^{re.escape(message)}$"):
         generator_hodge_split(path)
 
 
 def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
-    # divergent only for t > 1/2; the default gate scales with the largest
-    # sample over the whole path, and the first failing sample is named
+    # divergent only for t > 1/2; the gate scales with the largest sample
+    # over the whole path, and the residual is the worst sample's
     X, _ = mesh.points
     bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
@@ -671,9 +645,28 @@ def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
                        lambda t: bad * (t > 0.5), mesh,
                        at=lambda t, p: np.stack([0.2 * np.sin(TWO_PI * p[0]),
                                                  0.0 * p[1]]) * (t > 0.5)))
-    with pytest.raises(NonSymplecticError,
-                       match=rf"sample {K // 2 + 1}: coexact residual .* > 1\.200e-08;"):
+    worst, tol = _stacked_gate(path)
+    assert f"{tol:.3e}" == "1.200e-08"
+    message = (f"generator_hodge_split: worst closedness residual of i_X omega "
+               f"over the path is {worst:.3e} > 1.200e-08")
+    with pytest.raises(NonSymplecticError, match=f"^{re.escape(message)}$"):
         generator_hodge_split(path)
+
+
+def test_every_reader_of_a_generator_passes_one_closedness_gate():
+    # a steady field 5e-9 (sin 2 pi x, 0), uncertified: sup |div X| = 1e-8 pi
+    # exceeds 1e-8 (1 + 5e-9), for the fluxes, the mass flow, the split and
+    # the length alike
+    mesh = GridMesh(N=32)
+    X, _ = mesh.points
+    bad = 5e-9 * np.stack([np.sin(TWO_PI * X), np.zeros(mesh.shape)])
+    path = Isotopy(mesh, [TorusMap.identity(mesh)] * 17,
+                   generator=TimeField(lambda t: bad, mesh, autonomous=True))
+    readers = (symplectic_flux, volume_flux, fathi_mass_flow, generator_hodge_split,
+               lambda p: generator_length(p.generator, p.K, p.mesh))
+    for read in readers:
+        with pytest.raises(NonSymplecticError, match=r" is 3\.142e-08 > 1\.000e-08$"):
+            read(path)
 
 
 def test_steady_generator_samples_share_one_field(mesh):
