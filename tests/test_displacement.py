@@ -1,7 +1,9 @@
 """Displacement potentials, the norm estimator, energies, rigidity."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -177,8 +179,8 @@ def test_delta_translation_cancellation(mesh):
 def _assembled_potentials(psi, sampler):
     """The (D, N*N) basis-potential matrix, assembled from the row blocks
     the streamed estimator builds one at a time."""
-    means = displacement._potential_means(psi, sampler)
-    return np.hstack([_basis_potentials(psi, sampler, rows, means)
+    means = displacement._potential_means(psi.disp, sampler)
+    return np.hstack([_basis_potentials(psi.disp, sampler, rows, means)
                       for rows in displacement._row_blocks(psi.mesh)])
 
 
@@ -278,6 +280,11 @@ def test_streamed_norm_matches_dense_route(N, count, refine):
         dense = _dense_table_values(psi, sampler)
         got = [r["value"] for r in rep.table]
         assert len(got) == len(dense) == count + refine
+        # with refine the last row is the maximum (Cauchy-Schwarz), so the
+        # deferred draws never set the estimate
+        assert max(got) == rep.norm_lower_bound
+        if refine:
+            assert rep.table[-1]["sample"] == "subspace-max"
         if name == "identity":
             assert rep.norm_lower_bound == 0.0 and got == [0.0] * len(got)
             continue
@@ -289,18 +296,83 @@ def test_streamed_norm_matches_dense_route(N, count, refine):
 def test_psi_norm_peak_memory_is_per_block():
     # The production sampler at N = 128 (D = 290): the dense route held
     # P (38 MB) and the (count, N*N) values and peaked 54.9 MB above its
-    # start; streamed over blocks of 4 grid rows it peaks at 2.7 MB.
+    # start; streamed over blocks of 4 grid rows the estimate peaks at
+    # 2.1 MB, and the first read of the table, which streams the draws
+    # through the same blocks, at 2.5-3.3 MB.
     mesh = GridMesh(N=128)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=64, seed=3)
     psi = catalog.twist(mesh, 0.08, 0.06)
     mesh.points, mesh.flat_points  # the mesh's cached grids are not the estimator's
     tracemalloc.start()
     try:
-        psi_norm(psi, sampler)
+        rep = psi_norm(psi, sampler)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep.table
+        table_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6, f"psi_norm peaked {peak / 1e6:.1f} MB above its start"
+    assert table_peak < 4e6, (
+        f"the table read peaked {table_peak / 1e6:.1f} MB above its start")
+
+
+@pytest.mark.parametrize("refine", [1, 0])
+def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
+    # With refine the estimate is one pass of basis potentials over the row
+    # blocks and the table a second pass on its first read; without it the
+    # draws are the estimate and the table comes from the one pass.
+    mesh = GridMesh(N=32)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=64, refine=refine,
+                                seed=3)
+    calls = []
+    basis_potentials = displacement._basis_potentials
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return basis_potentials(*args, **kwargs)
+
+    monkeypatch.setattr(displacement, "_basis_potentials", counted)
+    blocks = displacement._row_blocks(mesh)
+    rep = psi_norm(catalog.twist(mesh, 0.08, 0.06), sampler)
+    assert calls == blocks
+    rep.table
+    assert calls == blocks * (2 if refine else 1)
+    rep.table
+    assert calls == blocks * (2 if refine else 1)
+
+
+def test_deferred_table_holds_no_reference_to_the_map():
+    # The map's norm cache holds the report, so a table that held the map
+    # would put each normed map on a reference cycle.
+    mesh = GridMesh(N=32)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=64, seed=3)
+    psi = catalog.shear(mesh, 0.1)
+    dense = _dense_table_values(psi, sampler)
+    gc.disable()
+    try:
+        rep = psi_norm(psi, sampler)
+        alive = weakref.ref(psi)
+        del psi
+        assert alive() is None
+    finally:
+        gc.enable()
+    got = [r["value"] for r in rep.table]
+    assert len(got) == len(dense)
+    for a, b in zip(got, dense):
+        assert abs(a - b) <= 1e-15 * abs(b)
+
+
+@pytest.mark.parametrize("other", [GridMesh(N=32, L=(2.0, 1.0)),
+                                   GridMesh(N=64)],
+                         ids=["same-N-other-period", "other-N"])
+def test_psi_norm_rejects_a_sampler_on_another_grid(other):
+    # On another period the estimator read the map's displacement at the
+    # sampler's grid points and returned 0.619 for a 0.1 shear; on another
+    # N it failed in a numpy reshape.
+    psi = catalog.shear(GridMesh(N=32), 0.1)
+    with pytest.raises(ValueError, match="different meshes"):
+        psi_norm(psi, UnitSphereSampler(other, max_mode=8, count=64))
 
 
 def test_materialize_matches_full_grid_modes():
