@@ -38,10 +38,9 @@ def _line(mesh: GridMesh, axis: int) -> np.ndarray:
 
 def translation(mesh: GridMesh, c: float, d: float) -> TorusMap:
     """x -> x + (c, d); an isometry with J = I, both fields stored once."""
-    m = TorusMap(mesh, np.reshape((c, d), (2, 1, 1)), jac=UNIT_JAC,
-                 provenance={"kind": "translation", "c": c, "d": d})
-    m.set_analytic_inverse(lambda: translation(mesh, -c, -d))
-    return m
+    return TorusMap(mesh, np.reshape((c, d), (2, 1, 1)), jac=UNIT_JAC,
+                    provenance={"kind": "translation", "c": c, "d": d},
+                    inverse=lambda: translation(mesh, -c, -d))
 
 
 def shear(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
@@ -58,11 +57,10 @@ def shear(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
     jac = np.zeros((2, 2, *coord.shape))
     jac[0, 0] = jac[1, 1] = 1.0
     jac[axis, 1 - axis] = eps * w * np.cos(w * coord + phase)
-    m = TorusMap(mesh, disp, jac=jac,
-                 provenance={"kind": "shear", "eps": eps, "axis": axis,
-                             "mode": mode, "flux_periods": (0.0, 0.0)})
-    m.set_analytic_inverse(lambda: shear(mesh, -eps, axis, mode, phase))
-    return m
+    return TorusMap(mesh, disp, jac=jac,
+                    provenance={"kind": "shear", "eps": eps, "axis": axis,
+                                "mode": mode, "flux_periods": (0.0, 0.0)},
+                    inverse=lambda: shear(mesh, -eps, axis, mode, phase))
 
 
 def _twist_data(mesh: GridMesh, e1: float, e2: float, m1: int, m2: int,
@@ -108,13 +106,12 @@ def twist(mesh: GridMesh, e1: float, e2: float, m1: int = 1, m2: int = 1,
     vanishing flux.
     """
     disp, jac = _twist_data(mesh, e1, e2, m1, m2, first_axis)
-    m = TorusMap(mesh, disp, jac=jac,
-                 provenance={"kind": "twist", "e1": e1, "e2": e2,
-                             "m1": m1, "m2": m2,
-                             "flux_periods": (0.0, 0.0)})
-    m.set_analytic_inverse(
-        lambda: twist(mesh, -e1, -e2, m1, m2, first_axis=1 - first_axis))
-    return m
+    return TorusMap(mesh, disp, jac=jac,
+                    provenance={"kind": "twist", "e1": e1, "e2": e2,
+                                "m1": m1, "m2": m2,
+                                "flux_periods": (0.0, 0.0)},
+                    inverse=lambda: twist(mesh, -e1, -e2, m1, m2,
+                                          first_axis=1 - first_axis))
 
 
 def _bump_chi(s: np.ndarray):
@@ -184,14 +181,13 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
     # det J is checked once, on the fields in hand, so the map skips its own
     # check, which would compute them again
     require_positive_det(mesh, _bump_jac_of(v, dchi, ct, st, radius, angle))
-    m = TorusMap(mesh, disp, jac=partial(_bump_jac, mesh, center, radius, angle),
-                 check=False,
-                 provenance={"kind": "bump_rotation", "center": tuple(center),
-                             "radius": radius, "angle": angle,
-                             "flux_periods": (float(np.mean(-angle * chi * v[1])),
-                                              float(np.mean(angle * chi * v[0])))})
-    m.set_analytic_inverse(lambda: bump_rotation(mesh, center, radius, -angle))
-    return m
+    return TorusMap(mesh, disp, jac=partial(_bump_jac, mesh, center, radius, angle),
+                    check=False,
+                    provenance={"kind": "bump_rotation", "center": tuple(center),
+                                "radius": radius, "angle": angle,
+                                "flux_periods": (float(np.mean(-angle * chi * v[1])),
+                                                 float(np.mean(angle * chi * v[0])))},
+                    inverse=lambda: bump_rotation(mesh, center, radius, -angle))
 
 
 def non_volume_preserving(mesh: GridMesh, eps: float = 0.1, mode: int = 1) -> TorusMap:
@@ -255,7 +251,6 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
         jac = np.zeros((2, 2, *Y.shape))
         jac[0, 0] = jac[1, 1] = 1.0
         jac[0, 1] = t * eps * w * np.cos(w * Y)
-        m = TorusMap(mesh, disp, jac=jac)
 
         def inv():
             dinv = np.empty((2, *Y.shape))
@@ -266,8 +261,7 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
             jinv[0, 1] = -t * eps * w * np.cos(w * (Y - t * d))
             return TorusMap(mesh, dinv, jac=jinv)
 
-        m.set_analytic_inverse(inv)
-        return m
+        return TorusMap(mesh, disp, jac=jac, inverse=inv)
 
     def gen_at(t: float, points: np.ndarray) -> np.ndarray:
         out = np.empty((2, *points.shape[1:]))

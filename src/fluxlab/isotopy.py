@@ -26,10 +26,9 @@ from .forms import (CohomologyClass1, OneForm, ScalarField,
                     exterior_derivative, harmonic_periods, hodge_decompose,
                     oscillation, sup_norm)
 from .interpolate import PeriodicInterpolator, VectorInterpolator
-from .maps import (DiffeomorphismError, TorusMap, _newton_inverse,
-                   chord_integral, compose, divergence, interior_components,
-                   interior_product, pullback_vector, pushforward_at,
-                   require_positive_det)
+from .maps import (DiffeomorphismError, TorusMap, chord_integral, compose,
+                   divergence, interior_components, interior_product,
+                   pullback_vector, pushforward_at, require_positive_det)
 from .mesh import GridMesh
 
 
@@ -39,6 +38,13 @@ class NonSymplecticError(ValueError):
 
 class LiftError(RuntimeError):
     """Orbit or homotopy lift tracking became ambiguous (K too small)."""
+
+
+def _sample_index(t: float, K: int) -> int | None:
+    """The index j of t as a sample time j/K of K steps (within 1e-9 of
+    j), else None."""
+    j = round(float(t) * K)
+    return j if abs(t * K - j) <= 1e-9 and 0 <= j <= K else None
 
 
 def simpson_weights(K: int, dt: float) -> np.ndarray:
@@ -158,8 +164,8 @@ class TimeField:
         K = len(s) - 1
 
         def sample(t: float) -> np.ndarray:
-            j = round(float(t) * K)
-            if abs(t * K - j) > 1e-9 or not 0 <= j <= K:
+            j = _sample_index(t, K)
+            if j is None:
                 raise ValueError(f"t = {t} is not a sample time of this field")
             return s[j]
 
@@ -289,8 +295,8 @@ class Isotopy:
     def at_time(self, t: float) -> TorusMap:
         """Map at an arbitrary time: the stored sample at a sample time,
         else the path's exact constructor."""
-        j = round(float(t) * self.K)
-        if abs(t * self.K - j) < 1e-9 and 0 <= j <= self.K:
+        j = _sample_index(t, self.K)
+        if j is not None:
             return self.maps[j]
         if self._map_fn is None:
             raise ValueError(f"t = {t} is not a sample time and the path has "
@@ -304,16 +310,8 @@ class Isotopy:
         out = []
         prev = None
         for m in self.maps:
-            if m._inverse is not None or m._analytic_inverse is not None or m.is_identity():
-                inv = m.inverse()
-            else:
-                start = None if prev is None else (
-                    self.mesh.flat_points + prev.disp.reshape(2, -1))
-                inv = _newton_inverse(m, start=start)
-                inv._inverse = m
-                m._inverse = inv
-            out.append(inv)
-            prev = inv
+            prev = m.inverse(near=prev)
+            out.append(prev)
         return out
 
 
@@ -726,8 +724,8 @@ def f_functional(phi_path: Isotopy, alpha: OneForm, t: float = 1.0) -> ScalarFie
     interpolator for all samples.
     """
     K = phi_path.K
-    j = round(float(t) * K)
-    if abs(t * K - j) > 1e-9 or not (0 <= j <= K):
+    j = _sample_index(t, K)
+    if j is None:
         raise ValueError(f"t = {t} is not a sample time of this path")
     alpha.require_closed(what="f_functional")
     mesh = phi_path.mesh
@@ -936,7 +934,6 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
         theta = cc(h, psi_i)
         h_inv = cc(phi, cc(psi_i, phi_i))    # phi psi^-1 phi^-1
         theta_inv = cc(psi, h_inv)           # psi phi psi^-1 phi^-1
-        theta._inverse, theta_inv._inverse = theta_inv, theta
         theta_maps.append(theta)
         theta_invs.append(theta_inv)
 

@@ -4,14 +4,16 @@ A map is stored as x -> x + u(x) mod L with u a smooth periodic
 displacement sampled on the grid.  Its Jacobian is stored, or computed
 by a function on every read and never kept.  Closed-form constructions
 (see `catalog`) supply analytic Jacobians, as arrays or as functions of
-their parameters, and analytic inverses; any other map, composites
-included, gets the default function, the spectral derivative I + du of
-its displacement, and its inverse comes from a damped Newton iteration
-on the lift.
+their parameters, and builders of their analytic inverses; any other map,
+composites included, gets the default function, the spectral derivative
+I + du of its displacement, and its inverse comes from a damped Newton
+iteration on the lift.
 
-Maps are immutable after construction; interpolators, inverses and the
-determinant are cached lazily, so sharing across threads is safe once
-built.
+Maps are immutable after construction; interpolators, the inverse and
+the determinant are cached lazily, so sharing across threads is safe once
+built.  A map refers to its inverse, never the other way round, so no
+map is part of a reference cycle and each is freed as soon as it is
+dropped.
 """
 
 from __future__ import annotations
@@ -101,12 +103,16 @@ class TorusMap:
     `check=False` skips the determinant validation for maps whose
     invertibility is guaranteed by construction (e.g. converged Newton
     inverses).
+
+    `inverse`, which closed-form builders supply, is a zero-argument
+    function building the inverse map; it closes over parameters only.
     """
 
     def __init__(self, mesh: GridMesh, disp: np.ndarray,
                  jac: np.ndarray | Callable[[], np.ndarray] | None = None,
                  provenance: dict | None = None, normalize: bool = False,
-                 check: bool = True):
+                 check: bool = True,
+                 inverse: Callable[[], TorusMap] | None = None):
         disp = np.array(disp, dtype=float)
         _check_field(disp, (2,), mesh.N, "displacement")
         if not np.all(np.isfinite(disp)):
@@ -131,8 +137,8 @@ class TorusMap:
         self._det = None
         self.provenance = dict(provenance or {})
         self._interp: dict[str, object] = {}
-        self._inverse: TorusMap | None = None
-        self._analytic_inverse = None  # callable producing the inverse map
+        # the inverse once built, else its builder (None: Newton)
+        self._inverse: TorusMap | Callable[[], TorusMap] | None = inverse
         # displacement-layer results: id(form) -> (form, potential) and
         # sampler key -> report; the form is kept so that ids stay unique
         self._potential_cache: dict = {}
@@ -173,10 +179,8 @@ class TorusMap:
 
     @classmethod
     def identity(cls, mesh: GridMesh) -> "TorusMap":
-        m = cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC,
-                provenance={"kind": "identity"})
-        m._inverse = m
-        return m
+        return cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC,
+                   provenance={"kind": "identity"})
 
     # -- cached interpolators --------------------------------------------------
 
@@ -222,19 +226,19 @@ class TorusMap:
     def is_identity(self, tol: float = 1e-12) -> bool:
         return bool(np.abs(self._stored_disp).max() <= tol)
 
-    def set_analytic_inverse(self, build) -> None:
-        """Register a closed-form inverse constructor (used by the catalog)."""
-        self._analytic_inverse = build
-
-    def inverse(self) -> "TorusMap":
+    def inverse(self, near: "TorusMap | None" = None) -> "TorusMap":
+        """The inverse map, built on the first call and kept: the closed
+        form if the map was given one, else `_newton_inverse`, warm-started
+        from `near`, the inverse of a nearby map, when one is given.  A map
+        whose stored displacement is exactly 0 is its own inverse and keeps
+        nothing.  The inverse keeps no reference to this map."""
         inv = self._inverse
-        if inv is None:
-            if self._analytic_inverse is not None:
-                inv = self._analytic_inverse()
-            else:
-                inv = _newton_inverse(self)
-            inv._inverse = self
-            self._inverse = inv
+        if isinstance(inv, TorusMap):
+            return inv
+        if not self._stored_disp.any():
+            return self
+        inv = _newton_inverse(self, near) if inv is None else inv()
+        self._inverse = inv
         return inv
 
 
@@ -337,12 +341,13 @@ def _solve_2x2(J: np.ndarray, v: np.ndarray) -> np.ndarray:
                      (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
 
 
-def _newton_inverse(phi: TorusMap, start: np.ndarray | None = None) -> TorusMap:
-    """Solve phi(y) = x per grid point by damped Newton on the lift."""
+def _newton_inverse(phi: TorusMap, near: TorusMap | None = None) -> TorusMap:
+    """Solve phi(y) = x per grid point by damped Newton on the lift,
+    starting from x - u(x), or from `near`, the inverse of a nearby map."""
     mesh = phi.mesh
     tol = TOL_INV_SCALE * max(mesh.L)
     x = mesh.flat_points
-    y = (x - phi.disp.reshape(2, -1)) if start is None else start.reshape(2, -1).copy()
+    y = x - phi.disp.reshape(2, -1) if near is None else x + near.disp.reshape(2, -1)
 
     def residual(yy):
         r = yy + phi.interp_disp(yy) - x
@@ -379,10 +384,14 @@ def pullback_oneform(phi: TorusMap, alpha_at) -> OneForm:
     evaluator, so that alpha is read at phi(x) without interpolation.
     """
     a = alpha_at(phi.flat_position).reshape(2, *phi.mesh.shape)
-    J = phi.jac
-    return OneForm(phi.mesh,
-                   a[0] * J[0, 0] + a[1] * J[1, 0],
-                   a[0] * J[0, 1] + a[1] * J[1, 1])
+    return OneForm(phi.mesh, *_pulled_components(a, phi.jac))
+
+
+def _pulled_components(a: np.ndarray, J: np.ndarray) -> tuple:
+    """The components a o J = (a[0] J[0, k] + a[1] J[1, k]) for k = 0, 1 of
+    covector values a (2, ...) pulled back by a matrix field J (2, 2, ...)."""
+    return (a[0] * J[0, 0] + a[1] * J[1, 0],
+            a[0] * J[0, 1] + a[1] * J[1, 1])
 
 
 def chord_integral(psi: TorusMap, alpha: OneForm) -> np.ndarray:
@@ -473,18 +482,14 @@ def volume_defect(phi: TorusMap, Y: np.ndarray) -> float:
     """
     mesh = phi.mesh
     Y = np.asarray(Y, dtype=float)
-    div = divergence(Y, mesh)
-    ymax = float(np.abs(Y).max())
-    if np.abs(div).max() > 1e-8 * (1.0 + ymax):
-        raise ValueError(
-            f"vector field is not conservative: |div Y| = {np.abs(div).max():.3e}")
+    div_max = np.abs(divergence(Y, mesh)).max()
+    if div_max > 1e-8 * (1.0 + float(np.abs(Y).max())):
+        raise ValueError(f"vector field is not conservative: |div Y| = {div_max:.3e}")
     g = phi.inverse()
     Yg = VectorInterpolator(Y, mesh)(g.flat_position).reshape(2, *mesh.shape)
     J = g.jac
     lhs = interior_product(_solve_2x2(J, Yg), mesh)
-    a = interior_components(Yg)
-    rhs = OneForm(mesh, a[0] * J[0, 0] + a[1] * J[1, 0],
-                  a[0] * J[0, 1] + a[1] * J[1, 1])
+    rhs = OneForm(mesh, *_pulled_components(interior_components(Yg), J))
     return sup_norm(lhs - rhs)
 
 

@@ -475,6 +475,22 @@ def test_norm_axiom_report_passes(mesh, sampler):
     assert not rep.violations, rep.violations
 
 
+def test_norm_axiom_report_norms_the_identity_once(mesh, monkeypatch):
+    # the identity is its own inverse, so duality reads its cached norm
+    zero_reads = []
+    stream = displacement._stream
+
+    def counting(disp, *args, **kwargs):
+        zero_reads.append(not np.any(disp))
+        return stream(disp, *args, **kwargs)
+
+    monkeypatch.setattr(displacement, "_stream", counting)
+    maps = [TorusMap.identity(mesh), catalog.translation(mesh, 1 / 3, 0.0),
+            catalog.shear(mesh, 0.1)]
+    norm_axiom_report(maps, UnitSphereSampler(mesh, max_mode=4, count=24, seed=5))
+    assert sum(zero_reads) == 1
+
+
 def test_separation_violated_at_threshold(mesh, sampler, monkeypatch):
     # a norm must exceed SEPARATION_NORM: equality is a violation
     S = catalog.shear(mesh, 0.1)

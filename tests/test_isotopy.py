@@ -1183,7 +1183,8 @@ def test_commutator_streams_its_samples(mesh):
     # generator-g1's pair: the whole-path integrand stacks, their running
     # integrals, the composition stack and the stacked finite differences
     # peaked 46.7 MiB above the start, and the h <-> h^-1 links left 115
-    # unreachable objects; streamed, the peak measures 19.9 MiB
+    # unreachable objects; streamed, the peak measures 19.9 MiB.  No inverse
+    # refers back to its map, so dropping the result leaves nothing for gc.
     A = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.06, K)
     B = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=K)
     A._inverses(), B._inverses()
@@ -1198,6 +1199,8 @@ def test_commutator_streams_its_samples(mesh):
     assert peak - start < 24 * 2 ** 20
     assert gc.collect() == 0
     assert result[0].provenance["certified_residual"] < 1e-3
+    del result
+    assert gc.collect() == 0
 
 
 # -- closed-form Hamiltonian fields ---------------------------------------------

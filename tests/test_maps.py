@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -296,7 +297,29 @@ def test_compose_diffeo_check():
 # -- inversion ----------------------------------------------------------------
 
 def test_inverse_identity(mesh):
-    assert TorusMap.identity(mesh).inverse().is_identity()
+    # a map whose stored displacement is exactly 0 is its own inverse
+    for m in (TorusMap.identity(mesh), catalog.translation(mesh, 0, 0),
+              catalog.shear(mesh, 0.0)):
+        assert m.inverse() is m
+
+
+@pytest.mark.parametrize("build", [
+    lambda mesh: catalog.shear(mesh, 0.1),
+    lambda mesh: compose(catalog.shear(mesh, 0.05), catalog.twist(mesh, 0.07, 0.05)),
+    TorusMap.identity,
+], ids=["shear", "newton-composite", "identity"])
+def test_a_map_and_its_inverse_are_freed_without_the_collector(mesh, build):
+    # the inverse keeps no reference to its map, so no cycle waits for gc
+    m = build(mesh)
+    gc.disable()
+    try:
+        inv = weakref.ref(m.inverse())
+        alive = weakref.ref(m)
+        del m
+        assert alive() is None
+        assert inv() is None
+    finally:
+        gc.enable()
 
 
 def test_inverse_translation(mesh):
@@ -308,7 +331,7 @@ def test_inverse_translation(mesh):
 
 def test_newton_inverse_matches_analytic(mesh):
     S = catalog.shear(mesh, 0.1)
-    generic = TorusMap(mesh, S.disp)  # no analytic inverse registered
+    generic = TorusMap(mesh, S.disp)  # given no closed-form inverse
     gi = _newton_inverse(generic)
     assert np.abs(gi.disp - catalog.shear(mesh, -0.1).disp).max() < 1e-9
 
