@@ -4,20 +4,20 @@ Every builder here supplies analytic displacement, Jacobian, and (where a
 closed form exists) the inverse map, so determinants and pull-back data
 are exact to round-off rather than limited by spectral differentiation of
 barely resolved fields.  Flow builders attach the exact generating vector
-field to the isotopies they produce; flows of the named potentials
-integrate their field in closed form (`HamiltonianField`).
+field, a `TimeField` with point values, to the isotopies they produce;
+flows of the named potentials integrate their field in closed form
+(`hamiltonian_field`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property, partial
-from types import MappingProxyType
+from functools import partial
 
 import numpy as np
 
-from .isotopy import Isotopy, TimeField, integrate_flow
+from .forms import ScalarField
+from .isotopy import Isotopy, TimeField, integrate_flow, symplectic_flux
 from .maps import UNIT_JAC, TorusMap, require_positive_det
 from .mesh import GridMesh
 
@@ -215,8 +215,8 @@ def translation_flow(mesh: GridMesh, c: float, d: float, K: int = 64) -> Isotopy
 
     return Isotopy.from_time_function(
         mesh, lambda t: translation(mesh, t * c, t * d), K,
-        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
-                                        certified_symplectic=True),
+        generator=TimeField(gen_at, mesh, autonomous=True,
+                            certified_symplectic=True),
         provenance={"kind": "translation_flow", "c": c, "d": d})
 
 
@@ -232,8 +232,8 @@ def shear_flow(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
 
     return Isotopy.from_time_function(
         mesh, lambda t: shear(mesh, t * eps, axis, mode), K,
-        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
-                                        certified_symplectic=True),
+        generator=TimeField(gen_at, mesh, autonomous=True,
+                            certified_symplectic=True),
         provenance={"kind": "shear_flow", "eps": eps, "axis": axis})
 
 
@@ -271,7 +271,7 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
 
     return Isotopy.from_time_function(
         mesh, map_at, K,
-        generator=TimeField.closed_form(gen_at, mesh, certified_symplectic=True),
+        generator=TimeField(gen_at, mesh, certified_symplectic=True),
         provenance={"kind": "translation_shear_flow", "c": c, "d": d, "eps": eps})
 
 
@@ -287,8 +287,8 @@ def rotation_flow(mesh: GridMesh, center, radius: float, angle: float,
 
     return Isotopy.from_time_function(
         mesh, lambda t: bump_rotation(mesh, center, radius, t * angle), K,
-        generator=TimeField.closed_form(gen_at, mesh, autonomous=True,
-                                        certified_symplectic=True),
+        generator=TimeField(gen_at, mesh, autonomous=True,
+                            certified_symplectic=True),
         provenance={"kind": "rotation_flow", "center": tuple(center),
                     "radius": radius, "angle": angle})
 
@@ -351,69 +351,31 @@ def _evaluate(amps, points: np.ndarray, field: bool) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianField:
-    """The Hamiltonian vector field X_H of H = sum of amp * POTENTIALS[name]
-    over `amps` ({name: amp}), on a mesh.
-
-    Read-only and closed under + and scalar *.  Its grid samples and its
-    values at arbitrary points both come from the closed-form gradient, so
-    a flow of this field (`TimeField.wrap`, `integrate_flow`) integrates
-    the true vector field; a flow of its `samples` array reads them off one
-    spline.
-    """
-
-    mesh: GridMesh
-    amps: Mapping[str, float]
-
-    def __post_init__(self):
-        _check_potentials(self.amps)
-        object.__setattr__(self, "amps", MappingProxyType(
-            {name: float(a) for name, a in self.amps.items()}))
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        """X_H on the grid, shape (2, N, N), read-only."""
-        out = self.at(self.mesh.points)
-        out.setflags(write=False)
-        return out
-
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """X_H at physical coordinates of shape (2, ...)."""
-        return _evaluate(self.amps, np.asarray(points, dtype=float), field=True)
-
-    def __add__(self, other: "HamiltonianField") -> "HamiltonianField":
-        if not isinstance(other, HamiltonianField):
-            return NotImplemented
-        if not self.mesh.same_grid(other.mesh):
-            raise ValueError("fields live on different meshes")
-        amps = dict(self.amps)
-        for name, a in other.amps.items():
-            amps[name] = amps.get(name, 0.0) + a
-        return HamiltonianField(self.mesh, amps)
-
-    def __mul__(self, c: float) -> "HamiltonianField":
-        return HamiltonianField(self.mesh, {name: c * a for name, a in self.amps.items()})
-
-    __rmul__ = __mul__
-
-
 def hamiltonian_potential(mesh: GridMesh, name: str, amp: float = 1.0):
     """Grid samples of a named potential, scaled by amp."""
-    from .forms import ScalarField
     _check_potentials([name])
     return ScalarField(mesh, _evaluate({name: amp}, mesh.points, field=False))
 
 
-def hamiltonian_field(mesh: GridMesh, name: str, amp: float = 1.0) -> HamiltonianField:
-    """X_H of a named potential scaled by amp, in closed form."""
-    return HamiltonianField(mesh, {name: amp})
+def hamiltonian_field(mesh: GridMesh, amps: Mapping[str, float]) -> TimeField:
+    """The steady field X_H of H = sum of amp * POTENTIALS[name] over `amps`
+    ({name: amp}), in closed form: its grid samples and its values at any
+    point both come from the closed-form gradient, so a flow of it
+    integrates the true vector field.  It is not certified symplectic; the
+    closedness gate measures it."""
+    _check_potentials(amps)
+    amps = {name: float(a) for name, a in amps.items()}
+
+    def at(t: float, points: np.ndarray) -> np.ndarray:
+        return _evaluate(amps, np.asarray(points, dtype=float), field=True)
+
+    return TimeField(at, mesh, autonomous=True)
 
 
 def hamiltonian_flow(mesh: GridMesh, name: str, amp: float = 1.0,
                      K: int = 64) -> Isotopy:
     """Flow of a named potential, integrated from its closed-form field."""
-    return integrate_flow(hamiltonian_field(mesh, name, amp), K, mesh,
+    return integrate_flow(hamiltonian_field(mesh, {name: amp}), K, mesh,
                           provenance={"kind": "hamiltonian_flow",
                                       "potential": name, "amp": amp})
 
@@ -422,7 +384,6 @@ def hamiltonian_time1(mesh: GridMesh, name: str, amp: float = 1.0,
                       K: int = 64) -> TorusMap:
     """Time-1 map of a named Hamiltonian flow, tagged with its vanishing
     flux certificate."""
-    from .isotopy import symplectic_flux
     iso = hamiltonian_flow(mesh, name, amp, K)
     p = symplectic_flux(iso)
     m = iso.end_map

@@ -4,14 +4,14 @@ An isotopy is a path of diffeomorphisms sampled at t_j = j/K starting at
 the identity, stored with continuous-in-time displacement lifts so that
 homotopy-class constructions (mass flow, orbit lifts, minimizing chords)
 are well defined.  A path is given by its maps and its generating vector
-field, a `TimeField`: the flow integrator, the catalog, reparametrization
-and concatenation attach one that has point values or is steady; the
-commutator path attaches one known only by its samples
-(`TimeField.from_samples`).  The generator calculus (fluxes, mass flow,
-splits, orbit integrals) reads every generator the same way, at the
-sample times; its area form omega is dx ^ dy.  Finite differences of
-the maps appear only as the independent certificate of the commutator
-generating function.
+field, a `TimeField`, which is either its point values or its grid
+samples: the catalog, reparametrization and concatenation attach one with
+point values, the flow integrator the field it integrates, and the
+commutator path one known only by its samples (`TimeField.from_samples`).
+The generator calculus (fluxes, mass flow, splits, orbit integrals) reads
+every generator the same way, at the sample times; its area form omega is
+dx ^ dy.  Finite differences of the maps appear only as the independent
+certificate of the commutator generating function.
 """
 
 from __future__ import annotations
@@ -117,67 +117,51 @@ class TimeField:
     """A time-dependent vector field t -> X_t on the mesh: the one type of a
     path's generator.
 
-    Wraps a callable returning (2, N, N) grid samples.  Off the grid the
-    field is read one of three ways: through `at(t, points)`, its values at
-    points of shape (2, ...), when it has them; for a steady field, through
-    one spline of its one sample, built on the first off-grid read; for a
-    field known only by its samples at t_j = j/K (`from_samples`), through a
-    transient spline of the sample read.  Any other time-dependent field
-    must bring `at`; its grid samples alone would need a spline per time
-    value.  Builders whose fields are divergence-free in closed form may set
+    A field is one of two things.  It is its point values `at(t, points)`,
+    at physical coordinates of shape (2, ...), and its grid samples are
+    `at(t, mesh.points)`; a steady one keeps its one sample, read-only.  Or
+    it is its grid samples alone (`from_samples`): one (2, N, N) sample of a
+    steady field, read off the grid through one spline of it built on the
+    first off-grid read, or K+1 samples at t_j = j/K, read at the sample
+    times alone through a transient spline of the sample read.  Builders
+    whose fields are divergence-free in closed form may set
     `certified_symplectic`, which lets the closedness gate trust the
     construction instead of a spectral residual that only measures aliasing
     on marginally resolved profiles.
     """
 
-    def __init__(self, fn, mesh: GridMesh, autonomous: bool = False,
-                 certified_symplectic: bool = False, at=None):
-        if at is None and not autonomous:
-            raise ValueError("a time-dependent TimeField needs point values `at`")
-        self._fn = fn
+    def __init__(self, at, mesh: GridMesh, autonomous: bool = False,
+                 certified_symplectic: bool = False):
+        self.at = at
         self.mesh = mesh
         self.autonomous = autonomous
         self.certified_symplectic = certified_symplectic
-        self.at = at
-        self._steady: np.ndarray | None = None
+        # the one steady sample, or the K+1 samples of a sampled field
+        self._samples: np.ndarray | None = None
         self._spline: VectorInterpolator | None = None
 
     @classmethod
-    def closed_form(cls, at, mesh: GridMesh, autonomous: bool = False,
-                    certified_symplectic: bool = False) -> "TimeField":
-        """The field with point values `at(t, points)`; its grid samples are
-        those values at the mesh points."""
-        return cls(lambda t: at(t, mesh.points), mesh, autonomous,
-                   certified_symplectic, at=at)
-
-    @classmethod
     def from_samples(cls, samples, mesh: GridMesh) -> "TimeField":
-        """The field known only by its K+1 grid samples at t_j = j/K, of
-        shape (K+1, 2, N, N): the generator of a commutator path.  It is read
-        at the sample times alone; a read at any other time raises
+        """The field known only by its grid samples: one sample of shape
+        (2, N, N), a steady field, or K+1 >= 2 samples at t_j = j/K of
+        shape (K+1, 2, N, N), such as the generator of a commutator path.
+        The samples are kept, not copied.  A time-dependent one is read at
+        the sample times alone; a read at any other time raises
         `ValueError`."""
         s = np.asarray(samples, dtype=float)
-        if s.ndim != 4 or s.shape[1] != 2 or s.shape[2:] != mesh.shape:
-            raise ValueError("samples must have shape (K+1, 2, N, N)")
+        steady = s.shape == (2, *mesh.shape)
+        if not steady and (s.ndim != 4 or len(s) < 2 or s.shape[1:] != (2, *mesh.shape)):
+            raise ValueError("samples must have shape (K+1, 2, N, N) with K >= 1, "
+                             "or (2, N, N) for a steady field")
         if not np.all(np.isfinite(s)):
             raise ValueError("non-finite vector field samples")
-        K = len(s) - 1
-
-        def sample(t: float) -> np.ndarray:
-            j = _sample_index(t, K)
-            if j is None:
-                raise ValueError(f"t = {t} is not a sample time of this field")
-            return s[j]
-
-        # the constructor asks a field given by a function of t for `at`; a
-        # sampled one is time-dependent without it
-        tf = cls(sample, mesh, autonomous=True)
-        tf.autonomous = False
+        tf = cls(None, mesh, autonomous=steady)
+        tf._samples = s
         return tf
 
     @property
     def sampled(self) -> bool:
-        """Known only by its samples (`from_samples`)."""
+        """Time-dependent and known only by its samples (`from_samples`)."""
         return self.at is None and not self.autonomous
 
     def closedness_tol(self, vmax: float) -> float:
@@ -189,13 +173,21 @@ class TimeField:
 
     def field(self, t: float) -> np.ndarray:
         """The grid samples at time t.  Only a steady field keeps its one
-        sample; a time-dependent one is computed on every read, since its
-        readers take one sample at a time and a cache would hold all K + 1."""
-        if not self.autonomous:
-            return np.asarray(self._fn(t), dtype=float)
-        if self._steady is None:
-            self._steady = np.asarray(self._fn(t), dtype=float)
-        return self._steady
+        sample; a time-dependent one with point values is computed on every
+        read, since its readers take one sample at a time and a cache would
+        hold all K + 1."""
+        if self._samples is None:
+            X = np.asarray(self.at(t, self.mesh.points), dtype=float)
+            if not self.autonomous:
+                return X
+            X.setflags(write=False)
+            self._samples = X
+        if self.autonomous:
+            return self._samples
+        j = _sample_index(t, len(self._samples) - 1)
+        if j is None:
+            raise ValueError(f"t = {t} is not a sample time of this field")
+        return self._samples[j]
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         if self.at is not None:
@@ -210,32 +202,23 @@ class TimeField:
 
     @classmethod
     def wrap(cls, X, mesh: GridMesh) -> "TimeField":
-        """Accept a TimeField, a catalog HamiltonianField, or a steady
-        (2, N, N) field array.
-
-        A TimeField is returned as it is.  A HamiltonianField becomes a
-        steady field whose samples are its grid samples and whose value at
-        any point is computed in closed form; an array becomes a steady
-        field read off the grid through one spline of it.  Anything else,
-        a bare callable t -> field included, raises `ValueError`: a
-        time-dependent field is a TimeField with point values.
+        """Accept a TimeField on `mesh`'s grid, returned as it is, or a steady
+        (2, N, N) field array, which becomes the steady field of that one
+        sample (`from_samples`).  A TimeField on another grid raises
+        `ValueError`, and so does anything else, a bare callable t -> field
+        included: a time-dependent field is a TimeField with point values.
         """
-        from .catalog import HamiltonianField
         if isinstance(X, TimeField):
-            return X
-        if isinstance(X, HamiltonianField):
             if not X.mesh.same_grid(mesh):
                 raise ValueError("field lives on a different mesh")
-            return cls(lambda t: X.samples, mesh, autonomous=True,
-                       at=lambda t, p: X.at(p))
+            return X
         arr = np.asarray(X)
         if arr.shape != (2, mesh.N, mesh.N):
             raise ValueError(
                 f"constant field must have shape (2, N, N), got {type(X).__name__} "
                 f"of shape {arr.shape}; a time-dependent field is a TimeField "
                 "with point values")
-        arr = np.asarray(arr, dtype=float)
-        return cls(lambda t: arr, mesh, autonomous=True)
+        return cls.from_samples(arr, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +234,8 @@ class Isotopy:
             raise ValueError("an isotopy needs at least two time samples")
         if not maps[0].is_identity(1e-10):
             raise ValueError("sample 0 of an isotopy must be the identity")
+        if not generator.mesh.same_grid(mesh):
+            raise ValueError("field lives on a different mesh")
         # pair by pair, on the stored axes: a (K+1)-sample stack would be
         # built for one maximum, and constant or line samples need no grid
         jump = max(np.abs(b._stored_disp - a._stored_disp).max()
@@ -342,14 +327,14 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
 
-    `X` may be a TimeField, a catalog HamiltonianField, or a steady
-    (2, N, N) field array (`TimeField.wrap`).  Every resulting sample must
-    pass the diffeomorphism check; a failure suggests a larger K.  A field
-    with point values (a HamiltonianField, or a TimeField with `at`) is
+    `X` may be a TimeField on the mesh's grid or a steady (2, N, N) field
+    array (`TimeField.wrap`).  Every resulting sample must pass the
+    diffeomorphism check; a failure suggests a larger K.  A field with point
+    values (a TimeField with `at`, such as `catalog.hamiltonian_field`) is
     evaluated in closed form at every stage; a steady field without them
-    through the one spline of its sample that its TimeField keeps.  A field
-    known only by its samples (`TimeField.from_samples`) has no values
-    between them and is rejected.
+    through the one spline of its sample that its TimeField keeps.  A
+    time-dependent field known only by its samples
+    (`TimeField.from_samples`) has no values between them and is rejected.
 
     Each step starts from the stored sample phi_(t_j), the grid plus its
     stored displacement, and X(t_j) is read there once: it is the step's
@@ -863,7 +848,7 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
             return rate * tfa.at(lam, points)
         return rate * pushforward_at(a_end, partial(tfb.at, lam), points)
 
-    gen = TimeField.closed_form(
+    gen = TimeField(
         gen_at, mesh,
         certified_symplectic=tfa.certified_symplectic and tfb.certified_symplectic)
     return Isotopy(mesh, maps, generator=gen, map_fn=map_at,

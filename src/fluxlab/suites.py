@@ -216,8 +216,8 @@ def _reparam_flow(base: Isotopy) -> Isotopy:
 
     return Isotopy.from_time_function(
         base.mesh, map_at, base.K,
-        generator=TimeField.closed_form(
-            gen_at, base.mesh, certified_symplectic=X.certified_symplectic),
+        generator=TimeField(gen_at, base.mesh,
+                            certified_symplectic=X.certified_symplectic),
         provenance={"kind": "reparam"})
 
 
@@ -503,7 +503,7 @@ def suite_volume_defect(ctx: SuiteContext) -> list[CheckRow]:
                    catalog.hamiltonian_time1(mesh, "cos_x_cos_y", 0.08, ctx.K)]
         X, Y = mesh.points
         fields = [np.stack([np.full(mesh.shape, 0.3), np.full(mesh.shape, -0.2)]),
-                  catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.5).samples,
+                  catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.5}).field(0.0),
                   np.stack([0.4 * np.sin(2 * np.pi * Y),
                             0.3 * np.cos(2 * np.pi * X)])]
         return max(volume_defect(m, Yf) for m in vp_maps for Yf in fields)
@@ -680,14 +680,15 @@ def suite_f_vs_geodesic(ctx: SuiteContext) -> list[CheckRow]:
     rows.add("01-smooth-agreement", 1e-6, smooth)
 
     def sequences():
-        X0 = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-        W = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 1.0)
-        H_path = integrate_flow(X0, K, mesh)
+        def flow(amps):
+            return integrate_flow(catalog.hamiltonian_field(mesh, amps), K, mesh)
+
+        H_path = flow({"cos_x_cos_y": 0.08})
         state["H"] = H_path
         target = geodesic_functional(H_path, alpha)
-        gaps = [sup_norm(f_functional(integrate_flow(X0 + (0.1 / 2 ** i) * W,
-                                                     K, mesh), alpha, 1.0)
-                         - target)
+        gaps = [sup_norm(f_functional(flow({"cos_x_cos_y": 0.08,
+                                            "sin_x_plus_sin_y": 0.1 / 2 ** i}),
+                                      alpha, 1.0) - target)
                 for i in range(1, 7)]
         state["gaps"] = gaps
         return float(np.diff(gaps).max())
@@ -765,7 +766,7 @@ def suite_hofer_cauchy(ctx: SuiteContext) -> list[CheckRow]:
 
     def autonomous():
         amp = 0.08
-        X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", amp)
+        X = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": amp})
         H = catalog.hamiltonian_potential(mesh, "cos_x_cos_y", amp)
         return abs(generator_length(X, K, mesh) - oscillation(H))
 
@@ -780,9 +781,10 @@ def suite_hofer_cauchy(ctx: SuiteContext) -> list[CheckRow]:
     state = {}
 
     def cauchy():
-        X0 = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 1.0)
-        tails = [generator_length(0.1 * (2.0 ** -i - 2.0 ** -(i + 1)) * X0,
-                                  max(16, K // 4), mesh)
+        tails = [generator_length(
+                     catalog.hamiltonian_field(
+                         mesh, {"cos_x_cos_y": 0.1 * (2.0 ** -i - 2.0 ** -(i + 1))}),
+                     max(16, K // 4), mesh)
                  for i in range(1, 6)]
         state["tails"] = tails
         return float(np.diff(tails).max())

@@ -138,12 +138,12 @@ def test_delta_via_flux_agreement(mesh):
 def test_delta_via_flux_of_several_points_equals_one_point_calls():
     mesh = GridMesh(N=32)
     K = 16
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     flows = [catalog.translation_flow(mesh, 0.3, 0.4, K),
              catalog.shear_flow(mesh, -0.15, axis=0, mode=2, K=K),
              catalog.translation_shear_flow(mesh, 0.25, 0.35, 0.12, K=K),
              catalog.rotation_flow(mesh, (0.3, 0.6), 0.25, 0.8, K),
-             integrate_flow(F.samples, K, mesh),
+             integrate_flow(F.field(0.0), K, mesh),
              catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, K)]
     forms = [OneForm.constant(mesh, 0.0, 1.0),
              closed_form(mesh, (0.4, 0.8), lambda x, y: 0.2 * np.cos(TWO_PI * x))]

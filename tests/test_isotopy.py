@@ -71,31 +71,43 @@ def test_integrate_flow_requires_min_steps(mesh):
 
 def test_generator_inputs_are_checked():
     # a time-dependent field brings point values; integrate_flow takes a
-    # TimeField, a HamiltonianField or a steady (2, N, N) array, nothing else
+    # TimeField on its grid or a steady (2, N, N) array, nothing else
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    with pytest.raises(ValueError, match="time-dependent TimeField needs point values"):
-        TimeField(lambda t: t * F.samples, mesh)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\), "
                                          r"got function of shape \(\)"):
-        integrate_flow(lambda t: t * F.samples, 16, mesh)
+        integrate_flow(lambda t: t * F.field(0.0), 16, mesh)
     with pytest.raises(ValueError, match="mesh required unless X is a TimeField"):
-        integrate_flow(F.samples, 16)
-    with pytest.raises(ValueError, match="field lives on a different mesh"):
-        TimeField.wrap(catalog.hamiltonian_field(GridMesh(N=64), "cos_x_cos_y", 0.08), mesh)
+        integrate_flow(F.field(0.0), 16)
     for bad in (np.zeros((2, 64, 64)), np.zeros((2, 32)), np.zeros((3, 32, 32))):
         with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\)"):
             TimeField.wrap(bad, mesh)
     # what is accepted: a steady field array, read off one spline
-    tf = TimeField.wrap(F.samples, mesh)
+    tf = TimeField.wrap(F.field(0.0), mesh)
     assert tf.autonomous and tf.at is None
     assert TimeField.wrap(tf, mesh) is tf
+
+
+def test_a_field_on_another_grid_is_rejected():
+    # a TimeField of N = 64 neither wraps nor generates a path at N = 32,
+    # where a flow or a length of it would fail on a reshape
+    mesh, fine = GridMesh(N=32), GridMesh(N=64)
+    for X in (catalog.hamiltonian_field(fine, {"cos_x_cos_y": 0.08}),
+              TimeField.from_samples(np.zeros((2, *fine.shape)), fine)):
+        for read in (lambda: TimeField.wrap(X, mesh),
+                     lambda: integrate_flow(X, 16, mesh),
+                     lambda: generator_length(X, 16, mesh)):
+            with pytest.raises(ValueError, match="^field lives on a different mesh$"):
+                read()
+    maps = catalog.shear_flow(mesh, 0.1, K=16).maps
+    with pytest.raises(ValueError, match="^field lives on a different mesh$"):
+        Isotopy(mesh, maps, catalog.shear_flow(fine, 0.1, K=16).generator)
 
 
 def test_a_flow_that_folds_asks_for_more_steps():
     # cos_x_cos_y at amplitude 2 folds at the fifth RK4 step of K = 16
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 2.0)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 2.0})
     with pytest.raises(DiffeomorphismError,
                        match=r"flow sample 5/16 failed .*; increase K") as info:
         integrate_flow(F, 16, mesh)
@@ -110,7 +122,10 @@ def test_isotopy_and_sample_path_inputs_are_checked():
         Isotopy(mesh, [ident], still)
     with pytest.raises(ValueError, match="sample 0 of an isotopy must be the identity"):
         Isotopy(mesh, [catalog.translation(mesh, 0.1, 0.0), ident], still)
-    for shape in ((17, 2, 32), (17, 3, 32, 32), (17, 2, 64, 64)):
+    # a stack of one sample is no time-dependent field; one (2, N, N)
+    # sample is a steady one
+    for shape in ((17, 2, 32), (17, 3, 32, 32), (17, 2, 64, 64), (1, 2, 32, 32),
+                  (0, 2, 32, 32), (2, 64, 64)):
         with pytest.raises(ValueError, match=r"samples must have shape \(K\+1, 2, N, N\)"):
             TimeField.from_samples(np.zeros(shape), mesh)
     samples = np.zeros((17, 2, 32, 32))
@@ -170,8 +185,8 @@ def test_the_closedness_gate_of_a_sampled_field_is_looser():
     for eps, sampled_passes in ((1e-6, True), (1e-4, False)):
         bad = eps * div
         sampled = TimeField.from_samples(np.broadcast_to(bad, (17, *bad.shape)), mesh)
-        closed = TimeField(lambda t: bad, mesh, at=lambda t, p: eps * np.stack(
-            [np.sin(TWO_PI * p[0]), 0.0 * p[1]]))
+        closed = TimeField(lambda t, p: eps * np.stack(
+            [np.sin(TWO_PI * p[0]), 0.0 * p[1]]), mesh)
         assert sampled.closedness_tol(eps) == 1e-4 * (1.0 + eps)
         assert closed.closedness_tol(eps) == 1e-8 * (1.0 + eps)
         with pytest.raises(NonSymplecticError, match=r"> 1\.000e-08$"):
@@ -253,13 +268,13 @@ def test_integrated_flux_equals_the_flux_of_the_same_maps():
     # integrate_flow sums the pulled flux integrand while it integrates; the
     # same maps and generator in a path of their own give the same bits
     mesh = GridMesh(N=32)
-    A = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    B = catalog.hamiltonian_field(mesh, "mix_mode2", 0.05)
+    A = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
+    B = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.05})
     fields = [A,                                   # closed form
-              B.samples,                           # raw array, one spline
+              B.field(0.0),                        # raw array, one spline
               np.zeros((2, *mesh.shape)),          # every sample the identity
-              TimeField.closed_form(lambda t, p: np.cos(t) * A.at(p) + t * B.at(p),
-                                    mesh, certified_symplectic=True)]
+              TimeField(lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p),
+                        mesh, certified_symplectic=True)]
     flows = [integrate_flow(F, 16, mesh) for F in fields]
     for flow in flows:
         by_maps = Isotopy(mesh, flow.maps, flow.generator)
@@ -272,7 +287,7 @@ def test_integrated_flux_equals_the_flux_of_the_same_maps():
 
 def test_integrated_flux_at_odd_K_and_of_an_uncertified_field():
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     # Simpson's rule has no weights at an odd K: the flow integrates, its
     # flux raises as before
     odd = integrate_flow(F, 17, mesh)
@@ -305,7 +320,7 @@ def test_flux_reparametrization_invariance(mesh):
 
     rep = Isotopy.from_time_function(
         mesh, lambda t: catalog.translation(mesh, 0.3 * tau(t), 0.4 * tau(t)), K,
-        generator=TimeField.closed_form(gen_at, mesh, certified_symplectic=True))
+        generator=TimeField(gen_at, mesh, certified_symplectic=True))
     p, q = symplectic_flux(base), symplectic_flux(rep)
     assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-8
 
@@ -338,9 +353,9 @@ def _spline_route(flow):
 def test_pulled_flux_spline_route_is_bit_identical():
     # at the standard form, -(spline of X_y) is the spline of -X_y bit for bit
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.08})
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
-    for path in (integrate_flow(F.samples, 16, mesh), _spline_route(flow)):
+    for path in (integrate_flow(F.field(0.0), 16, mesh), _spline_route(flow)):
         assert path.generator.at is None
         got, ref = _pulled_flux(path), _pulled_flux_by_form_spline(path)
         assert [v.hex() for v in got.ravel()] == [v.hex() for v in ref.ravel()]
@@ -385,10 +400,10 @@ def _flux_form_by_pullback(phi_path, pull):
 
 def test_flux_sum_in_place_equals_the_pullback_route():
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.08})
     paths = [
         catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16),
-        integrate_flow(F.samples, 16, mesh),
+        integrate_flow(F.field(0.0), 16, mesh),
         catalog.rotation_flow(mesh, (0.5, 0.5), 0.2, 0.8, 16),
         # flux-duality's additivity path
         concat_reparam(catalog.translation_flow(mesh, 0.25, -0.15, 16),
@@ -411,8 +426,7 @@ def test_flux_sum_rejects_a_non_finite_sample():
         out[0, ...] = np.nan
         return out
 
-    gen = TimeField(lambda t: np.zeros((2, *mesh.shape)), mesh, autonomous=True,
-                    certified_symplectic=True, at=at)
+    gen = TimeField(at, mesh, autonomous=True, certified_symplectic=True)
     path = Isotopy(mesh, flow.maps, generator=gen)
     with pytest.raises(ValueError, match="non-finite"):
         symplectic_flux(path)
@@ -423,7 +437,7 @@ def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
     # its flux reads X through that spline; a closed-form flow reads X at
     # phi_t(x) from the field itself and splines neither X nor i_X omega
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     closed = integrate_flow(F, 16, mesh)
     splined = []
     real = PeriodicInterpolator.__init__
@@ -434,9 +448,9 @@ def test_flux_of_a_closed_form_flow_builds_no_spline(monkeypatch):
         real(self, values, mesh)
 
     monkeypatch.setattr(PeriodicInterpolator, "__init__", counting)
-    raw = integrate_flow(F.samples, 16, mesh)
+    raw = integrate_flow(F.field(0.0), 16, mesh)
     assert len(splined) == 2
-    assert all(np.array_equal(s, c) for s, c in zip(splined, F.samples))
+    assert all(np.array_equal(s, c) for s, c in zip(splined, F.field(0.0)))
     symplectic_flux(raw)
     volume_flux(closed)  # both routes
     assert len(splined) == 2
@@ -540,14 +554,14 @@ def test_catalog_point_values_are_the_grid_samples():
 def test_off_sample_maps_and_raw_array_parts_raise():
     # a path given by its maps has them at its sample times only
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     flow = integrate_flow(F, 16, mesh)
     by_maps = Isotopy(mesh, flow.maps, flow.generator)
     assert by_maps.at_time(0.5) is flow.maps[8]
     with pytest.raises(ValueError, match="not a sample time and the path has no exact"):
         by_maps.at_time(0.5 / 16)
     # a raw-array flow has no point values; a closed-form one does
-    raw = integrate_flow(F.samples, 16, mesh)
+    raw = integrate_flow(F.field(0.0), 16, mesh)
     translation = catalog.translation_flow(mesh, 0.2, -0.1, 16)
     for a, b in ((raw, translation), (translation, raw)):
         with pytest.raises(ValueError, match="two generators with point values"):
@@ -558,10 +572,9 @@ def test_volume_flux_catches_a_false_certificate():
     # a divergent field wrongly marked symplectic passes the generator gate;
     # its pulled and unpulled integrals then disagree (gap 1.12e-2)
     mesh = GridMesh(N=32)
-    X, _ = mesh.points
-    bad = np.stack([0.2 * np.sin(TWO_PI * X) + 0.1, np.zeros(mesh.shape)])
-    path = integrate_flow(TimeField(lambda t: bad, mesh, autonomous=True,
-                                    certified_symplectic=True), 16, mesh)
+    path = integrate_flow(TimeField(
+        lambda t, p: np.stack([0.2 * np.sin(TWO_PI * p[0]) + 0.1, 0.0 * p[1]]),
+        mesh, autonomous=True, certified_symplectic=True), 16, mesh)
     p = symplectic_flux(path)
     assert p[0] == 0.0 and abs(p[1] - 0.0888) < 1e-4
     with pytest.raises(AssertionError, match="disagrees with symplectic flux"):
@@ -627,7 +640,7 @@ def test_split_rejects_a_divergent_generator(mesh):
     X, _ = mesh.points
     bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
-                   generator=TimeField(lambda t: bad, mesh, autonomous=True))
+                   generator=TimeField.from_samples(bad, mesh))
     worst, tol = _stacked_gate(path)
     message = (f"generator_hodge_split: worst closedness residual of i_X omega "
                f"over the path is {worst:.3e} > {tol:.3e}")
@@ -638,13 +651,10 @@ def test_split_rejects_a_divergent_generator(mesh):
 def test_split_gates_a_time_dependent_generator_at_its_first_bad_sample(mesh):
     # divergent only for t > 1/2; the gate scales with the largest sample
     # over the whole path, and the residual is the worst sample's
-    X, _ = mesh.points
-    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * (K + 1),
                    generator=TimeField(
-                       lambda t: bad * (t > 0.5), mesh,
-                       at=lambda t, p: np.stack([0.2 * np.sin(TWO_PI * p[0]),
-                                                 0.0 * p[1]]) * (t > 0.5)))
+                       lambda t, p: np.stack([0.2 * np.sin(TWO_PI * p[0]),
+                                              0.0 * p[1]]) * (t > 0.5), mesh))
     worst, tol = _stacked_gate(path)
     assert f"{tol:.3e}" == "1.200e-08"
     message = (f"generator_hodge_split: worst closedness residual of i_X omega "
@@ -661,7 +671,7 @@ def test_every_reader_of_a_generator_passes_one_closedness_gate():
     X, _ = mesh.points
     bad = 5e-9 * np.stack([np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * 17,
-                   generator=TimeField(lambda t: bad, mesh, autonomous=True))
+                   generator=TimeField.from_samples(bad, mesh))
     readers = (symplectic_flux, volume_flux, fathi_mass_flow, generator_hodge_split,
                lambda p: generator_length(p.generator, p.K, p.mesh))
     for read in readers:
@@ -675,6 +685,16 @@ def test_steady_generator_samples_share_one_field(mesh):
     assert gen.field(0.0).shape == (2, *mesh.shape)
     for j in (0, K // 2, K):
         assert gen.field(flow.times[j]) is gen.field(0.0)
+
+
+def test_a_closed_form_field_samples_its_point_values(mesh):
+    # a field with point values has no second grid function: its samples
+    # are at(t, mesh.points) bit for bit, steady or time-dependent
+    steady = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.08})
+    moving = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=K).generator
+    for gen in (steady, moving):
+        for t in (0.0, 0.37, 1.0):
+            assert np.array_equal(gen.field(t), gen.at(t, mesh.points))
 
 
 def test_split_reconstruction(mesh):
@@ -702,13 +722,13 @@ def test_generator_length_is_the_length_of_the_integrated_flow():
     # the flow integrated from the same field, steady or time-dependent
     mesh = GridMesh(N=32)
     X, Y = mesh.points
-    X0 = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 1.0)
     raw = np.stack([0.1 + 0.05 * np.sin(TWO_PI * Y), -0.2 + 0.05 * np.cos(TWO_PI * X)])
-    moving = TimeField.closed_form(
+    moving = TimeField(
         lambda t, p: np.stack([0.05 * (1.0 + t) * np.sin(TWO_PI * p[1]),
                                0.03 * np.cos(TWO_PI * (p[0] + t))]), mesh)
-    for field, k in ((catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08), K),
-                     (0.1 * (2.0 ** -1 - 2.0 ** -2) * X0, 16),
+    for field, k in ((catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08}), K),
+                     (catalog.hamiltonian_field(
+                         mesh, {"cos_x_cos_y": 0.1 * (2.0 ** -1 - 2.0 ** -2)}), 16),
                      (raw, K), (moving, K)):
         length = generator_length(field, k, mesh)
         assert length > 0.0
@@ -876,8 +896,8 @@ def test_geodesic_functional_constant_form_is_linear_in_lift():
 
 def test_steady_f_functional_builds_one_interpolator(monkeypatch):
     mesh = GridMesh(N=32)
-    X = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08).samples
-    flow = integrate_flow(TimeField(lambda t: X, mesh, autonomous=True), K, mesh)
+    X = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08}).field(0.0)
+    flow = integrate_flow(X, K, mesh)
     unsteady = Isotopy(mesh, flow.maps, generator=TimeField.from_samples(
         np.broadcast_to(X, (K + 1, *X.shape)), mesh))
     alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * y))
@@ -916,12 +936,12 @@ def test_streamed_f_functional_equals_the_stacked_family():
     # parabola
     mesh = GridMesh(N=32)
     alpha = closed_form(mesh, (0.7, 0.4), lambda x, y: 0.2 * np.cos(TWO_PI * (x - y)))
-    A = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    B = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 0.05)
+    A = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
+    B = catalog.hamiltonian_field(mesh, {"sin_x_plus_sin_y": 0.05})
     paths = [catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, 16),
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
-             integrate_flow(TimeField.closed_form(
-                 lambda t, p: np.cos(t) * A.at(p) + t * B.at(p), mesh), 17)]
+             integrate_flow(TimeField(
+                 lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p), mesh), 17)]
     for path in paths:
         family = _f_functional_family(path, alpha)
         for j in range(path.K + 1):
@@ -935,9 +955,9 @@ def raw_flow_128():
     """A steady flow of a raw field array at N = 128, K = 64, and a closed
     form with an exact part."""
     mesh = GridMesh(N=128)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
-    return integrate_flow(F.samples, 64, mesh), alpha
+    return integrate_flow(F.field(0.0), 64, mesh), alpha
 
 
 def test_delta_via_flux_of_a_raw_flow_leaves_no_interpolators(raw_flow_128):
@@ -987,7 +1007,7 @@ def test_certified_split_reads_one_sample_at_a_time():
     # the same generator, uncertified, is gated but still never stacked;
     # its split equals the trusted one
     gen = flow.generator
-    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
+    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen.at, mesh))
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -1026,7 +1046,7 @@ def test_flux_gate_reads_an_uncertified_generator_one_sample_at_a_time():
     mesh = GridMesh(N=128)
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=64)
     gen = flow.generator
-    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
+    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen.at, mesh))
     gc.collect()
     tracemalloc.start()
     try:
@@ -1046,11 +1066,8 @@ def test_flux_gate_rejects_as_the_stacked_oracle_does():
     # divergent with a strength growing in t: the largest |X| and the worst
     # residual are those of the last sample, and both enter the message
     mesh = GridMesh(N=32)
-    X, _ = mesh.points
-    bad = np.stack([0.2 * np.sin(TWO_PI * X), np.zeros(mesh.shape)])
     path = Isotopy(mesh, [TorusMap.identity(mesh)] * 17, generator=TimeField(
-        lambda t: t * bad, mesh,
-        at=lambda t, p: t * np.stack([0.2 * np.sin(TWO_PI * p[0]), 0.0 * p[1]])))
+        lambda t, p: t * np.stack([0.2 * np.sin(TWO_PI * p[0]), 0.0 * p[1]]), mesh))
     worst, tol = _stacked_gate(path)
     assert worst > tol
     for check in (symplectic_flux, fathi_mass_flow, volume_flux):
@@ -1062,7 +1079,7 @@ def test_flux_gate_rejects_as_the_stacked_oracle_does():
     # the values of its certified twin
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.15, 0.05, K=16)
     gen = flow.generator
-    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen._fn, mesh, at=gen.at))
+    gated = Isotopy(mesh, flow.maps, generator=TimeField(gen.at, mesh))
     worst, tol = _stacked_gate(gated)
     assert worst <= tol
     assert symplectic_flux(gated) == symplectic_flux(flow)
@@ -1227,32 +1244,32 @@ def test_hamiltonian_field_samples_match_sampled_gradients():
     X, Y = mesh.points
     assert set(_GRADIENT_ORACLE) == set(catalog.POTENTIALS)
     for name, (dHx, dHy) in _GRADIENT_ORACLE.items():
-        F = catalog.hamiltonian_field(mesh, name, 0.07)
+        F = catalog.hamiltonian_field(mesh, {name: 0.07})
         ref = np.stack([0.07 * dHy(X, Y), -0.07 * dHx(X, Y)])
-        assert np.abs(F.samples - ref).max() <= 1e-15
-        assert not F.samples.flags.writeable
+        assert np.abs(F.field(0.0) - ref).max() <= 1e-15
+        assert not F.field(0.0).flags.writeable
+        assert not F.certified_symplectic
         # the potential comes from the same table: X_H = (dH/dy, -dH/dx)
         H = catalog.hamiltonian_potential(mesh, name, 0.07).values
         grad = mesh.gradient(H)
-        assert np.abs(np.stack([grad[1], -grad[0]]) - F.samples).max() < 1e-13
+        assert np.abs(np.stack([grad[1], -grad[0]]) - F.field(0.0)).max() < 1e-13
 
 
 def test_hamiltonian_field_algebra():
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    G = catalog.hamiltonian_field(mesh, "mix_mode2", 0.3)
-    W = catalog.hamiltonian_field(mesh, "sin_x_plus_sin_y", 1.0)
+    G = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.3})
     for a in (2.5, -0.1, 0.0):
-        S = a * F + G
-        assert np.abs(S.samples - (a * F.samples + G.samples)).max() <= 1e-15
-    S = F + F * 0.5 + W
-    assert dict(S.amps) == {"cos_x_cos_y": 0.12, "sin_x_plus_sin_y": 1.0}
-    with pytest.raises(TypeError):
-        S.amps["mix_mode2"] = 1.0
-    with pytest.raises(ValueError, match="different meshes"):
-        F + catalog.hamiltonian_field(GridMesh(N=64), "cos_x_cos_y", 0.08)
+        F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": a})
+        S = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": a, "mix_mode2": 0.3})
+        assert np.abs(S.field(0.0) - (F.field(0.0) + G.field(0.0))).max() <= 1e-15
+    # the mapping is read once: changing it later changes no field
+    amps = {"cos_x_cos_y": 0.08}
+    F = catalog.hamiltonian_field(mesh, amps)
+    amps["cos_x_cos_y"] = 1.0
+    assert np.array_equal(F.field(0.0),
+                          catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08}).field(0.0))
     with pytest.raises(KeyError, match="unknown potential"):
-        catalog.hamiltonian_field(mesh, "cos_x", 1.0)
+        catalog.hamiltonian_field(mesh, {"cos_x": 1.0})
     with pytest.raises(KeyError, match="unknown potential"):
         catalog.hamiltonian_potential(mesh, "cos_x", 1.0)
 
@@ -1264,12 +1281,14 @@ def test_point_route_orbits_reproduce_the_stored_maps():
     # closed-form fields, their raw grid samples read through the one
     # spline their TimeField keeps, and a time-dependent closed-form field
     mesh = GridMesh(N=32)
-    fields = [catalog.hamiltonian_field(mesh, name, 0.08) for name in catalog.POTENTIALS]
-    fields.append(fields[0] + 0.05 * fields[1] + (-0.5) * fields[2])
-    fields += [F.samples for F in fields[:2]]
+    fields = [catalog.hamiltonian_field(mesh, {name: 0.08}) for name in catalog.POTENTIALS]
+    fields.append(catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08,
+                                                   "sin_x_plus_sin_y": 0.004,
+                                                   "mix_mode2": -0.04}))
+    fields += [F.field(0.0) for F in fields[:2]]
     A, B = fields[0], fields[1]
-    fields.append(TimeField.closed_form(
-        lambda t, p: np.cos(t) * A.at(p) + t * B.at(p), mesh))
+    fields.append(TimeField(
+        lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p), mesh))
     for F in fields:
         flow = integrate_flow(F, 16, mesh)
         assert flow._flow_step is not None
@@ -1284,8 +1303,8 @@ def test_point_route_matches_spline_route():
     # mix_mode2's mode 2 gives 1.1e-9 here, and N = 32 gives 2e-8
     mesh = GridMesh(N=128)
     for name in ("cos_x_cos_y", "sin_x_plus_sin_y"):
-        F = catalog.hamiltonian_field(mesh, name, 0.08)
-        point, spline = integrate_flow(F, 16, mesh), integrate_flow(F.samples, 16, mesh)
+        F = catalog.hamiltonian_field(mesh, {name: 0.08})
+        point, spline = integrate_flow(F, 16, mesh), integrate_flow(F.field(0.0), 16, mesh)
         assert np.abs(point.end_map.disp - spline.end_map.disp).max() <= 1e-9
 
 
@@ -1294,8 +1313,8 @@ def test_orbit_interpolators_by_route(monkeypatch):
     # step and read no stored displacement; a path given by its maps reads
     # each orbit off two spline interpolators of every stored displacement
     mesh = GridMesh(N=32)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
-    raw, closed = integrate_flow(F.samples, 16, mesh), integrate_flow(F, 16, mesh)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
+    raw, closed = integrate_flow(F.field(0.0), 16, mesh), integrate_flow(F, 16, mesh)
     by_maps = Isotopy(mesh, raw.maps, generator=raw.generator)
     builds = []
     real = TorusMap._get_interp
@@ -1321,7 +1340,7 @@ def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator(monkeypatch
     mesh = GridMesh(N=32)
     x, alpha = np.array([0.15, 0.65]), OneForm.constant(mesh, 0.6, -0.2)
     flow = catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)
-    F = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.08)
+    F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
     builds = []
     real = VectorInterpolator.__init__
 
@@ -1332,8 +1351,8 @@ def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator(monkeypatch
     monkeypatch.setattr(VectorInterpolator, "__init__", counting)
     orbit_integral(flow, x, alpha)
     assert builds == []
-    raw = integrate_flow(F.samples, 16, mesh)
-    assert len(builds) == 1 and np.array_equal(builds[0], F.samples)
+    raw = integrate_flow(F.field(0.0), 16, mesh)
+    assert len(builds) == 1 and np.array_equal(builds[0], F.field(0.0))
     orbit_integral(raw, x, alpha)
     assert len(builds) == 1
 
@@ -1353,8 +1372,8 @@ def _orbit_integral_per_sample(phi_path, x, alpha):
 def test_orbit_integral_batches_its_lookups():
     mesh = GridMesh(N=32)
     alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
-    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
-    paths = [integrate_flow(F.samples, 16, mesh),      # steady spline
+    F = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.08})
+    paths = [integrate_flow(F.field(0.0), 16, mesh),   # steady spline
              integrate_flow(F, 16, mesh),              # closed form
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16)]
     for path in paths:
@@ -1366,8 +1385,8 @@ def test_orbit_integral_batches_its_lookups():
 def test_orbit_integral_of_several_points_equals_one_point_calls():
     mesh = GridMesh(N=32)
     alpha = closed_form(mesh, (0.6, -0.2), lambda x, y: 0.2 * np.sin(TWO_PI * (x + y)))
-    F = catalog.hamiltonian_field(mesh, "mix_mode2", 0.08)
-    paths = [integrate_flow(F.samples, 16, mesh),
+    F = catalog.hamiltonian_field(mesh, {"mix_mode2": 0.08})
+    paths = [integrate_flow(F.field(0.0), 16, mesh),
              integrate_flow(F, 16, mesh),
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
              catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16)]

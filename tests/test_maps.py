@@ -459,12 +459,12 @@ def test_c0_symmetry(mesh):
 # -- volume defect ------------------------------------------------------------
 
 def test_volume_defect_identity(mesh):
-    Y = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.5).samples
+    Y = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.5}).field(0.0)
     assert volume_defect(TorusMap.identity(mesh), Y) < 1e-12
 
 
 def test_volume_defect_vp_maps(mesh):
-    Y = catalog.hamiltonian_field(mesh, "cos_x_cos_y", 0.5).samples
+    Y = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.5}).field(0.0)
     for m in (catalog.translation(mesh, 0.3, 0.1), catalog.shear(mesh, 0.1),
               catalog.twist(mesh, 0.06, 0.05)):
         assert volume_defect(m, Y) <= 1e-6
