@@ -3,14 +3,18 @@
 
 Prints the sampled lower bound of the norm for shears of growing strength
 together with the analytic witness floor (the shear strength itself), and
-optionally dumps the per-sample table of the last report to CSV.
+optionally writes `displacement.norm_table` of the strongest shear to CSV:
+a header, one row per random draw, then the `subspace-max` row.
+
+    PYTHONPATH=src python scripts/norm_profile.py --mesh 32 --table-out t.csv
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from fluxlab import catalog
-from fluxlab.displacement import UnitSphereSampler, psi_norm
+from fluxlab.displacement import UnitSphereSampler, norm_table, psi_norm
 from fluxlab.mesh import GridMesh
 
 
@@ -21,20 +25,25 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--table-out", default=None,
-                        help="CSV path for the last report's sample table")
+                        help="CSV path for the strongest shear's sample table")
     args = parser.parse_args()
 
     mesh = GridMesh(N=args.mesh)
     sampler = UnitSphereSampler(mesh, max_mode=args.max_mode,
                                 count=args.count, seed=args.seed)
-    report = None
     print(f"{'eps':>8} {'norm lower bound':>18} {'witness floor':>14}")
     for eps in (0.02, 0.05, 0.1, 0.15, 0.2):
-        report = psi_norm(catalog.shear(mesh, eps), sampler)
-        print(f"{eps:8.3f} {report.norm_lower_bound:18.6f} {eps:14.3f}")
+        psi = catalog.shear(mesh, eps)
+        print(f"{eps:8.3f} {psi_norm(psi, sampler).norm_lower_bound:18.6f} "
+              f"{eps:14.3f}")
 
-    if args.table_out and report is not None:
-        print(f"sample table written to {report.write_table(args.table_out)}")
+    if args.table_out:
+        lines = ["sample,value,point_x,point_y"]
+        for r in norm_table(psi, sampler):
+            lines.append(f"{r['sample']},{r['value']!r},"
+                         f"{r['point'][0]!r},{r['point'][1]!r}")
+        Path(args.table_out).write_text("\n".join(lines) + "\n")
+        print(f"sample table written to {args.table_out}")
     return 0
 
 

@@ -9,8 +9,8 @@ from .forms import (CohomologyClass1, HodgeSplit, NonClosedFormError, OneForm,
 from .maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                    c0_distance, compose, evaluate_lift, interior_product,
                    pullback_bound_constant, pullback_oneform, volume_defect)
-from .isotopy import (BumpProfile, GeneratorSplit, HomologyClass1, Isotopy,
-                      LiftError, NonSymplecticError, TimeField,
+from .isotopy import (GeneratorSplit, HomologyClass1, Isotopy, LiftError,
+                      NonSymplecticError, TimeField,
                       commutator_generator, concat_reparam, f_functional,
                       fathi_mass_flow, generator_hodge_split, generator_length,
                       geodesic_functional, hofer_like_length, integrate_flow,
@@ -21,8 +21,8 @@ from .displacement import (DisplacementCheck, DisplacementReport,
                            conjugation_check, delta, delta_tilde,
                            delta_via_flux, displaces,
                            displacement_energy_upper, energy_chain_check,
-                           map_commutator, norm_axiom_report, nu_function,
-                           psi_norm, rigidity_limit_check,
+                           map_commutator, norm_axiom_report, norm_table,
+                           nu_function, psi_norm, rigidity_limit_check,
                            supported_commutator_pair)
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .suites import (SUITE_REGISTRY, CheckRow, SuiteReport,

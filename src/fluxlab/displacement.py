@@ -13,22 +13,20 @@ every closed form, so no isotopy gate is needed and no Jacobian is read.
 The sup over the unit sphere is truncated to the span of the harmonic
 forms and the exact forms with potentials in the Fourier band |k| <= m.
 On that subspace the objective is linear in the form, so the exact
-maximizer has a closed form: the table of random sphere samples is
-reported together with the exact subspace maximizer, and the estimate is
-a certified lower bound for the full norm.  By Cauchy-Schwarz no unit
-sample can exceed the subspace maximizer (the best of 64 reads about a
-quarter of it), so when the maximizer is computed the samples' table is
-computed only when a report's table is read.  The estimator streams over
-blocks of grid rows, so its memory does not grow with the number of basis
-forms times the number of grid points.
+maximizer has a closed form, and the estimate is a certified lower bound
+for the full norm.  A norm report holds the estimate and its witness
+only; `norm_table` lists random unit draws beside them, none of which can
+exceed the subspace maximizer (Cauchy-Schwarz; the best of 64 reads about
+a quarter of it).  The estimator streams over blocks of grid rows, so its
+memory does not grow with the number of basis forms times the number of
+grid points.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -331,131 +329,100 @@ def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
     return P
 
 
-def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray,
-            C, refine: bool):
-    """One pass over the basis potentials P (D, N*N) of the map x + disp(x):
-    the largest |C @ P| of each draw (row of C, possibly none) with its grid
-    index, and when `refine` also the largest column norm of P with its grid
-    index and its column.
+def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray):
+    """The basis potentials P (D, N*N) of the map x + disp(x), one block of
+    whole grid rows (`BLOCK_POINTS`) at a time: yields the block's first
+    grid index and its (D, B) columns from `_basis_potentials`.
 
-    P is never formed: the grid is walked in blocks of whole grid rows
-    (`BLOCK_POINTS`), each block's columns are built by `_basis_potentials`
-    and folded into the running maxima, so memory is O(D * block) rather
-    than O(D * N*N + count * N*N).  Strict > keeps the first grid index of
-    a tie, as a dense argmax would.
+    P is never formed, so memory is O(D * block) rather than O(D * N*N).
+    Every block is written into one buffer, which the next block
+    overwrites: arrays made afresh per block are handed back to the OS and
+    faulted in again each block (8.7k page faults a pass at N = 128).
     """
-    count = len(C)
-    top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
-    gmax, g_at, column = -1.0, 0, None
-    start = 0
-    # one buffer each for the block's potentials and its |C @ P|, reused by
-    # every block: arrays made afresh per block are handed back to the OS
-    # and faulted in again each block (8.7k page faults a call at N = 128)
     blocks = _row_blocks(sampler.mesh)
     width = sampler.mesh.N * (blocks[0].stop - blocks[0].start)
     P = np.empty((sampler.dimension, width))
-    a = np.empty((count, width))
     for block in blocks:
-        _basis_potentials(disp, sampler, block, means, out=P)
-        if count:
-            np.abs(np.matmul(C, P, out=a), out=a)
-            j = a.argmax(axis=1)
-            v = a[np.arange(count), j]
-            better = v > top
-            top[better], top_at[better] = v[better], start + j[better]
-        if refine:
-            G = np.sqrt(np.einsum("dx,dx->x", P, P))
-            j = int(G.argmax())
-            if G[j] > gmax:
-                gmax, g_at, column = G[j], start + j, P[:, j].copy()
-        start += P.shape[1]
-    return top, top_at, gmax, g_at, column
+        yield block.start * sampler.mesh.N, _basis_potentials(
+            disp, sampler, block, means, out=P)
+
+
+def _draw_maxima(disp: np.ndarray, sampler: UnitSphereSampler,
+                 means: np.ndarray, C: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The largest |C @ P| of each draw (row of C) and its grid index, in
+    one pass of `_stream`; strict > keeps the first grid index of a tie,
+    as a dense argmax would."""
+    count = len(C)
+    top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
+    a = None
+    for start, P in _stream(disp, sampler, means):
+        if a is None:
+            a = np.empty((count, P.shape[1]))
+        np.abs(np.matmul(C, P, out=a), out=a)
+        j = a.argmax(axis=1)
+        v = a[np.arange(count), j]
+        better = v > top
+        top[better], top_at[better] = v[better], start + j[better]
+    return top, top_at
+
+
+def _largest_column(disp: np.ndarray, sampler: UnitSphereSampler,
+                    means: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """The largest column norm of P, its grid index and its column, in one
+    pass of `_stream`; the first grid index of a tie."""
+    gmax, at, column = -1.0, 0, None
+    for start, P in _stream(disp, sampler, means):
+        G = np.sqrt(np.einsum("dx,dx->x", P, P))
+        j = int(G.argmax())
+        if G[j] > gmax:
+            gmax, at, column = G[j], start + j, P[:, j].copy()
+    return gmax, at, column
 
 
 def _draws(sampler: UnitSphereSampler) -> np.ndarray:
-    """The (count, D) coefficients of the table's random unit draws, drawn
-    afresh from the sampler's seed, so every call gives the same draws."""
+    """The (count, D) coefficients of the random unit draws, drawn afresh
+    from the sampler's seed, so every call gives the same draws."""
     rng = np.random.default_rng(sampler.seed)
     return np.array([sampler.draw_coefficients(rng)
                      for _ in range(sampler.count)])
 
 
-def _row(sample: str, value: float, mesh: GridMesh, at: int) -> dict:
+def _grid_point(mesh: GridMesh, at: int) -> tuple[float, float]:
     pt = mesh.flat_points[:, at]
-    return {"sample": sample, "value": value,
-            "point": (float(pt[0]), float(pt[1]))}
+    return (float(pt[0]), float(pt[1]))
 
 
-def _draw_table(disp: np.ndarray, sampler: UnitSphereSampler,
-                means: np.ndarray, tail: list[dict]) -> list[dict]:
-    """The table of the map x + disp(x): one row per draw of `_draws`, its
-    largest Vol |c . P(:, x)| and the grid point x where it is taken, then
-    the rows of `tail`.  It reads no map, so a report that defers it keeps
-    no reference to the map it measures."""
-    mesh = sampler.mesh
-    top, top_at, *_ = _stream(disp, sampler, means, _draws(sampler),
-                              refine=False)
-    return [_row(f"draw-{s:03d}", float(mesh.volume * top[s]), mesh, top_at[s])
-            for s in range(sampler.count)] + tail
-
-
-@dataclass
+@dataclass(frozen=True)
 class DisplacementReport:
-    """Outcome of the sup-norm estimation for one map.
-
-    `table` lists the per-sample rows.  A report may hold a function that
-    computes them instead (see `psi_norm`); the first read of `table`
-    calls it and keeps its rows.
-    """
+    """Outcome of the sup-norm estimation for one map: the estimate, the
+    coefficients of the unit form that attains it (read-only) and the grid
+    point where it is attained."""
 
     norm_lower_bound: float
     witness_coeffs: np.ndarray
     witness_point: tuple[float, float]
-    sampler_meta: dict
-    map_provenance: dict
-    _table: list[dict] | Callable[[], list[dict]] = field(repr=False)
-
-    @property
-    def table(self) -> list[dict]:
-        if callable(self._table):
-            self._table = self._table()
-        return self._table
-
-    def write_table(self, path) -> str:
-        """Dump the per-sample table to CSV; returns the path."""
-        lines = ["sample,value,point_x,point_y"]
-        for r in self.table:
-            lines.append(f"{r['sample']},{r['value']!r},"
-                         f"{r['point'][0]!r},{r['point'][1]!r}")
-        from pathlib import Path
-        Path(path).write_text("\n".join(lines) + "\n")
-        return str(path)
 
 
 def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     """Certified lower bound of the displacement norm of psi.
 
-    Evaluates sup_z |Delta-tilde(psi, alpha)_z| = Vol * sup |P_alpha| on
-    `count` random unit forms and, when `refine` is set, on the exact
-    maximizer over the sampled subspace (the potential map is linear in
-    alpha, so for each point the optimal coefficients are the normalized
-    potential vector and the subspace sup is max_x ||P(:, x)||_2).  The
-    reported value is the table maximum, hence monotone in the sample
-    budget.  The table lists the draws, then the `subspace-max` row.
+    Evaluates sup_z |Delta-tilde(psi, alpha)_z| = Vol * sup |P_alpha|.
+    With `refine` set, alpha ranges over the whole sampled subspace: the
+    potential map is linear in alpha, so for each point the optimal
+    coefficients are the normalized potential vector and the subspace sup
+    is max_x ||P(:, x)||_2, found in one pass over the grid.  No random
+    draw could raise it: for a unit c, Cauchy-Schwarz gives
+    |c . P(:, x)| <= ||P(:, x)||_2 (the best of 64 draws reads 0.21-0.28 of
+    the subspace value on the test maps at N = 128, seeds 0 and 3), so
+    none is computed.  Without `refine` the estimate is the best of `count`
+    random unit forms drawn from the sampler's seed, also in one pass, and
+    so monotone in the sample budget; ties keep the first draw.  Either
+    way ties keep the first grid index.  `norm_table` lists the draws'
+    values beside the estimate.
 
-    With `refine` set, the subspace row is the maximum and no draw can set
-    the estimate: for a unit c, Cauchy-Schwarz gives
-    |c . P(:, x)| <= ||P(:, x)||_2.  The best of 64 draws reads 0.21-0.28
-    of the subspace value on the test maps at N = 128 (seeds 0 and 3), a
-    gap no rounding (about D eps relative) can close, so nothing checks it
-    at run time.  So one pass over the grid (`_stream`) computes the column
-    norms only, and the draws' rows are computed on the first read of
-    `report.table` by a second pass through the same blocks with the same
-    draws from the sampler's seed (`_draw_table`), each row as one pass
-    would give it.  The deferred table holds the displacement, the sampler
-    and the means, never the map: the map's norm cache holds the report.
-    Without `refine` the draws are the estimate, and the table is built in
-    the one pass.  Ties keep the first grid index, and the first draw.
+    The report is cached on the map per sampler setting and holds nothing
+    of the map.
     """
     if not sampler.mesh.same_grid(psi.mesh):
         raise ValueError("sampler and map live on different meshes")
@@ -470,31 +437,53 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     mesh = psi.mesh
     means = _potential_means(psi.disp, sampler)
     if sampler.refine:
-        _, _, gmax, at, column = _stream(psi.disp, sampler, means, [],
-                                         refine=True)
+        gmax, at, column = _largest_column(psi.disp, sampler, means)
+        value = mesh.volume * float(gmax)
         if gmax > 0:
             witness = column / gmax
         else:
             witness = np.zeros(sampler.dimension)
             witness[0] = 1.0
-        best = _row("subspace-max", mesh.volume * float(gmax), mesh, at)
-        table = (partial(_draw_table, psi.disp, sampler, means, [best])
-                 if sampler.count else [best])
     else:
-        table = _draw_table(psi.disp, sampler, means, [])
-        s = max(range(sampler.count), key=lambda i: table[i]["value"])
-        best, witness = table[s], _draws(sampler)[s].copy()
-    report = DisplacementReport(
-        norm_lower_bound=float(best["value"]),
-        witness_coeffs=witness,
-        witness_point=best["point"],
-        sampler_meta={"m": sampler.max_mode, "count": sampler.count,
-                      "seed": sampler.seed, "refine": sampler.refine},
-        map_provenance=dict(psi.provenance),
-        _table=table,
-    )
+        C = _draws(sampler)
+        top, top_at = _draw_maxima(psi.disp, sampler, means, C)
+        values = mesh.volume * top
+        s = int(values.argmax())
+        value, at, witness = float(values[s]), top_at[s], C[s].copy()
+    witness.flags.writeable = False
+    report = DisplacementReport(norm_lower_bound=value, witness_coeffs=witness,
+                                witness_point=_grid_point(mesh, at))
     cache[key] = report
     return report
+
+
+def norm_table(psi: TorusMap, sampler: UnitSphereSampler) -> list[dict]:
+    """The per-sample table of the norm estimate of psi: one row per random
+    unit draw from the sampler's seed, `draw-000` on, with its value
+    Vol * max_x |c . P(:, x)| and the grid point where it is taken, then,
+    when `refine` is set, the `subspace-max` row of `psi_norm`'s estimate
+    and witness point.
+
+    Each row is a dict of `sample`, `value` and `point`.  The draws take
+    one more pass over the grid than `psi_norm`, which this calls (and
+    which is cached on the map).
+    """
+    report = psi_norm(psi, sampler)
+    mesh = psi.mesh
+    rows = []
+    if sampler.count:
+        top, top_at = _draw_maxima(psi.disp, sampler,
+                                   _potential_means(psi.disp, sampler),
+                                   _draws(sampler))
+        rows = [{"sample": f"draw-{s:03d}",
+                 "value": float(mesh.volume * top[s]),
+                 "point": _grid_point(mesh, top_at[s])}
+                for s in range(sampler.count)]
+    if sampler.refine:
+        rows.append({"sample": "subspace-max",
+                     "value": report.norm_lower_bound,
+                     "point": report.witness_point})
+    return rows
 
 
 # ---------------------------------------------------------------------------

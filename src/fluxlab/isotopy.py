@@ -236,6 +236,8 @@ class Isotopy:
             raise ValueError("sample 0 of an isotopy must be the identity")
         if not generator.mesh.same_grid(mesh):
             raise ValueError("field lives on a different mesh")
+        if not all(m.mesh.same_grid(mesh) for m in maps):
+            raise ValueError("map sample lives on a different mesh")
         # pair by pair, on the stored axes: a (K+1)-sample stack would be
         # built for one maximum, and constant or line samples need no grid
         jump = max(np.abs(b._stored_disp - a._stored_disp).max()
@@ -322,7 +324,7 @@ def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float,
     return y + (h / 6.0) * acc
 
 
-def integrate_flow(X, K: int, mesh: GridMesh | None = None,
+def integrate_flow(X, K: int, mesh: GridMesh,
                    provenance: dict | None = None) -> Isotopy:
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
@@ -347,11 +349,6 @@ def integrate_flow(X, K: int, mesh: GridMesh | None = None,
     keeps its step, so that orbits of arbitrary points are integrated the
     same way, through the same evaluator (`_orbit_points`).
     """
-    if mesh is None:
-        if isinstance(X, TimeField):
-            mesh = X.mesh
-        else:
-            raise ValueError("mesh required unless X is a TimeField")
     if K < 16:
         raise ValueError(f"K must be at least 16, got {K}")
     tf = TimeField.wrap(X, mesh)
@@ -785,28 +782,16 @@ def _smooth_step_deriv(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Monotone smooth u: [0,1] -> [0,1], identically 0 on [0, delta] and
-    identically 1 on [1 - delta, 1], with all derivatives flat there."""
-
-    delta: float = 0.125
-
-    def __post_init__(self):
-        if not (0.0 < self.delta <= 0.125):
-            raise ValueError(f"delta must lie in (0, 1/8], got {self.delta}")
-
-    def u(self, s):
-        return _smooth_step((np.asarray(s, dtype=float) - self.delta)
-                            / (1.0 - 2.0 * self.delta))
-
-    def du(self, s):
-        return _smooth_step_deriv((np.asarray(s, dtype=float) - self.delta)
-                                  / (1.0 - 2.0 * self.delta)) / (1.0 - 2.0 * self.delta)
+def _profile(s):
+    """The transition profile of every concatenation: a monotone smooth
+    u: [0, 1] -> [0, 1], identically 0 on [0, 1/8] and identically 1 on
+    [7/8, 1], with all derivatives flat there."""
+    return _smooth_step((np.asarray(s, dtype=float) - 0.125) / 0.75)
 
 
-#: the transition profile of every concatenation
-_PROFILE = BumpProfile()
+def _profile_rate(s):
+    """The derivative du/ds of `_profile`."""
+    return _smooth_step_deriv((np.asarray(s, dtype=float) - 0.125) / 0.75) / 0.75
 
 
 def concat_reparam(a_path: Isotopy, b_path: Isotopy,
@@ -833,15 +818,15 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
 
     def map_at(s: float) -> TorusMap:
         if s <= 0.5:
-            return a_path.at_time(float(_PROFILE.u(2.0 * s)))
-        return compose(a_end, b_path.at_time(float(_PROFILE.u(2.0 * s - 1.0))),
+            return a_path.at_time(float(_profile(2.0 * s)))
+        return compose(a_end, b_path.at_time(float(_profile(2.0 * s - 1.0))),
                        normalize=False)
 
     maps = [map_at(j / K_out) for j in range(K_out + 1)]
 
     def gen_at(s: float, points: np.ndarray) -> np.ndarray:
         r = 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
-        rate, lam = 2.0 * float(_PROFILE.du(r)), float(_PROFILE.u(r))
+        rate, lam = 2.0 * float(_profile_rate(r)), float(_profile(r))
         if rate == 0.0:
             return np.zeros((2, *points.shape[1:]))
         if s <= 0.5:

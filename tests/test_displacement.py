@@ -1,9 +1,13 @@
 """Displacement potentials, the norm estimator, energies, rigidity."""
 
+import dataclasses
 import gc
 import math
+import runpy
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   delta, delta_tilde, delta_via_flux,
                                   displaces, displacement_energy_upper,
                                   energy_chain_check, map_commutator,
-                                  norm_axiom_report, nu_function, psi_norm,
+                                  norm_axiom_report, norm_table, nu_function,
+                                  psi_norm,
                                   rigidity_limit_check,
                                   supported_commutator_pair)
 from fluxlab.forms import (NonClosedFormError, OneForm, hodge_decompose,
@@ -277,14 +282,19 @@ def test_streamed_norm_matches_dense_route(N, count, refine):
                                 seed=3)
     for name, psi in _norm_test_maps(mesh).items():
         rep = psi_norm(psi, sampler)
+        table = norm_table(psi, sampler)
         dense = _dense_table_values(psi, sampler)
-        got = [r["value"] for r in rep.table]
+        got = [r["value"] for r in table]
         assert len(got) == len(dense) == count + refine
+        assert [r["sample"] for r in table[:count]] == [
+            f"draw-{s:03d}" for s in range(count)]
         # with refine the last row is the maximum (Cauchy-Schwarz), so the
-        # deferred draws never set the estimate
+        # draws never set the estimate
         assert max(got) == rep.norm_lower_bound
+        best = table[-1] if refine else table[got.index(max(got))]
+        assert best["point"] == rep.witness_point
         if refine:
-            assert rep.table[-1]["sample"] == "subspace-max"
+            assert table[-1]["sample"] == "subspace-max"
         if name == "identity":
             assert rep.norm_lower_bound == 0.0 and got == [0.0] * len(got)
             continue
@@ -297,31 +307,31 @@ def test_psi_norm_peak_memory_is_per_block():
     # The production sampler at N = 128 (D = 290): the dense route held
     # P (38 MB) and the (count, N*N) values and peaked 54.9 MB above its
     # start; streamed over blocks of 4 grid rows the estimate peaks at
-    # 2.1 MB, and the first read of the table, which streams the draws
-    # through the same blocks, at 2.5-3.3 MB.
+    # 2.1 MB, and its table, which streams the draws through the same
+    # blocks, at 2.5-3.3 MB.
     mesh = GridMesh(N=128)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=64, seed=3)
     psi = catalog.twist(mesh, 0.08, 0.06)
     mesh.points, mesh.flat_points  # the mesh's cached grids are not the estimator's
     tracemalloc.start()
     try:
-        rep = psi_norm(psi, sampler)
+        psi_norm(psi, sampler)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        rep.table
+        norm_table(psi, sampler)
         table_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6, f"psi_norm peaked {peak / 1e6:.1f} MB above its start"
     assert table_peak < 4e6, (
-        f"the table read peaked {table_peak / 1e6:.1f} MB above its start")
+        f"the table peaked {table_peak / 1e6:.1f} MB above its start")
 
 
 @pytest.mark.parametrize("refine", [1, 0])
 def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
-    # With refine the estimate is one pass of basis potentials over the row
-    # blocks and the table a second pass on its first read; without it the
-    # draws are the estimate and the table comes from the one pass.
+    # The estimate is one pass of basis potentials over the row blocks,
+    # the subspace maximizer's with refine and the draws' without, and a
+    # cached norm makes none; each table is one pass of the draws more.
     mesh = GridMesh(N=32)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=64, refine=refine,
                                 seed=3)
@@ -334,33 +344,51 @@ def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
 
     monkeypatch.setattr(displacement, "_basis_potentials", counted)
     blocks = displacement._row_blocks(mesh)
-    rep = psi_norm(catalog.twist(mesh, 0.08, 0.06), sampler)
+    psi = catalog.twist(mesh, 0.08, 0.06)
+    psi_norm(psi, sampler)
     assert calls == blocks
-    rep.table
-    assert calls == blocks * (2 if refine else 1)
-    rep.table
-    assert calls == blocks * (2 if refine else 1)
+    psi_norm(psi, sampler)
+    assert calls == blocks
+    norm_table(psi, sampler)
+    assert calls == blocks * 2
+    norm_table(psi, sampler)
+    assert calls == blocks * 3
 
 
-def test_deferred_table_holds_no_reference_to_the_map():
-    # The map's norm cache holds the report, so a table that held the map
+@pytest.mark.parametrize("refine", [1, 0])
+def test_a_norm_report_is_frozen(refine):
+    # the report is cached on its map and handed to every caller
+    mesh = GridMesh(N=32)
+    rep = psi_norm(catalog.shear(mesh, 0.1),
+                   UnitSphereSampler(mesh, max_mode=4, count=8, refine=refine))
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "norm_lower_bound", "witness_coeffs", "witness_point"]
+    for name, value in vars(rep).items():
+        assert not callable(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        rep.witness_coeffs[0] = 0.0
+
+
+@pytest.mark.parametrize("refine", [1, 0])
+def test_a_normed_map_is_freed_without_the_collector(refine):
+    # The map's norm cache holds the report, so a report that held the map
     # would put each normed map on a reference cycle.
     mesh = GridMesh(N=32)
-    sampler = UnitSphereSampler(mesh, max_mode=8, count=64, seed=3)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=64, refine=refine,
+                                seed=3)
     psi = catalog.shear(mesh, 0.1)
-    dense = _dense_table_values(psi, sampler)
     gc.disable()
     try:
         rep = psi_norm(psi, sampler)
+        norm_table(psi, sampler)
         alive = weakref.ref(psi)
         del psi
         assert alive() is None
     finally:
         gc.enable()
-    got = [r["value"] for r in rep.table]
-    assert len(got) == len(dense)
-    for a, b in zip(got, dense):
-        assert abs(a - b) <= 1e-15 * abs(b)
+    assert rep.norm_lower_bound > 0.0
 
 
 @pytest.mark.parametrize("other", [GridMesh(N=32, L=(2.0, 1.0)),
@@ -443,16 +471,29 @@ def test_psi_norm_witness_is_unit_closed(mesh, sampler):
     w = sampler.materialize(rep.witness_coeffs)
     assert abs(l2_norm(w) - 1.0) < 1e-10
     assert w.closedness_residual < 1e-8
-    assert max(r["value"] for r in rep.table) == rep.norm_lower_bound
+    table = norm_table(catalog.twist(mesh, 0.1, 0.08), sampler)
+    assert max(r["value"] for r in table) == rep.norm_lower_bound
 
 
-def test_psi_norm_report_table(mesh, sampler, tmp_path):
-    rep = psi_norm(catalog.shear(mesh, 0.1), sampler)
-    path = rep.write_table(tmp_path / "table.csv")
-    assert path == str(tmp_path / "table.csv")
-    lines = open(path).read().strip().split("\n")
-    assert lines[0] == "sample,value,point_x,point_y"
-    assert len(lines) == len(rep.table) + 1
+def test_psi_norm_report_table(monkeypatch, tmp_path):
+    # scripts/norm_profile.py writes the strongest shear's norm_table to CSV:
+    # a header, one row per draw, then subspace-max, every float by repr
+    path = tmp_path / "table.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "norm_profile.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--mesh", "32", "--count",
+                                      "16", "--table-out", str(path)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    mesh = GridMesh(N=32)
+    table = norm_table(catalog.shear(mesh, 0.2),
+                       UnitSphereSampler(mesh, max_mode=8, count=16, seed=0))
+    lines = path.read_text().split("\n")
+    assert lines[0] == "sample,value,point_x,point_y" and lines[-1] == ""
+    assert len(lines) == len(table) + 2
+    for line, r in zip(lines[1:], table):
+        sample, *vals = line.split(",")
+        assert sample == r["sample"]
+        assert [float(v) for v in vals] == [r["value"], *r["point"]]
+    assert lines[-2].startswith("subspace-max,")
 
 
 def test_psi_norm_budget_zero(mesh):

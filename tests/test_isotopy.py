@@ -12,8 +12,8 @@ from scipy.integrate import cumulative_simpson
 from fluxlab import catalog, isotopy
 from fluxlab.forms import (OneForm, exterior_derivative, hodge_decompose,
                            oscillation, sup_norm)
-from fluxlab.isotopy import (BumpProfile, Isotopy, LiftError,
-                             NonSymplecticError, TimeField,
+from fluxlab.isotopy import (Isotopy, LiftError, NonSymplecticError,
+                             TimeField,
                              commutator_generator, concat_reparam,
                              f_functional, fathi_mass_flow,
                              generator_hodge_split, generator_length,
@@ -77,8 +77,6 @@ def test_generator_inputs_are_checked():
     with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\), "
                                          r"got function of shape \(\)"):
         integrate_flow(lambda t: t * F.field(0.0), 16, mesh)
-    with pytest.raises(ValueError, match="mesh required unless X is a TimeField"):
-        integrate_flow(F.field(0.0), 16)
     for bad in (np.zeros((2, 64, 64)), np.zeros((2, 32)), np.zeros((3, 32, 32))):
         with pytest.raises(ValueError, match=r"constant field must have shape \(2, N, N\)"):
             TimeField.wrap(bad, mesh)
@@ -122,6 +120,12 @@ def test_isotopy_and_sample_path_inputs_are_checked():
         Isotopy(mesh, [ident], still)
     with pytest.raises(ValueError, match="sample 0 of an isotopy must be the identity"):
         Isotopy(mesh, [catalog.translation(mesh, 0.1, 0.0), ident], still)
+    # N = 64 shear samples with an N = 32 generator were accepted: the
+    # path's length read 0.0318 and its flux failed on a reshape
+    fine = catalog.shear_flow(GridMesh(N=64), 0.1, K=16).maps
+    for maps in (fine, [ident, *fine[1:]]):
+        with pytest.raises(ValueError, match="^map sample lives on a different mesh$"):
+            Isotopy(mesh, maps, catalog.shear_flow(mesh, 0.1, K=16).generator)
     # a stack of one sample is no time-dependent field; one (2, N, N)
     # sample is a steady one
     for shape in ((17, 2, 32), (17, 3, 32, 32), (17, 2, 64, 64), (1, 2, 32, 32),
@@ -167,7 +171,7 @@ def test_integrate_flow_and_concat_reparam_reject_a_sampled_field(monkeypatch):
     composed = []
     monkeypatch.setattr(isotopy, "compose", lambda *a, **k: composed.append(a))
     with pytest.raises(ValueError, match="time-dependent TimeField needs point values"):
-        integrate_flow(tf, 16)
+        integrate_flow(tf, 16, mesh)
     sampled = Isotopy(mesh, flow.maps, tf)
     for a, b in ((sampled, flow), (flow, sampled)):
         with pytest.raises(ValueError, match="two generators with point values"):
@@ -806,12 +810,6 @@ def test_f_functional_rejects_a_non_sample_time(mesh, t):
         f_functional(iso, OneForm.constant(mesh, 2.0, 1.0), t)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.2, -0.1])
-def test_bump_profile_rejects_delta_outside_its_range(delta):
-    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/8\]"):
-        BumpProfile(delta=delta)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_cumulative_needs_three_samples(n):
     # scipy falls back to the trapezoid rule here; no caller needs that
@@ -941,7 +939,8 @@ def test_streamed_f_functional_equals_the_stacked_family():
     paths = [catalog.hamiltonian_flow(mesh, "mix_mode2", 0.08, 16),
              catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
              integrate_flow(TimeField(
-                 lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p), mesh), 17)]
+                 lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p), mesh), 17,
+                 mesh)]
     for path in paths:
         family = _f_functional_family(path, alpha)
         for j in range(path.K + 1):
@@ -1097,13 +1096,15 @@ def test_kappa_linear_bound(mesh):
 # -- concatenation ------------------------------------------------------------
 
 def test_bump_profile_margins():
-    u = BumpProfile(0.125)
     s = np.linspace(0, 0.125, 20)
-    assert np.all(u.u(s) == 0.0) and np.all(u.du(s) == 0.0)
+    assert np.all(isotopy._profile(s) == 0.0)
+    assert np.all(isotopy._profile_rate(s) == 0.0)
     s = np.linspace(0.875, 1.0, 20)
-    assert np.all(u.u(s) == 1.0) and np.all(u.du(s) == 0.0)
+    assert np.all(isotopy._profile(s) == 1.0)
+    assert np.all(isotopy._profile_rate(s) == 0.0)
     mid = np.linspace(0.13, 0.87, 100)
-    assert np.all(np.diff(u.u(mid)) >= 0)
+    assert np.all(np.diff(isotopy._profile(mid)) >= 0)
+    assert np.all(isotopy._profile_rate(mid) > 0)
 
 
 def test_concat_endpoints(mesh):
