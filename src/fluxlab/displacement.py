@@ -20,6 +20,15 @@ exceed the subspace maximizer (Cauchy-Schwarz; the best of 64 reads about
 a quarter of it).  The estimator streams over blocks of grid rows, so its
 memory does not grow with the number of basis forms times the number of
 grid points.
+
+The subspace maximizer scans only the grid points along which its column
+norm can vary: all of them for a map stored on the full grid, its one grid
+line for a map stored on a line, grid point 0 for a translation.  Along a
+grid axis a that the displacement does not vary along, a grid step
+multiplies W_k(x) and W_k(psi x) by the same unit phase, so the harmonic
+rows and |W_k(psi x) - W_k(x)| stay put, and the mean mu_k of every mode
+with k_a != 0 vanishes (its grid sum along a is 0): |d_k - mu_k| and so
+the column norm are constant along a.
 """
 
 from __future__ import annotations
@@ -203,7 +212,7 @@ class UnitSphereSampler:
         m, N = self.max_mode, self.mesh.N
         gx, gy = self._grid_ladders
         sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
-        for rows in _row_blocks(self.mesh):
+        for rows, _ in _row_blocks(self.mesh):
             sums += _gram(np.repeat(gx[:, rows], N, axis=1),
                           np.tile(gy, (1, rows.stop - rows.start)), m)
         return sums
@@ -246,19 +255,47 @@ def _ladder(coord: np.ndarray, period: float, m: int) -> np.ndarray:
 #: arrays instead of the (D, N*N) basis-potential matrix.
 BLOCK_POINTS = 512
 
+#: A grid rectangle (rows, cols): the grid points (i, j) with i in rows and
+#: j in cols, read in row-major order.
+Rect = tuple[slice, slice]
 
-def _row_blocks(mesh: GridMesh) -> list[slice]:
-    """The grid rows in consecutive blocks of about BLOCK_POINTS points."""
+
+def _row_blocks(mesh: GridMesh) -> list[Rect]:
+    """The grid rows in consecutive blocks of about BLOCK_POINTS points,
+    each the rectangle of its whole rows."""
     rows = min(mesh.N, max(1, BLOCK_POINTS // mesh.N))
-    return [slice(r, r + rows) for r in range(0, mesh.N, rows)]
+    return [(slice(r, r + rows), slice(0, mesh.N))
+            for r in range(0, mesh.N, rows)]
+
+
+def _stored_rects(mesh: GridMesh, shape: tuple[int, int]) -> list[Rect]:
+    """The grid rectangles on which the column norm ||P(:, x)|| of a map
+    whose displacement is stored on grid axes `shape` can vary: the row
+    blocks of a full (N, N) map, the one grid line of a (1, N) or (N, 1)
+    map and grid point 0 of a (1, 1) one: along a unit axis the column
+    norm is constant (`_basis_potentials`).
+    """
+    if shape == mesh.shape:
+        return _row_blocks(mesh)
+    return [(slice(0, shape[0]), slice(0, shape[1]))]
+
+
+def _grid_index(mesh: GridMesh, rect: Rect, j):
+    """The flat grid index of column j (an int or an index array) of a
+    block read on the grid rectangle `rect`."""
+    rows, cols = rect
+    i, jj = divmod(j, cols.stop - cols.start)
+    return (rows.start + i) * mesh.N + cols.start + jj
 
 
 def _image_ladders(disp: np.ndarray, sampler: UnitSphereSampler,
-                   rows: slice) -> list[np.ndarray]:
+                   rect: Rect) -> list[np.ndarray]:
     """x and y ladders, each (2m + 1, B), of the image points x + disp(x)
-    of the grid points in grid rows `rows`, flattened in grid order."""
+    of the grid points in the grid rectangle `rect`, flattened in grid
+    order."""
     mesh = sampler.mesh
-    pos = (mesh.points[:, rows] + disp[:, rows]).reshape(2, -1)
+    rows, cols = rect
+    pos = (mesh.points[:, rows, cols] + disp[:, rows, cols]).reshape(2, -1)
     return [_ladder(pos[k], mesh.L[k], sampler.max_mode) for k in range(2)]
 
 
@@ -281,8 +318,8 @@ def _potential_means(disp: np.ndarray, sampler: UnitSphereSampler
     """
     m, N = sampler.max_mode, sampler.mesh.N
     sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
-    for rows in _row_blocks(sampler.mesh):
-        sums += _gram(*_image_ladders(disp, sampler, rows), m)
+    for rect in _row_blocks(sampler.mesh):
+        sums += _gram(*_image_ladders(disp, sampler, rect), m)
     diff = (sums - sampler._grid_sums).ravel()[m + 1:]
     mu = sampler._amps * diff / (N * N)
     means = np.empty(sampler.dimension)
@@ -292,26 +329,35 @@ def _potential_means(disp: np.ndarray, sampler: UnitSphereSampler
 
 
 def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
-                      rows: slice, means: np.ndarray,
+                      rect: Rect, means: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Displacement potentials of every basis form under the map
-    psi = x + disp(x) at the grid points of grid rows `rows`, centred by
-    `_potential_means`; shape (D, B) with B = N points per grid row,
-    written into `out` when given.
+    psi = x + disp(x) at the grid points of the grid rectangle `rect`,
+    centred by `_potential_means`; shape (D, B) with B the rectangle's
+    points in row-major order, written into `out` when given.
 
     Harmonic rows are (u - mean)/sqrt(vol); an exact basis form dG has the
     potential G o psi - G minus its mean, read off the Fourier modes at the
     image points and at the grid points, so no row carries interpolation
     error.
+
+    Along a grid axis a that disp does not vary along, the column norm is
+    constant: a grid step along a multiplies W_k(x) and W_k(psi x) by the
+    same unit phase, so it leaves the harmonic rows and
+    |d_k| = |W_k(psi x) - W_k(x)| as they are, and every mode with
+    k_a != 0 has mean mu_k = 0, its grid sum along a being 0; so
+    |d_k - mu_k| does not change along a either.  One grid line or point
+    of such a map (`_stored_rects`) gives all its column norms.
     """
     m = sampler.max_mode
-    lx, ly = _image_ladders(disp, sampler, rows)
+    rows, cols = rect
+    lx, ly = _image_ladders(disp, sampler, rect)
     gx, gy = sampler._grid_ladders
     P = np.empty((sampler.dimension, lx.shape[1])) if out is None else out
     root_vol = math.sqrt(sampler.mesh.volume)
     for k in range(2):
         # harmonic directions: psi^* dx - dx = d(u_x), exactly
-        P[k] = ((disp[k, rows] - means[k]) / root_vol).ravel()
+        P[k] = ((disp[k, rows, cols] - means[k]) / root_vol).ravel()
     # G = a cos(w.x) and a sin(w.x): a real times the real and imaginary
     # parts of W(psi x) - W(x), for W = X^k1 Y^k2 one k1 at a time, in
     # `wavevectors` order (k2 = -m..m, from 1 when k1 = 0)
@@ -319,7 +365,7 @@ def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
     for k1 in range(m + 1):
         k2 = slice(m + 1 if k1 == 0 else 0, 2 * m + 1)
         d = lx[m + k1] * ly[k2]
-        d -= (gx[m + k1, rows, None] * gy[k2, None, :]).reshape(d.shape)
+        d -= (gx[m + k1, rows, None] * gy[k2, None, cols]).reshape(d.shape)
         n = len(d)
         amp = sampler._amps[w:w + n, None]
         np.multiply(d.real, amp, out=P[2 + 2 * w:2 + 2 * (w + n):2])
@@ -329,54 +375,66 @@ def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
     return P
 
 
-def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray):
-    """The basis potentials P (D, N*N) of the map x + disp(x), one block of
-    whole grid rows (`BLOCK_POINTS`) at a time: yields the block's first
-    grid index and its (D, B) columns from `_basis_potentials`.
+def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray,
+            rects: list[Rect]):
+    """The basis potentials of the map x + disp(x) on each of the grid
+    rectangles `rects`, all of one size, in turn: yields the rectangle and
+    its (D, B) columns from `_basis_potentials`.
 
-    P is never formed, so memory is O(D * block) rather than O(D * N*N).
-    Every block is written into one buffer, which the next block
-    overwrites: arrays made afresh per block are handed back to the OS and
-    faulted in again each block (8.7k page faults a pass at N = 128).
+    The row blocks (`_row_blocks`) stream the whole (D, N*N) matrix P,
+    which is never formed, so memory is O(D * block) rather than
+    O(D * N*N).  `_stored_rects` gives the one line or point that holds
+    every column norm of a map constant along a grid axis: a grid step
+    along it turns W_k(x) and W_k(psi x) by one unit phase, and each mode
+    that varies along it has mean 0, so no column norm changes.  Every
+    block is written into one buffer, which the next block overwrites:
+    arrays made afresh per block are handed back to the OS and faulted in
+    again each block (8.7k page faults a pass at N = 128).
     """
-    blocks = _row_blocks(sampler.mesh)
-    width = sampler.mesh.N * (blocks[0].stop - blocks[0].start)
+    rows, cols = rects[0]
+    width = (rows.stop - rows.start) * (cols.stop - cols.start)
     P = np.empty((sampler.dimension, width))
-    for block in blocks:
-        yield block.start * sampler.mesh.N, _basis_potentials(
-            disp, sampler, block, means, out=P)
+    for rect in rects:
+        yield rect, _basis_potentials(disp, sampler, rect, means, out=P)
 
 
 def _draw_maxima(disp: np.ndarray, sampler: UnitSphereSampler,
                  means: np.ndarray, C: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The largest |C @ P| of each draw (row of C) and its grid index, in
-    one pass of `_stream`; strict > keeps the first grid index of a tie,
-    as a dense argmax would."""
+    one pass of `_stream` over the row blocks (c . P(:, x) depends on the
+    phases that leave the column norm alone, so no grid point is skipped);
+    strict > keeps the first grid index of a tie, as a dense argmax
+    would."""
+    mesh = sampler.mesh
     count = len(C)
     top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
     a = None
-    for start, P in _stream(disp, sampler, means):
+    for rect, P in _stream(disp, sampler, means, _row_blocks(mesh)):
         if a is None:
             a = np.empty((count, P.shape[1]))
         np.abs(np.matmul(C, P, out=a), out=a)
         j = a.argmax(axis=1)
         v = a[np.arange(count), j]
         better = v > top
-        top[better], top_at[better] = v[better], start + j[better]
+        top[better] = v[better]
+        top_at[better] = _grid_index(mesh, rect, j[better])
     return top, top_at
 
 
 def _largest_column(disp: np.ndarray, sampler: UnitSphereSampler,
-                    means: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """The largest column norm of P, its grid index and its column, in one
-    pass of `_stream`; the first grid index of a tie."""
+                    means: np.ndarray, rects: list[Rect]
+                    ) -> tuple[float, int, np.ndarray]:
+    """The largest column norm of P over the grid rectangles `rects`, its
+    grid index and its column, in one pass of `_stream`; the first grid
+    index of a tie."""
     gmax, at, column = -1.0, 0, None
-    for start, P in _stream(disp, sampler, means):
+    for rect, P in _stream(disp, sampler, means, rects):
         G = np.sqrt(np.einsum("dx,dx->x", P, P))
         j = int(G.argmax())
         if G[j] > gmax:
-            gmax, at, column = G[j], start + j, P[:, j].copy()
+            gmax, column = G[j], P[:, j].copy()
+            at = _grid_index(sampler.mesh, rect, j)
     return gmax, at, column
 
 
@@ -411,25 +469,34 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     With `refine` set, alpha ranges over the whole sampled subspace: the
     potential map is linear in alpha, so for each point the optimal
     coefficients are the normalized potential vector and the subspace sup
-    is max_x ||P(:, x)||_2, found in one pass over the grid.  No random
-    draw could raise it: for a unit c, Cauchy-Schwarz gives
-    |c . P(:, x)| <= ||P(:, x)||_2 (the best of 64 draws reads 0.21-0.28 of
-    the subspace value on the test maps at N = 128, seeds 0 and 3), so
-    none is computed.  Without `refine` the estimate is the best of `count`
-    random unit forms drawn from the sampler's seed, also in one pass, and
-    so monotone in the sample budget; ties keep the first draw.  Either
-    way ties keep the first grid index.  `norm_table` lists the draws'
-    values beside the estimate.
+    is max_x ||P(:, x)||_2, found in one pass over the grid points where
+    it can vary (`_stored_rects`): every row block of a map stored on the
+    full grid, the one grid line of a shear's (1, N) or (N, 1)
+    displacement, grid point 0 of a translation.  Along a grid axis the
+    displacement is constant on, a grid step turns W_k(x) and W_k(psi x)
+    by one unit phase and every mode that varies along it has mean 0, so
+    the column norm is constant there; the witness point is the argmax on
+    the scanned line.  No random draw could raise the estimate: for a
+    unit c, Cauchy-Schwarz gives |c . P(:, x)| <= ||P(:, x)||_2 (the best
+    of 64 draws reads 0.21-0.28 of the subspace value on the test maps at
+    N = 128, seeds 0 and 3), so none is computed.  Without `refine` the
+    estimate is the best of `count` random unit forms drawn from the
+    sampler's seed, in one pass over all the row blocks, and so monotone
+    in the sample budget; ties keep the first draw.  Either way ties keep
+    the first grid index scanned.  `norm_table` lists the draws' values
+    beside the estimate.
 
-    The report is cached on the map per sampler setting and holds nothing
-    of the map.
+    The report is cached on the map and holds nothing of the map.  With
+    `refine` set it depends on `max_mode` alone, and is keyed by
+    (max_mode, refine); without, by the whole sampler setting.
     """
     if not sampler.mesh.same_grid(psi.mesh):
         raise ValueError("sampler and map live on different meshes")
     if sampler.count <= 0 and not sampler.refine:
         raise ValueError("sampler budget is zero: nothing to estimate")
     cache = psi._norm_cache
-    key = (sampler.max_mode, sampler.count, sampler.refine, sampler.seed)
+    key = ((sampler.max_mode, sampler.refine) if sampler.refine else
+           (sampler.max_mode, sampler.count, sampler.refine, sampler.seed))
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -437,7 +504,8 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     mesh = psi.mesh
     means = _potential_means(psi.disp, sampler)
     if sampler.refine:
-        gmax, at, column = _largest_column(psi.disp, sampler, means)
+        rects = _stored_rects(mesh, psi._stored_disp.shape[1:])
+        gmax, at, column = _largest_column(psi.disp, sampler, means, rects)
         value = mesh.volume * float(gmax)
         if gmax > 0:
             witness = column / gmax

@@ -349,8 +349,9 @@ def _newton_inverse(phi: TorusMap, near: TorusMap | None = None) -> TorusMap:
     x = mesh.flat_points
     y = x - phi.disp.reshape(2, -1) if near is None else x + near.disp.reshape(2, -1)
 
-    def residual(yy):
-        r = yy + phi.interp_disp(yy) - x
+    def residual(yy, at=slice(None)):
+        """phi(yy) - x and its max norm, for the grid points `at` of x."""
+        r = yy + phi.interp_disp(yy) - x[:, at]
         return r, np.abs(r).max(axis=0)
 
     J = phi.jac  # read once: phi may compute it on every read
@@ -361,14 +362,21 @@ def _newton_inverse(phi: TorusMap, near: TorusMap | None = None) -> TorusMap:
             # displacement; Newton convergence certifies invertibility
             return TorusMap(mesh, (y - x).reshape(2, *mesh.shape), check=False)
         dy = _solve_2x2(phi.interp_jac_rough(y, J), r)
-        step = np.ones_like(rn)
-        for _ in range(8):
-            y_try = y - step * dy
-            r_try, rn_try = residual(y_try)
-            worse = rn_try > rn
-            if not worse.any():
+        # the full step at every point, then up to 7 halvings at the points
+        # whose residual grew at every try so far: the residual is
+        # pointwise, so re-trying only those gives every point the value a
+        # whole-grid re-try would
+        y_try = y - dy
+        r_try, rn_try = residual(y_try)
+        at = np.flatnonzero(rn_try > rn)
+        step = 1.0
+        for _ in range(7):
+            if not at.size:
                 break
-            step = np.where(worse, step * 0.5, step)
+            step *= 0.5
+            y_try[:, at] = y[:, at] - step * dy[:, at]
+            r_try[:, at], rn_try[at] = residual(y_try[:, at], at)
+            at = at[rn_try[at] > rn[at]]
         y, r, rn = y_try, r_try, rn_try
     i = int(np.argmax(rn))
     raise InversionError(

@@ -185,8 +185,8 @@ def _assembled_potentials(psi, sampler):
     """The (D, N*N) basis-potential matrix, assembled from the row blocks
     the streamed estimator builds one at a time."""
     means = displacement._potential_means(psi.disp, sampler)
-    return np.hstack([_basis_potentials(psi.disp, sampler, rows, means)
-                      for rows in displacement._row_blocks(psi.mesh)])
+    return np.hstack([_basis_potentials(psi.disp, sampler, rect, means)
+                      for rect in displacement._row_blocks(psi.mesh)])
 
 
 def test_basis_potentials_match_per_form_route():
@@ -239,9 +239,9 @@ def _dense_modes(sampler, points):
             for k1, k2 in sampler.wavevectors]
 
 
-def _dense_table_values(psi, sampler):
-    """The table values of the dense route: the whole (D, N*N) matrix P,
-    the draws' max |C @ P| and the largest column norm."""
+def _dense_potentials(psi, sampler):
+    """The whole (D, N*N) basis-potential matrix P of the dense route,
+    centred by np.mean."""
     mesh = psi.mesh
     P = np.empty((sampler.dimension, mesh.N * mesh.N))
     for k in range(2):
@@ -254,6 +254,14 @@ def _dense_table_values(psi, sampler):
         P[2 + 2 * i] = d.real.ravel()
         P[3 + 2 * i] = d.imag.ravel()
     P[2:] -= P[2:].mean(axis=1, keepdims=True)
+    return P
+
+
+def _dense_table_values(psi, sampler):
+    """The table values of the dense route: the draws' max |C @ P| and the
+    largest column norm."""
+    mesh = psi.mesh
+    P = _dense_potentials(psi, sampler)
     rng = np.random.default_rng(sampler.seed)
     C = np.array([sampler.draw_coefficients(rng) for _ in range(sampler.count)])
     values = [mesh.volume * v for v in np.abs(C @ P).max(axis=1)] if len(C) else []
@@ -353,6 +361,77 @@ def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
     assert calls == blocks * 2
     norm_table(psi, sampler)
     assert calls == blocks * 3
+
+
+def _read_rects(monkeypatch):
+    """The grid rectangles `_basis_potentials` is called on, in order."""
+    rects = []
+    basis_potentials = displacement._basis_potentials
+
+    def counted(*args, **kwargs):
+        rects.append(args[2])
+        return basis_potentials(*args, **kwargs)
+
+    monkeypatch.setattr(displacement, "_basis_potentials", counted)
+    return rects
+
+
+def test_subspace_norm_scans_the_stored_axes(monkeypatch):
+    # The column norm is constant along a grid axis the displacement is
+    # constant along, so a translation is read at grid point 0, a shear on
+    # its one stored grid line and a full map on every row block; the draws
+    # of a table, whose |c . P| varies along every axis, read all blocks.
+    N = 32
+    mesh = GridMesh(N=N)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=4, seed=3)
+    rects = _read_rects(monkeypatch)
+    blocks = displacement._row_blocks(mesh)
+    point, whole = slice(0, 1), slice(0, N)
+    for psi, scanned in [(catalog.translation(mesh, 0.3, 0.1), [(point, point)]),
+                         (catalog.shear(mesh, 0.1), [(point, whole)]),
+                         (catalog.shear(mesh, 0.1, axis=1), [(whole, point)]),
+                         (catalog.twist(mesh, 0.08, 0.06), blocks)]:
+        rects.clear()
+        psi_norm(psi, sampler)
+        assert rects == scanned
+        norm_table(psi, sampler)
+        assert rects == scanned + blocks
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_column_norm_is_constant_along_an_unstored_axis(N):
+    # The dense oracle's column norms vary along the axis a line map is
+    # constant along by round-off only: measured 3.7e-15 of the largest at
+    # most (shear along axis 1, N = 64); bound 1e-14.  The estimate read
+    # on the stored line is the oracle's maximum over that line (measured
+    # 2.4e-16 relative at most; bound 1e-15).
+    mesh = GridMesh(N=N)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=0, seed=3)
+    line_maps = [compose(catalog.translation(mesh, 0.3, 0.1), catalog.shear(mesh, 0.1)),
+            catalog.shear(mesh, 0.1), catalog.shear(mesh, 0.1, axis=1)]
+    for psi in line_maps:
+        a, b = psi._stored_disp.shape[1:]
+        assert (a, b) in ((1, N), (N, 1))
+        P = _dense_potentials(psi, sampler)
+        G = mesh.volume * np.sqrt(np.einsum("dx,dx->x", P, P)).reshape(N, N)
+        along = 0 if a == 1 else 1
+        spread = (G.max(axis=along) - G.min(axis=along)).max()
+        assert spread <= 1e-14 * G.max()
+        line = G[:a, :b].max()
+        assert abs(psi_norm(psi, sampler).norm_lower_bound - line) <= 1e-15 * line
+
+
+def test_a_refined_norm_is_cached_across_draw_settings(monkeypatch):
+    # with refine set the report depends on max_mode alone, so a sampler
+    # that differs only in its draws reads the cached report
+    mesh = GridMesh(N=32)
+    psi = catalog.twist(mesh, 0.08, 0.06)
+    first = psi_norm(psi, UnitSphereSampler(mesh, max_mode=8, count=64, seed=0))
+    rects = _read_rects(monkeypatch)
+    again = psi_norm(psi, UnitSphereSampler(mesh, max_mode=8, count=32, seed=7))
+    assert again is first and rects == []
+    psi_norm(psi, UnitSphereSampler(mesh, max_mode=4, count=64, seed=0))
+    assert rects == displacement._row_blocks(mesh)
 
 
 @pytest.mark.parametrize("refine", [1, 0])
@@ -494,6 +573,19 @@ def test_psi_norm_report_table(monkeypatch, tmp_path):
         assert sample == r["sample"]
         assert [float(v) for v in vals] == [r["value"], *r["point"]]
     assert lines[-2].startswith("subspace-max,")
+
+
+def test_norm_profile_fails_below_the_witness_floor(monkeypatch, capsys):
+    # a route that reads a shear across its stored line, at the grid
+    # column where its displacement is 0, reads the norm as about 0
+    script = Path(__file__).resolve().parents[1] / "scripts" / "norm_profile.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--mesh", "32", "--count", "0"])
+    stored_rects = displacement._stored_rects
+    monkeypatch.setattr(displacement, "_stored_rects",
+                        lambda mesh, shape: stored_rects(mesh, shape[::-1]))
+    assert runpy.run_path(str(script))["main"]() == 1
+    assert "below the witness floor at eps = [0.02, 0.05, 0.1, 0.15, 0.2]" in (
+        capsys.readouterr().out)
 
 
 def test_psi_norm_budget_zero(mesh):

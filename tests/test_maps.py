@@ -347,6 +347,46 @@ def test_inverse_roundtrip():
     assert np.abs(gg.disp - generic.disp).max() <= 10 * 1e-10
 
 
+def _whole_grid_newton(phi):
+    """Damped Newton with every backtracking try on the whole grid, and the
+    number of step halvings it makes."""
+    mesh = phi.mesh
+    x = mesh.flat_points
+    J = phi.jac
+
+    def residual(yy):
+        r = yy + phi.interp_disp(yy) - x
+        return r, np.abs(r).max(axis=0)
+
+    y = x - phi.disp.reshape(2, -1)
+    r, rn = residual(y)
+    halvings = 0
+    while rn.max() > maps.TOL_INV_SCALE * max(mesh.L):
+        dy = maps._solve_2x2(phi.interp_jac_rough(y, J), r)
+        step = np.ones_like(rn)
+        for _ in range(8):
+            y_try = y - step * dy
+            r_try, rn_try = residual(y_try)
+            worse = rn_try > rn
+            if not worse.any():
+                break
+            halvings += int(worse.sum())
+            step = np.where(worse, step * 0.5, step)
+        y, r, rn = y_try, r_try, rn_try
+    return (y - x).reshape(2, *mesh.shape), halvings
+
+
+def test_newton_retries_only_the_points_that_got_worse():
+    # The residual is pointwise, so re-trying a halved step at the points
+    # whose residual grew gives every point the value of a whole-grid
+    # re-try: the inverse is the same to the last bit.
+    mesh = GridMesh(N=32)
+    phi = compose(catalog.shear(mesh, 0.1, axis=1), catalog.twist(mesh, 0.1, 0.08))
+    ref, halvings = _whole_grid_newton(phi)
+    assert halvings > 0  # the map makes Newton back-track
+    assert np.array_equal(_newton_inverse(phi).disp, ref)
+
+
 def test_inverse_composition_is_identity(mesh):
     tw = catalog.twist(mesh, 0.07, 0.05)
     rt = compose(tw.inverse(), tw)
