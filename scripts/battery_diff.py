@@ -8,8 +8,10 @@ REV's committed files are unpacked into a temporary directory with
 `git archive`; both trees then run `fluxlab run --suite all` on their own
 `src/`, one after the other.  Every row whose CSV bytes differ is printed
 with its old and new value and verdict; a row only one side has is
-printed as added or removed.  The exit code is 1 when a row that passes
-at REV fails in the tree, 2 when a run writes no report, else 0.
+printed as added or removed, and each tree's battery wall time (the
+`fluxlab run` process, start to exit) is printed beside the diff.  The
+exit code is 1 when a row that passes at REV fails in the tree, 2 when a
+run writes no report, else 0.
 
 Uses the standard library and the repository only.
 """
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,13 +40,17 @@ def _unpack(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _run_battery(tree: Path, config: str, mesh: int, out: Path) -> dict[str, tuple[str, list]]:
-    """check_id -> (CSV line, fields) of the battery run in `tree`."""
+def _run_battery(tree: Path, config: str, mesh: int,
+                 out: Path) -> tuple[dict[str, tuple[str, list]], float]:
+    """check_id -> (CSV line, fields) of the battery run in `tree`, and the
+    run's wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "fluxlab.cli", "run", "--config", str(tree / config),
          "--suite", "all", "--mesh", str(mesh), "--out", str(out)],
         cwd=tree / "src", env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
     report = out / "all-suites.csv"
     # the CLI exits 1 when a row fails; that is a result, not an error
     if proc.returncode not in (0, 1) or not report.is_file():
@@ -51,7 +58,7 @@ def _run_battery(tree: Path, config: str, mesh: int, out: Path) -> dict[str, tup
         raise SystemExit(f"battery_diff: no report from {tree} (exit {proc.returncode})")
     lines = report.read_text().splitlines()[1:]
     return {fields[0]: (line, fields)
-            for line, fields in zip(lines, csv.reader(lines))}
+            for line, fields in zip(lines, csv.reader(lines))}, seconds
 
 
 def _show(fields: list | None) -> str:
@@ -69,8 +76,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="battery-diff-") as tmp:
         tmp = Path(tmp)
         _unpack(args.rev, tmp / "rev")
-        old = _run_battery(tmp / "rev", args.config, args.mesh, tmp / "out-rev")
-        new = _run_battery(ROOT, args.config, args.mesh, tmp / "out-tree")
+        old, old_s = _run_battery(tmp / "rev", args.config, args.mesh, tmp / "out-rev")
+        new, new_s = _run_battery(ROOT, args.config, args.mesh, tmp / "out-tree")
 
     regressed = []
     changed = 0
@@ -85,6 +92,7 @@ def main() -> int:
     passing = sum(f[4] == "True" for _, f in new.values())
     print(f"{args.rev} vs tree at N = {args.mesh}: {changed} of {len(new)} rows differ; "
           f"{passing}/{len(new)} pass in the tree")
+    print(f"battery wall time: {old_s:.2f} s at {args.rev}, {new_s:.2f} s in the tree")
     if regressed:
         print("rows that pass at {} and fail now: {}".format(args.rev, ", ".join(regressed)))
         return 1

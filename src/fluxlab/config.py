@@ -35,19 +35,12 @@ class SamplerConfig:
 
 
 @dataclass
-class ScheduleConfig:
-    amplitudes: list[float] = field(
-        default_factory=lambda: [1.0 / i for i in range(1, 17)])
-
-
-@dataclass
 class ExperimentConfig:
     suite: str
     seed: int
     mesh: MeshConfig = field(default_factory=MeshConfig)
     K: int = 64
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     out: str = "fluxlab-out"
 
     def __post_init__(self):
@@ -64,7 +57,6 @@ _SCHEMA = {
     "mesh": {"N": int, "L": list},
     "K": int,
     "sampler": {"m": int, "count": int, "refine": int, "seed": int},
-    "schedule": {"amplitudes": list},
     "out": str,
 }
 
@@ -102,14 +94,12 @@ def parse_config(data: dict) -> ExperimentConfig:
             f"unknown suite {suite!r}; registered: {sorted(SUITE_REGISTRY)} + ['all']")
     mesh = MeshConfig(**data.get("mesh", {}))
     sampler = SamplerConfig(**data.get("sampler", {}))
-    schedule = ScheduleConfig(**data.get("schedule", {}))
     return ExperimentConfig(
         suite=suite,
         seed=data["seed"],
         mesh=mesh,
         K=data.get("K", 64),
         sampler=sampler,
-        schedule=schedule,
         out=data.get("out", "fluxlab-out"),
     )
 

@@ -802,16 +802,15 @@ class EnergyChainReport:
     norm_f: float
     c_phi: float
     c_psi_inv: float
-    collapse_residual: float
 
 
 def energy_chain_check(region: Region, f: TorusMap,
                        sampler: UnitSphereSampler) -> EnergyChainReport:
     """The positivity chain for the displacement energy of the region.
 
-    Builds a supported commutator pair, verifies the collapse identity and
-    the inequality  ||[phi, psi]|| <= (C_{psi^{-1}} + 1)(C_phi + 1) ||f||
-    on sampled estimates, and reports the implied positive lower bound
+    Builds a supported commutator pair, checks the inequality
+    ||[phi, psi]|| <= (C_{psi^{-1}} + 1)(C_phi + 1) ||f|| on sampled
+    estimates, and reports the implied positive lower bound
     ||[phi, psi]|| / ((C_{psi^{-1}} + 1)(C_phi + 1)) for the energy.
     """
     check = displaces(f, region)
@@ -819,7 +818,6 @@ def energy_chain_check(region: Region, f: TorusMap,
         raise ValueError("f does not displace the region (precondition)")
     mesh = f.mesh
     phi, psi = supported_commutator_pair(region, mesh)
-    collapse = commutator_collapse_check(f, phi, psi, region)
     comm = map_commutator(phi, psi)
     n_comm = psi_norm(comm, sampler).norm_lower_bound
     n_f = psi_norm(f, sampler).norm_lower_bound
@@ -829,8 +827,7 @@ def energy_chain_check(region: Region, f: TorusMap,
     chain_ok = n_comm <= const * n_f * (1.0 + CHAIN_SLACK)
     return EnergyChainReport(lower_bound=n_comm / const, chain_ok=chain_ok,
                              norm_commutator=n_comm, norm_f=n_f,
-                             c_phi=c_phi, c_psi_inv=c_psi_inv,
-                             collapse_residual=collapse)
+                             c_phi=c_phi, c_psi_inv=c_psi_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,10 @@ class CohomologyClass1:
 
 @dataclass(frozen=True, eq=False)
 class HodgeSplit:
-    """Orthogonal splitting alpha = dF + delta(beta) + h on the flat torus."""
+    """The potential F and harmonic part h of the orthogonal splitting
+    alpha = dF + delta(beta) + h on the flat torus."""
 
-    exact: OneForm
-    potential: ScalarField  # F with dF = exact, mean zero
-    coexact: OneForm
+    potential: ScalarField  # F, mean zero
     harmonic: OneForm       # constant components
 
 
@@ -229,22 +228,18 @@ def wedge_integral(a: OneForm, b: OneForm) -> float:
 
 
 def hodge_decompose(alpha: OneForm) -> HodgeSplit:
-    """Split alpha = dF + coexact + harmonic (L2-orthogonal).
+    """Split alpha = dF + coexact + harmonic (L2-orthogonal) and return
+    F and the harmonic part.
 
     The harmonic part is the componentwise mean, F solves the Poisson
     problem for the curl-free part in Fourier space, and the coexact part
-    is the remainder.  For closed alpha the coexact part vanishes to
-    round-off.
+    is the remainder alpha - dF - h.  For closed alpha the coexact part
+    vanishes to round-off.
     """
     mesh = alpha.mesh
-    F = mesh.potential(alpha.ax, alpha.ay)
-    exact = OneForm(mesh, *mesh.gradient(F))
     harmonic = OneForm.constant(mesh, float(alpha.ax.mean()), float(alpha.ay.mean()))
-    coexact = OneForm(mesh,
-                      alpha.ax - exact.ax - harmonic.ax,
-                      alpha.ay - exact.ay - harmonic.ay)
-    return HodgeSplit(exact=exact, potential=ScalarField(mesh, F),
-                      coexact=coexact, harmonic=harmonic)
+    return HodgeSplit(potential=ScalarField(mesh, mesh.potential(alpha.ax, alpha.ay)),
+                      harmonic=harmonic)
 
 
 def harmonic_periods(alpha: OneForm) -> CohomologyClass1:

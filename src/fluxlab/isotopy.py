@@ -230,6 +230,10 @@ class Isotopy:
 
     def __init__(self, mesh: GridMesh, maps: list[TorusMap], generator: TimeField,
                  map_fn=None, provenance: dict | None = None):
+        """`maps` are the samples at t_j = j/K and `generator` the field
+        that moves them: fluxes, splits, lengths and the orbits of
+        arbitrary points (`_orbit_points`) read it.  `map_fn` is an
+        optional exact time-t map constructor."""
         if len(maps) < 2:
             raise ValueError("an isotopy needs at least two time samples")
         if not maps[0].is_identity(1e-10):
@@ -249,13 +253,12 @@ class Isotopy:
         self.mesh = mesh
         self.maps = list(maps)
         self.generator = generator
-        self._map_fn = map_fn  # optional exact time-t map constructor
+        self._map_fn = map_fn
         self.provenance = dict(provenance or {})
         # "sym" or "vol" -> periods; see _cached_flux
         self._flux_cache: dict = {}
-        # the RK4 step of an integrated flow, and the pulled flux integrand
-        # it summed while integrating (see integrate_flow)
-        self._flow_step = None
+        # the pulled flux integrand an integrated flow summed while
+        # integrating (see integrate_flow)
         self._pulled_flux: np.ndarray | None = None
 
     @property
@@ -345,9 +348,9 @@ def integrate_flow(X, K: int, mesh: GridMesh,
     of the pulled flux integral (`_FluxSum`).  The path keeps that sum,
     which `symplectic_flux` returns after its generator gate, bit for bit
     what the same maps and generator give without it.  At an odd K,
-    Simpson's rule has no weights and nothing is summed.  The path also
-    keeps its step, so that orbits of arbitrary points are integrated the
-    same way, through the same evaluator (`_orbit_points`).
+    Simpson's rule has no weights and nothing is summed.  Orbits of
+    arbitrary points are integrated by the same step of the same generator
+    (`_orbit_points`).
     """
     if K < 16:
         raise ValueError(f"K must be at least 16, got {K}")
@@ -383,7 +386,6 @@ def integrate_flow(X, K: int, mesh: GridMesh,
                 total.add_pulled(j, k1, J)
         del J
     iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
-    iso._flow_step = partial(_rk4_step, tf)
     iso._pulled_flux = None if total is None else total.acc
     return iso
 
@@ -636,33 +638,33 @@ def hofer_like_length(phi_path: Isotopy) -> float:
 # ---------------------------------------------------------------------------
 
 def _orbit_points(phi_path: Isotopy, x) -> np.ndarray:
-    """Lifted orbit t_j -> x + u_{t_j}(x), shape (K+1, 2, M).
+    """Lifted orbit t_j -> x + u_{t_j}(x), shape (K+1, 2, M): the integral
+    curve of the path's generator through x, by the classical RK4 step that
+    `integrate_flow` takes, K steps of 1/K.
 
-    A path from `integrate_flow` integrates the points with its own RK4
-    step, which repeats at grid points the operations that made the stored
-    maps; the flow restarted each step from its stored sample, grid plus
-    displacement, which differs from the step's result by round-off, so
-    the orbit of a grid point reproduces the stored maps to about 1e-16.
-    A closed-form field is read in closed form, a steady field array
-    through the one spline its TimeField built while integrating.  Any
-    other path (catalog translations, shears and rotations, reparametrized
-    and concatenated paths, paths built directly from maps) interpolates
-    its stored displacements, two splines per sample.
-    Either way, the grid jumps the Isotopy constructor bounds by L/4 do not
-    bound the increments between grid points, so they are checked here.
+    For an integrated flow this is the same step of the same generator, so
+    the orbit of a grid point reproduces the stored maps to about 1e-16 (the
+    flow restarted each step from its stored sample).  RK4 is exact on the
+    affine-in-t orbits of the catalog translation, shear and
+    translation-shear flows; on any other path it carries the integrator's
+    fourth-order error.  A generator known only by its samples has no
+    values between them and raises `ValueError`.  The grid jumps the
+    Isotopy constructor bounds by L/4 do not bound the increments between
+    grid points, so they are checked here.
     """
+    gen = phi_path.generator
+    if gen.sampled:
+        raise ValueError("an orbit needs a generator with values between its "
+                         "samples; this one is known only by its samples")
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(2, 1)
     K = phi_path.K
-    if phi_path._flow_step is None:
-        orbit = np.stack([pts + m.interp_disp(pts) for m in phi_path.maps])
-    else:
-        h = 1.0 / K
-        orbit = np.empty((K + 1, *pts.shape))
-        orbit[0] = pts
-        for j in range(K):
-            orbit[j + 1] = phi_path._flow_step(j * h, orbit[j], h)
+    h = 1.0 / K
+    orbit = np.empty((K + 1, *pts.shape))
+    orbit[0] = pts
+    for j in range(K):
+        orbit[j + 1] = _rk4_step(gen, j * h, orbit[j], h)
     inc = np.abs(np.diff(orbit, axis=0)).max()
     if inc >= min(phi_path.mesh.L) / 4.0:
         raise LiftError(

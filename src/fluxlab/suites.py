@@ -43,6 +43,8 @@ from .maps import (Region, TorusMap, c0_distance, compose, interior_product,
 #: runtime rows report the overshoot.
 PULLBACK_BUDGET_S = 5.0
 LEMMA14_BUDGET_S = 10.0
+#: Perturbation amplitudes a_i = 1/i of lemma14's map sequence.
+LEMMA14_AMPLITUDES = [1.0 / i for i in range(1, 17)]
 
 
 @dataclass
@@ -275,8 +277,8 @@ def suite_lemma14_convergence(ctx: SuiteContext) -> list[CheckRow]:
 
     def build():
         psi = catalog.twist(mesh, 0.08, 0.06)
-        amps = list(ctx.config.schedule.amplitudes)
-        seq = build_perturbation_sequence(psi, amps, base_eps=(1e-3, 1e-3))
+        seq = build_perturbation_sequence(psi, LEMMA14_AMPLITUDES,
+                                          base_eps=(1e-3, 1e-3))
         alpha = _mode_form(ctx.sampler, harmonic=(0.7, -0.4),
                            waves=[(0, 1, "cos", 0.4), (1, 0, "sin", 0.3)])
         base = pullback_oneform(psi, alpha.at)

@@ -816,7 +816,8 @@ def test_energy_chain():
     rep = energy_chain_check(U, f, fine_sampler)
     assert rep.chain_ok
     assert rep.lower_bound > 0
-    assert rep.collapse_residual <= 1e-3
+    phi, psi = supported_commutator_pair(U, fine)
+    assert commutator_collapse_check(f, phi, psi, U) <= 1e-3
     assert rep.lower_bound <= psi_norm(f, fine_sampler).norm_lower_bound
 
 

@@ -1276,9 +1276,10 @@ def test_hamiltonian_field_algebra():
 
 
 def test_point_route_orbits_reproduce_the_stored_maps():
-    # the orbit of each grid point, integrated by the flow's own step,
-    # against the map samples integrate_flow stored (1.1e-16 measured, the
-    # round-off of restarting each step from the stored sample):
+    # the orbit of each grid point, integrated by the step of the flow's
+    # generator, against the map samples integrate_flow stored (1.1e-16
+    # measured, the round-off of restarting each step from the stored
+    # sample):
     # closed-form fields, their raw grid samples read through the one
     # spline their TimeField keeps, and a time-dependent closed-form field
     mesh = GridMesh(N=32)
@@ -1292,7 +1293,6 @@ def test_point_route_orbits_reproduce_the_stored_maps():
         lambda t, p: np.cos(t) * A.at(t, p) + t * B.at(t, p), mesh))
     for F in fields:
         flow = integrate_flow(F, 16, mesh)
-        assert flow._flow_step is not None
         orbit = isotopy._orbit_points(flow, mesh.flat_points)
         for j, m in enumerate(flow.maps):
             assert np.abs(orbit[j] - m.flat_position).max() <= 1e-15
@@ -1309,29 +1309,63 @@ def test_point_route_matches_spline_route():
         assert np.abs(point.end_map.disp - spline.end_map.disp).max() <= 1e-9
 
 
-def test_orbit_interpolators_by_route(monkeypatch):
-    # integrated flows of both routes integrate the orbit with their own
-    # step and read no stored displacement; a path given by its maps reads
-    # each orbit off two spline interpolators of every stored displacement
+def test_orbits_read_no_stored_displacement(monkeypatch):
+    # every orbit is integrated from the path's generator: integrated flows
+    # of both routes, catalog, reparametrized and concatenated paths build
+    # no interpolator of a stored map (a concatenation's generator reads the
+    # first path's inverse end map, which is not one of its samples)
+    from fluxlab.suites import _reparam_flow
     mesh = GridMesh(N=32)
     F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
-    raw, closed = integrate_flow(F.field(0.0), 16, mesh), integrate_flow(F, 16, mesh)
-    by_maps = Isotopy(mesh, raw.maps, generator=raw.generator)
+    shear = catalog.shear_flow(mesh, 0.1, K=16)
+    paths = [integrate_flow(F.field(0.0), 16, mesh), integrate_flow(F, 16, mesh),
+             catalog.translation_shear_flow(mesh, 0.2, 0.3, 0.1, K=16),
+             catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16),
+             _reparam_flow(shear),
+             concat_reparam(shear, catalog.translation_flow(mesh, 0.2, 0.1, 8))]
     builds = []
     real = TorusMap._get_interp
 
     def counting(self, key, values):
         if key not in self._interp:
-            builds.append(key)
+            builds.append(self)
         return real(self, key, values)
 
     monkeypatch.setattr(TorusMap, "_get_interp", counting)
     x = np.array([0.3, 0.7])
-    isotopy._orbit_points(raw, x)
-    isotopy._orbit_points(closed, x)
-    assert builds == []
-    isotopy._orbit_points(by_maps, x)
-    assert len(builds) == 2 * (16 + 1)
+    for path in paths:
+        builds.clear()
+        isotopy._orbit_points(path, x)
+        stored = {id(m) for m in path.maps}
+        assert not any(id(m) in stored for m in builds)
+
+
+def test_translation_shear_orbit_is_its_closed_form():
+    # the orbit of (x0, y0) is affine in t: x0 + t (c + eps sin(w y0)),
+    # y0 + t d, on which RK4 is exact
+    mesh = GridMesh(N=32)
+    c, d, eps = 0.2, 0.3, 0.1
+    flow = catalog.translation_shear_flow(mesh, c, d, eps, K=16)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (2, 7))
+    orbit = isotopy._orbit_points(flow, x)
+    t = flow.times[:, None]
+    exact = np.stack([x[0] + t * (c + eps * np.sin(TWO_PI * x[1])),
+                      x[1] + t * d], axis=1)
+    assert np.abs(orbit - exact).max() <= 1e-15
+
+
+def test_orbit_of_a_sampled_generator_raises():
+    # a commutator path's generator is known only at its sample times
+    from fluxlab.displacement import delta_via_flux
+    coarse = GridMesh(N=32)
+    theta, _ = commutator_generator(catalog.translation_flow(coarse, 0.3, 0.0, 16),
+                                    catalog.translation_flow(coarse, 0.0, 0.4, 16))
+    assert theta.generator.sampled
+    x, alpha = np.array([0.3, 0.7]), OneForm.constant(coarse, 0.6, -0.2)
+    with pytest.raises(ValueError, match="known only by its samples"):
+        orbit_integral(theta, x, alpha)
+    with pytest.raises(ValueError, match="known only by its samples"):
+        delta_via_flux(theta.end_map, alpha, x, theta)
 
 
 def test_orbit_integral_of_a_closed_form_flow_builds_no_interpolator(monkeypatch):
