@@ -21,6 +21,16 @@ a quarter of it).  The estimator streams over blocks of grid rows, so its
 memory does not grow with the number of basis forms times the number of
 grid points.
 
+The subspace maximizer reads each column norm ||P(:, x)|| off the
+displacement u, without forming P: a mode moves by
+W_k(psi x) - W_k(x) = W_k(x) (e^{i theta_k} - 1), of squared modulus
+4 sin^2(theta_k / 2) with theta_k = w_k . u, and the half-angle identity
+sin(theta_k / 2) = S1 C2 + C1 S2, from the sines and cosines of the half
+angles of u_x and u_y, gives the sum over the modes as two small matrix
+products per block of grid rows (`_column_norms`).  Every term is
+a product of sines and cosines, with no 1 - cos and no difference of an
+image mode and a grid mode, so a small u keeps its digits.
+
 The subspace maximizer scans only the grid points along which its column
 norm can vary: all of them for a map stored on the full grid, its one grid
 line for a map stored on a line, grid point 0 for a translation.  Along a
@@ -206,16 +216,23 @@ class UnitSphereSampler:
         return np.array([self._amp(k) for k in self.wavevectors])
 
     @cached_property
+    def _folded_amps(self) -> np.ndarray:
+        """The (m + 1, m + 1) table of a_k^2 folded onto k2 >= 0: at (k1, j)
+        the sum of a_k^2 over k = (k1, j) and (k1, -j) in the half lattice,
+        k1 = 0..m, j = 0..m."""
+        m = self.max_mode
+        table = np.zeros((m + 1, 2 * m + 1))
+        table.ravel()[m + 1:] = self._amps ** 2
+        folded = table[:, m:].copy()
+        folded[:, 1:] += table[:, m - 1::-1]
+        return folded
+
+    @cached_property
     def _grid_sums(self) -> np.ndarray:
         """sum_x X^k1 Y^k2 over the grid points, shape (m + 1, 2m + 1), summed
         block by block as `_potential_means` sums the image points."""
-        m, N = self.max_mode, self.mesh.N
-        gx, gy = self._grid_ladders
-        sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
-        for rows, _ in _row_blocks(self.mesh):
-            sums += _gram(np.repeat(gx[:, rows], N, axis=1),
-                          np.tile(gy, (1, rows.stop - rows.start)), m)
-        return sums
+        return sum(_gram(*_grid_block_ladders(self, rect), self.max_mode)
+                   for rect in _row_blocks(self.mesh))
 
     def materialize(self, coeffs: np.ndarray) -> OneForm:
         """The closed unit form with the given basis coefficients."""
@@ -273,7 +290,7 @@ def _stored_rects(mesh: GridMesh, shape: tuple[int, int]) -> list[Rect]:
     whose displacement is stored on grid axes `shape` can vary: the row
     blocks of a full (N, N) map, the one grid line of a (1, N) or (N, 1)
     map and grid point 0 of a (1, 1) one: along a unit axis the column
-    norm is constant (`_basis_potentials`).
+    norm is constant (see the module docstring).
     """
     if shape == mesh.shape:
         return _row_blocks(mesh)
@@ -299,6 +316,17 @@ def _image_ladders(disp: np.ndarray, sampler: UnitSphereSampler,
     return [_ladder(pos[k], mesh.L[k], sampler.max_mode) for k in range(2)]
 
 
+def _grid_block_ladders(sampler: UnitSphereSampler,
+                        rect: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """x and y ladders, each (2m + 1, B), of the grid points in the grid
+    rectangle `rect`, flattened in grid order: columns of the sampler's
+    ladders of the grid axes."""
+    gx, gy = sampler._grid_ladders
+    rows, cols = rect
+    return (np.repeat(gx[:, rows], cols.stop - cols.start, axis=1),
+            np.tile(gy[:, cols], (1, rows.stop - rows.start)))
+
+
 def _gram(lx: np.ndarray, ly: np.ndarray, m: int) -> np.ndarray:
     """sum over the points of X^k1 Y^k2, k1 = 0..m, k2 = -m..m, from the
     x and y ladders (2m + 1, B)."""
@@ -308,20 +336,33 @@ def _gram(lx: np.ndarray, ly: np.ndarray, m: int) -> np.ndarray:
 def _potential_means(disp: np.ndarray, sampler: UnitSphereSampler
                      ) -> np.ndarray:
     """Grid means of the D uncentred basis potentials under the map
-    x + disp(x) on the sampler's grid.
+    x + disp(x), for disp stored on grid axes of length 1 or N.
 
     Slots 0 and 1 hold the means of u_x and u_y.  An exact direction with
     mode W has the mean a (sum_x W(psi x) - sum_x W(x)) / N^2.  Both sums
-    of every mode come from (m+1) x (2m+1) products of the ladders, summed
-    over the row blocks in the same order for the image and the grid, so
-    the identity's means are exactly 0.
+    of every mode come from (m+1) x (2m+1) products of the ladders over
+    the stored grid points, the grid's the same way, so the identity's
+    means are exactly 0: a full map's row blocks, in the same order for
+    the image and the grid, or the one grid line of a line map, whose
+    sums each of the N lines repeats.  Along a grid axis
+    a of length 1 every mode with k_a != 0 has the mean 0 exactly (its
+    grid sum along a is 0), so a translation's are all 0.
     """
-    m, N = sampler.max_mode, sampler.mesh.N
-    sums = np.zeros((m + 1, 2 * m + 1), dtype=complex)
-    for rect in _row_blocks(sampler.mesh):
-        sums += _gram(*_image_ladders(disp, sampler, rect), m)
-    diff = (sums - sampler._grid_sums).ravel()[m + 1:]
-    mu = sampler._amps * diff / (N * N)
+    mesh = sampler.mesh
+    m, N = sampler.max_mode, mesh.N
+    a, b = disp.shape[1:]
+    if (a, b) == mesh.shape:
+        rects, grid = _row_blocks(mesh), sampler._grid_sums
+    else:
+        rects = [(slice(0, a), slice(0, b))]
+        grid = _gram(*_grid_block_ladders(sampler, rects[0]), m)
+    sums = sum(_gram(*_image_ladders(disp, sampler, rect), m) for rect in rects)
+    diff = (sums - grid) * (N * N // (a * b))
+    if a == 1:
+        diff[1:] = 0.0
+    if b == 1:
+        diff[:, :m] = diff[:, m + 1:] = 0.0
+    mu = sampler._amps * diff.ravel()[m + 1:] / (N * N)
     means = np.empty(sampler.dimension)
     means[0], means[1] = disp[0].mean(), disp[1].mean()
     means[2::2], means[3::2] = mu.real, mu.imag
@@ -340,14 +381,6 @@ def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
     potential G o psi - G minus its mean, read off the Fourier modes at the
     image points and at the grid points, so no row carries interpolation
     error.
-
-    Along a grid axis a that disp does not vary along, the column norm is
-    constant: a grid step along a multiplies W_k(x) and W_k(psi x) by the
-    same unit phase, so it leaves the harmonic rows and
-    |d_k| = |W_k(psi x) - W_k(x)| as they are, and every mode with
-    k_a != 0 has mean mu_k = 0, its grid sum along a being 0; so
-    |d_k - mu_k| does not change along a either.  One grid line or point
-    of such a map (`_stored_rects`) gives all its column norms.
     """
     m = sampler.max_mode
     rows, cols = rect
@@ -375,26 +408,72 @@ def _basis_potentials(disp: np.ndarray, sampler: UnitSphereSampler,
     return P
 
 
-def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray,
-            rects: list[Rect]):
-    """The basis potentials of the map x + disp(x) on each of the grid
-    rectangles `rects`, all of one size, in turn: yields the rectangle and
-    its (D, B) columns from `_basis_potentials`.
+def _column_norms(disp: np.ndarray, sampler: UnitSphereSampler, rect: Rect,
+                  means: np.ndarray) -> np.ndarray:
+    """The squared column norms ||P(:, x)||^2 of the centred basis
+    potentials of the map x + disp(x) at the grid points of the grid
+    rectangle `rect`, shape (B,) in row-major order, read off the
+    displacement u alone: no (D, B) block of P is formed.
 
-    The row blocks (`_row_blocks`) stream the whole (D, N*N) matrix P,
-    which is never formed, so memory is O(D * block) rather than
-    O(D * N*N).  `_stored_rects` gives the one line or point that holds
-    every column norm of a map constant along a grid axis: a grid step
-    along it turns W_k(x) and W_k(psi x) by one unit phase, and each mode
-    that varies along it has mean 0, so no column norm changes.  Every
-    block is written into one buffer, which the next block overwrites:
-    arrays made afresh per block are handed back to the OS and faulted in
-    again each block (8.7k page faults a pass at N = 128).
+    A mode moves by d_k = W_k(psi x) - W_k(x) = W_k(x) (e^{i theta_k} - 1),
+    theta_k = 2 pi (k1 u_x / L0 + k2 u_y / L1), so
+    |d_k|^2 = 4 sin^2(theta_k / 2), and sin(theta_k / 2) = S1 C2 + C1 S2
+    with C1 + i S1 = e^{i pi k1 u_x / L0} and C2 + i S2 = e^{i pi k2 u_y / L1}
+    from the half-angle ladders.  Squared, its cross term 2 S1 C1 C2 S2 is
+    odd in k2 while a_k is even in k2, and S1 = 0 on the row k1 = 0, so
+    the cross terms cancel in the sum over the half lattice:
+    sum_k a_k^2 |d_k|^2 = 4 sum_k1 [S1^2 (A C2^2) + C1^2 (A S2^2)] with A
+    the table of a_k^2 folded onto k2 = 0..m (`_folded_amps`), two
+    (m+1) x (m+1) @ (m+1) x B products.  Every term is a product of sines
+    and cosines, with no 1 - cos and no difference of an image mode and a
+    grid mode, so a small u keeps its digits.
+
+    Centring by M_k = a_k mu_k (the means) adds
+    sum |M_k|^2 - 2 Re sum_k a_k conj(M_k) d_k(x), whose image part is one
+    complex product at (X U)^k1 (Y V)^k2, U and V the squared half
+    ladders, less its value at the grid points.  The harmonic rows add
+    (u - mean)^2 / vol.
     """
-    rows, cols = rects[0]
-    width = (rows.stop - rows.start) * (cols.stop - cols.start)
-    P = np.empty((sampler.dimension, width))
-    for rect in rects:
+    m, mesh = sampler.max_mode, sampler.mesh
+    rows, cols = rect
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    u = disp[:, rows, cols].reshape(2, -1)
+    hx = _ladder(u[0], 2.0 * mesh.L[0], m)[m:]
+    hy = _ladder(u[1], 2.0 * mesh.L[1], m)
+    S1, C1, S2, C2 = hx.imag, hx.real, hy[m:].imag, hy[m:].real
+    A = sampler._folded_amps
+    terms = S1 * S1 * (A @ (C2 * C2))
+    terms += C1 * C1 * (A @ (S2 * S2))
+    sq = 4.0 * terms.sum(axis=0)
+    sq += ((u[0] - means[0]) ** 2 + (u[1] - means[1]) ** 2) / mesh.volume
+    c = np.zeros((m + 1, 2 * m + 1), dtype=complex)
+    c.ravel()[m + 1:] = sampler._amps * (means[2::2] - 1j * means[3::2])
+    gx, gy = sampler._grid_ladders
+    xu = gx[m:, rows, None] * (hx * hx).reshape(m + 1, *shape)
+    yv = gy[:, None, cols] * (hy * hy).reshape(2 * m + 1, *shape)
+    image = (xu.reshape(m + 1, -1) * (c @ yv.reshape(2 * m + 1, -1))).sum(axis=0)
+    grid = gx[m:, rows].T @ c @ gy[:, cols]
+    sq += (means[2:] ** 2).sum() - 2.0 * (image.real - grid.real.ravel())
+    return sq
+
+
+def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray):
+    """The basis potentials of the map x + disp(x) on each row block
+    (`_row_blocks`) in turn: yields the block and its (D, B) columns from
+    `_basis_potentials`.
+
+    The draws read P this way, and the (D, N*N) matrix is never formed,
+    so memory is O(D * block) rather than O(D * N*N).  A draw's c . P(:, x)
+    turns with the phases that leave the column norm alone, so every row
+    block is read.  Every block is written into one buffer, which the next
+    block overwrites: arrays made afresh per block are handed back to the
+    OS and faulted in again each block (8.7k page faults a pass at
+    N = 128).
+    """
+    blocks = _row_blocks(sampler.mesh)
+    rows, cols = blocks[0]
+    P = np.empty((sampler.dimension, (rows.stop - rows.start) * sampler.mesh.N))
+    for rect in blocks:
         yield rect, _basis_potentials(disp, sampler, rect, means, out=P)
 
 
@@ -402,15 +481,13 @@ def _draw_maxima(disp: np.ndarray, sampler: UnitSphereSampler,
                  means: np.ndarray, C: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The largest |C @ P| of each draw (row of C) and its grid index, in
-    one pass of `_stream` over the row blocks (c . P(:, x) depends on the
-    phases that leave the column norm alone, so no grid point is skipped);
-    strict > keeps the first grid index of a tie, as a dense argmax
-    would."""
+    one pass of `_stream` over the row blocks; strict > keeps the first
+    grid index of a tie, as a dense argmax would."""
     mesh = sampler.mesh
     count = len(C)
     top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
     a = None
-    for rect, P in _stream(disp, sampler, means, _row_blocks(mesh)):
+    for rect, P in _stream(disp, sampler, means):
         if a is None:
             a = np.empty((count, P.shape[1]))
         np.abs(np.matmul(C, P, out=a), out=a)
@@ -426,16 +503,20 @@ def _largest_column(disp: np.ndarray, sampler: UnitSphereSampler,
                     means: np.ndarray, rects: list[Rect]
                     ) -> tuple[float, int, np.ndarray]:
     """The largest column norm of P over the grid rectangles `rects`, its
-    grid index and its column, in one pass of `_stream`; the first grid
-    index of a tie."""
-    gmax, at, column = -1.0, 0, None
-    for rect, P in _stream(disp, sampler, means, rects):
-        G = np.sqrt(np.einsum("dx,dx->x", P, P))
-        j = int(G.argmax())
-        if G[j] > gmax:
-            gmax, column = G[j], P[:, j].copy()
-            at = _grid_index(sampler.mesh, rect, j)
-    return gmax, at, column
+    grid index and its column: one pass of `_column_norms` over the
+    rectangles, the first grid index of a tie, and the column built once,
+    by `_basis_potentials` at that one grid point."""
+    mesh = sampler.mesh
+    top, at = -1.0, 0
+    for rect in rects:
+        sq = _column_norms(disp, sampler, rect, means)
+        j = int(sq.argmax())
+        if sq[j] > top:
+            top, at = float(sq[j]), _grid_index(mesh, rect, j)
+    i, j = divmod(at, mesh.N)
+    point = (slice(i, i + 1), slice(j, j + 1))
+    column = _basis_potentials(disp, sampler, point, means)[:, 0]
+    return math.sqrt(max(top, 0.0)), at, column
 
 
 def _draws(sampler: UnitSphereSampler) -> np.ndarray:
@@ -472,12 +553,17 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     is max_x ||P(:, x)||_2, found in one pass over the grid points where
     it can vary (`_stored_rects`): every row block of a map stored on the
     full grid, the one grid line of a shear's (1, N) or (N, 1)
-    displacement, grid point 0 of a translation.  Along a grid axis the
-    displacement is constant on, a grid step turns W_k(x) and W_k(psi x)
-    by one unit phase and every mode that varies along it has mean 0, so
-    the column norm is constant there; the witness point is the argmax on
-    the scanned line.  No random draw could raise the estimate: for a
-    unit c, Cauchy-Schwarz gives |c . P(:, x)| <= ||P(:, x)||_2 (the best
+    displacement, grid point 0 of a translation.  Each block's squared
+    column norms come from the displacement alone by the half-angle
+    identity sin(theta_k / 2) = S1 C2 + C1 S2 (`_column_norms`): two
+    small matrix products of sines and cosines, with no 1 - cos, so no
+    digit of a small displacement cancels; the witness column is built
+    once, at the argmax.  Along a grid axis the displacement is constant
+    on, a grid step turns W_k(x) and W_k(psi x) by one unit phase and
+    every mode that varies along it has mean 0, so the column norm is
+    constant there; the witness point is the argmax on the scanned line.
+    No random draw could raise the estimate: for a unit c,
+    Cauchy-Schwarz gives |c . P(:, x)| <= ||P(:, x)||_2 (the best
     of 64 draws reads 0.21-0.28 of the subspace value on the test maps at
     N = 128, seeds 0 and 3), so none is computed.  Without `refine` the
     estimate is the best of `count` random unit forms drawn from the
@@ -501,10 +587,10 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     if hit is not None:
         return hit
 
-    mesh = psi.mesh
-    means = _potential_means(psi.disp, sampler)
+    mesh, stored = psi.mesh, psi._stored_disp
+    means = _potential_means(stored, sampler)
     if sampler.refine:
-        rects = _stored_rects(mesh, psi._stored_disp.shape[1:])
+        rects = _stored_rects(mesh, stored.shape[1:])
         gmax, at, column = _largest_column(psi.disp, sampler, means, rects)
         value = mesh.volume * float(gmax)
         if gmax > 0:
@@ -541,7 +627,7 @@ def norm_table(psi: TorusMap, sampler: UnitSphereSampler) -> list[dict]:
     rows = []
     if sampler.count:
         top, top_at = _draw_maxima(psi.disp, sampler,
-                                   _potential_means(psi.disp, sampler),
+                                   _potential_means(psi._stored_disp, sampler),
                                    _draws(sampler))
         rows = [{"sample": f"draw-{s:03d}",
                  "value": float(mesh.volume * top[s]),

@@ -203,13 +203,13 @@ class TorusMap:
                         for k, l in entries], points)
         return out.reshape(2, 2, *out.shape[1:])
 
-    def interp_jac_rough(self, points: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """Bilinear lookup of J, this map's Jacobian field, which the caller
-        reads once; enough to steer Newton steps."""
+    def interp_jac_rough(self, points: np.ndarray, padded: list) -> np.ndarray:
+        """Bilinear lookup of this map's Jacobian field, given as its entries
+        J[0, 0], J[0, 1], J[1, 0], J[1, 1] padded by `wrap_pad`, which the
+        caller reads and pads once; enough to steer Newton steps."""
         coords = (points[0] * (self.mesh.N / self.mesh.L[0]),
                   points[1] * (self.mesh.N / self.mesh.L[1]))
-        values = spline_values([wrap_pad(J[k, l]) for k in range(2) for l in range(2)],
-                               coords, order=1)
+        values = spline_values(padded, coords, order=1)
         return values.reshape(2, 2, *np.shape(points)[1:])
 
     # -- evaluation --------------------------------------------------------------
@@ -354,14 +354,16 @@ def _newton_inverse(phi: TorusMap, near: TorusMap | None = None) -> TorusMap:
         r = yy + phi.interp_disp(yy) - x[:, at]
         return r, np.abs(r).max(axis=0)
 
-    J = phi.jac  # read once: phi may compute it on every read
+    # read and padded once: phi may compute its Jacobian on every read
+    J = phi.jac
+    padded = [wrap_pad(J[k, l]) for k in range(2) for l in range(2)]
     r, rn = residual(y)
     for _ in range(MAX_NEWTON_ITER):
         if rn.max() <= tol:
             # the inverse's Jacobian is the spectral one of its (smooth)
             # displacement; Newton convergence certifies invertibility
             return TorusMap(mesh, (y - x).reshape(2, *mesh.shape), check=False)
-        dy = _solve_2x2(phi.interp_jac_rough(y, J), r)
+        dy = _solve_2x2(phi.interp_jac_rough(y, padded), r)
         # the full step at every point, then up to 7 halvings at the points
         # whose residual grew at every try so far: the residual is
         # pointwise, so re-trying only those gives every point the value a

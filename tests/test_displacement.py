@@ -1,6 +1,7 @@
 """Displacement potentials, the norm estimator, energies, rigidity."""
 
 import dataclasses
+import functools
 import gc
 import math
 import runpy
@@ -270,6 +271,54 @@ def _dense_table_values(psi, sampler):
     return values
 
 
+#: np.longdouble carries more digits than float64 (x87 extended precision
+#: on x86-64 Linux, not on every platform).
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def _long_double_norm(psi, sampler):
+    """Vol * max_x ||P(:, x)|| in np.longdouble from the dense P: each mode
+    moves by d_k = 2i sin(theta_k / 2) e^{i (phi_k + theta_k / 2)}, with
+    phi_k = w_k . x and theta_k = w_k . u, centred by its grid mean, so
+    neither a small u nor the image point x + u costs digits.  The sines
+    and cosines of k1 and k2 times each axis's angles are evaluated one by
+    one and joined by the addition theorem."""
+    ld = np.longdouble
+    mesh = psi.mesh
+    m = sampler.max_mode
+    two_pi = 2 * ld("3.14159265358979323846264338327950288")
+    k = np.arange(-m, m + 1).reshape(-1, 1, 1)
+    vol = ld(mesh.L[0]) * ld(mesh.L[1])
+    u = [np.asarray(c, dtype=ld) for c in psi.disp]
+    sq = ((u[0] - u[0].mean()) ** 2 + (u[1] - u[1].mean()) ** 2) / vol
+    trig = []  # per axis: sin, cos of k theta_a / 2 and of k (x_a + u_a / 2)
+    for a in range(2):
+        half = two_pi * k * u[a] / (2 * ld(mesh.L[a]))
+        phase = two_pi * k * np.asarray(mesh.points[a], dtype=ld) / ld(mesh.L[a]) + half
+        trig.append([np.sin(half), np.cos(half), np.sin(phase), np.cos(phase)])
+    (sh1, ch1, sp1, cp1), (sh2, ch2, sp2, cp2) = trig
+    for k1, k2 in sampler.wavevectors:
+        i, j = m + k1, m + k2
+        s = 2 * (sh1[i] * ch2[j] + ch1[i] * sh2[j])
+        re = -s * (sp1[i] * cp2[j] + cp1[i] * sp2[j])
+        im = s * (cp1[i] * cp2[j] - sp1[i] * sp2[j])
+        re -= re.mean()
+        im -= im.mean()
+        w = two_pi * np.hypot(ld(k1) / ld(mesh.L[0]), ld(k2) / ld(mesh.L[1]))
+        sq += 2 / vol / (w * w) * (re * re + im * im)
+    return vol * np.sqrt(sq.max())
+
+
+@functools.cache
+def _reference_norms(N, family):
+    """`_long_double_norm` of each map of a test-map family at the sampler
+    band m = 8 on the N x N grid, but the identity's; computed once."""
+    mesh = GridMesh(N=N)
+    sampler = UnitSphereSampler(mesh, max_mode=8)
+    return {name: _long_double_norm(psi, sampler)
+            for name, psi in family(mesh).items() if name != "identity"}
+
+
 def _norm_test_maps(mesh):
     tw = catalog.twist(mesh, 0.08, 0.06)
     return {"identity": TorusMap.identity(mesh),
@@ -283,8 +332,12 @@ def _norm_test_maps(mesh):
 @pytest.mark.parametrize("N", [32, 64])
 @pytest.mark.parametrize("count, refine", [(64, 1), (0, 1), (64, 0)])
 def test_streamed_norm_matches_dense_route(N, count, refine):
-    # Streaming changes only the summation order of the row means (Gram
-    # sums against np.mean): measured 4.4e-16 relative at most.
+    # The draws stream the basis potentials of the dense route, changing
+    # only the summation order of the row means (Gram sums against
+    # np.mean): measured 4.4e-16 relative at most.  The subspace maximum
+    # reads its column norms off the displacement, against the long-double
+    # reference: measured 2.7e-16 relative at most (the float64 dense route
+    # itself errs by up to 1.4e-15).
     mesh = GridMesh(N=N)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=count, refine=refine,
                                 seed=3)
@@ -306,9 +359,60 @@ def test_streamed_norm_matches_dense_route(N, count, refine):
         if name == "identity":
             assert rep.norm_lower_bound == 0.0 and got == [0.0] * len(got)
             continue
-        for a, b in zip(got, dense):
+        for a, b in zip(got[:count], dense):
             assert abs(a - b) <= 1e-15 * abs(b), (name, a, b)
-        assert abs(rep.norm_lower_bound - max(dense)) <= 1e-15 * max(dense)
+        if not refine:
+            assert abs(rep.norm_lower_bound - max(dense)) <= 1e-15 * max(dense)
+        elif EXTENDED:
+            ref = _reference_norms(N, _norm_test_maps)[name]
+            assert abs(np.longdouble(rep.norm_lower_bound) - ref) <= 5e-16 * ref, name
+
+
+def _long_double_test_maps(mesh):
+    """A composite of a shear and a twist, a big twist and a composite with
+    a map that is not volume preserving."""
+    X, Y = mesh.points
+    squash = TorusMap(mesh, np.stack([0.05 * np.sin(TWO_PI * X),
+                                      0.03 * np.cos(TWO_PI * (X + Y))]))
+    tw = catalog.twist(mesh, 0.08, 0.06)
+    return {"shear-twist": compose(catalog.shear(mesh, 0.07, axis=1), tw),
+            "big-twist": catalog.twist(mesh, 0.3, 0.25),
+            "not-volume-preserving": compose(squash, tw)}
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("N, family", [(32, _norm_test_maps),
+                                       (64, _norm_test_maps),
+                                       (64, _long_double_test_maps),
+                                       (128, _long_double_test_maps)],
+                         ids=["32-test-maps", "64-test-maps", "64-composites",
+                              "128-composites"])
+def test_refined_norm_matches_long_double_reference(N, family):
+    # Measured 2.7e-16 relative at most (newton, N = 32); the float64
+    # dense route errs by up to 1.4e-15 on the same maps.
+    mesh = GridMesh(N=N)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=0, seed=3)
+    refs = _reference_norms(N, family)
+    for name, psi in family(mesh).items():
+        est = psi_norm(psi, sampler).norm_lower_bound
+        if name == "identity":
+            assert est == 0.0
+            continue
+        assert abs(np.longdouble(est) - refs[name]) <= 5e-16 * refs[name], (name, est)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is float64 here")
+def test_a_tiny_twist_keeps_its_digits():
+    # |W_k(psi x) - W_k(x)| of a (1e-9, 2e-9) twist cancels all but about
+    # 7 digits when the image mode is formed: the basis-potential route
+    # erred by 3.5e-8 relative.  Read off the half angles it errs by
+    # 6.8e-11 (N = 128), through the means of the modes.
+    mesh = GridMesh(N=128)
+    sampler = UnitSphereSampler(mesh, max_mode=8, count=0, seed=3)
+    psi = catalog.twist(mesh, 1e-9, 2e-9)
+    ref = _long_double_norm(psi, sampler)
+    est = psi_norm(psi, sampler).norm_lower_bound
+    assert abs(np.longdouble(est) - ref) <= 1e-9 * ref
 
 
 def test_psi_norm_peak_memory_is_per_block():
@@ -335,45 +439,51 @@ def test_psi_norm_peak_memory_is_per_block():
         f"the table peaked {table_peak / 1e6:.1f} MB above its start")
 
 
+def _read_rects(monkeypatch):
+    """The grid rectangles read, in order: by `_column_norms` (the
+    subspace maximizer's scan) under "norms", by `_basis_potentials` (the
+    draws, and the witness column at one grid point) under "potentials"."""
+    reads = {"norms": [], "potentials": []}
+    for key, name in (("norms", "_column_norms"),
+                      ("potentials", "_basis_potentials")):
+        def counted(*args, _key=key, _read=getattr(displacement, name),
+                    **kwargs):
+            reads[_key].append(args[2])
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(displacement, name, counted)
+    return reads
+
+
+def _one_point(rects):
+    return [(r.stop - r.start, c.stop - c.start) for r, c in rects] == [(1, 1)]
+
+
 @pytest.mark.parametrize("refine", [1, 0])
 def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
-    # The estimate is one pass of basis potentials over the row blocks,
-    # the subspace maximizer's with refine and the draws' without, and a
-    # cached norm makes none; each table is one pass of the draws more.
+    # The estimate is one pass over the row blocks, of column norms with
+    # refine (and the witness column at one grid point) and of the draws'
+    # basis potentials without, and a cached norm makes none; each table
+    # is one pass of the draws more.
     mesh = GridMesh(N=32)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=64, refine=refine,
                                 seed=3)
-    calls = []
-    basis_potentials = displacement._basis_potentials
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return basis_potentials(*args, **kwargs)
-
-    monkeypatch.setattr(displacement, "_basis_potentials", counted)
+    reads = _read_rects(monkeypatch)
     blocks = displacement._row_blocks(mesh)
     psi = catalog.twist(mesh, 0.08, 0.06)
     psi_norm(psi, sampler)
-    assert calls == blocks
+    estimate = list(reads["potentials"])
+    if refine:
+        assert reads["norms"] == blocks and _one_point(estimate)
+    else:
+        assert reads["norms"] == [] and estimate == blocks
     psi_norm(psi, sampler)
-    assert calls == blocks
+    assert reads["potentials"] == estimate
     norm_table(psi, sampler)
-    assert calls == blocks * 2
+    assert reads["potentials"] == estimate + blocks
     norm_table(psi, sampler)
-    assert calls == blocks * 3
-
-
-def _read_rects(monkeypatch):
-    """The grid rectangles `_basis_potentials` is called on, in order."""
-    rects = []
-    basis_potentials = displacement._basis_potentials
-
-    def counted(*args, **kwargs):
-        rects.append(args[2])
-        return basis_potentials(*args, **kwargs)
-
-    monkeypatch.setattr(displacement, "_basis_potentials", counted)
-    return rects
+    assert reads["potentials"] == estimate + blocks * 2
+    assert reads["norms"] == (blocks if refine else [])
 
 
 def test_subspace_norm_scans_the_stored_axes(monkeypatch):
@@ -384,18 +494,19 @@ def test_subspace_norm_scans_the_stored_axes(monkeypatch):
     N = 32
     mesh = GridMesh(N=N)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=4, seed=3)
-    rects = _read_rects(monkeypatch)
+    reads = _read_rects(monkeypatch)
     blocks = displacement._row_blocks(mesh)
     point, whole = slice(0, 1), slice(0, N)
     for psi, scanned in [(catalog.translation(mesh, 0.3, 0.1), [(point, point)]),
                          (catalog.shear(mesh, 0.1), [(point, whole)]),
                          (catalog.shear(mesh, 0.1, axis=1), [(whole, point)]),
                          (catalog.twist(mesh, 0.08, 0.06), blocks)]:
-        rects.clear()
+        reads["norms"].clear()
+        reads["potentials"].clear()
         psi_norm(psi, sampler)
-        assert rects == scanned
+        assert reads["norms"] == scanned and _one_point(reads["potentials"])
         norm_table(psi, sampler)
-        assert rects == scanned + blocks
+        assert reads["norms"] == scanned and reads["potentials"][1:] == blocks
 
 
 @pytest.mark.parametrize("N", [32, 64])
@@ -421,17 +532,42 @@ def test_column_norm_is_constant_along_an_unstored_axis(N):
         assert abs(psi_norm(psi, sampler).norm_lower_bound - line) <= 1e-15 * line
 
 
+def test_line_map_means_read_their_stored_line():
+    # A map stored on a line or a point is centred by the sums of its one
+    # stored line: the means of the modes that vary along the unstored
+    # axis are exactly 0, so a translation's are all 0, and the rest match
+    # the full-grid sums to 5.6e-17 at most (N = 32, 128); bound 2e-16.
+    mesh = GridMesh(N=32)
+    sampler = UnitSphereSampler(mesh, max_mode=8)
+    _, Y = mesh.points
+    y = Y[:1]  # the grid line x = 0, shape (1, N)
+    drift = TorusMap(mesh, np.stack([0.1 * np.sin(TWO_PI * y),
+                                     0.05 * np.cos(TWO_PI * y)]))
+    for psi in (drift, catalog.shear(mesh, 0.1), catalog.shear(mesh, 0.1, axis=1),
+                catalog.translation(mesh, 0.3, 0.1)):
+        stored = psi._stored_disp
+        line = displacement._potential_means(stored, sampler)
+        full = displacement._potential_means(psi.disp, sampler)
+        assert np.abs(line - full).max() <= 2e-16
+        a, b = stored.shape[1:]
+        for i, (k1, k2) in enumerate(sampler.wavevectors):
+            if (a == 1 and k1) or (b == 1 and k2):
+                assert line[2 + 2 * i] == line[3 + 2 * i] == 0.0
+    assert np.abs(line[2:]).max() == 0.0
+    assert np.abs(displacement._potential_means(drift._stored_disp, sampler)[2:]).max() > 1e-3
+
+
 def test_a_refined_norm_is_cached_across_draw_settings(monkeypatch):
     # with refine set the report depends on max_mode alone, so a sampler
     # that differs only in its draws reads the cached report
     mesh = GridMesh(N=32)
     psi = catalog.twist(mesh, 0.08, 0.06)
     first = psi_norm(psi, UnitSphereSampler(mesh, max_mode=8, count=64, seed=0))
-    rects = _read_rects(monkeypatch)
+    reads = _read_rects(monkeypatch)
     again = psi_norm(psi, UnitSphereSampler(mesh, max_mode=8, count=32, seed=7))
-    assert again is first and rects == []
+    assert again is first and reads == {"norms": [], "potentials": []}
     psi_norm(psi, UnitSphereSampler(mesh, max_mode=4, count=64, seed=0))
-    assert rects == displacement._row_blocks(mesh)
+    assert reads["norms"] == displacement._row_blocks(mesh)
 
 
 @pytest.mark.parametrize("refine", [1, 0])
@@ -611,13 +747,13 @@ def test_norm_axiom_report_passes(mesh, sampler):
 def test_norm_axiom_report_norms_the_identity_once(mesh, monkeypatch):
     # the identity is its own inverse, so duality reads its cached norm
     zero_reads = []
-    stream = displacement._stream
+    column_norms = displacement._column_norms
 
     def counting(disp, *args, **kwargs):
         zero_reads.append(not np.any(disp))
-        return stream(disp, *args, **kwargs)
+        return column_norms(disp, *args, **kwargs)
 
-    monkeypatch.setattr(displacement, "_stream", counting)
+    monkeypatch.setattr(displacement, "_column_norms", counting)
     maps = [TorusMap.identity(mesh), catalog.translation(mesh, 1 / 3, 0.0),
             catalog.shear(mesh, 0.1)]
     norm_axiom_report(maps, UnitSphereSampler(mesh, max_mode=4, count=24, seed=5))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fluxlab import catalog
 from fluxlab.forms import OneForm, exterior_derivative, l2_norm, sup_norm, tol_closed
-from fluxlab.interpolate import VectorInterpolator
+from fluxlab.interpolate import VectorInterpolator, wrap_pad
 from fluxlab import maps
 from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap, c0_distance,
                           compose, evaluate_lift, interior_product,
@@ -353,6 +353,7 @@ def _whole_grid_newton(phi):
     mesh = phi.mesh
     x = mesh.flat_points
     J = phi.jac
+    padded = [wrap_pad(J[k, l]) for k in range(2) for l in range(2)]
 
     def residual(yy):
         r = yy + phi.interp_disp(yy) - x
@@ -362,7 +363,7 @@ def _whole_grid_newton(phi):
     r, rn = residual(y)
     halvings = 0
     while rn.max() > maps.TOL_INV_SCALE * max(mesh.L):
-        dy = maps._solve_2x2(phi.interp_jac_rough(y, J), r)
+        dy = maps._solve_2x2(phi.interp_jac_rough(y, padded), r)
         step = np.ones_like(rn)
         for _ in range(8):
             y_try = y - step * dy
