@@ -9,7 +9,9 @@ REV's committed files are unpacked into a temporary directory with
 `src/`, one after the other.  Every row whose CSV bytes differ is printed
 with its old and new value and verdict; a row only one side has is
 printed as added or removed, and each tree's battery wall time (the
-`fluxlab run` process, start to exit) is printed beside the diff.  The
+`fluxlab run` process, start to exit) is printed beside the diff, then
+each suite's wall seconds from the JSON report's `suite_seconds` ("-"
+for a tree whose report has none).  The
 exit code is 1 when a row that passes at REV fails in the tree, 2 when a
 run writes no report, else 0.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -40,10 +43,10 @@ def _unpack(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _run_battery(tree: Path, config: str, mesh: int,
-                 out: Path) -> tuple[dict[str, tuple[str, list]], float]:
-    """check_id -> (CSV line, fields) of the battery run in `tree`, and the
-    run's wall time in seconds."""
+def _run_battery(tree: Path, config: str, mesh: int, out: Path
+                 ) -> tuple[dict[str, tuple[str, list]], float, dict[str, float]]:
+    """check_id -> (CSV line, fields) of the battery run in `tree`, the
+    run's wall time in seconds, and its report's seconds per suite."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -57,8 +60,13 @@ def _run_battery(tree: Path, config: str, mesh: int,
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"battery_diff: no report from {tree} (exit {proc.returncode})")
     lines = report.read_text().splitlines()[1:]
-    return {fields[0]: (line, fields)
-            for line, fields in zip(lines, csv.reader(lines))}, seconds
+    suites = json.loads((out / "all-suites.json").read_text()).get("suite_seconds", {})
+    return ({fields[0]: (line, fields)
+             for line, fields in zip(lines, csv.reader(lines))}, seconds, suites)
+
+
+def _seconds(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2f} s"
 
 
 def _show(fields: list | None) -> str:
@@ -76,8 +84,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="battery-diff-") as tmp:
         tmp = Path(tmp)
         _unpack(args.rev, tmp / "rev")
-        old, old_s = _run_battery(tmp / "rev", args.config, args.mesh, tmp / "out-rev")
-        new, new_s = _run_battery(ROOT, args.config, args.mesh, tmp / "out-tree")
+        old, old_s, old_suites = _run_battery(tmp / "rev", args.config, args.mesh,
+                                              tmp / "out-rev")
+        new, new_s, new_suites = _run_battery(ROOT, args.config, args.mesh,
+                                              tmp / "out-tree")
 
     regressed = []
     changed = 0
@@ -93,6 +103,9 @@ def main() -> int:
     print(f"{args.rev} vs tree at N = {args.mesh}: {changed} of {len(new)} rows differ; "
           f"{passing}/{len(new)} pass in the tree")
     print(f"battery wall time: {old_s:.2f} s at {args.rev}, {new_s:.2f} s in the tree")
+    for name in sorted(set(old_suites) | set(new_suites)):
+        print(f"  {name}: {_seconds(old_suites.get(name))} at {args.rev}, "
+              f"{_seconds(new_suites.get(name))} in the tree")
     if regressed:
         print("rows that pass at {} and fail now: {}".format(args.rev, ", ".join(regressed)))
         return 1

@@ -59,19 +59,17 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.suite:
+            config.suite = args.suite
+        if args.seed is not None:
+            config.seed = args.seed
+            config.sampler.seed = args.seed
+        if args.mesh is not None:
+            config.mesh.N = args.mesh
+        config.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.suite:
-        if args.suite != "all" and args.suite not in SUITE_REGISTRY:
-            print(f"unknown suite {args.suite!r}", file=sys.stderr)
-            return 2
-        config.suite = args.suite
-    if args.seed is not None:
-        config.seed = args.seed
-        config.sampler.seed = args.seed
-    if args.mesh is not None:
-        config.mesh.N = args.mesh
     if args.out:
         config.out = args.out
 

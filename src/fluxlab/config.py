@@ -7,9 +7,11 @@ Unknown keys are rejected with their path, the seed is mandatory
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .displacement import UnitSphereSampler
 from .mesh import GridMesh
 
 
@@ -50,6 +52,31 @@ class ExperimentConfig:
     def echo(self) -> dict:
         return asdict(self)
 
+    def validate(self) -> None:
+        """Raise `ConfigError`, naming the key, for an unknown suite or for
+        a mesh or sampler value that `GridMesh` or `UnitSphereSampler`
+        rejects."""
+        from .suites import SUITE_REGISTRY
+        if self.suite != "all" and self.suite not in SUITE_REGISTRY:
+            raise ConfigError(f"unknown suite {self.suite!r}; registered: "
+                              f"{sorted(SUITE_REGISTRY)} + ['all']")
+        L = self.mesh.L
+        if len(L) != 2 or not all(type(v) in (int, float) and 0 < v < math.inf
+                                  for v in L):
+            raise ConfigError(f"'mesh.L' must be two positive numbers, got {L!r}")
+        mesh = _checked("mesh.N", self.mesh.build)
+        for key, name in (("m", "max_mode"), ("count", "count"), ("refine", "refine")):
+            _checked(f"sampler.{key}", UnitSphereSampler, mesh,
+                     **{name: getattr(self.sampler, key)})
+
+
+def _checked(key: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, a ValueError made a ConfigError naming key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from None
+
 
 _SCHEMA = {
     "suite": str,
@@ -87,21 +114,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("missing required key 'suite'")
     if "seed" not in data:
         raise ConfigError("missing required key 'seed' (runs must be reproducible)")
-    from .suites import SUITE_REGISTRY
-    suite = data["suite"]
-    if suite != "all" and suite not in SUITE_REGISTRY:
-        raise ConfigError(
-            f"unknown suite {suite!r}; registered: {sorted(SUITE_REGISTRY)} + ['all']")
     mesh = MeshConfig(**data.get("mesh", {}))
     sampler = SamplerConfig(**data.get("sampler", {}))
-    return ExperimentConfig(
-        suite=suite,
+    config = ExperimentConfig(
+        suite=data["suite"],
         seed=data["seed"],
         mesh=mesh,
         K=data.get("K", 64),
         sampler=sampler,
         out=data.get("out", "fluxlab-out"),
     )
+    config.validate()
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -9,17 +9,18 @@ Every displacement potential comes from composition: for psi = x + u(x)
 with u periodic and closed alpha = dF + h, psi^* alpha - alpha is exact
 with potential F o psi - F + h.u.  This holds for every stored map and
 every closed form, so no isotopy gate is needed and no Jacobian is read.
+`delta` reads one potential for any number of base points.
 
 The sup over the unit sphere is truncated to the span of the harmonic
 forms and the exact forms with potentials in the Fourier band |k| <= m.
 On that subspace the objective is linear in the form, so the exact
 maximizer has a closed form, and the estimate is a certified lower bound
 for the full norm.  A norm report holds the estimate and its witness
-only; `norm_table` lists random unit draws beside them, none of which can
-exceed the subspace maximizer (Cauchy-Schwarz; the best of 64 reads about
-a quarter of it).  The estimator streams over blocks of grid rows, so its
-memory does not grow with the number of basis forms times the number of
-grid points.
+only; `norm_table` alone reads random unit draws and lists them beside
+the estimate, none of which can exceed the subspace maximizer
+(Cauchy-Schwarz; the best of 64 reads about a quarter of it).  The
+estimator streams over blocks of grid rows, so its memory does not grow
+with the number of basis forms times the number of grid points.
 
 The subspace maximizer reads each column norm ||P(:, x)|| off the
 displacement u, without forming P: a mode moves by
@@ -83,16 +84,9 @@ RIGIDITY_DISTANCE = 5e-2
 
 def _displacement_potential(psi: TorusMap, alpha: OneForm) -> ScalarField:
     """Mean-zero potential of psi^* alpha - alpha, F o psi - F + h.u for
-    alpha = dF + h; cached per (map, form) pair."""
-    cache = psi._potential_cache
-    hit = cache.get(id(alpha))
-    if hit is not None and hit[0] is alpha:
-        return hit[1]
+    alpha = dF + h."""
     vals = chord_integral(psi, alpha)
-    P = ScalarField(psi.mesh, vals - vals.mean())
-    if len(cache) < 64:
-        cache[id(alpha)] = (alpha, P)  # keep the form alive so ids stay unique
-    return P
+    return ScalarField(psi.mesh, vals - vals.mean())
 
 
 def nu_function(psi: TorusMap, alpha: OneForm, p,
@@ -111,21 +105,26 @@ def nu_function(psi: TorusMap, alpha: OneForm, p,
     return P - float(P.at(np.asarray(p, dtype=float)))
 
 
-def delta(psi: TorusMap, alpha: OneForm, p, closed_tol: float | None = None) -> float:
-    """Volume average of nu over the torus, normalized by ||alpha||_L2;
-    identically 0 for alpha = 0."""
+def delta(psi: TorusMap, alpha: OneForm, p, closed_tol: float | None = None):
+    """Volume average of nu over the torus, normalized by ||alpha||_L2, at
+    one point p or many as in `delta_tilde`; identically 0 for alpha = 0."""
     if alpha.is_zero():
-        return 0.0
+        return 0.0 if np.ndim(p) == 1 else np.zeros(np.shape(p)[1])
     return delta_tilde(psi, alpha, p, closed_tol) / l2_norm(alpha)
 
 
 def delta_tilde(psi: TorusMap, alpha: OneForm, p,
-                closed_tol: float | None = None) -> float:
-    """The unnormalized invariant ||alpha|| * delta."""
+                closed_tol: float | None = None):
+    """The unnormalized invariant ||alpha|| * delta at one point p of
+    shape (2,) or at M points (2, M), from one potential; each value is
+    bit for bit the value at that point alone."""
     if alpha.is_zero():
-        return 0.0
-    nu = nu_function(psi, alpha, p, closed_tol)
-    return psi.mesh.integrate(nu.values)
+        return 0.0 if np.ndim(p) == 1 else np.zeros(np.shape(p)[1])
+    alpha.require_closed(tol=closed_tol, what="delta_tilde")
+    P = _displacement_potential(psi, alpha)
+    at = P.at(np.asarray(p, dtype=float))
+    values = [psi.mesh.integrate(P.values - c) for c in np.ravel(at)]
+    return values[0] if np.ndim(p) == 1 else np.array(values)
 
 
 def delta_via_flux(psi: TorusMap, alpha: OneForm, x, phi_path: Isotopy):
@@ -163,8 +162,15 @@ class UnitSphereSampler:
     mesh: GridMesh
     max_mode: int = 8
     count: int = 64
-    refine: int = 1
+    refine: int = 1  # the one legal value, kept as perfbench's workloads pass it
     seed: int = 0
+
+    def __post_init__(self):
+        if self.refine != 1:
+            raise ValueError(f"refine must be 1, got {self.refine}")
+        for name in ("count", "max_mode"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @cached_property
     def wavevectors(self) -> list[tuple[int, int]]:
@@ -457,39 +463,29 @@ def _column_norms(disp: np.ndarray, sampler: UnitSphereSampler, rect: Rect,
     return sq
 
 
-def _stream(disp: np.ndarray, sampler: UnitSphereSampler, means: np.ndarray):
-    """The basis potentials of the map x + disp(x) on each row block
-    (`_row_blocks`) in turn: yields the block and its (D, B) columns from
-    `_basis_potentials`.
-
-    The draws read P this way, and the (D, N*N) matrix is never formed,
-    so memory is O(D * block) rather than O(D * N*N).  A draw's c . P(:, x)
-    turns with the phases that leave the column norm alone, so every row
-    block is read.  Every block is written into one buffer, which the next
-    block overwrites: arrays made afresh per block are handed back to the
-    OS and faulted in again each block (8.7k page faults a pass at
-    N = 128).
-    """
-    blocks = _row_blocks(sampler.mesh)
-    rows, cols = blocks[0]
-    P = np.empty((sampler.dimension, (rows.stop - rows.start) * sampler.mesh.N))
-    for rect in blocks:
-        yield rect, _basis_potentials(disp, sampler, rect, means, out=P)
-
-
 def _draw_maxima(disp: np.ndarray, sampler: UnitSphereSampler,
                  means: np.ndarray, C: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The largest |C @ P| of each draw (row of C) and its grid index, in
-    one pass of `_stream` over the row blocks; strict > keeps the first
-    grid index of a tie, as a dense argmax would."""
+    one pass over the row blocks (`_row_blocks`) of the basis potentials
+    (`_basis_potentials`); strict > keeps the first grid index of a tie,
+    as a dense argmax would.
+
+    The (D, N*N) matrix P is never formed, so memory is O(D * block).  A
+    draw's c . P(:, x) turns with the phases that leave the column norm
+    alone, so every row block is read.  Every block is written into one
+    buffer: arrays made afresh per block are handed back to the OS and
+    faulted in again each block (8.7k page faults a pass at N = 128).
+    """
     mesh = sampler.mesh
     count = len(C)
+    blocks = _row_blocks(mesh)
+    rows, cols = blocks[0]
+    P = np.empty((sampler.dimension, (rows.stop - rows.start) * mesh.N))
+    a = np.empty((count, P.shape[1]))
     top, top_at = np.full(count, -1.0), np.zeros(count, dtype=int)
-    a = None
-    for rect, P in _stream(disp, sampler, means):
-        if a is None:
-            a = np.empty((count, P.shape[1]))
+    for rect in blocks:
+        _basis_potentials(disp, sampler, rect, means, out=P)
         np.abs(np.matmul(C, P, out=a), out=a)
         j = a.argmax(axis=1)
         v = a[np.arange(count), j]
@@ -519,14 +515,6 @@ def _largest_column(disp: np.ndarray, sampler: UnitSphereSampler,
     return math.sqrt(max(top, 0.0)), at, column
 
 
-def _draws(sampler: UnitSphereSampler) -> np.ndarray:
-    """The (count, D) coefficients of the random unit draws, drawn afresh
-    from the sampler's seed, so every call gives the same draws."""
-    rng = np.random.default_rng(sampler.seed)
-    return np.array([sampler.draw_coefficients(rng)
-                     for _ in range(sampler.count)])
-
-
 def _grid_point(mesh: GridMesh, at: int) -> tuple[float, float]:
     pt = mesh.flat_points[:, at]
     return (float(pt[0]), float(pt[1]))
@@ -547,7 +535,7 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     """Certified lower bound of the displacement norm of psi.
 
     Evaluates sup_z |Delta-tilde(psi, alpha)_z| = Vol * sup |P_alpha|.
-    With `refine` set, alpha ranges over the whole sampled subspace: the
+    Alpha ranges over the whole sampled subspace: the
     potential map is linear in alpha, so for each point the optimal
     coefficients are the normalized potential vector and the subspace sup
     is max_x ||P(:, x)||_2, found in one pass over the grid points where
@@ -565,78 +553,63 @@ def psi_norm(psi: TorusMap, sampler: UnitSphereSampler) -> DisplacementReport:
     No random draw could raise the estimate: for a unit c,
     Cauchy-Schwarz gives |c . P(:, x)| <= ||P(:, x)||_2 (the best
     of 64 draws reads 0.21-0.28 of the subspace value on the test maps at
-    N = 128, seeds 0 and 3), so none is computed.  Without `refine` the
-    estimate is the best of `count` random unit forms drawn from the
-    sampler's seed, in one pass over all the row blocks, and so monotone
-    in the sample budget; ties keep the first draw.  Either way ties keep
-    the first grid index scanned.  `norm_table` lists the draws' values
-    beside the estimate.
+    N = 128, seeds 0 and 3), so none is computed.  Ties keep the first
+    grid index scanned.  `norm_table` lists the draws' values beside the
+    estimate.
 
-    The report is cached on the map and holds nothing of the map.  With
-    `refine` set it depends on `max_mode` alone, and is keyed by
-    (max_mode, refine); without, by the whole sampler setting.
+    The report is cached on the map and holds nothing of the map.  It
+    depends on `max_mode` alone, and is keyed by it.
     """
     if not sampler.mesh.same_grid(psi.mesh):
         raise ValueError("sampler and map live on different meshes")
-    if sampler.count <= 0 and not sampler.refine:
-        raise ValueError("sampler budget is zero: nothing to estimate")
     cache = psi._norm_cache
-    key = ((sampler.max_mode, sampler.refine) if sampler.refine else
-           (sampler.max_mode, sampler.count, sampler.refine, sampler.seed))
-    hit = cache.get(key)
+    hit = cache.get(sampler.max_mode)
     if hit is not None:
         return hit
 
     mesh, stored = psi.mesh, psi._stored_disp
     means = _potential_means(stored, sampler)
-    if sampler.refine:
-        rects = _stored_rects(mesh, stored.shape[1:])
-        gmax, at, column = _largest_column(psi.disp, sampler, means, rects)
-        value = mesh.volume * float(gmax)
-        if gmax > 0:
-            witness = column / gmax
-        else:
-            witness = np.zeros(sampler.dimension)
-            witness[0] = 1.0
+    rects = _stored_rects(mesh, stored.shape[1:])
+    gmax, at, column = _largest_column(psi.disp, sampler, means, rects)
+    if gmax > 0:
+        witness = column / gmax
     else:
-        C = _draws(sampler)
-        top, top_at = _draw_maxima(psi.disp, sampler, means, C)
-        values = mesh.volume * top
-        s = int(values.argmax())
-        value, at, witness = float(values[s]), top_at[s], C[s].copy()
+        witness = np.zeros(sampler.dimension)
+        witness[0] = 1.0
     witness.flags.writeable = False
-    report = DisplacementReport(norm_lower_bound=value, witness_coeffs=witness,
+    report = DisplacementReport(norm_lower_bound=mesh.volume * gmax,
+                                witness_coeffs=witness,
                                 witness_point=_grid_point(mesh, at))
-    cache[key] = report
+    cache[sampler.max_mode] = report
     return report
 
 
 def norm_table(psi: TorusMap, sampler: UnitSphereSampler) -> list[dict]:
     """The per-sample table of the norm estimate of psi: one row per random
     unit draw from the sampler's seed, `draw-000` on, with its value
-    Vol * max_x |c . P(:, x)| and the grid point where it is taken, then,
-    when `refine` is set, the `subspace-max` row of `psi_norm`'s estimate
-    and witness point.
+    Vol * max_x |c . P(:, x)| and the grid point where it is taken, then
+    the `subspace-max` row of `psi_norm`'s estimate and witness point.
 
-    Each row is a dict of `sample`, `value` and `point`.  The draws take
-    one more pass over the grid than `psi_norm`, which this calls (and
-    which is cached on the map).
+    Each row is a dict of `sample`, `value` and `point`.  Only this reads
+    the draws: one more pass over the grid than `psi_norm`, which this
+    calls (and which is cached on the map).
     """
     report = psi_norm(psi, sampler)
     mesh = psi.mesh
     rows = []
     if sampler.count:
+        # drawn afresh from the sampler's seed, so every call gives the same draws
+        rng = np.random.default_rng(sampler.seed)
+        C = np.array([sampler.draw_coefficients(rng) for _ in range(sampler.count)])
         top, top_at = _draw_maxima(psi.disp, sampler,
-                                   _potential_means(psi._stored_disp, sampler),
-                                   _draws(sampler))
+                                   _potential_means(psi._stored_disp, sampler), C)
         rows = [{"sample": f"draw-{s:03d}",
                  "value": float(mesh.volume * top[s]),
                  "point": _grid_point(mesh, top_at[s])}
                 for s in range(sampler.count)]
-    if sampler.refine:
-        rows.append({"sample": "subspace-max",
-                     "value": report.norm_lower_bound,
-                     "point": report.witness_point})
+    rows.append({"sample": "subspace-max",
+                 "value": report.norm_lower_bound,
+                 "point": report.witness_point})
     return rows
 
 

@@ -41,9 +41,9 @@ def _check_finite(*arrays):
 
 
 def _frozen(values) -> np.ndarray:
-    """A read-only float copy: forms are values, and the caches keyed on a
-    form (its closedness residual, a map's displacement potentials) rely
-    on its arrays never changing.  An array whose strides are all zero, as
+    """A read-only float copy: forms are values, and what a form caches
+    (its closedness residual, its interpolators) relies on its arrays
+    never changing.  An array whose strides are all zero, as
     `_constant_field` builds, is a constant field: only its one value is
     copied, and it stays a read-only stride-0 view of its shape."""
     if isinstance(values, np.ndarray) and values.size and not any(values.strides):

@@ -139,9 +139,7 @@ class TorusMap:
         self._interp: dict[str, object] = {}
         # the inverse once built, else its builder (None: Newton)
         self._inverse: TorusMap | Callable[[], TorusMap] | None = inverse
-        # displacement-layer results: id(form) -> (form, potential) and
-        # sampler key -> report; the form is kept so that ids stay unique
-        self._potential_cache: dict = {}
+        # displacement norm reports, keyed by the sampler's max_mode
         self._norm_cache: dict = {}
         if check:
             self._validate()

@@ -111,6 +111,7 @@ class SuiteReport:
     config: dict
     environment: dict
     timestamp: float
+    suite_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def overall_pass(self) -> bool:
@@ -127,6 +128,7 @@ class SuiteReport:
             "config": self.config,
             "environment": self.environment,
             "timestamp": self.timestamp,
+            "suite_seconds": self.suite_seconds,
         }
 
 
@@ -343,17 +345,17 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
         _mode_form(ctx.sampler, harmonic=(0.0, 0.5),
                    waves=[(1, 1, "sin", 0.5), (2, 0, "cos", 0.5)]),
     ]
-    points = [rng.uniform(0.0, 1.0, 2) for _ in range(5)]
+    points = rng.uniform(0.0, 1.0, (5, 2)).T  # one base point per column
 
     def agreement():
         worst = -math.inf
         for flow in _cor22_flows(ctx):
             psi = flow.end_map
             for alpha in forms:
-                # one orbit integration for all five base points
-                via_flux = delta_via_flux(psi, alpha, np.stack(points, axis=1), flow)
-                for p, d2 in zip(points, via_flux.tolist()):
-                    d1 = delta(psi, alpha, p)
+                # one potential and one orbit integration for all five points
+                via_potential = delta(psi, alpha, points)
+                via_flux = delta_via_flux(psi, alpha, points, flow)
+                for d1, d2 in zip(via_potential.tolist(), via_flux.tolist()):
                     worst = max(worst, abs(d1 - d2) / (1.0 + abs(d1)))
         return worst
 
@@ -369,7 +371,7 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
     def independence():
         flowA = catalog.translation_flow(mesh, 0.3, 0.4, ctx.K)
         flowB = _reparam_flow(flowA)
-        alpha, p = forms[2], points[0]
+        alpha, p = forms[2], points[:, 0]
         dA = delta_via_flux(flowA.end_map, alpha, p, flowA)
         dB = delta_via_flux(flowA.end_map, alpha, p, flowB)
         return abs(dA - dB)
@@ -378,7 +380,7 @@ def suite_cor22_consistency(ctx: SuiteContext) -> list[CheckRow]:
 
     def continuity():
         base = catalog.twist(mesh, 0.06, 0.05)
-        alpha, p = forms[2], points[1]
+        alpha, p = forms[2], points[:, 1]
         d_base = delta(base, alpha, p)
         gaps = [abs(delta(compose(base, catalog.perturbation_map(mesh, h)),
                           alpha, p) - d_base)
@@ -835,22 +837,26 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
     """Execute the configured suite (or all of them) and collect rows.
 
     A failing check inside a suite records an error row and never aborts
-    the remaining checks; report row order is fixed by check id.
+    the remaining checks; report row order is fixed by check id.  Each
+    suite's wall seconds go into `suite_seconds`, for the JSON report.
     """
     names = sorted(SUITE_REGISTRY) if config.suite == "all" else [config.suite]
     if config.suite != "all" and config.suite not in SUITE_REGISTRY:
         raise KeyError(f"unknown suite {config.suite!r}")
     rows: list[CheckRow] = []
+    seconds = {}
     for name in names:
+        start = time.perf_counter()
         ctx = SuiteContext(config)
         prefix = f"{name}/" if config.suite == "all" else ""
         for r in SUITE_REGISTRY[name](ctx):
             rows.append(CheckRow(f"{prefix}{r.check_id}", r.paper_anchor,
                                  r.value, r.tolerance, note=r.note))
+        seconds[name] = time.perf_counter() - start
     rows.sort(key=lambda r: r.check_id)
     return SuiteReport(suite=config.suite, seed=config.seed, rows=rows,
                        config=config.echo(), environment=_environment(),
-                       timestamp=time.time())
+                       timestamp=time.time(), suite_seconds=seconds)
 
 
 def emit_report(report: SuiteReport, out_dir) -> list[str]:

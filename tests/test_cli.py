@@ -64,6 +64,18 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("sampler, argv", [
+    ({"m": 2, "count": 8, "refine": 0}, []),
+    ({"m": 2, "count": 8}, ["--mesh", "20"])], ids=["refine-0", "mesh-20"])
+def test_run_rejected_value_exit_code(tmp_path, capsys, sampler, argv):
+    # a value the sampler rejects in the file, or a grid the mesh rejects
+    # given on the command line: a config error, not a traceback
+    p = _write_config(tmp_path, sampler=sampler)
+    assert main(["run", "--config", str(p), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_unknown_suite_override(tmp_path):
     p = _write_config(tmp_path)
     assert main(["run", "--config", str(p), "--suite", "bogus"]) == 2

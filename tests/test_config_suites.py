@@ -66,6 +66,24 @@ def test_malformed_config_rejected(data, message):
         parse_config(data)
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("mesh", {"N": 20}, "'mesh.N': N must be a power of two >= 16, got 20"),
+    ("mesh", {"L": [1, 1, 3]}, "'mesh.L' must be two positive numbers, got [1, 1, 3]"),
+    ("mesh", {"L": [1]}, "'mesh.L' must be two positive numbers, got [1]"),
+    ("mesh", {"L": [1.0, 0.0]}, "'mesh.L' must be two positive numbers"),
+    ("mesh", {"L": [1.0, "1"]}, "'mesh.L' must be two positive numbers"),
+    ("sampler", {"m": -1}, "'sampler.m': max_mode must be >= 0, got -1"),
+    ("sampler", {"count": -3}, "'sampler.count': count must be >= 0, got -3"),
+    ("sampler", {"refine": 0}, "'sampler.refine': refine must be 1, got 0"),
+])
+def test_a_value_the_mesh_or_sampler_rejects_names_its_key(section, value, message):
+    # before, L = [1, 1, 3] ran on (1, 1), [1] raised IndexError, N = 20
+    # raised in the first suite, m = -1 gave error rows and count = -3 a
+    # matmul error in norm_table
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config({"suite": "norm-axioms", "seed": 1, section: value})
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/config.json")
@@ -205,6 +223,8 @@ def test_emit_report_csv_and_json(tmp_path):
     assert data["suite"] == "norm-axioms"
     assert len(data["rows"]) == len(rep.rows)
     assert "timestamp" in data
+    assert list(data["suite_seconds"]) == ["norm-axioms"]
+    assert data["suite_seconds"]["norm-axioms"] > 0.0
 
 
 def test_emit_empty_report(tmp_path):
@@ -263,9 +283,10 @@ def test_determinism_same_seed(tmp_path):
     c1, j1 = emit_report(run_suite(cfg1), tmp_path / "a")
     c2, j2 = emit_report(run_suite(cfg2), tmp_path / "b")
     assert open(c1, "rb").read() == open(c2, "rb").read()
-    # the JSON differs only in its timestamp
+    # the JSON differs only in its timestamp and suite seconds
     d1, d2 = json.loads(open(j1).read()), json.loads(open(j2).read())
-    d1.pop("timestamp"), d2.pop("timestamp")
+    for d in (d1, d2):
+        d.pop("timestamp"), d.pop("suite_seconds")
     assert d1 == d2
 
 

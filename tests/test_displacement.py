@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxlab import catalog, displacement
+from fluxlab import catalog, displacement, suites
 from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   _displacement_potential,
                                   commutator_collapse_check, conjugation_check,
@@ -26,6 +26,7 @@ from fluxlab.displacement import (UnitSphereSampler, _basis_potentials,
                                   supported_commutator_pair)
 from fluxlab.forms import (NonClosedFormError, OneForm, hodge_decompose,
                            l2_norm, sup_norm)
+from fluxlab.config import parse_config
 from fluxlab.isotopy import integrate_flow, orbit_integral
 from fluxlab.maps import (Region, TorusMap, c0_distance, compose,
                           pullback_oneform)
@@ -164,6 +165,32 @@ def test_delta_via_flux_of_several_points_equals_one_point_calls():
                           np.zeros(5))
 
 
+def test_delta_of_several_points_equals_one_point_calls(monkeypatch):
+    # the maps, forms and points of cor22-consistency's agreement row, as
+    # the suite passes them: one potential serves all the points, and each
+    # value is the one-point value bit for bit
+    calls = []
+
+    def recorded(psi, alpha, p, *args):
+        calls.append((psi, alpha, p))
+        return delta(psi, alpha, p, *args)
+
+    monkeypatch.setattr(suites, "delta", recorded)
+    config = parse_config({"suite": "cor22-consistency", "seed": 2026,
+                           "mesh": {"N": 32}})
+    suites.suite_cor22_consistency(suites.SuiteContext(config))
+    several = [c for c in calls if np.shape(c[2]) == (2, 5)]
+    assert len(several) == 50  # ten flows, five forms
+    for psi, alpha, x in several:
+        for fn in (delta, delta_tilde):
+            values = fn(psi, alpha, x)
+            assert [v.hex() for v in values.tolist()] == [
+                fn(psi, alpha, p).hex() for p in x.T]
+    zero = OneForm.constant(psi.mesh, 0.0, 0.0)
+    for fn in (delta, delta_tilde):
+        assert np.array_equal(fn(psi, zero, x), np.zeros(5))
+
+
 def test_delta_via_flux_endpoint_gate(mesh):
     flow = catalog.translation_flow(mesh, 0.3, 0.4, 32)
     other = catalog.translation(mesh, 0.31, 0.4)
@@ -266,8 +293,7 @@ def _dense_table_values(psi, sampler):
     rng = np.random.default_rng(sampler.seed)
     C = np.array([sampler.draw_coefficients(rng) for _ in range(sampler.count)])
     values = [mesh.volume * v for v in np.abs(C @ P).max(axis=1)] if len(C) else []
-    if sampler.refine:
-        values.append(mesh.volume * np.sqrt(np.einsum("dx,dx->x", P, P)).max())
+    values.append(mesh.volume * np.sqrt(np.einsum("dx,dx->x", P, P)).max())
     return values
 
 
@@ -330,14 +356,14 @@ def _norm_test_maps(mesh):
 
 
 @pytest.mark.parametrize("N", [32, 64])
-@pytest.mark.parametrize("count, refine", [(64, 1), (0, 1), (64, 0)])
+@pytest.mark.parametrize("count, refine", [(64, 1), (0, 1)])
 def test_streamed_norm_matches_dense_route(N, count, refine):
     # The draws stream the basis potentials of the dense route, changing
     # only the summation order of the row means (Gram sums against
     # np.mean): measured 4.4e-16 relative at most.  The subspace maximum
     # reads its column norms off the displacement, against the long-double
     # reference: measured 2.7e-16 relative at most (the float64 dense route
-    # itself errs by up to 1.4e-15).
+    # itself errs by up to 1.4e-15).  refine has one legal value, 1.
     mesh = GridMesh(N=N)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=count, refine=refine,
                                 seed=3)
@@ -346,24 +372,20 @@ def test_streamed_norm_matches_dense_route(N, count, refine):
         table = norm_table(psi, sampler)
         dense = _dense_table_values(psi, sampler)
         got = [r["value"] for r in table]
-        assert len(got) == len(dense) == count + refine
+        assert len(got) == len(dense) == count + 1
         assert [r["sample"] for r in table[:count]] == [
             f"draw-{s:03d}" for s in range(count)]
-        # with refine the last row is the maximum (Cauchy-Schwarz), so the
-        # draws never set the estimate
+        # the last row is the maximum (Cauchy-Schwarz), so the draws never
+        # set the estimate
         assert max(got) == rep.norm_lower_bound
-        best = table[-1] if refine else table[got.index(max(got))]
-        assert best["point"] == rep.witness_point
-        if refine:
-            assert table[-1]["sample"] == "subspace-max"
+        assert table[-1]["sample"] == "subspace-max"
+        assert table[-1]["point"] == rep.witness_point
         if name == "identity":
             assert rep.norm_lower_bound == 0.0 and got == [0.0] * len(got)
             continue
         for a, b in zip(got[:count], dense):
             assert abs(a - b) <= 1e-15 * abs(b), (name, a, b)
-        if not refine:
-            assert abs(rep.norm_lower_bound - max(dense)) <= 1e-15 * max(dense)
-        elif EXTENDED:
+        if EXTENDED:
             ref = _reference_norms(N, _norm_test_maps)[name]
             assert abs(np.longdouble(rep.norm_lower_bound) - ref) <= 5e-16 * ref, name
 
@@ -459,12 +481,11 @@ def _one_point(rects):
     return [(r.stop - r.start, c.stop - c.start) for r, c in rects] == [(1, 1)]
 
 
-@pytest.mark.parametrize("refine", [1, 0])
+@pytest.mark.parametrize("refine", [1])
 def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
-    # The estimate is one pass over the row blocks, of column norms with
-    # refine (and the witness column at one grid point) and of the draws'
-    # basis potentials without, and a cached norm makes none; each table
-    # is one pass of the draws more.
+    # The estimate is one pass of column norms over the row blocks and the
+    # witness column at one grid point, and a cached norm makes none; each
+    # table is one pass of the draws' basis potentials more.
     mesh = GridMesh(N=32)
     sampler = UnitSphereSampler(mesh, max_mode=8, count=64, refine=refine,
                                 seed=3)
@@ -473,17 +494,14 @@ def test_draw_table_is_built_once_and_only_when_read(monkeypatch, refine):
     psi = catalog.twist(mesh, 0.08, 0.06)
     psi_norm(psi, sampler)
     estimate = list(reads["potentials"])
-    if refine:
-        assert reads["norms"] == blocks and _one_point(estimate)
-    else:
-        assert reads["norms"] == [] and estimate == blocks
+    assert reads["norms"] == blocks and _one_point(estimate)
     psi_norm(psi, sampler)
     assert reads["potentials"] == estimate
     norm_table(psi, sampler)
     assert reads["potentials"] == estimate + blocks
     norm_table(psi, sampler)
     assert reads["potentials"] == estimate + blocks * 2
-    assert reads["norms"] == (blocks if refine else [])
+    assert reads["norms"] == blocks
 
 
 def test_subspace_norm_scans_the_stored_axes(monkeypatch):
@@ -558,8 +576,8 @@ def test_line_map_means_read_their_stored_line():
 
 
 def test_a_refined_norm_is_cached_across_draw_settings(monkeypatch):
-    # with refine set the report depends on max_mode alone, so a sampler
-    # that differs only in its draws reads the cached report
+    # the report depends on max_mode alone, so a sampler that differs only
+    # in its draws reads the cached report
     mesh = GridMesh(N=32)
     psi = catalog.twist(mesh, 0.08, 0.06)
     first = psi_norm(psi, UnitSphereSampler(mesh, max_mode=8, count=64, seed=0))
@@ -570,7 +588,7 @@ def test_a_refined_norm_is_cached_across_draw_settings(monkeypatch):
     assert reads["norms"] == displacement._row_blocks(mesh)
 
 
-@pytest.mark.parametrize("refine", [1, 0])
+@pytest.mark.parametrize("refine", [1])
 def test_a_norm_report_is_frozen(refine):
     # the report is cached on its map and handed to every caller
     mesh = GridMesh(N=32)
@@ -586,7 +604,7 @@ def test_a_norm_report_is_frozen(refine):
         rep.witness_coeffs[0] = 0.0
 
 
-@pytest.mark.parametrize("refine", [1, 0])
+@pytest.mark.parametrize("refine", [1])
 def test_a_normed_map_is_freed_without_the_collector(refine):
     # The map's norm cache holds the report, so a report that held the map
     # would put each normed map on a reference cycle.
@@ -724,10 +742,15 @@ def test_norm_profile_fails_below_the_witness_floor(monkeypatch, capsys):
         capsys.readouterr().out)
 
 
-def test_psi_norm_budget_zero(mesh):
-    with pytest.raises(ValueError):
-        psi_norm(catalog.shear(mesh, 0.1),
-                 UnitSphereSampler(mesh, max_mode=4, count=0, refine=0, seed=1))
+@pytest.mark.parametrize("setting, message", [
+    ({"refine": 0}, "refine must be 1, got 0"),
+    ({"refine": 2}, "refine must be 1, got 2"),
+    ({"count": -1}, "count must be >= 0, got -1"),
+    ({"max_mode": -1}, "max_mode must be >= 0, got -1")])
+def test_sampler_rejects_a_bad_setting(mesh, setting, message):
+    # refine has one legal value: the norm is always the subspace maximizer
+    with pytest.raises(ValueError, match=message):
+        UnitSphereSampler(mesh, **setting)
 
 
 def test_psi_norm_duality_estimate(mesh, sampler):
@@ -985,19 +1008,3 @@ def test_rigidity_divergent_floor(mesh, sampler):
     assert not rep.pattern_violated
     assert min(rep.norm_premises) > 0.01
     assert rep.final_distance > 0.05
-
-
-def test_displacement_potential_cache_sees_no_writes():
-    # the cache is keyed by the form object, so a form whose arrays could
-    # be written in place would get its old potential back (0.06 off)
-    mesh = GridMesh(N=32)
-    psi = catalog.twist(mesh, 0.06, 0.05)
-    ax, ay = np.ones(mesh.shape), np.zeros(mesh.shape)
-    alpha = OneForm(mesh, ax, ay)
-    first = _displacement_potential(psi, alpha).values
-    with pytest.raises(ValueError, match="read-only"):
-        alpha.ax[...] = 2.0
-    ax[...] = 2.0
-    assert np.array_equal(_displacement_potential(psi, alpha).values, first)
-    fresh = _displacement_potential(psi, OneForm(mesh, ax, ay)).values
-    assert np.abs(fresh - 2.0 * first).max() < 1e-12
