@@ -6,7 +6,8 @@ are exact to round-off rather than limited by spectral differentiation of
 barely resolved fields.  Flow builders attach the exact generating vector
 field, a `TimeField` with point values, to the isotopies they produce;
 flows of the named potentials integrate their field in closed form
-(`hamiltonian_field`).
+(`hamiltonian_field`); a flow's time-1 map is its `end_map`.  A built
+map carries no tags: a check reads what it needs off the map itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .forms import ScalarField
-from .isotopy import Isotopy, TimeField, integrate_flow, symplectic_flux
+from .isotopy import Isotopy, TimeField, integrate_flow
 from .maps import UNIT_JAC, TorusMap, require_positive_det
 from .mesh import GridMesh
 
@@ -39,7 +40,6 @@ def _line(mesh: GridMesh, axis: int) -> np.ndarray:
 def translation(mesh: GridMesh, c: float, d: float) -> TorusMap:
     """x -> x + (c, d); an isometry with J = I, both fields stored once."""
     return TorusMap(mesh, np.reshape((c, d), (2, 1, 1)), jac=UNIT_JAC,
-                    provenance={"kind": "translation", "c": c, "d": d},
                     inverse=lambda: translation(mesh, -c, -d))
 
 
@@ -58,8 +58,6 @@ def shear(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
     jac[0, 0] = jac[1, 1] = 1.0
     jac[axis, 1 - axis] = eps * w * np.cos(w * coord + phase)
     return TorusMap(mesh, disp, jac=jac,
-                    provenance={"kind": "shear", "eps": eps, "axis": axis,
-                                "mode": mode, "flux_periods": (0.0, 0.0)},
                     inverse=lambda: shear(mesh, -eps, axis, mode, phase))
 
 
@@ -107,9 +105,6 @@ def twist(mesh: GridMesh, e1: float, e2: float, m1: int = 1, m2: int = 1,
     """
     disp, jac = _twist_data(mesh, e1, e2, m1, m2, first_axis)
     return TorusMap(mesh, disp, jac=jac,
-                    provenance={"kind": "twist", "e1": e1, "e2": e2,
-                                "m1": m1, "m2": m2,
-                                "flux_periods": (0.0, 0.0)},
                     inverse=lambda: twist(mesh, -e1, -e2, m1, m2,
                                           first_axis=1 - first_axis))
 
@@ -175,7 +170,7 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
     """
     if radius >= mesh.injectivity_radius:
         raise ValueError("support radius must be below the injectivity radius")
-    v, chi, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
+    v, _, dchi, ct, st = _bump_fields(mesh, center, radius, angle)
     disp = np.stack([ct * v[0] - st * v[1] - v[0],
                      st * v[0] + ct * v[1] - v[1]])
     # det J is checked once, on the fields in hand, so the map skips its own
@@ -183,10 +178,6 @@ def bump_rotation(mesh: GridMesh, center, radius: float, angle: float) -> TorusM
     require_positive_det(mesh, _bump_jac_of(v, dchi, ct, st, radius, angle))
     return TorusMap(mesh, disp, jac=partial(_bump_jac, mesh, center, radius, angle),
                     check=False,
-                    provenance={"kind": "bump_rotation", "center": tuple(center),
-                                "radius": radius, "angle": angle,
-                                "flux_periods": (float(np.mean(-angle * chi * v[1])),
-                                                 float(np.mean(angle * chi * v[0])))},
                     inverse=lambda: bump_rotation(mesh, center, radius, -angle))
 
 
@@ -199,8 +190,7 @@ def non_volume_preserving(mesh: GridMesh, eps: float = 0.1, mode: int = 1) -> To
     jac = np.zeros((2, 2, *Y.shape))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0 + eps * w * np.cos(w * Y)
-    return TorusMap(mesh, disp, jac=jac,
-                    provenance={"kind": "non_volume_preserving", "eps": eps})
+    return TorusMap(mesh, disp, jac=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +206,7 @@ def translation_flow(mesh: GridMesh, c: float, d: float, K: int = 64) -> Isotopy
     return Isotopy.from_time_function(
         mesh, lambda t: translation(mesh, t * c, t * d), K,
         generator=TimeField(gen_at, mesh, autonomous=True,
-                            certified_symplectic=True),
-        provenance={"kind": "translation_flow", "c": c, "d": d})
+                            certified_symplectic=True))
 
 
 def shear_flow(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
@@ -233,8 +222,7 @@ def shear_flow(mesh: GridMesh, eps: float, axis: int = 0, mode: int = 1,
     return Isotopy.from_time_function(
         mesh, lambda t: shear(mesh, t * eps, axis, mode), K,
         generator=TimeField(gen_at, mesh, autonomous=True,
-                            certified_symplectic=True),
-        provenance={"kind": "shear_flow", "eps": eps, "axis": axis})
+                            certified_symplectic=True))
 
 
 def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
@@ -271,8 +259,7 @@ def translation_shear_flow(mesh: GridMesh, c: float, d: float, eps: float,
 
     return Isotopy.from_time_function(
         mesh, map_at, K,
-        generator=TimeField(gen_at, mesh, certified_symplectic=True),
-        provenance={"kind": "translation_shear_flow", "c": c, "d": d, "eps": eps})
+        generator=TimeField(gen_at, mesh, certified_symplectic=True))
 
 
 def rotation_flow(mesh: GridMesh, center, radius: float, angle: float,
@@ -288,9 +275,7 @@ def rotation_flow(mesh: GridMesh, center, radius: float, angle: float,
     return Isotopy.from_time_function(
         mesh, lambda t: bump_rotation(mesh, center, radius, t * angle), K,
         generator=TimeField(gen_at, mesh, autonomous=True,
-                            certified_symplectic=True),
-        provenance={"kind": "rotation_flow", "center": tuple(center),
-                    "radius": radius, "angle": angle})
+                            certified_symplectic=True))
 
 
 # named smooth potentials for generic Hamiltonian flows (unit amplitudes),
@@ -375,21 +360,7 @@ def hamiltonian_field(mesh: GridMesh, amps: Mapping[str, float]) -> TimeField:
 def hamiltonian_flow(mesh: GridMesh, name: str, amp: float = 1.0,
                      K: int = 64) -> Isotopy:
     """Flow of a named potential, integrated from its closed-form field."""
-    return integrate_flow(hamiltonian_field(mesh, {name: amp}), K, mesh,
-                          provenance={"kind": "hamiltonian_flow",
-                                      "potential": name, "amp": amp})
-
-
-def hamiltonian_time1(mesh: GridMesh, name: str, amp: float = 1.0,
-                      K: int = 64) -> TorusMap:
-    """Time-1 map of a named Hamiltonian flow, tagged with its vanishing
-    flux certificate."""
-    iso = hamiltonian_flow(mesh, name, amp, K)
-    p = symplectic_flux(iso)
-    m = iso.end_map
-    m.provenance.update({"kind": "hamiltonian_time1", "potential": name,
-                         "amp": amp, "flux_periods": tuple(p.periods)})
-    return m
+    return integrate_flow(hamiltonian_field(mesh, {name: amp}), K, mesh)
 
 
 def perturbation_map(mesh: GridMesh, amplitude: float,
@@ -400,8 +371,5 @@ def perturbation_map(mesh: GridMesh, amplitude: float,
     proportional to `amplitude`."""
     if amplitude == 0.0:
         return TorusMap.identity(mesh)
-    m = twist(mesh, amplitude * base_eps[0], amplitude * base_eps[1])
-    m.provenance["kind"] = "perturbation"
-    m.provenance["amplitude"] = amplitude
-    return m
+    return twist(mesh, amplitude * base_eps[0], amplitude * base_eps[1])
 

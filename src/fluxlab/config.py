@@ -53,19 +53,24 @@ class ExperimentConfig:
         return asdict(self)
 
     def validate(self) -> None:
-        """Raise `ConfigError`, naming the key, for an unknown suite or for
-        a mesh or sampler value that `GridMesh` or `UnitSphereSampler`
+        """Raise `ConfigError`, naming the key, for an unknown suite, a `K`
+        that is odd (Simpson's rule) or below `integrate_flow`'s 16, or a
+        mesh, sampler or seed value that `GridMesh` or `UnitSphereSampler`
         rejects."""
         from .suites import SUITE_REGISTRY
         if self.suite != "all" and self.suite not in SUITE_REGISTRY:
             raise ConfigError(f"unknown suite {self.suite!r}; registered: "
                               f"{sorted(SUITE_REGISTRY)} + ['all']")
+        if self.K < 16 or self.K % 2:
+            raise ConfigError(f"'K' must be an even integer >= 16, got {self.K}")
         L = self.mesh.L
         if len(L) != 2 or not all(type(v) in (int, float) and 0 < v < math.inf
                                   for v in L):
             raise ConfigError(f"'mesh.L' must be two positive numbers, got {L!r}")
         mesh = _checked("mesh.N", self.mesh.build)
-        for key, name in (("m", "max_mode"), ("count", "count"), ("refine", "refine")):
+        _checked("seed", UnitSphereSampler, mesh, seed=self.seed)
+        for key, name in (("m", "max_mode"), ("count", "count"), ("refine", "refine"),
+                          ("seed", "seed")):
             _checked(f"sampler.{key}", UnitSphereSampler, mesh,
                      **{name: getattr(self.sampler, key)})
 

@@ -233,7 +233,8 @@ class Isotopy:
         """`maps` are the samples at t_j = j/K and `generator` the field
         that moves them: fluxes, splits, lengths and the orbits of
         arbitrary points (`_orbit_points`) read it.  `map_fn` is an
-        optional exact time-t map constructor."""
+        optional exact time-t map constructor.  `provenance` is set only
+        by `commutator_generator`, to its `certified_residual`."""
         if len(maps) < 2:
             raise ValueError("an isotopy needs at least two time samples")
         if not maps[0].is_identity(1e-10):
@@ -275,10 +276,9 @@ class Isotopy:
 
     @classmethod
     def from_time_function(cls, mesh: GridMesh, map_fn, K: int,
-                           generator: TimeField, provenance=None) -> "Isotopy":
+                           generator: TimeField) -> "Isotopy":
         maps = [map_fn(t) for t in np.linspace(0.0, 1.0, K + 1)]
-        return cls(mesh, maps, generator=generator, map_fn=map_fn,
-                   provenance=provenance)
+        return cls(mesh, maps, generator=generator, map_fn=map_fn)
 
     # -- sampling -------------------------------------------------------------
 
@@ -327,8 +327,7 @@ def _rk4_step(tf: TimeField, t: float, y: np.ndarray, h: float,
     return y + (h / 6.0) * acc
 
 
-def integrate_flow(X, K: int, mesh: GridMesh,
-                   provenance: dict | None = None) -> Isotopy:
+def integrate_flow(X, K: int, mesh: GridMesh) -> Isotopy:
     """Integrate dy/dt = X(t, y) per grid point with the classical
     fourth-order one-step method on the lift.
 
@@ -385,7 +384,7 @@ def integrate_flow(X, K: int, mesh: GridMesh,
             else:
                 total.add_pulled(j, k1, J)
         del J
-    iso = Isotopy(mesh, maps, generator=tf, provenance=provenance)
+    iso = Isotopy(mesh, maps, generator=tf)
     iso._pulled_flux = None if total is None else total.acc
     return iso
 
@@ -838,8 +837,7 @@ def concat_reparam(a_path: Isotopy, b_path: Isotopy,
     gen = TimeField(
         gen_at, mesh,
         certified_symplectic=tfa.certified_symplectic and tfb.certified_symplectic)
-    return Isotopy(mesh, maps, generator=gen, map_fn=map_at,
-                   provenance={"kind": "concat"})
+    return Isotopy(mesh, maps, generator=gen, map_fn=map_at)
 
 
 # ---------------------------------------------------------------------------

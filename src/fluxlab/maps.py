@@ -9,11 +9,11 @@ composites included, gets the default function, the spectral derivative
 I + du of its displacement, and its inverse comes from a damped Newton
 iteration on the lift.
 
-Maps are immutable after construction; interpolators, the inverse and
-the determinant are cached lazily, so sharing across threads is safe once
-built.  A map refers to its inverse, never the other way round, so no
-map is part of a reference cycle and each is freed as soon as it is
-dropped.
+Maps are immutable after construction and carry no tags: nothing writes
+into a built map.  Interpolators, the inverse, the determinant and norm
+reports are cached lazily, so sharing across threads is safe once built.
+A map refers to its inverse, never the other way round, so no map is
+part of a reference cycle and each is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -110,15 +110,12 @@ class TorusMap:
 
     def __init__(self, mesh: GridMesh, disp: np.ndarray,
                  jac: np.ndarray | Callable[[], np.ndarray] | None = None,
-                 provenance: dict | None = None, normalize: bool = False,
                  check: bool = True,
                  inverse: Callable[[], TorusMap] | None = None):
         disp = np.array(disp, dtype=float)
         _check_field(disp, (2,), mesh.N, "displacement")
         if not np.all(np.isfinite(disp)):
             raise ValueError("non-finite displacement")
-        if normalize:
-            disp = _lattice_normalize(disp, mesh.L)
         self.mesh = mesh
         # the stored fields, on their (a, b) grid axes, and their full views
         self._stored_disp = disp
@@ -135,7 +132,6 @@ class TorusMap:
             self._jac_fn, self._stored_jac = None, jac
             self._jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._det = None
-        self.provenance = dict(provenance or {})
         self._interp: dict[str, object] = {}
         # the inverse once built, else its builder (None: Newton)
         self._inverse: TorusMap | Callable[[], TorusMap] | None = inverse
@@ -177,8 +173,7 @@ class TorusMap:
 
     @classmethod
     def identity(cls, mesh: GridMesh) -> "TorusMap":
-        return cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC,
-                   provenance={"kind": "identity"})
+        return cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC)
 
     # -- cached interpolators --------------------------------------------------
 
@@ -311,7 +306,9 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
         u = psi._stored_disp + phi._stored_disp
     else:
         u = psi.disp + phi.interp_disp(psi.flat_position).reshape(2, *psi.mesh.shape)
-    return TorusMap(phi.mesh, u, normalize=normalize, check=check)
+    if normalize:
+        u = _lattice_normalize(u, phi.mesh.L)
+    return TorusMap(phi.mesh, u, check=check)
 
 
 def _det2(J: np.ndarray) -> np.ndarray:

@@ -221,8 +221,7 @@ def _reparam_flow(base: Isotopy) -> Isotopy:
     return Isotopy.from_time_function(
         base.mesh, map_at, base.K,
         generator=TimeField(gen_at, base.mesh,
-                            certified_symplectic=X.certified_symplectic),
-        provenance={"kind": "reparam"})
+                            certified_symplectic=X.certified_symplectic))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +399,9 @@ def suite_conjugation(ctx: SuiteContext) -> list[CheckRow]:
 
     def tuples():
         hs = [catalog.shear(mesh, 0.1), catalog.twist(mesh, 0.08, 0.05)]
-        phis = [catalog.hamiltonian_time1(mesh, "cos_x_cos_y", 0.08, ctx.K),
-                catalog.hamiltonian_time1(mesh, "sin_x_plus_sin_y", 0.06, ctx.K),
-                catalog.hamiltonian_time1(mesh, "mix_mode2", 0.05, ctx.K)]
+        phis = [catalog.hamiltonian_flow(mesh, name, amp, ctx.K).end_map
+                for name, amp in (("cos_x_cos_y", 0.08), ("sin_x_plus_sin_y", 0.06),
+                                  ("mix_mode2", 0.05))]
         forms = [
             _mode_form(ctx.sampler, harmonic=(1.0, 0.0)),
             _mode_form(ctx.sampler, harmonic=(0.5, 0.5),
@@ -504,7 +503,7 @@ def suite_volume_defect(ctx: SuiteContext) -> list[CheckRow]:
                    catalog.shear(mesh, 0.1),
                    catalog.twist(mesh, 0.08, 0.06),
                    catalog.bump_rotation(mesh, (0.5, 0.5), 0.2, 0.5),
-                   catalog.hamiltonian_time1(mesh, "cos_x_cos_y", 0.08, ctx.K)]
+                   catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, ctx.K).end_map]
         X, Y = mesh.points
         fields = [np.stack([np.full(mesh.shape, 0.3), np.full(mesh.shape, -0.2)]),
                   catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.5}).field(0.0),

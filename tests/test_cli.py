@@ -64,15 +64,23 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
-@pytest.mark.parametrize("sampler, argv", [
-    ({"m": 2, "count": 8, "refine": 0}, []),
-    ({"m": 2, "count": 8}, ["--mesh", "20"])], ids=["refine-0", "mesh-20"])
-def test_run_rejected_value_exit_code(tmp_path, capsys, sampler, argv):
-    # a value the sampler rejects in the file, or a grid the mesh rejects
-    # given on the command line: a config error, not a traceback
-    p = _write_config(tmp_path, sampler=sampler)
+@pytest.mark.parametrize("overrides, argv, key", [
+    ({"sampler": {"m": 2, "count": 8, "refine": 0}}, [], "'sampler.refine'"),
+    ({}, ["--mesh", "20"], "'mesh.N'"),
+    ({"K": 8}, [], "'K'"),
+    ({"K": 17}, [], "'K'"),
+    ({"K": -2}, [], "'K'"),
+    ({"seed": -1}, [], "'seed'"),
+    ({}, ["--seed", "-1"], "'seed'")],
+    ids=["refine-0", "mesh-20", "K-8", "K-17", "K-minus-2", "seed-minus-1",
+         "seed-flag-minus-1"])
+def test_run_rejected_value_exit_code(tmp_path, capsys, overrides, argv, key):
+    # a value the sampler, the mesh, the flows or Simpson's rule reject, in
+    # the file or on the command line: a config error naming the key, not a
+    # traceback or error rows
+    p = _write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(p), *argv]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not (tmp_path / "out").exists()
 
 

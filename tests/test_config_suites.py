@@ -75,13 +75,26 @@ def test_malformed_config_rejected(data, message):
     ("sampler", {"m": -1}, "'sampler.m': max_mode must be >= 0, got -1"),
     ("sampler", {"count": -3}, "'sampler.count': count must be >= 0, got -3"),
     ("sampler", {"refine": 0}, "'sampler.refine': refine must be 1, got 0"),
+    ("seed", -500, "'seed': seed must be >= 0, got -500"),
+    ("seed", -1, "'seed': seed must be >= 0, got -1"),
+    ("sampler", {"seed": -1}, "'sampler.seed': seed must be >= 0, got -1"),
 ])
 def test_a_value_the_mesh_or_sampler_rejects_names_its_key(section, value, message):
     # before, L = [1, 1, 3] ran on (1, 1), [1] raised IndexError, N = 20
     # raised in the first suite, m = -1 gave error rows and count = -3 a
-    # matmul error in norm_table
+    # matmul error in norm_table; seed = -500 failed pullback-bound/01 in
+    # numpy, and seed = -1 left a sampler seed norm_table cannot draw from
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config({"suite": "norm-axioms", "seed": 1, section: value})
+
+
+@pytest.mark.parametrize("K", [8, 17, 65, -2])
+def test_a_step_count_the_flows_cannot_take_names_its_key(K):
+    # before, K = 8 failed flux-duality/02 ("K must be at least 16"), an odd
+    # K the flux rows (Simpson's rule) and K = -2 the flux rows in numpy
+    with pytest.raises(ConfigError, match=re.escape(
+            f"'K' must be an even integer >= 16, got {K}")):
+        parse_config({"suite": "norm-axioms", "seed": 1, "K": K})
 
 
 def test_missing_file():

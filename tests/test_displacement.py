@@ -746,7 +746,8 @@ def test_norm_profile_fails_below_the_witness_floor(monkeypatch, capsys):
     ({"refine": 0}, "refine must be 1, got 0"),
     ({"refine": 2}, "refine must be 1, got 2"),
     ({"count": -1}, "count must be >= 0, got -1"),
-    ({"max_mode": -1}, "max_mode must be >= 0, got -1")])
+    ({"max_mode": -1}, "max_mode must be >= 0, got -1"),
+    ({"seed": -1}, "seed must be >= 0, got -1")])
 def test_sampler_rejects_a_bad_setting(mesh, setting, message):
     # refine has one legal value: the norm is always the subspace maximizer
     with pytest.raises(ValueError, match=message):
@@ -798,7 +799,6 @@ def test_separation_violated_at_threshold(mesh, sampler, monkeypatch):
 def test_conjugation_identity_map(mesh, sampler):
     h = catalog.shear(mesh, 0.1)
     ident = TorusMap.identity(mesh)
-    ident.provenance["flux_periods"] = (0.0, 0.0)
     rep = conjugation_check(h, ident, (0.3, 0.7),
                             OneForm.constant(mesh, 1.0, 0.0), sampler)
     assert rep.identity_residual < 1e-12
@@ -806,27 +806,40 @@ def test_conjugation_identity_map(mesh, sampler):
 
 def test_conjugation_hamiltonian(mesh, sampler):
     h = catalog.shear(mesh, 0.1)
-    phi = catalog.hamiltonian_time1(mesh, "cos_x_cos_y", 0.08, 32)
+    phi = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 32).end_map
     rep = conjugation_check(h, phi, (0.3, 0.7),
                             OneForm.constant(mesh, 1.0, 0.0), sampler)
     assert rep.identity_residual <= 1e-4
     assert rep.sandwich_ok
 
 
-def test_conjugation_requires_flux_certificate(mesh, sampler):
+def test_conjugation_reads_the_class_of_phi_off_the_map(mesh, sampler):
+    # Hamiltonian maps built without a catalog builder's closed forms are
+    # accepted: a twist's bare displacement and a composite
     h = catalog.shear(mesh, 0.1)
-    bare = TorusMap(mesh, catalog.twist(mesh, 0.05, 0.05).disp)
-    with pytest.raises(ValueError):
-        conjugation_check(h, bare, (0.1, 0.1),
+    shear, twist = catalog.shear(mesh, 0.1), catalog.twist(mesh, 0.05, 0.05)
+    alpha = OneForm.constant(mesh, 1.0, 0.0)
+    for phi in (TorusMap(mesh, twist.disp), compose(shear, twist)):
+        rep = conjugation_check(h, phi, (0.1, 0.1), alpha, sampler)
+        assert rep.identity_residual <= 1e-4 * (1.0 + abs(rep.lhs))
+
+
+def test_conjugation_requires_flux_certificate(mesh, sampler):
+    # the certificate is read off phi itself: a map that moves area is no
+    # symplectomorphism, so its flux means nothing and it is rejected first
+    with pytest.raises(ValueError, match=r"phi is not volume preserving: "
+                                         r"max \|det J - 1\| = 6\.283e-01 > 1e-4"):
+        conjugation_check(catalog.shear(mesh, 0.1),
+                          catalog.non_volume_preserving(mesh, 0.1), (0.1, 0.1),
                           OneForm.constant(mesh, 1.0, 0.0), sampler)
 
 
 def test_conjugation_rejects_nonzero_flux(mesh, sampler):
-    phi = TorusMap.identity(mesh)
-    phi.provenance["flux_periods"] = (0.1, 0.0)
-    with pytest.raises(ValueError, match=r"phi has nonzero flux \(0\.1, 0\.0\); "
-                                         "not Hamiltonian-class"):
-        conjugation_check(catalog.shear(mesh, 0.1), phi, (0.1, 0.1),
+    # a translation preserves area but has flux: its mean displacement mod L
+    with pytest.raises(ValueError, match=r"phi has nonzero flux: mean displacement "
+                                         r"\(1\.000e-01, 0\.000e\+00\) mod L"):
+        conjugation_check(catalog.shear(mesh, 0.1),
+                          catalog.translation(mesh, 0.1, 0.0), (0.1, 0.1),
                           OneForm.constant(mesh, 1.0, 0.0), sampler)
 
 
@@ -889,8 +902,8 @@ def test_supported_pair_properties(mesh):
     for m in (phi, psi):
         assert np.abs(m.disp[:, outside]).max() < 1e-12
         assert np.abs(m.det - 1.0).max() <= 1e-8
-        assert max(abs(v) for v in m.provenance["flux_periods"]) < 1e-6
-        assert m.provenance["supported_in"] == "Region.rectangle((0.0, 0.0), (0.25, 1.0))"
+        # vanishing flux: the mean displacement, 0 in the continuum
+        assert np.abs(m.disp.mean(axis=(1, 2))).max() < 1e-6
     comm = map_commutator(phi, psi)
     assert c0_distance(comm, TorusMap.identity(mesh)) > 1e-3
 

@@ -59,8 +59,10 @@ def _old_translation_fields(mesh, c, d):
 def test_constant_fields_are_stored_once(mesh):
     disp = np.array([1.3, -0.7]).reshape(2, 1, 1)
     jac = np.array([[1.0, 0.25], [0.0, 1.0]]).reshape(2, 2, 1, 1)
+    # a displacement normalized as `compose` does is stored once as well
     for normalize in (False, True):
-        m = TorusMap(mesh, disp, jac=jac, normalize=normalize)
+        stored = maps._lattice_normalize(disp, mesh.L) if normalize else disp
+        m = TorusMap(mesh, stored, jac=jac)
         full = np.broadcast_to(disp, (2, mesh.N, mesh.N))
         if normalize:
             full = np.stack([full[0] - 1.0, full[1] + 1.0])
@@ -256,7 +258,7 @@ def _interpolated_compose(phi, psi, normalize):
     """compose's general route: interpolate phi's displacement at psi's
     image; the composite's Jacobian is spectral."""
     u = psi.disp + phi.interp_disp(psi.flat_position).reshape(2, *psi.mesh.shape)
-    return TorusMap(phi.mesh, u, normalize=normalize)
+    return TorusMap(phi.mesh, maps._lattice_normalize(u, phi.mesh.L) if normalize else u)
 
 
 def test_compose_with_a_translation_equals_the_interpolated_chain(mesh):
@@ -712,15 +714,19 @@ def test_bump_jacobian_is_its_closed_form_computed_on_read():
     mesh = GridMesh(N=64)
     rot = catalog.bump_rotation(mesh, (0.3, 0.6), 0.25, 0.8)
     flow = catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16)
-    for m in (rot, rot.inverse(), flow.maps[7], flow.maps[7].inverse()):
-        p = m.provenance
+    # sample 7 of 16 is the bump rotation by t = 7/16 times the flow's angle,
+    # and each inverse the bump rotation by minus its angle
+    t = np.linspace(0.0, 1.0, 17)[7]
+    for m, center, radius, angle in (
+            (rot, (0.3, 0.6), 0.25, 0.8), (rot.inverse(), (0.3, 0.6), 0.25, -0.8),
+            (flow.maps[7], (0.5, 0.5), 0.3, t * 0.6),
+            (flow.maps[7].inverse(), (0.5, 0.5), 0.3, -(t * 0.6))):
         J = m.jac
-        assert np.array_equal(J, _bump_jac_oracle(mesh, p["center"], p["radius"], p["angle"]))
+        assert np.array_equal(J, _bump_jac_oracle(mesh, center, radius, angle))
         assert not J.flags.writeable
         # nothing is kept: the next read computes a fresh, equal array
         assert m._jac is None and m._stored_jac is None
         assert m.jac is not J and np.array_equal(m.jac, J)
-    assert rot.inverse().provenance["angle"] == -0.8
 
 
 def test_bump_rotation_computes_its_fields_once(monkeypatch):
