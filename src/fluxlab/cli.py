@@ -4,7 +4,8 @@
     fluxlab list-suites
     fluxlab describe-suite NAME
 
-`run` exits 0 iff every check row passes.
+`run` exits 0 iff every check row passes, 1 if a row fails, and 2 on a
+bad config or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def main(argv=None) -> int:
         config.out = args.out
 
     report = run_suite(config)
-    paths = emit_report(report, config.out)
+    try:
+        paths = emit_report(report, config.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     n_pass = sum(r.passed for r in report.rows)
     for r in report.rows:
         mark = "pass" if r.passed else "FAIL"

@@ -139,7 +139,11 @@ def load_config(path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
     return parse_config(data)

@@ -966,6 +966,5 @@ def commutator_generator(phi_path: Isotopy, psi_path: Isotopy, tol: float = 1e-3
 
     theta = Isotopy(mesh, theta_maps,
                     generator=TimeField.from_samples(vel_theta, mesh),
-                    provenance={"kind": "commutator",
-                                "certified_residual": worst})
+                    provenance={"certified_residual": worst})
     return theta, pi_fields

@@ -6,8 +6,12 @@ by a function on every read and never kept.  Closed-form constructions
 (see `catalog`) supply analytic Jacobians, as arrays or as functions of
 their parameters, and builders of their analytic inverses; any other map,
 composites included, gets the default function, the spectral derivative
-I + du of its displacement, and its inverse comes from a damped Newton
-iteration on the lift.
+I + du of its displacement.  A composite of two maps that have inverse
+builders gets one as well, psi^-1 o phi^-1 for phi o psi, so a chain of
+closed-form maps is inverted through its factors: its inverse rests on
+their closed forms and one spline read per composition.  Every other
+inverse comes from a damped Newton iteration on the lift, certified by
+its residual through the map's spline.
 
 Maps are immutable after construction and carry no tags: nothing writes
 into a built map.  Interpolators, the inverse, the determinant and norm
@@ -106,6 +110,10 @@ class TorusMap:
 
     `inverse`, which closed-form builders supply, is a zero-argument
     function building the inverse map; it closes over parameters only.
+    `compose` gives a composite one when both factors have one.  The
+    builder is kept apart from the inverse it builds, so whether a
+    composite is inverted through its factors depends on how they were
+    built, not on which inverses were read before.
     """
 
     def __init__(self, mesh: GridMesh, disp: np.ndarray,
@@ -133,8 +141,10 @@ class TorusMap:
             self._jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._det = None
         self._interp: dict[str, object] = {}
-        # the inverse once built, else its builder (None: Newton)
-        self._inverse: TorusMap | Callable[[], TorusMap] | None = inverse
+        # the given builder of the inverse (None: Newton), and the inverse
+        # once built
+        self._inverse_builder = inverse
+        self._inverse: TorusMap | None = None
         # displacement norm reports, keyed by the sampler's max_mode
         self._norm_cache: dict = {}
         if check:
@@ -220,19 +230,19 @@ class TorusMap:
         return bool(np.abs(self._stored_disp).max() <= tol)
 
     def inverse(self, near: "TorusMap | None" = None) -> "TorusMap":
-        """The inverse map, built on the first call and kept: the closed
-        form if the map was given one, else `_newton_inverse`, warm-started
-        from `near`, the inverse of a nearby map, when one is given.  A map
-        whose stored displacement is exactly 0 is its own inverse and keeps
-        nothing.  The inverse keeps no reference to this map."""
-        inv = self._inverse
-        if isinstance(inv, TorusMap):
-            return inv
+        """The inverse map, built on the first call and kept: from the
+        builder if the map was given one, else `_newton_inverse`,
+        warm-started from `near`, the inverse of a nearby map, when one is
+        given.  A map whose stored displacement is exactly 0 is its own
+        inverse and keeps nothing.  The inverse keeps no reference to this
+        map."""
+        if self._inverse is not None:
+            return self._inverse
         if not self._stored_disp.any():
             return self
-        inv = _newton_inverse(self, near) if inv is None else inv()
-        self._inverse = inv
-        return inv
+        build = self._inverse_builder
+        self._inverse = _newton_inverse(self, near) if build is None else build()
+        return self._inverse
 
 
 def _spectral_jac(mesh: GridMesh, disp: np.ndarray) -> np.ndarray:
@@ -290,6 +300,15 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
     stored grid axes: the interpolators of constant fields return the
     constants, so this equals the interpolated displacement bit for bit.
 
+    When both factors were given inverse builders, the composite gets one
+    too: (phi o psi)^-1 = psi^-1 o phi^-1, composed from the maps those
+    builders make, so a chain of closed-form maps is inverted without
+    Newton, however deep.  Such an inverse rests on phi^-1 as its builder
+    makes it and one spline read of psi^-1, not on a residual through the
+    composite's spline.  The builder closes over the factors' builders,
+    not the factors, so it keeps no grid arrays alive.  Any other
+    composite is inverted by `_newton_inverse`.
+
     `chain_jac` accepts only False and raises ValueError otherwise.  It
     exists only for the perfbench norm-sweep workload, which still passes
     `chain_jac=False`, and goes when that workload stops passing it.
@@ -308,7 +327,10 @@ def compose(phi: TorusMap, psi: TorusMap, normalize: bool = True,
         u = psi.disp + phi.interp_disp(psi.flat_position).reshape(2, *psi.mesh.shape)
     if normalize:
         u = _lattice_normalize(u, phi.mesh.L)
-    return TorusMap(phi.mesh, u, check=check)
+    phi_inv, psi_inv = phi._inverse_builder, psi._inverse_builder
+    inverse = (None if phi_inv is None or psi_inv is None
+               else lambda: compose(psi_inv(), phi_inv(), normalize, check=check))
+    return TorusMap(phi.mesh, u, check=check, inverse=inverse)
 
 
 def _det2(J: np.ndarray) -> np.ndarray:

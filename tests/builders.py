@@ -1,7 +1,8 @@
-"""Grid fields and path readings that the test modules share."""
+"""Grid fields, path readings and call counts that the test modules share."""
 
 import numpy as np
 
+from fluxlab import maps
 from fluxlab.forms import OneForm, ScalarField, exterior_derivative
 
 
@@ -30,3 +31,13 @@ def stacked_samples(path):
     """The (K+1, 2, N, N) grid samples of a path's generator, stacked over
     the sample times."""
     return np.stack([path.generator.field(t) for t in path.times])
+
+
+def count_newton(monkeypatch):
+    """Patch `maps._newton_inverse` to record the map of each call; returns
+    the record."""
+    calls = []
+    real = maps._newton_inverse
+    monkeypatch.setattr(maps, "_newton_inverse",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    return calls

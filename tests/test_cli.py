@@ -64,6 +64,40 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
+def _unreadable(tmp_path, monkeypatch):
+    p = _write_config(tmp_path)
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    return p
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path, monkeypatch: tmp_path,
+    lambda tmp_path, monkeypatch: (tmp_path / "cfg.json").write_bytes(
+        b"\xff\xfe{}") and tmp_path / "cfg.json",
+    _unreadable,
+], ids=["directory", "not-utf-8", "unreadable"])
+def test_run_unreadable_config_exit_code(tmp_path, monkeypatch, capsys, make):
+    # a path that cannot be read as UTF-8 text is a config error, not a
+    # traceback
+    p = make(tmp_path, monkeypatch)
+    assert main(["run", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {p}")
+
+
+def test_run_unwritable_out_exit_code(tmp_path, capsys):
+    # exit 1 means a row failed; a report that cannot be written is exit 2
+    p = _write_config(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["run", "--config", str(p), "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"output error: cannot create output directory {blocker}")
+
+
 @pytest.mark.parametrize("overrides, argv, key", [
     ({"sampler": {"m": 2, "count": 8, "refine": 0}}, [], "'sampler.refine'"),
     ({}, ["--mesh", "20"], "'mesh.N'"),

@@ -18,6 +18,8 @@ from fluxlab.suites import (SUITE_ANCHORS, SUITE_REGISTRY, CheckRow,
                             build_perturbation_sequence, emit_report,
                             run_suite, suite_norm_axioms)
 
+from builders import count_newton
+
 
 # -- config -------------------------------------------------------------------
 
@@ -211,6 +213,24 @@ def test_hofer_cauchy_integrates_no_flow(monkeypatch):
     rep = run_suite(_tiny_config("hofer-cauchy"))
     assert len(rep.rows) == 6 and all(math.isfinite(r.value) for r in rep.rows)
     assert calls == []
+
+
+@pytest.mark.parametrize("suite, N, least, most", [
+    ("lemma14-convergence", 32, 0, 0), ("rigidity-limit", 32, 0, 0),
+    # at N = 32 its region is too small, and it raises before inverting
+    ("energy-positivity", 64, 0, 0),
+    # its phi is a flow's end map, which has no closed-form inverse
+    ("conjugation", 32, 1, math.inf)])
+def test_composites_of_closed_forms_make_no_newton_inversion(monkeypatch, suite, N, least,
+                                                             most):
+    # the inverses these suites read (every c0_distance among them) are of
+    # composites of catalog maps, inverted through their factors: 16, 16
+    # and 2 Newton inversions before, in the order listed
+    calls = count_newton(monkeypatch)
+    config = _tiny_config(suite)
+    config.mesh.N = N
+    rep = run_suite(config)
+    assert rep.rows and least <= len(calls) <= most
 
 
 def test_suite_isolation_never_aborts():

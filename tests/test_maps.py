@@ -20,7 +20,7 @@ from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap,
                           _newton_inverse)
 from fluxlab.mesh import GridMesh
 
-from builders import closed_form, grid_scalar, plus_constant, sup_displacement
+from builders import closed_form, count_newton, grid_scalar, plus_constant, sup_displacement
 
 TWO_PI = 2 * np.pi
 
@@ -307,9 +307,12 @@ def test_inverse_identity(mesh):
 
 @pytest.mark.parametrize("build", [
     lambda mesh: catalog.shear(mesh, 0.1),
+    # a factor given no inverse builder sends the composite to Newton
+    lambda mesh: compose(catalog.shear(mesh, 0.05),
+                         TorusMap(mesh, catalog.twist(mesh, 0.07, 0.05).disp)),
     lambda mesh: compose(catalog.shear(mesh, 0.05), catalog.twist(mesh, 0.07, 0.05)),
     TorusMap.identity,
-], ids=["shear", "newton-composite", "identity"])
+], ids=["shear", "newton-composite", "factor-composite", "identity"])
 def test_a_map_and_its_inverse_are_freed_without_the_collector(mesh, build):
     # the inverse keeps no reference to its map, so no cycle waits for gc
     m = build(mesh)
@@ -388,6 +391,77 @@ def test_newton_retries_only_the_points_that_got_worse():
     ref, halvings = _whole_grid_newton(phi)
     assert halvings > 0  # the map makes Newton back-track
     assert np.array_equal(_newton_inverse(phi).disp, ref)
+
+
+def _shear_twist_inverse_truth(mesh):
+    """twist^-1 o shear^-1 for shear(0.1, mode 2, phase 0.3) and
+    twist(0.07, -0.05, 1, 2), exact at the grid points: the closed-form
+    shear^-1 moves them, and the twist^-1 formula is evaluated at the
+    moved points."""
+    Si = catalog.shear(mesh, -0.1, mode=2, phase=0.3)
+    x, y = Si.position
+    # twist(0.07, -0.05, 1, 2)^-1: the y-shear is undone first
+    u2 = 0.05 * np.sin(TWO_PI * 2 * x / mesh.L[0])
+    u1 = -0.07 * np.sin(TWO_PI * (y + u2) / mesh.L[1])
+    return Si.disp + np.stack([u1, u2])
+
+
+@pytest.mark.parametrize("N, bound", [(32, 3e-7), (64, 2e-8)])
+def test_a_composite_of_closed_forms_is_inverted_through_its_factors(monkeypatch, N, bound):
+    # Measured against the exact inverse: the factor route errs by 1.8e-7
+    # (N = 32) and 1.0e-8 (N = 64), Newton through the composite's spline
+    # by 2.1e-6 and 1.4e-7
+    mesh = GridMesh(N=N)
+    calls = count_newton(monkeypatch)
+    C = compose(catalog.shear(mesh, 0.1, mode=2, phase=0.3),
+                catalog.twist(mesh, 0.07, -0.05, 1, 2))
+    inv = C.inverse()
+    assert calls == []
+    truth = _shear_twist_inverse_truth(mesh)
+    factor_err = np.abs(inv.disp - truth).max()
+    newton_err = np.abs(maps._newton_inverse(C).disp - truth).max()
+    assert factor_err < bound and factor_err < newton_err / 5
+    # the inverse is itself a composite of closed forms: (C^-1)^-1 is C
+    assert np.array_equal(inv.inverse().disp, C.disp)
+    assert len(calls) == 1  # the oracle's own call
+
+
+def test_the_inverse_route_depends_on_how_the_factors_were_built(monkeypatch):
+    mesh = GridMesh(N=32)
+    calls = count_newton(monkeypatch)
+    S, T = catalog.shear(mesh, 0.1, mode=2, phase=0.3), catalog.twist(mesh, 0.07, -0.05, 1, 2)
+    fresh = compose(S, T).inverse().disp
+    S.inverse(), T.inverse()  # a factor's inverse read first
+    assert np.array_equal(compose(S, T).inverse().disp, fresh)
+    # chains of closed forms, however nested, stay off Newton.  The bump
+    # rotation is barely resolved at N = 32: the round trip measured
+    # 9.3e-4, and 4.1e-3 with Newton through the chain's spline
+    R = catalog.bump_rotation(mesh, (0.3, 0.6), 0.25, 0.5)
+    chain = compose(compose(catalog.translation(mesh, 0.2, -0.1), R), compose(S, T))
+    assert sup_displacement(compose(chain.inverse(), chain)) < 1.5e-3
+    assert calls == []
+    # a flow sample is not a closed form, whether or not its Newton
+    # inverse is already cached
+    sample = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, 16).maps[8]
+    sample.inverse()
+    assert len(calls) == 1
+    compose(S, sample).inverse()
+    assert len(calls) == 2
+
+
+def test_a_composite_inverse_builder_keeps_no_factor_alive():
+    mesh = GridMesh(N=32)
+    S, T = catalog.shear(mesh, 0.1), catalog.twist(mesh, 0.07, 0.05)
+    C = compose(S, T)
+    gc.disable()
+    try:
+        refs = [weakref.ref(S), weakref.ref(T)]
+        del S, T
+        assert [r() for r in refs] == [None, None]
+        # the builder outlives the factors and still makes the inverse
+        assert sup_displacement(compose(C.inverse(), C)) < 1e-6
+    finally:
+        gc.enable()
 
 
 def test_inverse_composition_is_identity(mesh):
@@ -659,8 +733,9 @@ def test_c0_distance_reads_the_inverse_half(mesh):
     inverse_half = float(np.sqrt(f ** 2 + dg ** 2).max())
     forward_half = float(mesh.torus_distance(phi.position, B.position).max())
     assert abs(forward_half - a) < 1e-15 and inverse_half > a + 2e-3
-    # phi is grid-sampled and inverted through its spline: 1.6e-9 at N = 64
-    assert abs(c0_distance(phi, B) - inverse_half) < 1e-8
+    # phi is inverted through its factors, B^-1 o A^-1, with one spline
+    # read of B^-1: 2.6e-11 at N = 64 (1.6e-9 by Newton through phi's spline)
+    assert abs(c0_distance(phi, B) - inverse_half) < 1e-10
 
 
 def test_given_jacobian_is_returned_as_the_stored_view():
