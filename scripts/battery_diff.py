@@ -9,7 +9,8 @@ REV's committed files are unpacked into a temporary directory with
 `src/`, one after the other.  Every row whose CSV bytes differ is printed
 with its old and new value and verdict; a row only one side has is
 printed as added or removed, and each tree's battery wall time (the
-`fluxlab run` process, start to exit) is printed beside the diff, then
+`fluxlab run` process, start to exit) and peak RSS (that process's
+`ru_maxrss`, read with `os.wait4`) are printed beside the diff, then
 each suite's wall seconds from the JSON report's `suite_seconds` ("-"
 for a tree whose report has none).  The
 exit code is 1 when a row that passes at REV fails in the tree, 2 when a
@@ -44,25 +45,35 @@ def _unpack(rev: str, dest: Path) -> None:
 
 
 def _run_battery(tree: Path, config: str, mesh: int, out: Path
-                 ) -> tuple[dict[str, tuple[str, list]], float, dict[str, float]]:
+                 ) -> tuple[dict[str, tuple[str, list]], float, float, dict[str, float]]:
     """check_id -> (CSV line, fields) of the battery run in `tree`, the
-    run's wall time in seconds, and its report's seconds per suite."""
+    run's wall time in seconds, its peak RSS in MB and its report's seconds
+    per suite.
+
+    The peak RSS is the child's own `ru_maxrss`, from `os.wait4` on it:
+    `RUSAGE_CHILDREN` would give the largest of all children so far.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out.mkdir(parents=True, exist_ok=True)
+    log = out / "battery.log"
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "fluxlab.cli", "run", "--config", str(tree / config),
-         "--suite", "all", "--mesh", str(mesh), "--out", str(out)],
-        cwd=tree / "src", env=env, capture_output=True, text=True)
+    with open(log, "wb") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fluxlab.cli", "run", "--config", str(tree / config),
+             "--suite", "all", "--mesh", str(mesh), "--out", str(out)],
+            cwd=tree / "src", env=env, stdout=sink, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
     report = out / "all-suites.csv"
     # the CLI exits 1 when a row fails; that is a result, not an error
     if proc.returncode not in (0, 1) or not report.is_file():
-        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.stderr.write(log.read_text())
         raise SystemExit(f"battery_diff: no report from {tree} (exit {proc.returncode})")
     lines = report.read_text().splitlines()[1:]
     suites = json.loads((out / "all-suites.json").read_text()).get("suite_seconds", {})
-    return ({fields[0]: (line, fields)
-             for line, fields in zip(lines, csv.reader(lines))}, seconds, suites)
+    return ({fields[0]: (line, fields) for line, fields in zip(lines, csv.reader(lines))},
+            seconds, usage.ru_maxrss / 1024.0, suites)
 
 
 def _seconds(value: float | None) -> str:
@@ -84,10 +95,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="battery-diff-") as tmp:
         tmp = Path(tmp)
         _unpack(args.rev, tmp / "rev")
-        old, old_s, old_suites = _run_battery(tmp / "rev", args.config, args.mesh,
-                                              tmp / "out-rev")
-        new, new_s, new_suites = _run_battery(ROOT, args.config, args.mesh,
-                                              tmp / "out-tree")
+        old, old_s, old_rss, old_suites = _run_battery(tmp / "rev", args.config,
+                                                       args.mesh, tmp / "out-rev")
+        new, new_s, new_rss, new_suites = _run_battery(ROOT, args.config, args.mesh,
+                                                       tmp / "out-tree")
 
     regressed = []
     changed = 0
@@ -103,6 +114,7 @@ def main() -> int:
     print(f"{args.rev} vs tree at N = {args.mesh}: {changed} of {len(new)} rows differ; "
           f"{passing}/{len(new)} pass in the tree")
     print(f"battery wall time: {old_s:.2f} s at {args.rev}, {new_s:.2f} s in the tree")
+    print(f"battery peak RSS: {old_rss:.1f} MB at {args.rev}, {new_rss:.1f} MB in the tree")
     for name in sorted(set(old_suites) | set(new_suites)):
         print(f"  {name}: {_seconds(old_suites.get(name))} at {args.rev}, "
               f"{_seconds(new_suites.get(name))} in the tree")

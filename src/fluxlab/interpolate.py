@@ -163,7 +163,9 @@ class PeriodicInterpolator:
     def __init__(self, values: np.ndarray, mesh: GridMesh):
         self.mesh = mesh
         values = np.asarray(values, dtype=float)
-        lo, hi = values.min(), values.max()
+        # a stride-0 view of one value (a translation's field) is not scanned
+        lo, hi = ((values.flat[0],) * 2 if not any(values.strides)
+                  else (values.min(), values.max()))
         if lo == hi:
             # constant fields interpolate to themselves
             self._const = float(lo)
@@ -207,10 +209,10 @@ def evaluate(interps, points: np.ndarray) -> np.ndarray:
 
 
 class VectorInterpolator:
-    """Componentwise interpolation of a (2, N, N) vector field."""
+    """Componentwise interpolation of a (C, N, N) field."""
 
     def __init__(self, components: np.ndarray, mesh: GridMesh):
-        self._parts = [PeriodicInterpolator(components[k], mesh) for k in range(2)]
+        self._parts = [PeriodicInterpolator(c, mesh) for c in components]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return evaluate(self._parts, points)

@@ -14,8 +14,9 @@ inverse comes from a damped Newton iteration on the lift, certified by
 its residual through the map's spline.
 
 Maps are immutable after construction and carry no tags: nothing writes
-into a built map.  Interpolators, the inverse, the determinant and norm
-reports are cached lazily, so sharing across threads is safe once built.
+into a built map.  The inverse, the determinant and norm reports are
+cached lazily, so sharing across threads is safe once built.  No map
+keeps a spline: an off-grid read fits the splines it reads and drops them.
 A map refers to its inverse, never the other way round, so no map is
 part of a reference cycle and each is freed as soon as it is dropped.
 """
@@ -27,8 +28,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .forms import OneForm, hodge_decompose, sup_norm
-from .interpolate import (PeriodicInterpolator, VectorInterpolator,
-                          evaluate, spline_values, wrap_pad)
+from .interpolate import VectorInterpolator, spline_values, wrap_pad
 from .mesh import GridMesh
 
 #: Newton inversion: residual target is TOL_INV_SCALE * max(L), at most
@@ -137,10 +137,11 @@ class TorusMap:
         else:
             jac = np.array(jac, dtype=float)
             _check_field(jac, (2, 2), mesh.N, "jacobian")
+            if not np.all(np.isfinite(jac)):
+                raise ValueError("non-finite jacobian")
             self._jac_fn, self._stored_jac = None, jac
             self._jac = _frozen(jac, (2, 2, mesh.N, mesh.N))
         self._det = None
-        self._interp: dict[str, object] = {}
         # the given builder of the inverse (None: Newton), and the inverse
         # once built
         self._inverse_builder = inverse
@@ -185,25 +186,15 @@ class TorusMap:
     def identity(cls, mesh: GridMesh) -> "TorusMap":
         return cls(mesh, np.zeros((2, 1, 1)), jac=UNIT_JAC)
 
-    # -- cached interpolators --------------------------------------------------
-
-    def _get_interp(self, key: str, values: np.ndarray) -> PeriodicInterpolator:
-        ip = self._interp.get(key)
-        if ip is None:
-            ip = PeriodicInterpolator(values, self.mesh)
-            self._interp[key] = ip
-        return ip
+    # -- off-grid reads -------------------------------------------------------
 
     def interp_disp(self, points: np.ndarray) -> np.ndarray:
-        return evaluate((self._get_interp("u0", self.disp[0]),
-                         self._get_interp("u1", self.disp[1])), points)
+        """The displacement at points (2, ...), from splines fitted per read."""
+        return VectorInterpolator(self.disp, self.mesh)(points)
 
     def interp_jac(self, points: np.ndarray) -> np.ndarray:
-        entries = [(k, l) for k in range(2) for l in range(2)]
-        # the Jacobian is read once, and only to build a missing interpolator
-        J = None if all(f"j{k}{l}" in self._interp for k, l in entries) else self.jac
-        out = evaluate([self._get_interp(f"j{k}{l}", None if J is None else J[k, l])
-                        for k, l in entries], points)
+        """The Jacobian (2, 2, ...) at points, from splines fitted per read."""
+        out = VectorInterpolator(self.jac.reshape(4, *self.mesh.shape), self.mesh)(points)
         return out.reshape(2, 2, *out.shape[1:])
 
     def interp_jac_rough(self, points: np.ndarray, padded: list) -> np.ndarray:
@@ -342,7 +333,7 @@ def require_positive_det(mesh: GridMesh, J: np.ndarray) -> None:
     """Raise DiffeomorphismError unless det J > 0 at every grid point of
     the Jacobian field J, given on the grid axes it is stored on."""
     det = _det2(J)
-    if det.min() <= 0.0:
+    if not det.min() > 0.0:  # also when a det is NaN
         # on a unit grid axis index 0 is a grid point of the minimum too
         i, j = np.unravel_index(np.argmin(det), det.shape)
         raise DiffeomorphismError(
@@ -365,10 +356,12 @@ def _newton_inverse(phi: TorusMap, near: TorusMap | None = None) -> TorusMap:
     tol = TOL_INV_SCALE * max(mesh.L)
     x = mesh.flat_points
     y = x - phi.disp.reshape(2, -1) if near is None else x + near.disp.reshape(2, -1)
+    # phi's splines, fitted once and read by every iteration and halving
+    u = VectorInterpolator(phi.disp, mesh)
 
     def residual(yy, at=slice(None)):
         """phi(yy) - x and its max norm, for the grid points `at` of x."""
-        r = yy + phi.interp_disp(yy) - x[:, at]
+        r = yy + u(yy) - x[:, at]
         return r, np.abs(r).max(axis=0)
 
     # read and padded once: phi may compute its Jacobian on every read
@@ -464,9 +457,9 @@ def pullback_vector(g: TorusMap, X_at, jac: np.ndarray | None = None) -> np.ndar
 
 def pushforward_at(phi: TorusMap, X_at, points: np.ndarray) -> np.ndarray:
     """(phi_* X) at points of shape (2, ...): d(phi^{-1})^{-1} X(phi^{-1} p),
-    read through the inverse map's cached interpolators (constants, so no
-    spline is evaluated, when phi^{-1} is a translation); `X_at` evaluates X
-    at points."""
+    read through splines of the inverse map fitted for this call (constants,
+    so no spline is fitted or evaluated, when phi^{-1} is a translation);
+    `X_at` evaluates X at points."""
     g = phi.inverse()
     return _solve_2x2(g.interp_jac(points), X_at(points + g.interp_disp(points)))
 
@@ -474,6 +467,8 @@ def pushforward_at(phi: TorusMap, X_at, points: np.ndarray) -> np.ndarray:
 def c0_distance(phi: TorusMap, psi: TorusMap) -> float:
     """Uniform distance max(sup d(phi, psi), sup d(phi^{-1}, psi^{-1}))."""
     mesh = phi.mesh
+    if not mesh.same_grid(psi.mesh):
+        raise ValueError("maps live on different meshes")
     d1 = mesh.torus_distance(phi.position, psi.position).max()
     d2 = mesh.torus_distance(phi.inverse().position, psi.inverse().position).max()
     return float(max(d1, d2))

@@ -1311,9 +1311,9 @@ def test_point_route_matches_spline_route():
 
 def test_orbits_read_no_stored_displacement(monkeypatch):
     # every orbit is integrated from the path's generator: integrated flows
-    # of both routes, catalog, reparametrized and concatenated paths build
-    # no interpolator of a stored map (a concatenation's generator reads the
-    # first path's inverse end map, which is not one of its samples)
+    # of both routes, catalog, reparametrized and concatenated paths read no
+    # stored map off-grid (a concatenation's generator reads the first
+    # path's inverse end map, which is not one of its samples)
     from fluxlab.suites import _reparam_flow
     mesh = GridMesh(N=32)
     F = catalog.hamiltonian_field(mesh, {"cos_x_cos_y": 0.08})
@@ -1323,21 +1323,21 @@ def test_orbits_read_no_stored_displacement(monkeypatch):
              catalog.rotation_flow(mesh, (0.5, 0.5), 0.3, 0.6, 16),
              _reparam_flow(shear),
              concat_reparam(shear, catalog.translation_flow(mesh, 0.2, 0.1, 8))]
-    builds = []
-    real = TorusMap._get_interp
+    reads = []
+    for name in ("interp_disp", "interp_jac"):
+        real = getattr(TorusMap, name)
 
-    def counting(self, key, values):
-        if key not in self._interp:
-            builds.append(self)
-        return real(self, key, values)
+        def recording(self, points, real=real):
+            reads.append(self)
+            return real(self, points)
 
-    monkeypatch.setattr(TorusMap, "_get_interp", counting)
+        monkeypatch.setattr(TorusMap, name, recording)
     x = np.array([0.3, 0.7])
     for path in paths:
-        builds.clear()
+        reads.clear()
         isotopy._orbit_points(path, x)
         stored = {id(m) for m in path.maps}
-        assert not any(id(m) in stored for m in builds)
+        assert not any(id(m) in stored for m in reads)
 
 
 def test_translation_shear_orbit_is_its_closed_form():

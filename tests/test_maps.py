@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fluxlab import catalog
 from fluxlab.forms import OneForm, exterior_derivative, l2_norm, sup_norm, tol_closed
-from fluxlab.interpolate import VectorInterpolator, wrap_pad
+from fluxlab.interpolate import PeriodicInterpolator, VectorInterpolator, wrap_pad
 from fluxlab import maps
 from fluxlab.maps import (DiffeomorphismError, InversionError, Region, TorusMap, c0_distance,
                           compose, evaluate_lift, interior_product,
@@ -137,6 +137,23 @@ def test_line_field_diffeomorphism_error_names_the_full_grid_point(mesh):
 def test_non_finite_constant_displacement_raises(mesh, bad):
     with pytest.raises(ValueError, match="non-finite displacement"):
         TorusMap(mesh, np.array([0.1, bad]).reshape(2, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_jacobian_raises(mesh, bad):
+    jac = np.eye(2).reshape(2, 2, 1, 1) * np.ones((1, 1, 64, 1))
+    jac[0, 1, 5, 0] = bad
+    for check in (True, False):
+        with pytest.raises(ValueError, match="non-finite jacobian"):
+            TorusMap(mesh, np.zeros((2, 1, 1)), jac=jac, check=check)
+
+
+def test_a_nan_det_is_not_positive(mesh):
+    # NaN <= 0 is False: the check asks for det > 0 instead
+    jac = np.eye(2).reshape(2, 2, 1, 1) * np.ones((1, 1, 1, 64))
+    jac[1, 1, 0, 7] = np.nan
+    with pytest.raises(DiffeomorphismError, match="det J = nan"):
+        maps.require_positive_det(mesh, jac)
 
 
 def test_translation_and_identity_equal_the_full_arrays(mesh):
@@ -738,6 +755,15 @@ def test_c0_distance_reads_the_inverse_half(mesh):
     assert abs(c0_distance(phi, B) - inverse_half) < 1e-10
 
 
+@pytest.mark.parametrize("other", [GridMesh(N=32, L=(2.0, 2.0)), GridMesh(N=64)])
+def test_c0_distance_rejects_maps_on_different_meshes(other):
+    # same N and another L read a meaningless 0.707; another N a broadcast
+    # error
+    phi = catalog.shear(GridMesh(N=32), 0.1)
+    with pytest.raises(ValueError, match="maps live on different meshes"):
+        c0_distance(phi, catalog.shear(other, 0.1))
+
+
 def test_given_jacobian_is_returned_as_the_stored_view():
     mesh = GridMesh(N=32)
     twist = catalog.twist(mesh, 0.08, 0.06)
@@ -854,11 +880,48 @@ def test_compose_of_closed_forms_checks_the_composite_spectrally():
         compose(catalog.translation(mesh, 0.2, 0.1), catalog.perturbation_map(mesh, 40.0))
 
 
-def test_compose_keeps_no_jacobian_interpolators():
+def _is_or_holds_a_spline(v) -> bool:
+    if isinstance(v, (PeriodicInterpolator, VectorInterpolator)):
+        return True
+    if isinstance(v, dict):
+        v = list(v.values())
+    return isinstance(v, (list, tuple)) and any(map(_is_or_holds_a_spline, v))
+
+
+def test_a_map_keeps_no_interpolator():
+    # every off-grid read fits the splines it reads and drops them
     mesh = GridMesh(N=32)
-    phi = catalog.twist(mesh, 0.08, 0.06)
-    compose(phi, catalog.shear(mesh, 0.1))
-    assert phi._interp and not any(key.startswith("j") for key in phi._interp)
+    twist, shear = catalog.twist(mesh, 0.08, 0.06), catalog.shear(mesh, 0.1)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (2, 5))
+    twist.interp_disp(pts)
+    twist.interp_jac(pts)
+    composite = compose(twist, shear)
+    built = twist.inverse()
+    newton = TorusMap(mesh, composite.disp)
+    solved = newton.inverse()
+    maps.pushforward_at(newton, lambda p: np.ones_like(p), pts)
+    involved = [twist, shear, composite, built, composite.inverse(), newton, solved]
+    assert not any(_is_or_holds_a_spline(list(vars(m).values())) for m in involved)
+
+
+def test_newton_inverses_of_a_flow_keep_their_displacements_alone():
+    # the 17 inverses of a K = 16 flow at N = 64 (16 by Newton, and the
+    # identity its own) retain 1.06 MB, about their 1.05 MB of displacements;
+    # with splines kept on the maps they retained 5.6 MB.  Costs about 0.5 s
+    mesh = GridMesh(N=64)
+    flow = catalog.hamiltonian_flow(mesh, "cos_x_cos_y", 0.08, K=16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        inverses = flow._inverses()
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    disp_bytes = sum(g._stored_disp.nbytes for g in inverses)
+    assert len(inverses) == 17 and disp_bytes >= 16 * 2 * 64 * 64 * 8
+    assert live - start <= 1.1 * disp_bytes
 
 
 @pytest.mark.parametrize("chain_jac", [True, None])
